@@ -7,7 +7,7 @@ from .enumeration import (DEFAULT_SIZE_LIMIT, EnumerationLimitError,
                           shape_count, total_weight, total_weights)
 from .evolve import (GrowthEvent, TreeDistribution, apply_growth,
                      attachment_probability, exact_distribution,
-                     growth_options, grow_step, pushforward_strip,
+                     growth_options, pushforward_strip,
                      sample_tree, strip_labels)
 from .rng import SplitMix64
 from .trees import (BucketNode, BucketTree, EncodingError, InvalidTreeError,
@@ -46,7 +46,7 @@ __all__ = [
     "closed_form_total_weight", "check_ode_recurrence", "OdeCheckReport",
     "EnumerationLimitError", "DEFAULT_SIZE_LIMIT",
     "GrowthEvent", "growth_options", "attachment_probability", "apply_growth",
-    "grow_step", "sample_tree", "TreeDistribution", "exact_distribution",
+    "sample_tree", "TreeDistribution", "exact_distribution",
     "strip_labels", "pushforward_strip",
     "balance_value", "check_balance", "BalanceReport", "check_affine_ratio",
     "AffineRatioReport", "check_scaling", "ScalingReport", "classify_family",

@@ -19,7 +19,7 @@ import json
 import os
 import signal
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from fractions import Fraction
 
 from .enumeration import (EnumerationLimitError, check_ode_recurrence,
@@ -51,6 +51,17 @@ def frac_str(x: Fraction) -> str:
 def f12(x: float) -> float:
     """Round a float to 12 significant digits for stable reports."""
     return float(f"{x:.12g}")
+
+
+def positive_int(text: str) -> int:
+    """argparse type for sizes and counts: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parse_seed(value: str | None) -> int:
@@ -192,30 +203,15 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 # ── sample ────────────────────────────────────────────────────────────────
 
-def _sample_chunk(spec: FamilySpec, n: int, count: int, rng: SplitMix64) -> list[bytes]:
-    return [encode_tree(sample_tree(spec, n, rng)) for _ in range(count)]
-
-
 def cmd_sample(args: argparse.Namespace) -> int:
     spec = require_spec(args)
-    seed = _parse_seed(args.seed)
-    threads = max(1, args.threads)
-    chunks = [args.count // threads + (1 if i < args.count % threads else 0)
-              for i in range(threads)]
-    master = SplitMix64(seed)
-    if threads == 1:
-        results = [_sample_chunk(spec, args.n, args.count, master.spawn(0))]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_sample_chunk, spec, args.n, chunk, master.spawn(i))
-                       for i, chunk in enumerate(chunks)]
-            results = [f.result() for f in futures]
-    encodings = [enc for part in results for enc in part]
+    # Tree i grows from its own stream, so output depends on (seed, count) only.
+    master = SplitMix64(_parse_seed(args.seed))
+    encodings = [encode_tree(sample_tree(spec, args.n, master.spawn(i)))
+                 for i in range(args.count)]
 
     if args.aggregate:
-        counts: dict[bytes, int] = {}
-        for enc in encodings:
-            counts[enc] = counts.get(enc, 0) + 1
+        counts = Counter(encodings)
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["tree", "count"])
         for enc in sorted(counts):
@@ -341,11 +337,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 # ── descend ───────────────────────────────────────────────────────────────
 
-def _descend_chunk(spec, n, j, count, rng, mode) -> list[int]:
-    draw = descendants_via_urn if mode == "urn" else descendants_direct
-    return [draw(spec, n, j, rng).descendants for _ in range(count)]
-
-
 def cmd_descend(args: argparse.Namespace) -> int:
     spec = require_spec(args)
     if not 1 <= args.j <= args.n:
@@ -358,23 +349,10 @@ def cmd_descend(args: argparse.Namespace) -> int:
         for y in sorted(law):
             writer.writerow([y, frac_str(law[y])])
         return 0
-    seed = _parse_seed(args.seed)
-    threads = max(1, args.threads)
-    chunks = [args.count // threads + (1 if i < args.count % threads else 0)
-              for i in range(threads)]
-    master = SplitMix64(seed)
-    if threads == 1:
-        parts = [_descend_chunk(spec, args.n, args.j, args.count, master.spawn(0), args.mode)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_descend_chunk, spec, args.n, args.j, chunk,
-                                   master.spawn(i), args.mode)
-                       for i, chunk in enumerate(chunks)]
-            parts = [f.result() for f in futures]
-    counts: dict[int, int] = {}
-    for part in parts:
-        for y in part:
-            counts[y] = counts.get(y, 0) + 1
+    draw = descendants_via_urn if args.mode == "urn" else descendants_direct
+    master = SplitMix64(_parse_seed(args.seed))
+    counts = Counter(draw(spec, args.n, args.j, master.spawn(i)).descendants
+                     for i in range(args.count))
     writer.writerow(["descendants", "count"])
     for y in sorted(counts):
         writer.writerow([y, counts[y]])
@@ -447,11 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw labelled trees from the growth process")
     add_model_args(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--n", type=positive_int, required=True)
+    p.add_argument("--count", type=positive_int, default=1)
     p.add_argument("--seed")
     p.add_argument("--aggregate", action="store_true", help="frequency CSV instead of lines")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("verify", help="structure checks; exit 0 iff all pass")
@@ -467,12 +444,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("descend", help="descendant counts of label j at size n")
     add_model_args(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--j", type=int, required=True)
-    p.add_argument("--count", type=int, default=1000)
+    p.add_argument("--count", type=positive_int, default=1000)
     p.add_argument("--mode", choices=["urn", "direct", "exact"], default="urn")
     p.add_argument("--seed")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--limit", type=int)
     p.set_defaults(func=cmd_descend)
 

@@ -107,43 +107,74 @@ def apply_growth(tree: BucketTree, event: GrowthEvent, label: int) -> BucketTree
     return BucketTree(root, tree.max_bucket)
 
 
-def grow_step(tree: BucketTree, spec: FamilySpec, rng: SplitMix64) -> BucketTree:
-    """One exact step of the growth process."""
-    if tree.max_bucket != spec.b:
-        raise InvalidTreeError(f"tree has b={tree.max_bucket}, family has b={spec.b}")
-    n = tree.size
-    scale = spec.weight_scale()
-    nodes = _scan(tree)
-    weights = []
-    for _, node in nodes:
-        w = spec.attachment_weight(node.capacity, len(node.children)) * scale
-        if w.denominator != 1 or w < 0:
-            raise AssertionError(f"bad scaled weight {w}")
-        weights.append(int(w))
-    total = spec.connectivity(n) * scale
-    assert total == sum(weights), "attachment weights must sum to the normalizer"
-    pick = rng.randbelow(int(total))
-    acc = 0
-    for (index, node), w in zip(nodes, weights):
-        acc += w
-        if pick < acc:
-            if node.capacity < spec.b:
-                event = GrowthEvent(index, None, node.capacity + 1)
-            else:
-                slot = rng.randbelow(len(node.children) + 1)
-                event = GrowthEvent(index, slot, 1)
-            return apply_growth(tree, event, n + 1)
-    raise AssertionError("unreachable: no node selected")
-
-
 def sample_tree(spec: FamilySpec, n: int, rng: SplitMix64) -> BucketTree:
-    """Grow a labelled tree of size n from a single label."""
+    """Grow a labelled tree of size n from a single label.
+
+    Nodes live in flat lists indexed by creation order, and a Fenwick tree
+    over their scaled integer attachment weights finds the target of each
+    label in O(log n).  A label changes one weight (+c1 when it joins a
+    bucket, -c2 when it starts a child) and may add a leaf of weight
+    c1 + c2, so growth to size n costs O(n log n).
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    tree = single_bucket_tree(spec.b)
-    for _ in range(n - 1):
-        tree = grow_step(tree, spec, rng)
-    return tree
+    b = spec.b
+    scale = spec.weight_scale()
+    c1, c2 = (c * scale for c in spec.affine_constants())
+    if c1.denominator != 1 or c2.denominator != 1:
+        raise AssertionError(f"bad scaled constants {c1}, {c2}")
+    join, split = int(c1), int(c2)
+    leaf = join + split
+    if leaf < 0:
+        raise AssertionError(f"negative leaf weight {leaf}")
+    labels: list[list[int]] = [[1]]
+    children: list[list[int]] = [[]]
+    fenwick = [0] * (n + 1)  # 1-based; nodes never outnumber labels
+
+    def bump(index: int, delta: int) -> None:
+        while index <= n:
+            fenwick[index] += delta
+            index += index & -index
+
+    bump(1, leaf)
+    top = 1 << (n.bit_length() - 1)
+    total = leaf
+    for size in range(1, n):
+        # Fenwick descent: the first node whose cumulative weight exceeds pick.
+        pick = rng.randbelow(total)
+        node = 0
+        step = top
+        while step:
+            probe = node + step
+            if probe <= n and fenwick[probe] <= pick:
+                node = probe
+                pick -= fenwick[probe]
+            step >>= 1
+        bucket = labels[node]
+        if len(bucket) < b:
+            bucket.append(size + 1)
+            delta = join
+        else:
+            kids = children[node]
+            kids.insert(rng.randbelow(len(kids) + 1), len(labels))
+            labels.append([size + 1])
+            children.append([])
+            bump(len(labels), leaf)
+            total += leaf
+            delta = -split
+        if join * len(bucket) + split * (1 - len(children[node])) < 0:
+            raise AssertionError(f"negative attachment weight at node {node}")
+        bump(node + 1, delta)
+        total += delta
+        if total != join * (size + 1) + split:
+            raise AssertionError("attachment weights must sum to the normalizer")
+    # Children are created after their parents, so a reverse walk builds
+    # every subtree before the node that holds it.
+    built: list[BucketNode] = [None] * len(labels)  # type: ignore[list-item]
+    for index in range(len(labels) - 1, -1, -1):
+        built[index] = BucketNode(len(labels[index]), tuple(labels[index]),
+                                  tuple(built[k] for k in children[index]))
+    return BucketTree(built[0], b)
 
 
 # ── exact law of the process ──────────────────────────────────────────────

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from buckettrees import DAryIncreasing, SplitMix64, encode_tree, sample_tree
 from buckettrees.cli import main
 
 
@@ -208,22 +209,47 @@ def test_descend_rejects_bad_window(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("descend", "--n", "6", "--j", "3", "--count", "0"),
+    ("descend", "--n", "-2", "--j", "1"),
+    ("sample", "--n", "5", "--count", "-1"),
+    ("sample", "--n", "0"),
+    ("sample", "--n", "5", "--count", "many"),
+])
+def test_growth_sizes_and_counts_must_be_positive(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--family", "bucket-recursive", "--b", "2"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert "error: argument --" in captured.err.splitlines()[-1]
+
+
 # ── sample ────────────────────────────────────────────────────────────────
 
 def test_sample_reruns_are_bit_identical(capsys):
-    # Reproducible per (seed, thread count); a worker pool still splits the
-    # stream the same way every run.
-    for threads in ("1", "4"):
-        argv = ("sample", "--family", "baport", "--b", "2", "--alpha", "1",
-                "--n", "5", "--count", "12", "--seed", "7", "--aggregate",
-                "--threads", threads)
-        rc, first, _ = run(capsys, *argv)
-        assert rc == 0
-        rc, second, _ = run(capsys, *argv)
-        assert rc == 0
-        assert first == second
-        rows = [line.rsplit(",", 1) for line in first.splitlines()[1:]]
-        assert sum(int(c) for _, c in rows) == 12
+    # Tree i grows from master.spawn(i): output depends on (seed, count) only.
+    argv = ("sample", "--family", "baport", "--b", "2", "--alpha", "1",
+            "--n", "5", "--count", "12", "--seed", "7", "--aggregate")
+    rc, first, _ = run(capsys, *argv)
+    assert rc == 0
+    rc, second, _ = run(capsys, *argv)
+    assert rc == 0
+    assert first == second
+    rows = [line.rsplit(",", 1) for line in first.splitlines()[1:]]
+    assert sum(int(c) for _, c in rows) == 12
+
+
+def test_sample_item_i_uses_spawned_stream_i(capsys):
+    rc, out, _ = run(capsys, "sample", "--family", "bdary", "--b", "2", "--d", "2",
+                     "--n", "9", "--count", "4", "--seed", "11")
+    assert rc == 0
+    master = SplitMix64(11)
+    spec = DAryIncreasing(2, 2)
+    assert out.splitlines() == [
+        encode_tree(sample_tree(spec, 9, master.spawn(i))).decode("ascii")
+        for i in range(4)]
 
 
 def test_sample_stream_lists_every_tree(capsys):

@@ -1,4 +1,4 @@
-"""The growth process: single steps, sampling, and the exact law."""
+"""The growth process: single events, sampling, and the exact law."""
 
 from __future__ import annotations
 
@@ -10,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 from buckettrees import (BucketRecursive, BucketTree, DAryIncreasing,
                          GrowthEvent, InvalidTreeError, PlaneOriented,
                          SplitMix64, apply_growth, attachment_probability,
-                         bucket, encode_tree, exact_distribution,
-                         growth_options, grow_step, pushforward_strip,
-                         sample_tree, single_bucket_tree, strip_labels,
-                         total_weight, tree_weight, weights_of)
+                         bucket, decode_tree, encode_tree,
+                         exact_distribution, growth_options,
+                         pushforward_strip, sample_tree, sampler_gof,
+                         single_bucket_tree, strip_labels, total_weight,
+                         tree_weight, weights_of)
 from buckettrees.enumeration import EnumerationLimitError
 
 F = Fraction
@@ -87,20 +88,26 @@ def test_apply_growth_rejects_bad_events():
         apply_growth(spec_tree, GrowthEvent(0, 3, 1), 4)
 
 
-def test_grow_step_is_deterministic_given_seed():
-    spec = PlaneOriented(2, F(1))
-    t1 = grow_step(single_bucket_tree(2), spec, SplitMix64(5))
-    t2 = grow_step(single_bucket_tree(2), spec, SplitMix64(5))
-    assert t1 == t2
+def test_sample_tree_is_deterministic_given_seed():
+    for spec in SPECS:
+        t1 = sample_tree(spec, 30, SplitMix64(5))
+        t2 = sample_tree(spec, 30, SplitMix64(5))
+        assert t1 == t2
 
 
-def test_sample_tree_matches_step_by_step_growth():
-    spec = BucketRecursive(2)
-    rng = SplitMix64(17)
-    tree = single_bucket_tree(2)
-    for _ in range(5):
-        tree = grow_step(tree, spec, rng)
-    assert sample_tree(spec, 6, SplitMix64(17)) == tree
+@pytest.mark.parametrize("spec", SPECS + [DAryIncreasing(1, F(2))],
+                         ids=["recursive-b2", "dary-b2-d2", "port-b2-a1", "dary-b1-d2"])
+def test_sample_tree_matches_exact_law(spec):
+    # DAryIncreasing(1, 2) has full nodes of weight zero that must be skipped.
+    reports, ok = sampler_gof(spec, 7, 10_000, seeds=(31, 32, 33))
+    assert ok, [r.p_value for r in reports]
+
+
+def test_sample_tree_large_n_round_trips():
+    tree = sample_tree(PlaneOriented(2, F(1)), 10_000, SplitMix64(2024))
+    tree.validate()
+    assert tree.size == 10_000
+    assert decode_tree(encode_tree(tree), 2) == tree
 
 
 @settings(max_examples=25, deadline=None)
