@@ -64,6 +64,17 @@ def positive_int(text: str) -> int:
     return value
 
 
+def probability(text: str) -> float:
+    """argparse type for a significance level: a float strictly between 0 and 1."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {value}")
+    return value
+
+
 def _parse_seed(value: str | None) -> int:
     if value is not None:
         return int(value)
@@ -381,14 +392,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
                                         args.samples, seed)
         emit_json({"command": "stats", "check": "beta", "family": spec.describe(),
                    "j": args.j, "load": args.load, "samples": args.samples,
-                   "acceptance_rate": f12(report.acceptance_rate),
                    "cells": [{"n": c.n, "mean": f12(c.mean), "target": f12(c.target),
                               "error": f12(c.error), "tolerance": f12(c.tolerance),
                               "ok": c.ok, "second_error": f12(c.second_error),
                               "second_tolerance": f12(c.second_tolerance),
                               "second_ok": c.second_ok}
                              for c in report.cells],
-                   "trend_ok": report.trend_ok, "passed": report.passed})
+                   "passed": report.passed})
         return 0 if report.passed else 1
     if args.check == "second-order":
         report = second_order_diagnostic(spec, args.j, args.load, args.n,
@@ -417,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="weighted totals T_n, optional shape dump")
     add_model_args(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--dump-shapes", metavar="PATH")
     p.add_argument("--limit", type=int, help="raise the per-size enumeration guard")
@@ -436,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", default="all",
                    choices=["balance", "ratio", "ode", "scaling", "classify",
                             "equivalence", "preserve", "all"])
-    p.add_argument("--n", type=int, default=6)
+    p.add_argument("--n", type=positive_int, default=6)
     p.add_argument("--a", default="2", help="scaling factor a (rational)")
     p.add_argument("--s", default="2", help="scaling factor s (rational)")
     p.add_argument("--limit", type=int)
@@ -462,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-grid", default="100,400,2000", dest="n_grid")
     p.add_argument("--trajectories", type=int, default=10000)
     p.add_argument("--horizon", type=int, default=100000)
-    p.add_argument("--level", type=float, default=0.01)
+    p.add_argument("--level", type=probability, default=0.01)
     p.add_argument("--seed")
     p.add_argument("--limit", type=int)
     p.set_defaults(func=cmd_stats)

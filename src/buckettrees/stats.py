@@ -2,10 +2,11 @@
 
 This is the only module that touches floating point: everything upstream
 is exact, and the quantities compared here (means, chi-square statistics,
-skewness) are estimates by nature.  Heavy simulation runs on numpy with a
-counter-based generator (Philox), while the exact-lane samplers elsewhere
-keep their own integer generator, so the two routes of every dual check
-stay independent.
+skewness) are estimates by nature.  Urn batches are drawn by
+exchangeability (a Beta mixing probability, then binomial counts) on numpy
+with a counter-based generator (Philox), while the exact-lane samplers
+elsewhere keep their own integer generator, so the two routes of every
+dual check stay independent.
 
 Limit background, stated operationally: conditional on the insertion load
 K of label j's bucket, the scaled descendant count Y/n converges to a
@@ -142,39 +143,6 @@ def beta_moment(a: Fraction, b: Fraction, s: int) -> Fraction:
     return value
 
 
-def _realize_load(spec: FamilySpec, j: int, rng: SplitMix64) -> int:
-    """Insertion load of label j along one growth path.
-
-    Tracks only bucket loads and child counts; that projection of the
-    growth process determines the load and keeps rejection cheap.
-    """
-    scale = spec.weight_scale()
-    c1, c2 = spec.affine_constants()
-    c1s, c2s = int(c1 * scale), int(c2 * scale)
-    b = spec.b
-    caps = [1]
-    degs = [0]
-    load = 1
-    for m in range(1, j):
-        pick = rng.randbelow(c1s * m + c2s)
-        acc = 0
-        for i in range(len(caps)):
-            acc += c1s * caps[i] + c2s * (1 - degs[i])
-            if pick < acc:
-                if caps[i] < b:
-                    caps[i] += 1
-                    load = caps[i]
-                else:
-                    degs[i] += 1
-                    caps.append(1)
-                    degs.append(0)
-                    load = 1
-                break
-        else:
-            raise AssertionError("unreachable: attachment weights exhausted")
-    return load
-
-
 def _urn_batch(
     spec: FamilySpec,
     j: int,
@@ -186,25 +154,22 @@ def _urn_batch(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """White-draw counts of ``size`` urn trajectories after ``draws`` draws.
 
-    Masses are scaled to integers and kept in float64 (values stay far
-    below 2^53, so they are exact); only the draw comparison itself is
-    floating point.  Returns (final counts, counts at snapshot_at or None).
+    The urn's draws are exchangeable: given p ~ Beta(W0/sigma, B0/sigma)
+    they are i.i.d. Bernoulli(p), so each count is Binomial(draws, p), and
+    a snapshot count plus an independent Binomial(draws - snapshot_at, p)
+    is the final count.  With no black mass p = 1.  Returns (final counts,
+    counts at snapshot_at or None).
     """
     state = urn_from(spec, j, load)
-    scale = spec.weight_scale()
-    w0 = float(state.white * scale)
-    t0 = float(state.total * scale)
-    sig = float(state.sigma * scale)
     gen = np.random.Generator(np.random.Philox(seed))
-    white = np.full(size, w0)
-    snap = None
-    for t in range(draws):
-        total = t0 + sig * t
-        white += (gen.random(size) * total < white) * sig
-        if snapshot_at is not None and t + 1 == snapshot_at:
-            snap = (white - w0) / sig
-    counts = (white - w0) / sig
-    return counts, snap
+    if state.black == 0:
+        p = np.ones(size)
+    else:
+        p = gen.beta(float(state.white / state.sigma), float(state.black / state.sigma), size)
+    if snapshot_at is None:
+        return gen.binomial(draws, p), None
+    snap = gen.binomial(snapshot_at, p)
+    return snap + gen.binomial(draws - snapshot_at, p), snap
 
 
 @dataclass(frozen=True)
@@ -225,9 +190,7 @@ class BetaConvergenceReport:
     j: int
     load: int
     samples: int
-    acceptance_rate: float
     cells: tuple[BetaCell, ...]
-    trend_ok: bool
     passed: bool
 
 
@@ -239,14 +202,14 @@ def check_beta_convergence(
     samples: int,
     seed: int,
     se_multiplier: float = 4.0,
-    max_rejection_factor: int = 1000,
 ) -> BetaConvergenceReport:
     """Compare conditional moments of Y/n with the Beta(load+kappa, j-load) limit.
 
-    Conditioning on the insertion load uses rejection over realized loads;
-    accepted trajectories then run the urn.  The pass band around the limit
-    moment is se_multiplier standard errors plus the exact finite-n bias of
-    the mean, which is computable in closed form from the urn moments.
+    Conditioning on the insertion load is exact: the urn starts from the
+    state that load determines (``urn_from``).  The pass band around each
+    limit moment is se_multiplier standard errors plus the exact finite-n
+    bias, which is computable in closed form from the urn moments; the
+    check passes when both moments of every cell fall inside their bands.
     """
     if not n_grid or any(n <= j for n in n_grid):
         raise ValueError("every n in the grid must exceed j")
@@ -256,19 +219,8 @@ def check_beta_convergence(
         raise ValueError(f"load {load} impossible for j={j}, b={spec.b}")
     if j <= spec.b and load != j:
         raise ValueError(f"for j <= b the load is deterministically j={j}")
-
-    rng = SplitMix64(seed)
-    accepted = 0
-    attempts = 0
-    cap = samples * max_rejection_factor
-    while accepted < samples:
-        if attempts >= cap:
-            raise RuntimeError(
-                f"rejection accepted {accepted}/{samples} after {attempts} tries; "
-                f"load {load} is too rare at j={j}")
-        attempts += 1
-        if _realize_load(spec, j, rng) == load:
-            accepted += 1
+    if samples < MIN_GOF_SAMPLES:
+        raise ValueError(f"need at least {MIN_GOF_SAMPLES} samples, got {samples}")
 
     a_param = load + spec.kappa()
     b_param = Fraction(j - load)
@@ -281,33 +233,33 @@ def check_beta_convergence(
     for idx, n in enumerate(n_grid):
         draws = n - j
         counts, _ = _urn_batch(spec, j, load, draws, samples, SplitMix64(seed).spawn(idx + 1).u64())
-        ratios = (1.0 + counts) / n
-        mean = float(np.mean(ratios))
+        # Sample moments of Y/n are exact rationals of the integer counts, so
+        # a zero-variance cell (no black mass) sits on its bias, not an ulp off.
+        ys = (1 + counts).tolist()
+        mean = Fraction(sum(ys), n * samples)
         # Exact finite-n mean:  E Y = 1 + W0 * draws / T0.
         exact_mean = (1 + state.white * draws / state.total) / n
-        bias = abs(float(exact_mean - m1))
-        tolerance = se_multiplier * math.sqrt(float(var_beta) / samples) + bias
-        error = abs(mean - float(m1))
+        se = math.sqrt(float(var_beta) / samples)
+        tolerance = Fraction(se_multiplier * se) + abs(exact_mean - m1)
+        error = abs(mean - m1)
 
-        emp2 = float(np.mean(ratios * ratios))
+        emp2 = Fraction(sum(y * y for y in ys), n * n * samples)
         mom1 = urn_moment_exact(state, draws, 1)          # E A, A = W/sigma
         mom2 = urn_moment_exact(state, draws, 2)          # E binom(A+1, 2)
         a0 = state.white / state.sigma
         es = mom1 - a0                                     # E S
         es2 = 2 * mom2 - mom1 - 2 * a0 * mom1 + a0 * a0    # E S^2
         exact_second = (1 + 2 * es + es2) / (Fraction(n) ** 2)
-        bias2 = abs(float(exact_second - m2))
-        se2 = float(np.std(ratios * ratios, ddof=1)) / math.sqrt(samples)
-        second_tol = se_multiplier * se2 + bias2
-        second_error = abs(emp2 - float(m2))
+        se2 = float(np.std(((1 + counts) / n) ** 2, ddof=1)) / math.sqrt(samples)
+        second_tol = Fraction(se_multiplier * se2) + abs(exact_second - m2)
+        second_error = abs(emp2 - m2)
 
-        cells.append(BetaCell(n, mean, float(m1), error, tolerance, error < tolerance,
-                              second_error, second_tol, second_error < second_tol))
+        cells.append(BetaCell(n, float(mean), float(m1), float(error), float(tolerance),
+                              error <= tolerance, float(second_error), float(second_tol),
+                              second_error <= second_tol))
 
-    trend_ok = len(cells) < 2 or cells[-1].error < cells[0].error
-    passed = cells[-1].ok and cells[-1].second_ok and trend_ok
-    return BetaConvergenceReport(j, load, samples, accepted / attempts,
-                                 tuple(cells), trend_ok, passed)
+    passed = all(c.ok and c.second_ok for c in cells)
+    return BetaConvergenceReport(j, load, samples, tuple(cells), passed)
 
 
 # ── second-order fluctuations ─────────────────────────────────────────────
@@ -360,6 +312,8 @@ def second_order_diagnostic(
         raise ValueError(f"load {load} impossible for j={j}, b={spec.b}")
     if not j < n < horizon:
         raise ValueError(f"need j < n < horizon, got {j}, {n}, {horizon}")
+    if trajectories < MIN_GOF_SAMPLES:
+        raise ValueError(f"need at least {MIN_GOF_SAMPLES} trajectories, got {trajectories}")
     state = urn_from(spec, j, load)
     if state.black == 0 or state.white == 0:
         # Deterministic urn: all draws go one way, the centered values vanish.

@@ -163,7 +163,7 @@ def decode_tree(data: bytes, max_bucket: int) -> BucketTree:
     """Inverse of encode_tree; validates the result."""
     try:
         obj = json.loads(data.decode("ascii"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise EncodingError(f"not a canonical encoding: {exc}") from exc
     tree = BucketTree(_node_from_obj(obj), max_bucket)
     try:

@@ -12,8 +12,11 @@ with (sigma, c2) the family's affine constants, and after the draw for
 size m the total mass equals sigma*m + c2 for m >= j.  The descendant
 count is recovered from the white mass by an exact integer shift.
 
-Everything here is rational arithmetic: simulation, the full distribution
-by dynamic programming, and closed-form binomial moments.
+Each draw adds sigma to the colour drawn, so this is a classical Polya
+urn: its draws are exchangeable and the number of white draws in m steps
+is BetaBinomial(m, W0/sigma, B0/sigma) (de Finetti).  Everything here is
+rational arithmetic: simulation, that law in closed form, and closed-form
+binomial moments.
 """
 
 from __future__ import annotations
@@ -77,21 +80,24 @@ def urn_run(state: UrnState, draws: int, rng: SplitMix64) -> Fraction:
 
 
 def urn_distribution_exact(state: UrnState, draws: int) -> dict[Fraction, Fraction]:
-    """Law of the white mass after ``draws`` draws, by exact recursion."""
+    """Law of the white mass after ``draws`` draws, in closed form.
+
+    With a = W0/sigma and b = B0/sigma the number k of white draws among m
+    is Beta-binomial:  p_0 = (b)_m / (a+b)_m in rising factorials, and
+    p_{k+1} = p_k * (m-k)/(k+1) * (a+k)/(b+m-k-1).  With no black mass
+    every draw is white.
+    """
     if draws < 0:
         raise ValueError(f"draws must be >= 0, got {draws}")
-    probs = [Fraction(1)]  # index = number of white draws so far
-    for t in range(draws):
-        total = state.total + state.sigma * t
-        nxt = [Fraction(0)] * (t + 2)
-        for i, p in enumerate(probs):
-            if p == 0:
-                continue
-            white = state.white + state.sigma * i
-            nxt[i + 1] += p * white / total
-            nxt[i] += p * (total - white) / total
-        probs = nxt
-    return {state.white + state.sigma * i: p for i, p in enumerate(probs) if p != 0}
+    if state.black == 0:
+        return {state.white + state.sigma * draws: Fraction(1)}
+    a = state.white / state.sigma
+    b = state.black / state.sigma
+    m = draws
+    probs = [math.prod(((b + i) / (a + b + i) for i in range(m)), start=Fraction(1))]
+    for k in range(m):
+        probs.append(probs[-1] * (m - k) * (a + k) / ((k + 1) * (b + m - k - 1)))
+    return {state.white + state.sigma * k: p for k, p in enumerate(probs) if p != 0}
 
 
 def urn_moment_exact(state: UrnState, draws: int, s: int) -> Fraction:

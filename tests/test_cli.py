@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from buckettrees import DAryIncreasing, SplitMix64, encode_tree, sample_tree
-from buckettrees.cli import main
+from buckettrees.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -224,6 +228,124 @@ def test_growth_sizes_and_counts_must_be_positive(capsys, argv):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert "error: argument --" in captured.err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("stats", "--check", "beta", "--samples", "1"),
+    ("stats", "--check", "beta", "--samples", "0"),
+    ("stats", "--check", "second-order", "--trajectories", "0"),
+    ("stats", "--check", "second-order", "--trajectories", "2"),
+    ("stats", "--check", "gof", "--level", "0"),
+    ("stats", "--check", "gof", "--level", "1"),
+    ("stats", "--check", "gof", "--level", "nan"),
+    ("enumerate", "--n", "0"),
+    ("verify", "--n", "-3", "--check", "balance"),
+])
+def test_stats_enumerate_verify_inputs_are_validated(capsys, argv):
+    try:
+        rc = main([*argv, "--family", "bucket-recursive", "--b", "2"])
+    except SystemExit as exit_info:
+        rc = exit_info.code
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert "error: " in captured.err.splitlines()[-1]
+
+
+# ── robustness over the parser's own choices ──────────────────────────────
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in JSON")
+
+
+# Valid spellings of the free-text options, and one invalid spelling each.
+TEXT_VALUES = {
+    "--d": (["2", "3/2", "3"], "1"),
+    "--alpha": (["1", "1/2", "2"], "0"),
+    "--psi": (["1", "1,2"], "x"),
+    "--phi": (["1,2,1", "1,1", "seq:1", "exp:2", "binom:2", "negbinom:1"], "bad:1"),
+    "--a": (["2", "1/2", "3"], "0"),
+    "--s": (["2", "3", "1/2"], "x"),
+    "--n-grid": (["8,20", "30", "10,12,40"], "20,8"),
+    "--level": (["0.01", "0.001", "0.5"], "1"),
+    "--seed": (["0", "7", "123456789"], "x"),
+}
+# Small valid ranges of the integer options, (1, 6) where unlisted; the
+# invalid values are -1, 0, 1 and the value just below the range, where
+# they lie below it.  Options with large defaults are always given, so no
+# command is slow.
+INT_RANGES = {"--b": (1, 3), "--load": (1, 3), "--samples": (20, 40),
+              "--trajectories": (20, 40), "--horizon": (1, 60), "--count": (1, 30),
+              "--limit": (1, 60)}
+ALWAYS = {"--samples", "--trajectories", "--horizon", "--count"}
+FAMILY_PARAMETER = {"bucket-recursive": [], "bdary": ["--d"], "baport": ["--alpha"]}
+MODEL_FLAGS = {"--family", "--b", "--d", "--alpha", "--psi", "--phi"}
+
+_subparsers = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+SUBCOMMANDS = _subparsers.choices
+
+
+def _value(action: argparse.Action, valid: bool):
+    flag = action.option_strings[-1]
+    if action.choices is not None:
+        return st.sampled_from(list(action.choices)) if valid else st.just("none-such")
+    if flag in TEXT_VALUES:
+        good, bad = TEXT_VALUES[flag]
+        return st.sampled_from(good) if valid else st.just(bad)
+    low, high = INT_RANGES.get(flag, (1, 6))
+    if valid:
+        return st.integers(low, high).map(str)
+    return st.sampled_from(sorted(str(v) for v in {-1, 0, 1, low - 1} if v < low))
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand with a family or explicit model and some of its options.
+
+    Every value comes from the option's valid spellings, except that about
+    half of the argvs carry one invalid value.
+    """
+    name = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    actions = {a.option_strings[-1]: a for a in SUBCOMMANDS[name]._actions
+               if a.option_strings and a.dest not in ("help", "dump_shapes")}
+    family = draw(st.sampled_from([*FAMILY_PARAMETER, None]))
+    if family is None:
+        model = ["--phi"] + (["--psi"] if draw(st.booleans()) else [])
+    else:
+        model = ["--family", "--b", *FAMILY_PARAMETER[family]]
+    flags = model + [flag for flag, action in actions.items() if flag not in MODEL_FLAGS
+                     and (action.required or flag in ALWAYS or draw(st.booleans()))]
+    broken = draw(st.one_of(st.none(), st.sampled_from(flags)))
+    argv = [name]
+    for flag in flags:
+        action = actions[flag]
+        if action.nargs == 0:
+            argv.append(flag)
+        elif flag == "--family" and broken != flag:
+            argv += [flag, family]
+        else:
+            argv += [flag, draw(_value(action, valid=broken != flag))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=cli_argv())
+def test_cli_exits_cleanly_on_any_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exit_info:
+            rc = exit_info.code
+    assert rc in (0, 1, 2), (argv, rc, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    # sample prints one JSON tree per line; the others print one document.
+    text = out.getvalue()
+    for doc in text.splitlines() if argv[0] == "sample" else [text]:
+        if doc.startswith("{"):
+            json.loads(doc, parse_constant=_reject_constant)
 
 
 # ── sample ────────────────────────────────────────────────────────────────

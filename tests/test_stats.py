@@ -15,9 +15,10 @@ import pytest
 from buckettrees import (BucketRecursive, DAryIncreasing, PlaneOriented,
                          SplitMix64, beta_moment, chi_square_gof,
                          check_beta_convergence, exact_distribution,
-                         insertion_load_law, sampler_gof,
-                         second_order_diagnostic)
-from buckettrees.stats import MIN_GOF_SAMPLES, _realize_load, _urn_batch
+                         sampler_gof, second_order_diagnostic,
+                         urn_distribution_exact, urn_from)
+from buckettrees import stats
+from buckettrees.stats import MIN_GOF_SAMPLES, _urn_batch
 
 F = Fraction
 
@@ -112,51 +113,62 @@ def test_beta_moment_validation():
         beta_moment(F(0), F(1), 1)
 
 
-def test_realized_loads_match_exact_law():
-    spec = BucketRecursive(2)
-    law = insertion_load_law(spec, 4)
-    rng = SplitMix64(8)
-    counts = {1: 0, 2: 0}
-    m = 4000
-    for _ in range(m):
-        counts[_realize_load(spec, 4, rng)] += 1
-    report = chi_square_gof(counts, {k: float(p) for k, p in law.items()}, level=0.001)
-    assert report.passed, report
-
-
-def test_realized_loads_match_exact_law_preferential():
-    spec = PlaneOriented(2, F(1))
-    law = insertion_load_law(spec, 5)
-    rng = SplitMix64(9)
-    counts: dict[int, int] = {}
-    for _ in range(4000):
-        k = _realize_load(spec, 5, rng)
-        counts[k] = counts.get(k, 0) + 1
-    report = chi_square_gof(counts, {k: float(p) for k, p in law.items()}, level=0.001)
-    assert report.passed, report
-
-
 def test_urn_batch_matches_exact_law():
-    # Empirical white-draw counts against the exact DP law.
-    from buckettrees import urn_distribution_exact, urn_from
+    # Empirical white-draw counts against the exact Beta-binomial law.
+    def fits(spec, j, load, draws, counts):
+        state = urn_from(spec, j, load)
+        law = urn_distribution_exact(state, draws)
+        expected = {float((w - state.white) / state.sigma): float(p) for w, p in law.items()}
+        observed: dict[float, int] = {}
+        for c in counts:
+            observed[float(c)] = observed.get(float(c), 0) + 1
+        return chi_square_gof(observed, expected, level=0.001).passed
+
     spec = BucketRecursive(2)
-    state = urn_from(spec, 4, 1)
     counts, snap = _urn_batch(spec, 4, 1, draws=3, size=4000, seed=123)
     assert snap is None
-    law = urn_distribution_exact(state, 3)
-    expected = {float((w - state.white) / state.sigma): float(p) for w, p in law.items()}
-    observed: dict[float, int] = {}
-    for c in counts:
-        observed[float(c)] = observed.get(float(c), 0) + 1
-    assert chi_square_gof(observed, expected, level=0.001).passed
+    assert fits(spec, 4, 1, 3, counts)
+
+    # Snapshot after 4 of 12 draws: both marginals follow the exact law.
+    spec = PlaneOriented(2, F(1))
+    counts, snap = _urn_batch(spec, 5, 2, draws=12, size=4000, seed=124, snapshot_at=4)
+    assert (snap <= counts).all() and (counts - snap <= 12 - 4).all()
+    assert fits(spec, 5, 2, 4, snap)
+    assert fits(spec, 5, 2, 12, counts)
+
+    # load = j <= b: no black mass, so p = 1 and every draw is white.
+    counts, snap = _urn_batch(BucketRecursive(2), 2, 2, draws=9, size=50, seed=125,
+                              snapshot_at=3)
+    assert (counts == 9).all() and (snap == 3).all()
 
 
 def test_beta_convergence_smoke():
     report = check_beta_convergence(BucketRecursive(2), 4, 1, [40, 160, 640],
                                     samples=3000, seed=11)
     assert report.passed, report
-    assert report.cells[-1].ok and report.cells[-1].second_ok
-    assert 0 < report.acceptance_rate <= 1
+    assert all(c.ok and c.second_ok for c in report.cells)
+
+
+def test_beta_convergence_degenerate_cell_passes():
+    # j = load = b: no black mass, Y = n + 1 - j on every trajectory, and the
+    # sample moments equal the exact finite-n moments.
+    report = check_beta_convergence(BucketRecursive(2), 2, 2, [10, 40, 160],
+                                    samples=500, seed=4)
+    assert report.passed, report
+    assert all(c.error == c.tolerance for c in report.cells)
+
+
+def test_beta_convergence_rejects_the_wrong_urn(monkeypatch):
+    # A load-1 request that runs load 2's urn must fail the verdict.
+    real_batch = stats._urn_batch
+
+    def wrong_load(spec, j, load, *args, **kwargs):
+        return real_batch(spec, j, 2, *args, **kwargs)
+
+    monkeypatch.setattr(stats, "_urn_batch", wrong_load)
+    report = check_beta_convergence(BucketRecursive(2), 4, 1, [40, 160, 640],
+                                    samples=3000, seed=11)
+    assert not report.passed
 
 
 def test_beta_convergence_deterministic():
@@ -175,6 +187,8 @@ def test_beta_convergence_validation():
         check_beta_convergence(spec, 4, 3, [50], 100, 0)
     with pytest.raises(ValueError, match="deterministically"):
         check_beta_convergence(spec, 2, 1, [50], 100, 0)
+    with pytest.raises(ValueError, match=str(MIN_GOF_SAMPLES)):
+        check_beta_convergence(spec, 4, 1, [50], MIN_GOF_SAMPLES - 1, 0)
 
 
 def test_beta_convergence_targets_the_right_limit():
@@ -216,3 +230,5 @@ def test_second_order_validation():
         second_order_diagnostic(spec, 4, 3, 100, 10, 1000, 0)
     with pytest.raises(ValueError, match="j < n < horizon"):
         second_order_diagnostic(spec, 4, 2, 100, 10, 50, 0)
+    with pytest.raises(ValueError, match=str(MIN_GOF_SAMPLES)):
+        second_order_diagnostic(spec, 4, 2, 100, MIN_GOF_SAMPLES - 1, 1000, 0)

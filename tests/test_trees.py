@@ -152,6 +152,8 @@ def test_decode_rejects_garbage():
         decode_tree(b'{"labels":[1],"capacity":1,"children":[]}', 2)
     with pytest.raises(EncodingError):
         decode_tree(b'{"labels":[2,1],"children":[]}', 2)  # invalid tree
+    with pytest.raises(EncodingError):
+        decode_tree(b"[" * 3000 + b"]" * 3000, 2)  # deeper than the JSON parser recurses
 
 
 def test_encoding_is_canonical():

@@ -86,6 +86,24 @@ def test_urn_moment_identity_property(white, black, sigma, draws, s):
     assert urn_moment_exact(state, draws, s) == binomial_moment(law, state.sigma, s)
 
 
+@settings(max_examples=40, deadline=None)
+@given(white=st.integers(0, 4), black=st.integers(0, 4),
+       sigma=st.sampled_from([F(1), F(2), F(1, 2), F(3, 2)]),
+       draws=st.integers(0, 7))
+def test_urn_law_obeys_one_draw_recursion(white, black, sigma, draws):
+    # One more draw adds sigma to white with probability W/T, else to black.
+    if white + black == 0:
+        return
+    state = UrnState(sigma * white, sigma * black, sigma)
+    total = state.total + sigma * draws
+    stepped: dict[Fraction, Fraction] = {}
+    for w, p in urn_distribution_exact(state, draws).items():
+        for nxt, q in ((w + sigma, w / total), (w, 1 - w / total)):
+            if q != 0:
+                stepped[nxt] = stepped.get(nxt, F(0)) + p * q
+    assert urn_distribution_exact(state, draws + 1) == stepped
+
+
 def test_white_fraction_is_a_martingale():
     for state in (UrnState(F(1), F(2), F(1)), UrnState(F(3), F(1), F(2))):
         start = state.white / state.total
