@@ -5,9 +5,8 @@ from .enumeration import (DEFAULT_SIZE_LIMIT, EnumerationLimitError,
                           OdeCheckReport, check_ode_recurrence,
                           closed_form_total_weight, enumerate_shapes,
                           shape_count, total_weight, total_weights)
-from .evolve import (GrowthEvent, TreeDistribution, apply_growth,
-                     attachment_probability, exact_distribution,
-                     growth_options, pushforward_strip,
+from .evolve import (TreeDistribution, attachment_probability,
+                     exact_distribution, growth_options, pushforward_strip,
                      sample_tree, strip_labels)
 from .rng import SplitMix64
 from .trees import (BucketNode, BucketTree, EncodingError, InvalidTreeError,
@@ -31,7 +30,7 @@ from .weights import (BucketRecursive, DAryIncreasing, DegreeWeights,
                       InvalidWeightsError, PlaneOriented, PowDegreeWeights,
                       WeightModel, to_fraction, weights_of)
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "BucketNode", "BucketTree", "bucket", "shape_bucket", "single_bucket_tree",
@@ -45,7 +44,7 @@ __all__ = [
     "enumerate_shapes", "shape_count", "total_weight", "total_weights",
     "closed_form_total_weight", "check_ode_recurrence", "OdeCheckReport",
     "EnumerationLimitError", "DEFAULT_SIZE_LIMIT",
-    "GrowthEvent", "growth_options", "attachment_probability", "apply_growth",
+    "growth_options", "attachment_probability",
     "sample_tree", "TreeDistribution", "exact_distribution",
     "strip_labels", "pushforward_strip",
     "balance_value", "check_balance", "BalanceReport", "check_affine_ratio",

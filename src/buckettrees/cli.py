@@ -44,10 +44,6 @@ PRODUCT_CEILING = 60  # refuse enumeration when n * b exceeds this
 FAMILY_NAMES = ("bucket-recursive", "bdary", "baport")
 
 
-def frac_str(x: Fraction) -> str:
-    return str(x)  # Fraction prints p/q, or p when q == 1
-
-
 def f12(x: float) -> float:
     """Round a float to 12 significant digits for stable reports."""
     return float(f"{x:.12g}")
@@ -181,10 +177,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     rows = []
     for n in range(1, args.n + 1):
         total = total_weight(model, n, args.limit)
-        row = {"n": n, "total": frac_str(total)}
+        row = {"n": n, "total": str(total)}
         if spec is not None:
             closed = closed_form_total_weight(spec, n)
-            row["closed_form"] = frac_str(closed)
+            row["closed_form"] = str(closed)
             row["match"] = total == closed
         rows.append(row)
 
@@ -241,11 +237,11 @@ def _verify_balance(model, spec, n, limit) -> dict:
     for size in range(1, n + 1):
         report = check_balance(model, size, limit)
         entry = {"n": size, "passed": report.passed,
-                 "constant": frac_str(report.constant) if report.constant is not None else None,
+                 "constant": str(report.constant) if report.constant is not None else None,
                  "trees": len(report.values)}
         if spec is not None and report.constant is not None:
             expected = spec.connectivity(size)
-            entry["expected"] = frac_str(expected)
+            entry["expected"] = str(expected)
             entry["matches_expected"] = report.constant == expected
             ok = ok and entry["matches_expected"]
         ok = ok and report.passed
@@ -256,7 +252,7 @@ def _verify_balance(model, spec, n, limit) -> dict:
 def _verify_ratio(model, spec, n, limit) -> dict:
     report = check_affine_ratio(model, n, limit)
     out = {"check": "ratio", "passed": report.passed,
-           "c1": frac_str(report.c1), "c2": frac_str(report.c2),
+           "c1": str(report.c1), "c2": str(report.c2),
            "first_failing_n": report.first_failing_n}
     if spec is not None and report.passed:
         c1, c2 = spec.affine_constants()
@@ -267,8 +263,8 @@ def _verify_ratio(model, spec, n, limit) -> dict:
 
 def _verify_scaling(model, a, s, n, limit) -> dict:
     report = check_scaling(model, a, s, n, limit)
-    return {"check": "scaling", "passed": report.passed, "a": frac_str(to_fraction(a)),
-            "s": frac_str(to_fraction(s)), "n": n}
+    return {"check": "scaling", "passed": report.passed, "a": str(to_fraction(a)),
+            "s": str(to_fraction(s)), "n": n}
 
 
 def _verify_classify(model) -> dict:
@@ -291,10 +287,10 @@ def _verify_equivalence(spec, n, limit) -> dict:
     for size in range(1, n + 1):
         dist = exact_distribution(spec, size, limit)
         total = total_weight(model, size, limit)
-        for key, prob in dist.probs.items():
-            if prob != tree_weight(dist.decode(key), model) / total:
+        for tree, prob in dist.probs.items():
+            if prob != tree_weight(tree, model) / total:
                 ok = False
-                first_bad = first_bad or {"n": size, "tree": key.decode("ascii")}
+                first_bad = first_bad or {"n": size, "tree": encode_tree(tree).decode("ascii")}
         if dist.total() != 1:
             ok = False
             first_bad = first_bad or {"n": size, "tree": None}
@@ -358,7 +354,7 @@ def cmd_descend(args: argparse.Namespace) -> int:
         law = descendants_law_from_urn(spec, args.n, args.j, args.limit)
         writer.writerow(["descendants", "probability"])
         for y in sorted(law):
-            writer.writerow([y, frac_str(law[y])])
+            writer.writerow([y, str(law[y])])
         return 0
     draw = descendants_via_urn if args.mode == "urn" else descendants_direct
     master = SplitMix64(_parse_seed(args.seed))

@@ -8,7 +8,7 @@ the rational weights are cleared to integers and a uniform integer below
 their sum is drawn.
 
 ``exact_distribution`` computes the full law of the process at a given
-size by dynamic programming over canonical encodings, so sampled and
+size by dynamic programming over labelled trees, so sampled and
 theoretical distributions can be compared without estimation error.
 """
 
@@ -21,90 +21,63 @@ from typing import Mapping
 
 from .enumeration import DEFAULT_SIZE_LIMIT, EnumerationLimitError
 from .rng import SplitMix64
-from .trees import (BucketNode, BucketTree, InvalidTreeError, decode_tree,
-                    encode_tree, single_bucket_tree)
+from .trees import BucketNode, BucketTree, InvalidTreeError, single_bucket_tree
 from .weights import FamilySpec
 
 
-@dataclass(frozen=True)
-class GrowthEvent:
-    """Where the next label goes.
-
-    ``node`` is a preorder index; ``slot`` is the insertion position among
-    the children of a saturated target and None when the label joins the
-    bucket itself; ``new_capacity`` is the size of the receiving bucket
-    afterwards.
-    """
-
-    node: int
-    slot: int | None
-    new_capacity: int
-
-
-def _scan(tree: BucketTree) -> list[tuple[int, BucketNode]]:
-    return list(enumerate(tree.preorder()))
-
-
 def attachment_probability(tree: BucketTree, node_index: int, spec: FamilySpec) -> Fraction:
-    """Probability that the next label attaches at the given node."""
+    """Probability that the next label attaches at the node with this preorder index."""
     if tree.max_bucket != spec.b:
         raise InvalidTreeError(f"tree has b={tree.max_bucket}, family has b={spec.b}")
-    nodes = _scan(tree)
-    if not 0 <= node_index < len(nodes):
+    for index, node in enumerate(tree.preorder()):
+        if index == node_index:
+            break
+    else:
         raise ValueError(f"node index {node_index} out of range")
-    _, node = nodes[node_index]
     w = spec.attachment_weight(node.capacity, len(node.children))
     if w < 0:
         raise AssertionError(f"negative attachment weight at node {node_index}")
     return w / spec.connectivity(tree.size)
 
 
-def growth_options(tree: BucketTree, spec: FamilySpec) -> list[tuple[GrowthEvent, Fraction]]:
-    """All positive-probability events with their exact probabilities."""
+def growth_options(tree: BucketTree, spec: FamilySpec) -> list[tuple[BucketTree, Fraction]]:
+    """Every positive-probability successor of a labelled tree, with its exact
+    probability, nodes in preorder and the slots of a saturated node in order.
+
+    The next label joins an unsaturated bucket or starts a child in one of
+    the degree+1 gaps of a saturated one.  A successor rebuilds only the
+    path from the root to the receiving node and shares every other subtree.
+    """
     if tree.max_bucket != spec.b:
         raise InvalidTreeError(f"tree has b={tree.max_bucket}, family has b={spec.b}")
-    normalizer = spec.connectivity(tree.size)
-    options: list[tuple[GrowthEvent, Fraction]] = []
-    for index, node in _scan(tree):
-        weight = spec.attachment_weight(node.capacity, len(node.children))
-        if weight <= 0:
-            continue
-        if node.capacity < spec.b:
-            options.append((GrowthEvent(index, None, node.capacity + 1), weight / normalizer))
-        else:
-            degree = len(node.children)
-            share = weight / normalizer / (degree + 1)
-            for slot in range(degree + 1):
-                options.append((GrowthEvent(index, slot, 1), share))
+    if not tree.is_labelled():
+        raise InvalidTreeError("growth needs a labelled tree")
+    size = tree.size
+    label = size + 1
+    normalizer = spec.connectivity(size)
+    options: list[tuple[BucketTree, Fraction]] = []
+
+    def visit(node: BucketNode, rebuild) -> None:
+        # rebuild(replacement) is the whole tree with node swapped out.
+        kids = node.children
+        weight = spec.attachment_weight(node.capacity, len(kids))
+        if weight > 0:
+            if node.capacity < spec.b:
+                joined = BucketNode(node.capacity + 1, node.labels + (label,), kids)
+                options.append((rebuild(joined), weight / normalizer))
+            else:
+                leaf = BucketNode(1, (label,), ())
+                share = weight / normalizer / (len(kids) + 1)
+                for slot in range(len(kids) + 1):
+                    split = BucketNode(node.capacity, node.labels,
+                                       kids[:slot] + (leaf,) + kids[slot:])
+                    options.append((rebuild(split), share))
+        for i, child in enumerate(kids):
+            visit(child, lambda new, i=i: rebuild(
+                BucketNode(node.capacity, node.labels, kids[:i] + (new,) + kids[i + 1:])))
+
+    visit(tree.root, lambda new: BucketTree(new, tree.max_bucket))
     return options
-
-
-def apply_growth(tree: BucketTree, event: GrowthEvent, label: int) -> BucketTree:
-    """Insert ``label`` according to ``event``; returns the grown tree."""
-    counter = [0]
-    hit = [False]
-
-    def rebuild(node: BucketNode) -> BucketNode:
-        index = counter[0]
-        counter[0] += 1
-        kids = [rebuild(child) for child in node.children]
-        if index == event.node:
-            hit[0] = True
-            if event.slot is None:
-                if node.capacity >= tree.max_bucket:
-                    raise InvalidTreeError("cannot add a label to a saturated bucket")
-                return BucketNode(node.capacity + 1, node.labels + (label,), tuple(kids))
-            if node.capacity < tree.max_bucket:
-                raise InvalidTreeError("cannot attach a child to an unsaturated bucket")
-            if not 0 <= event.slot <= len(kids):
-                raise ValueError(f"slot {event.slot} out of range")
-            kids.insert(event.slot, BucketNode(1, (label,), ()))
-        return BucketNode(node.capacity, node.labels, tuple(kids))
-
-    root = rebuild(tree.root)
-    if not hit[0]:
-        raise ValueError(f"node index {event.node} out of range")
-    return BucketTree(root, tree.max_bucket)
 
 
 def sample_tree(spec: FamilySpec, n: int, rng: SplitMix64) -> BucketTree:
@@ -181,40 +154,32 @@ def sample_tree(spec: FamilySpec, n: int, rng: SplitMix64) -> BucketTree:
 
 @dataclass(frozen=True)
 class TreeDistribution:
-    """Probability law over labelled trees of one size, keyed by encoding."""
+    """Probability law over labelled trees of one size."""
 
-    max_bucket: int
     size: int
-    probs: Mapping[bytes, Fraction]
+    probs: Mapping[BucketTree, Fraction]
 
     def total(self) -> Fraction:
         return sum(self.probs.values(), Fraction(0))
 
-    def decode(self, key: bytes) -> BucketTree:
-        return decode_tree(key, self.max_bucket)
-
     def validate(self) -> None:
         if self.total() != 1:
             raise ValueError(f"probabilities sum to {self.total()}, not 1")
-        for key in self.probs:
-            tree = self.decode(key)
+        for tree in self.probs:
+            tree.validate()
             if tree.size != self.size or not tree.is_labelled():
-                raise ValueError(f"bad support element {key!r}")
+                raise ValueError(f"bad support element {tree}")
 
 
 @lru_cache(maxsize=None)
 def _exact_distribution(spec: FamilySpec, n: int) -> TreeDistribution:
     if n == 1:
-        start = single_bucket_tree(spec.b)
-        return TreeDistribution(spec.b, 1, {encode_tree(start): Fraction(1)})
-    previous = _exact_distribution(spec, n - 1)
-    acc: dict[bytes, Fraction] = {}
-    for key, prob in previous.probs.items():
-        tree = previous.decode(key)
-        for event, p in growth_options(tree, spec):
-            grown = encode_tree(apply_growth(tree, event, n))
+        return TreeDistribution(1, {single_bucket_tree(spec.b): Fraction(1)})
+    acc: dict[BucketTree, Fraction] = {}
+    for tree, prob in _exact_distribution(spec, n - 1).probs.items():
+        for grown, p in growth_options(tree, spec):
             acc[grown] = acc.get(grown, Fraction(0)) + prob * p
-    return TreeDistribution(spec.b, n, acc)
+    return TreeDistribution(n, acc)
 
 
 def exact_distribution(spec: FamilySpec, n: int, limit: int | None = None) -> TreeDistribution:
@@ -259,8 +224,8 @@ def strip_labels(tree: BucketTree, j: int) -> BucketTree:
 
 def pushforward_strip(dist: TreeDistribution, j: int) -> TreeDistribution:
     """Image of a tree law under strip_labels(., j)."""
-    acc: dict[bytes, Fraction] = {}
-    for key, prob in dist.probs.items():
-        smaller = encode_tree(strip_labels(dist.decode(key), j))
+    acc: dict[BucketTree, Fraction] = {}
+    for tree, prob in dist.probs.items():
+        smaller = strip_labels(tree, j)
         acc[smaller] = acc.get(smaller, Fraction(0)) + prob
-    return TreeDistribution(dist.max_bucket, j, acc)
+    return TreeDistribution(j, acc)

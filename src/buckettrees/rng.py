@@ -57,20 +57,6 @@ class SplitMix64:
             raise ValueError(f"probability out of range: {p}")
         return self.randbelow(p.denominator) < p.numerator
 
-    def weighted_index(self, weights: list[int]) -> int:
-        """Pick an index with probability proportional to integer weights."""
-        total = sum(weights)
-        r = self.randbelow(total)
-        acc = 0
-        for i, w in enumerate(weights):
-            acc += w
-            if r < acc:
-                return i
-        raise AssertionError("unreachable: weights exhausted")
-
-    def random(self) -> float:
-        return (self.u64() >> 11) * 2.0**-53
-
     def spawn(self, index: int) -> SplitMix64:
         """Independent child stream, reproducible from (seed, index)."""
         if index < 0:

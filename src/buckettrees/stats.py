@@ -115,7 +115,8 @@ def sampler_gof(
     single unlucky run at the chosen level does not flag the sampler.
     """
     dist = exact_distribution(spec, n, limit)
-    expected = {key: float(p) for key, p in dist.probs.items()}
+    # Bins are keyed by encoding: chi_square_gof pools them in repr order.
+    expected = {encode_tree(tree): float(p) for tree, p in dist.probs.items()}
     reports = []
     for seed in seeds:
         rng = SplitMix64(seed)

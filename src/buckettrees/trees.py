@@ -5,8 +5,9 @@ may have children.  A labelled tree stores the labels ``1..n`` so that
 labels increase within each bucket and along every root-to-leaf path.
 Shape-only trees carry capacities but no labels.
 
-Trees are immutable; operations build new trees.  The canonical byte
-encoding is deterministic JSON and doubles as the external representation.
+Trees are immutable and hashable; operations build new trees and share
+unchanged subtrees.  The canonical byte encoding is deterministic JSON and
+is used only for input and output.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ class EncodingError(ValueError):
     """The byte string is not a canonical tree encoding."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BucketNode:
     capacity: int
     labels: tuple[int, ...] = ()
@@ -47,7 +48,7 @@ def shape_bucket(capacity: int, children: tuple[BucketNode, ...] = ()) -> Bucket
     return BucketNode(capacity, (), tuple(children))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BucketTree:
     """A bucket tree together with its bucket-capacity bound ``b``."""
 

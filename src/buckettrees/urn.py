@@ -177,9 +177,8 @@ def descendants_via_urn(spec: FamilySpec, n: int, j: int, rng: SplitMix64) -> De
 def insertion_load_law(spec: FamilySpec, j: int, limit: int | None = None) -> dict[int, Fraction]:
     """Law of the load of j's bucket at the moment j arrives."""
     law: dict[int, Fraction] = {}
-    dist = exact_distribution(spec, j, limit)
-    for key, p in dist.probs.items():
-        load = insertion_load(dist.decode(key), j)
+    for tree, p in exact_distribution(spec, j, limit).probs.items():
+        load = insertion_load(tree, j)
         law[load] = law.get(load, Fraction(0)) + p
     return law
 
@@ -189,9 +188,8 @@ def descendants_law_from_trees(spec: FamilySpec, n: int, j: int,
     """Descendant-count law read from the exact tree distribution."""
     _check_window(spec, n, j)
     law: dict[int, Fraction] = {}
-    dist = exact_distribution(spec, n, limit)
-    for key, p in dist.probs.items():
-        y = count_descendants(dist.decode(key), j)
+    for tree, p in exact_distribution(spec, n, limit).probs.items():
+        y = count_descendants(tree, j)
         law[y] = law.get(y, Fraction(0)) + p
     return law
 

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .enumeration import enumerate_shapes, total_weights
-from .trees import (BucketTree, count_labellings, encode_tree, node_profile,
-                    tree_weight)
+from .trees import BucketTree, count_labellings, node_profile, tree_weight
 from .weights import (BucketRecursive, DAryIncreasing, FamilySpec,
                       PlaneOriented, RationalLike, WeightModel)
 
@@ -65,7 +64,7 @@ def balance_value(tree: BucketTree, model: WeightModel) -> Fraction:
 @dataclass(frozen=True)
 class BalanceReport:
     size: int
-    values: dict[bytes, Fraction]
+    values: dict[BucketTree, Fraction]
     constant: Fraction | None
     passed: bool
 
@@ -76,11 +75,11 @@ def check_balance(model: WeightModel, n: int, limit: int | None = None) -> Balan
     Zero-weight shapes are outside the model's support and are skipped;
     their ratios may be undefined without meaning anything.
     """
-    values: dict[bytes, Fraction] = {}
+    values: dict[BucketTree, Fraction] = {}
     for shape in enumerate_shapes(model.b, n, limit):
         if tree_weight(shape, model) == 0:
             continue
-        values[encode_tree(shape)] = balance_value(shape, model)
+        values[shape] = balance_value(shape, model)
     distinct = set(values.values())
     constant = distinct.pop() if len(distinct) == 1 else None
     return BalanceReport(n, values, constant, len(set(values.values())) <= 1)
@@ -120,7 +119,7 @@ def check_affine_ratio(model: WeightModel, n_max: int, limit: int | None = None)
 class ScalingReport:
     passed: bool
     size: int
-    first_mismatch: bytes | None
+    first_mismatch: BucketTree | None
 
 
 def check_scaling(
@@ -146,7 +145,7 @@ def check_scaling(
         raise ValueError(f"T_{n} = 0: probabilities are undefined")
     for shape, w0, w1 in zip(shapes, base_weights, scaled_weights):
         if w0 / base_total != w1 / scaled_total:
-            return ScalingReport(False, n, encode_tree(shape))
+            return ScalingReport(False, n, shape)
     return ScalingReport(True, n, None)
 
 

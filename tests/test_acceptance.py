@@ -120,8 +120,8 @@ def test_criterion_4_growth_law_equivalence_and_balance():
             t_n = total_weight(model, n)
             if dist.total() != 1:
                 notes.append(f"{spec} n={n}: law does not sum to one")
-            for key, prob in dist.probs.items():
-                if prob != tree_weight(dist.decode(key), model) / t_n:
+            for tree, prob in dist.probs.items():
+                if prob != tree_weight(tree, model) / t_n:
                     notes.append(f"{spec} n={n}: law != weight ratio")
                     break
             balance = check_balance(model, n)

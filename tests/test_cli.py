@@ -6,10 +6,13 @@ import argparse
 import contextlib
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import buckettrees
 from buckettrees import DAryIncreasing, SplitMix64, encode_tree, sample_tree
 from buckettrees.cli import build_parser, main
 
@@ -18,6 +21,12 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def test_version_matches_pyproject():
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    declared = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE).group(1)
+    assert buckettrees.__version__ == declared
 
 
 # ── enumerate ─────────────────────────────────────────────────────────────

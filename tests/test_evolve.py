@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from buckettrees import (BucketRecursive, BucketTree, DAryIncreasing,
-                         GrowthEvent, InvalidTreeError, PlaneOriented,
-                         SplitMix64, apply_growth, attachment_probability,
-                         bucket, decode_tree, encode_tree,
-                         exact_distribution, growth_options,
-                         pushforward_strip, sample_tree, sampler_gof,
-                         single_bucket_tree, strip_labels, total_weight,
-                         tree_weight, weights_of)
+                         InvalidTreeError, PlaneOriented, SplitMix64,
+                         TreeDistribution, attachment_probability, bucket,
+                         decode_tree, encode_tree, exact_distribution,
+                         growth_options, pushforward_strip, sample_tree,
+                         sampler_gof, single_bucket_tree, strip_labels,
+                         total_weight, tree_weight, weights_of)
 from buckettrees.enumeration import EnumerationLimitError
 
 F = Fraction
@@ -43,49 +42,43 @@ def test_attachment_probability_preferential():
 def test_growth_options_sum_to_one():
     for spec in SPECS:
         for n in (1, 2, 3, 5):
-            for key, _ in exact_distribution(spec, n).probs.items():
-                tree = exact_distribution(spec, n).decode(key)
+            for tree in exact_distribution(spec, n).probs:
                 total = sum(p for _, p in growth_options(tree, spec))
                 assert total == 1
 
 
 def test_growth_options_split_slots_uniformly():
     spec = BucketRecursive(2)
+    assert growth_options(single_bucket_tree(2), spec) == [
+        (BucketTree(bucket((1, 2)), 2), 1)]
     tree = BucketTree(bucket((1, 2), (bucket((3,)),)), 2)
-    options = dict(growth_options(tree, spec))
-    # Saturated root: two slots around the existing child, equal shares.
-    assert options[GrowthEvent(0, 0, 1)] == F(1, 3)
-    assert options[GrowthEvent(0, 1, 1)] == F(1, 3)
-    assert options[GrowthEvent(1, None, 2)] == F(1, 3)
+    options = growth_options(tree, spec)
+    # Saturated root: two slots around the existing child, equal shares;
+    # then the child's bucket fills.  Nodes in preorder, slots in order.
+    assert options == [
+        (BucketTree(bucket((1, 2), (bucket((4,)), bucket((3,)))), 2), F(1, 3)),
+        (BucketTree(bucket((1, 2), (bucket((3,)), bucket((4,)))), 2), F(1, 3)),
+        (BucketTree(bucket((1, 2), (bucket((3, 4)),)), 2), F(1, 3)),
+    ]
+    for grown, _ in options:
+        grown.validate()
+    # Only the path to the receiving node is rebuilt.
+    assert options[0][0].root.children[1] is tree.root.children[0]
 
 
 def test_growth_options_skip_zero_weight_nodes():
     # d=2 at b=1: a node with two children is full and gets no slot.
     spec = DAryIncreasing(1, F(2))
     tree = BucketTree(bucket((1,), (bucket((2,)), bucket((3,)))), 1)
-    events = [e for e, _ in growth_options(tree, spec)]
-    assert all(e.node != 0 for e in events)
+    assert growth_options(tree, spec) == [
+        (BucketTree(bucket((1,), (bucket((2,), (bucket((4,)),)), bucket((3,)))), 1), F(1, 2)),
+        (BucketTree(bucket((1,), (bucket((2,)), bucket((3,), (bucket((4,)),)))), 1), F(1, 2)),
+    ]
 
 
-def test_apply_growth_join_and_split():
-    tree = single_bucket_tree(2)
-    grown = apply_growth(tree, GrowthEvent(0, None, 2), 2)
-    assert grown.root.labels == (1, 2)
-    deeper = apply_growth(grown, GrowthEvent(0, 0, 1), 3)
-    assert deeper.root.children[0].labels == (3,)
-    deeper.validate()
-
-
-def test_apply_growth_rejects_bad_events():
-    spec_tree = BucketTree(bucket((1, 2), (bucket((3,)),)), 2)
-    with pytest.raises(InvalidTreeError, match="saturated"):
-        apply_growth(spec_tree, GrowthEvent(0, None, 3), 4)
-    with pytest.raises(InvalidTreeError, match="unsaturated"):
-        apply_growth(spec_tree, GrowthEvent(1, 0, 1), 4)
-    with pytest.raises(ValueError, match="out of range"):
-        apply_growth(spec_tree, GrowthEvent(5, None, 1), 4)
-    with pytest.raises(ValueError, match="slot"):
-        apply_growth(spec_tree, GrowthEvent(0, 3, 1), 4)
+def test_growth_options_reject_unlabelled_trees():
+    with pytest.raises(InvalidTreeError, match="labelled"):
+        growth_options(single_bucket_tree(2).shape(), BucketRecursive(2))
 
 
 def test_sample_tree_is_deterministic_given_seed():
@@ -134,9 +127,30 @@ def test_exact_distribution_equals_weight_law():
         for n in range(1, 6):
             dist = exact_distribution(spec, n)
             t_n = total_weight(model, n)
-            for key, prob in dist.probs.items():
-                assert prob == tree_weight(dist.decode(key), model) / t_n
+            for tree, prob in dist.probs.items():
+                assert prob == tree_weight(tree, model) / t_n
             assert dist.total() == 1
+
+
+@pytest.mark.parametrize("spec", SPECS + [DAryIncreasing(1, F(2))],
+                         ids=["recursive-b2", "dary-b2-d2", "port-b2-a1", "dary-b1-d2"])
+def test_exact_distribution_support_is_valid_trees(spec):
+    for n in range(1, 7):
+        for tree in exact_distribution(spec, n).probs:
+            assert isinstance(tree, BucketTree)
+            tree.validate()
+            assert tree.size == n
+            assert decode_tree(encode_tree(tree), spec.b) == tree
+
+
+def test_tree_distribution_validate_rejects_bad_laws():
+    law = exact_distribution(BucketRecursive(2), 3)
+    with pytest.raises(ValueError, match="bad support"):
+        TreeDistribution(4, law.probs).validate()
+    with pytest.raises(ValueError, match="bad support"):
+        TreeDistribution(1, {single_bucket_tree(2).shape(): F(1)}).validate()
+    with pytest.raises(ValueError, match="sum"):
+        TreeDistribution(1, {single_bucket_tree(2): F(1, 2)}).validate()
 
 
 def test_exact_distribution_guard():

@@ -84,9 +84,9 @@ def test_sampler_gof_detects_wrong_law():
     # support: the mismatch is gross, all seeds must fail.
     spec_wrong = DAryIncreasing(1, F(3))
     dist = exact_distribution(spec_wrong, 5)
-    expected = {k: float(p) for k, p in dist.probs.items()}
     from collections import Counter
     from buckettrees import encode_tree, sample_tree
+    expected = {encode_tree(t): float(p) for t, p in dist.probs.items()}
     reports = []
     for seed in (4, 5):
         rng = SplitMix64(seed)
