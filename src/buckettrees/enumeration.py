@@ -1,10 +1,11 @@
 """Exact enumeration of bucket-tree shapes and weighted totals.
 
 The total weight T_n sums w(T) times the number of valid labellings over
-all shapes of size n.  For the three families T_n has a closed product
-form, and for every model the sequence satisfies a coefficient recurrence:
-writing T(z) = sum T_n z^n / n!, the b-th derivative of T equals phi(T),
-i.e. T_{n+b} = n! [z^n] phi(T(z)) with T_k = psi_k for k < b.
+all shapes of size n.  For a grown family T_n is the product of the
+connectivities, prod_{k<n} (c1*k + c2), and for every model the sequence
+satisfies a coefficient recurrence: writing T(z) = sum T_n z^n / n!, the
+b-th derivative of T equals phi(T), i.e. T_{n+b} = n! [z^n] phi(T(z)) with
+T_k = psi_k for k < b.
 
 Enumeration is exact and intended for desk-scale sizes; the guard exists
 so a typo cannot ask for billions of shapes.
@@ -18,8 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .trees import BucketNode, BucketTree, count_labellings, tree_weight
-from .weights import (BucketRecursive, DAryIncreasing, FamilySpec,
-                      PlaneOriented, WeightModel, binom_frac)
+from .weights import FamilySpec, WeightModel
 
 DEFAULT_SIZE_LIMIT = 12
 
@@ -86,19 +86,10 @@ def total_weights(model: WeightModel, n_max: int, limit: int | None = None) -> l
 
 
 def closed_form_total_weight(spec: FamilySpec, n: int) -> Fraction:
-    """The product-form T_n of a family's canonical model."""
+    """T_n of a family's canonical model: prod_{k<n} (c1*k + c2)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    base = Fraction(math.factorial(n - 1))
-    if isinstance(spec, BucketRecursive):
-        return base
-    if isinstance(spec, DAryIncreasing):
-        e = spec.d - 1
-        return base * e ** (n - 1) * binom_frac(n - 1 + 1 / e, n - 1)
-    if isinstance(spec, PlaneOriented):
-        e = spec.alpha + 1
-        return base * e ** (n - 1) * binom_frac(n - 1 - 1 / e, n - 1)
-    raise TypeError(f"unknown family {type(spec).__name__}")
+    return math.prod((spec.connectivity(k) for k in range(1, n)), start=Fraction(1))
 
 
 @dataclass(frozen=True)

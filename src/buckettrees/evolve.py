@@ -14,6 +14,7 @@ theoretical distributions can be compared without estimation error.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -213,8 +214,11 @@ def strip_labels(tree: BucketTree, j: int) -> BucketTree:
         if not labels:
             return None
         kids = tuple(k for k in (keep(child) for child in node.children) if k is not None)
-        if kids and len(labels) < len(node.labels):
-            raise AssertionError("a bucket kept children while losing labels")
+        if len(labels) < len(node.labels):
+            if kids:
+                raise AssertionError("a bucket kept children while losing labels")
+        elif len(kids) == len(node.children) and all(map(operator.is_, kids, node.children)):
+            return node   # nothing above j below here: share the subtree
         return BucketNode(len(labels), labels, kids)
 
     root = keep(tree.root)

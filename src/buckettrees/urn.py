@@ -136,7 +136,7 @@ class DescendantSample:
     descendants: int
 
 
-def _check_window(spec: FamilySpec, n: int, j: int) -> None:
+def _check_window(n: int, j: int) -> None:
     if not 1 <= j <= n:
         raise ValueError(f"need 1 <= j <= n, got j={j}, n={n}")
 
@@ -152,7 +152,7 @@ def descendants_from_white(spec: FamilySpec, white: Fraction, load: int) -> int:
 
 def descendants_direct(spec: FamilySpec, n: int, j: int, rng: SplitMix64) -> DescendantSample:
     """Grow a size-n tree and read the statistic off the tree."""
-    _check_window(spec, n, j)
+    _check_window(n, j)
     tree = sample_tree(spec, n, rng)
     return DescendantSample(n, j, insertion_load(tree, j), count_descendants(tree, j))
 
@@ -163,7 +163,7 @@ def descendants_via_urn(spec: FamilySpec, n: int, j: int, rng: SplitMix64) -> De
     For j <= b the bucket of j is still the root bucket, the urn has no
     black mass, and the count is the deterministic n + 1 - j.
     """
-    _check_window(spec, n, j)
+    _check_window(n, j)
     if j <= spec.b:
         return DescendantSample(n, j, j, n + 1 - j)
     tree = sample_tree(spec, j, rng)
@@ -186,7 +186,7 @@ def insertion_load_law(spec: FamilySpec, j: int, limit: int | None = None) -> di
 def descendants_law_from_trees(spec: FamilySpec, n: int, j: int,
                                limit: int | None = None) -> dict[int, Fraction]:
     """Descendant-count law read from the exact tree distribution."""
-    _check_window(spec, n, j)
+    _check_window(n, j)
     law: dict[int, Fraction] = {}
     for tree, p in exact_distribution(spec, n, limit).probs.items():
         y = count_descendants(tree, j)
@@ -197,7 +197,7 @@ def descendants_law_from_trees(spec: FamilySpec, n: int, j: int,
 def descendants_law_from_urn(spec: FamilySpec, n: int, j: int,
                              limit: int | None = None) -> dict[int, Fraction]:
     """Descendant-count law via the urn, mixing over the insertion load."""
-    _check_window(spec, n, j)
+    _check_window(n, j)
     law: dict[int, Fraction] = {}
     for load, p_load in insertion_load_law(spec, j, limit).items():
         urn_law = urn_distribution_exact(urn_from(spec, j, load), n - j)

@@ -81,8 +81,8 @@ def check_balance(model: WeightModel, n: int, limit: int | None = None) -> Balan
             continue
         values[shape] = balance_value(shape, model)
     distinct = set(values.values())
-    constant = distinct.pop() if len(distinct) == 1 else None
-    return BalanceReport(n, values, constant, len(set(values.values())) <= 1)
+    constant = next(iter(distinct)) if len(distinct) == 1 else None
+    return BalanceReport(n, values, constant, len(distinct) <= 1)
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,12 @@ A weight model assigns a non-negative rational to every tree: saturated
 buckets contribute a degree weight phi_k (k = child count), unsaturated
 leaves a bucket weight psi_c (c = capacity).  Degree weights come either
 as an explicit list or as one of two closed-form rules (exponential and
-power of a binomial) whose series expansions are computed exactly.
+power of a binomial); every rule composes with a series the same way, by
+Horner's rule over its coefficients.
 
-The families are parameter sets for the growth process; ``weights_of``
-produces their canonical weight model with psi_1 = 1.
+The families are parameter sets for the growth process.  Each is fixed by
+(b, c1, c2), where T_{n+1}/T_n = c1*n + c2, and ``weights_of`` derives its
+canonical weight model with psi_1 = 1 from those three numbers alone.
 """
 
 from __future__ import annotations
@@ -65,9 +67,18 @@ class DegreeWeights(abc.ABC):
     def coeff(self, k: int) -> Fraction:
         """phi_k."""
 
-    @abc.abstractmethod
     def compose(self, series: Sequence[Fraction], order: int) -> list[Fraction]:
         """Coefficients of phi(S(z)) through z^order, for S with S(0) = 0."""
+        if series and series[0] != 0:
+            raise ValueError("composition requires a series with zero constant term")
+        # S^k starts at z^k, so coefficients past the order never contribute.
+        bound = self.support_bound()
+        top = order if bound is None else min(order, bound)
+        acc = [Fraction(0)] * (order + 1)
+        for k in range(top, -1, -1):
+            acc = _mul_trunc(acc, series, order)
+            acc[0] += self.coeff(k)
+        return acc
 
     @abc.abstractmethod
     def scaled(self, factor: Fraction, stretch: Fraction) -> "DegreeWeights":
@@ -84,11 +95,6 @@ class DegreeWeights(abc.ABC):
     def is_degenerate(self) -> bool:
         bound = self.support_bound()
         return bound is not None and bound < 2
-
-
-def _check_series_start(series: Sequence[Fraction]) -> None:
-    if series and series[0] != 0:
-        raise ValueError("composition requires a series with zero constant term")
 
 
 @dataclass(frozen=True)
@@ -113,14 +119,6 @@ class ExplicitDegreeWeights(DegreeWeights):
         if 0 <= k < len(self.coefficients):
             return self.coefficients[k]
         return Fraction(0)
-
-    def compose(self, series: Sequence[Fraction], order: int) -> list[Fraction]:
-        _check_series_start(series)
-        acc = [self.coefficients[-1]] + [Fraction(0)] * order
-        for c in reversed(self.coefficients[:-1]):
-            acc = _mul_trunc(acc, series, order)
-            acc[0] += c
-        return acc
 
     def scaled(self, factor: Fraction, stretch: Fraction) -> "ExplicitDegreeWeights":
         return ExplicitDegreeWeights(
@@ -150,19 +148,6 @@ class ExpDegreeWeights(DegreeWeights):
 
     def coeff(self, k: int) -> Fraction:
         return self.scale * self.rate**k / math.factorial(k)
-
-    def compose(self, series: Sequence[Fraction], order: int) -> list[Fraction]:
-        # g = phi(S) satisfies g' = rate * S' * g, g(0) = scale.
-        _check_series_start(series)
-        s = list(series[: order + 1]) + [Fraction(0)] * max(0, order + 1 - len(series))
-        g = [Fraction(0)] * (order + 1)
-        g[0] = self.scale
-        for n in range(order):
-            acc = Fraction(0)
-            for i in range(n + 1):
-                acc += (i + 1) * s[i + 1] * g[n - i]
-            g[n + 1] = self.rate * acc / (n + 1)
-        return g
 
     def scaled(self, factor: Fraction, stretch: Fraction) -> "ExpDegreeWeights":
         return ExpDegreeWeights(self.scale * factor, self.rate * stretch)
@@ -205,23 +190,6 @@ class PowDegreeWeights(DegreeWeights):
 
     def coeff(self, k: int) -> Fraction:
         return self.scale * binom_frac(self.exponent, k) * self.base**k
-
-    def compose(self, series: Sequence[Fraction], order: int) -> list[Fraction]:
-        # h = (1+u*S)^E satisfies (1+u*S) h' = E*u*S'*h, h(0) = 1.
-        _check_series_start(series)
-        s = list(series[: order + 1]) + [Fraction(0)] * max(0, order + 1 - len(series))
-        u, e = self.base, self.exponent
-        h = [Fraction(0)] * (order + 1)
-        h[0] = Fraction(1)
-        for n in range(order):
-            drive = Fraction(0)
-            for i in range(n + 1):
-                drive += (i + 1) * s[i + 1] * h[n - i]
-            drag = Fraction(0)
-            for i in range(1, n + 1):
-                drag += s[i] * (n - i + 1) * h[n - i + 1]
-            h[n + 1] = (e * u * drive - u * drag) / (n + 1)
-        return [self.scale * x for x in h]
 
     def scaled(self, factor: Fraction, stretch: Fraction) -> "PowDegreeWeights":
         return PowDegreeWeights(self.scale * factor, self.base * stretch, self.exponent)
@@ -328,9 +296,27 @@ class FamilySpec(abc.ABC):
     def affine_constants(self) -> tuple[Fraction, Fraction]:
         """(c1, c2) with T_{n+1}/T_n = c1*n + c2 for the canonical model."""
 
-    @abc.abstractmethod
+    def __post_init__(self) -> None:
+        if self.b < 1:
+            raise InvalidWeightsError(f"b must be >= 1, got {self.b}")
+
     def weight_model(self) -> WeightModel:
-        """Canonical weights with psi_1 = 1."""
+        """Canonical weights with psi_1 = 1, derived from (b, c1, c2).
+
+        psi_k = T_k = prod_{i<k} (c1*i + c2) for k < b.  The degree rule
+        starts at phi_0 = T_b and obeys
+        (k+1) phi_{k+1} = (b*c1 + c2 - c2*k) phi_k: exponential when c2 = 0,
+        a power of a binomial otherwise.
+        """
+        c1, c2 = self.affine_constants()
+        totals = [Fraction(1)]
+        for i in range(1, self.b):
+            totals.append(totals[-1] * self.connectivity(i))
+        if c2 == 0:
+            phi = ExpDegreeWeights(totals[-1], self.b * c1)
+        else:
+            phi = PowDegreeWeights(totals[-1], c2, (self.b * c1 + c2) / c2)
+        return WeightModel(self.b, tuple(totals[:-1]), phi)
 
     @abc.abstractmethod
     def describe(self) -> dict: ...
@@ -365,17 +351,8 @@ class BucketRecursive(FamilySpec):
 
     b: int
 
-    def __post_init__(self) -> None:
-        if self.b < 1:
-            raise InvalidWeightsError(f"b must be >= 1, got {self.b}")
-
     def affine_constants(self) -> tuple[Fraction, Fraction]:
         return Fraction(1), Fraction(0)
-
-    def weight_model(self) -> WeightModel:
-        psi = tuple(Fraction(math.factorial(k - 1)) for k in range(1, self.b))
-        phi = ExpDegreeWeights(Fraction(math.factorial(self.b - 1)), Fraction(self.b))
-        return WeightModel(self.b, psi, phi)
 
     def describe(self) -> dict:
         return {"family": "bucket-recursive", "b": self.b}
@@ -389,8 +366,7 @@ class DAryIncreasing(FamilySpec):
     d: Fraction
 
     def __post_init__(self) -> None:
-        if self.b < 1:
-            raise InvalidWeightsError(f"b must be >= 1, got {self.b}")
+        super().__post_init__()
         object.__setattr__(self, "d", to_fraction(self.d))
         if self.d <= 1:
             raise InvalidWeightsError(f"d must exceed 1, got {self.d}")
@@ -405,16 +381,6 @@ class DAryIncreasing(FamilySpec):
     def affine_constants(self) -> tuple[Fraction, Fraction]:
         return self.d - 1, Fraction(1)
 
-    def weight_model(self) -> WeightModel:
-        e = self.d - 1
-        psi = tuple(
-            math.factorial(k - 1) * e ** (k - 1) * binom_frac(k - 1 + 1 / e, k - 1)
-            for k in range(1, self.b))
-        scale = (math.factorial(self.b - 1) * e ** (self.b - 1)
-                 * binom_frac(self.b - 1 + 1 / e, self.b - 1))
-        phi = PowDegreeWeights(scale, Fraction(1), Fraction(self.max_degree()))
-        return WeightModel(self.b, psi, phi)
-
     def describe(self) -> dict:
         return {"family": "dary", "b": self.b, "d": str(self.d)}
 
@@ -427,25 +393,13 @@ class PlaneOriented(FamilySpec):
     alpha: Fraction
 
     def __post_init__(self) -> None:
-        if self.b < 1:
-            raise InvalidWeightsError(f"b must be >= 1, got {self.b}")
+        super().__post_init__()
         object.__setattr__(self, "alpha", to_fraction(self.alpha))
         if self.alpha <= 0:
             raise InvalidWeightsError(f"alpha must be positive, got {self.alpha}")
 
     def affine_constants(self) -> tuple[Fraction, Fraction]:
         return self.alpha + 1, Fraction(-1)
-
-    def weight_model(self) -> WeightModel:
-        e = self.alpha + 1
-        psi = tuple(
-            math.factorial(k - 1) * e ** (k - 1) * binom_frac(k - 1 - 1 / e, k - 1)
-            for k in range(1, self.b))
-        scale = (math.factorial(self.b - 1) * e ** (self.b - 1)
-                 * binom_frac(self.b - 1 - 1 / e, self.b - 1))
-        root_exponent = e * self.b - 1
-        phi = PowDegreeWeights(scale, Fraction(-1), -root_exponent)
-        return WeightModel(self.b, psi, phi)
 
     def describe(self) -> dict:
         return {"family": "plane-oriented", "b": self.b, "alpha": str(self.alpha)}

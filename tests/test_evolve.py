@@ -169,6 +169,9 @@ def test_strip_labels_example():
         BucketTree(bucket((1, 2), (bucket((3,)), bucket((4,)))), 2))
     assert strip_labels(tree, 6) == tree
     assert strip_labels(tree, 1) == single_bucket_tree(2)
+    # Subtrees with no label above j come back as the same objects.
+    assert stripped.root.children[1] is tree.root.children[1]
+    assert strip_labels(tree, tree.size).root is tree.root
 
 
 def test_strip_labels_validates_input():

@@ -66,6 +66,26 @@ def test_plane_oriented_b2_weights():
     assert model.phi_coefficients(3) == [1, 3, 6, 10]
 
 
+@pytest.mark.parametrize("spec, psi, phi, describe", [
+    (BucketRecursive(3), (1, 1), [2, 6, 9, 9, F(27, 4)],
+     {"kind": "exponential", "scale": "2", "rate": "3"}),
+    (DAryIncreasing(3, F(2)), (1, 2), [6, 24, 36, 24, 6],
+     {"kind": "power", "scale": "6", "base": "1", "exponent": "4"}),
+    (DAryIncreasing(3, F(4, 3)), (1, F(4, 3)), [F(20, 9), F(40, 9), F(20, 9), 0, 0],
+     {"kind": "power", "scale": "20/9", "base": "1", "exponent": "2"}),
+    (PlaneOriented(3, F(1)), (1, 1), [3, 15, 45, 105, 210],
+     {"kind": "power", "scale": "3", "base": "-1", "exponent": "-5"}),
+    (PlaneOriented(3, F(1, 2)), (1, F(1, 2)), [1, F(7, 2), F(63, 8), F(231, 16), F(3003, 128)],
+     {"kind": "power", "scale": "1", "base": "-1", "exponent": "-7/2"}),
+], ids=["recursive", "dary-d2", "dary-d4/3", "port-a1", "port-a1/2"])
+def test_b3_family_weights(spec, psi, phi, describe):
+    # b = 3 is the smallest capacity where psi_2 = T_2 takes a product step.
+    model = weights_of(spec)
+    assert model.psi == psi
+    assert model.phi_coefficients(4) == phi
+    assert model.phi.describe() == describe
+
+
 def test_psi1_is_one_for_all_families():
     specs = [BucketRecursive(3), DAryIncreasing(3, F(2)), PlaneOriented(3, F(1, 2))]
     for spec in specs:
@@ -86,15 +106,18 @@ def test_explicit_weights_strip_trailing_zeros():
 
 def test_compose_on_identity_recovers_coefficients():
     identity = [F(0), F(1)]
-    rules = [
-        ExplicitDegreeWeights((F(1), F(2), F(3))),
-        ExpDegreeWeights(F(2), F(3)),
-        PowDegreeWeights(F(1), F(1), F(4)),
-        PowDegreeWeights(F(1), F(-1), F(-3)),
-        PowDegreeWeights(F(3, 2), F(-2), F(-1, 2)),
+    cases = [
+        (ExplicitDegreeWeights((F(1), F(2), F(3))), [1, 2, 3, 0, 0, 0, 0, 0]),
+        (ExpDegreeWeights(F(2), F(3)),
+         [2, 6, 9, 9, F(27, 4), F(81, 20), F(81, 40), F(243, 280)]),
+        (PowDegreeWeights(F(1), F(1), F(4)), [1, 4, 6, 4, 1, 0, 0, 0]),
+        (PowDegreeWeights(F(1), F(-1), F(-3)), [1, 3, 6, 10, 15, 21, 28, 36]),
+        (PowDegreeWeights(F(3, 2), F(-2), F(-1, 2)),
+         [F(3, 2), F(3, 2), F(9, 4), F(15, 4), F(105, 16), F(189, 16), F(693, 32),
+          F(1287, 32)]),
     ]
-    for rule in rules:
-        assert rule.compose(identity, 7) == [rule.coeff(k) for k in range(8)]
+    for rule, coefficients in cases:
+        assert rule.compose(identity, 7) == coefficients
 
 
 def test_compose_requires_zero_constant_term():
