@@ -20,6 +20,7 @@ import os
 import signal
 import sys
 from collections import Counter
+from dataclasses import asdict
 from fractions import Fraction
 
 from .enumeration import (EnumerationLimitError, check_ode_recurrence,
@@ -47,6 +48,11 @@ FAMILY_NAMES = ("bucket-recursive", "bdary", "baport")
 def f12(x: float) -> float:
     """Round a float to 12 significant digits for stable reports."""
     return float(f"{x:.12g}")
+
+
+def rounded_fields(report) -> dict:
+    """A report dataclass as a JSON object, its floats rounded by f12."""
+    return {k: f12(v) if isinstance(v, float) else v for k, v in asdict(report).items()}
 
 
 def positive_int(text: str) -> int:
@@ -231,11 +237,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 # ── verify ────────────────────────────────────────────────────────────────
 
-def _verify_balance(model, spec, n, limit) -> dict:
+def _verify_balance(model, spec, args) -> dict:
     results = []
-    ok = True
-    for size in range(1, n + 1):
-        report = check_balance(model, size, limit)
+    for size in range(1, args.n + 1):
+        report = check_balance(model, size, args.limit)
         entry = {"n": size, "passed": report.passed,
                  "constant": str(report.constant) if report.constant is not None else None,
                  "trees": len(report.values)}
@@ -243,99 +248,87 @@ def _verify_balance(model, spec, n, limit) -> dict:
             expected = spec.connectivity(size)
             entry["expected"] = str(expected)
             entry["matches_expected"] = report.constant == expected
-            ok = ok and entry["matches_expected"]
-        ok = ok and report.passed
         results.append(entry)
-    return {"check": "balance", "passed": ok, "sizes": results}
+    passed = all(e["passed"] and e.get("matches_expected", True) for e in results)
+    return {"check": "balance", "passed": passed, "sizes": results}
 
 
-def _verify_ratio(model, spec, n, limit) -> dict:
-    report = check_affine_ratio(model, n, limit)
+def _verify_ratio(model, spec, args) -> dict:
+    report = check_affine_ratio(model, max(args.n, 3), args.limit)
     out = {"check": "ratio", "passed": report.passed,
            "c1": str(report.c1), "c2": str(report.c2),
            "first_failing_n": report.first_failing_n}
     if spec is not None and report.passed:
-        c1, c2 = spec.affine_constants()
-        out["matches_family"] = (report.c1, report.c2) == (c1, c2)
-        out["passed"] = out["passed"] and out["matches_family"]
+        out["matches_family"] = out["passed"] = (report.c1, report.c2) == spec.affine_constants()
     return out
 
 
-def _verify_scaling(model, a, s, n, limit) -> dict:
-    report = check_scaling(model, a, s, n, limit)
-    return {"check": "scaling", "passed": report.passed, "a": str(to_fraction(a)),
-            "s": str(to_fraction(s)), "n": n}
+def _verify_scaling(model, spec, args) -> dict:
+    report = check_scaling(model, args.a, args.s, args.n, args.limit)
+    return {"check": "scaling", "passed": report.passed, "a": str(to_fraction(args.a)),
+            "s": str(to_fraction(args.s)), "n": args.n}
 
 
-def _verify_classify(model) -> dict:
+def _verify_classify(model, spec, args) -> dict:
     result = classify_family(model)
     if isinstance(result, NotGrown):
         return {"check": "classify", "passed": False, "reason": result.reason}
     return {"check": "classify", "passed": True, "family": result.describe()}
 
 
-def _verify_ode(model, n, limit) -> dict:
-    report = check_ode_recurrence(model, n, limit=limit)
+def _verify_ode(model, spec, args) -> dict:
+    report = check_ode_recurrence(model, args.n, limit=args.limit)
     return {"check": "ode", "passed": report.passed,
             "failure_kind": report.failure_kind, "failing_index": report.failing_index}
 
 
-def _verify_equivalence(spec, n, limit) -> dict:
-    model = weights_of(spec)
-    ok = True
+def _verify_equivalence(model, spec, args) -> dict:
     first_bad = None
-    for size in range(1, n + 1):
-        dist = exact_distribution(spec, size, limit)
-        total = total_weight(model, size, limit)
+    for size in range(1, args.n + 1):
+        dist = exact_distribution(spec, size, args.limit)
+        total = total_weight(model, size, args.limit)
         for tree, prob in dist.probs.items():
             if prob != tree_weight(tree, model) / total:
-                ok = False
                 first_bad = first_bad or {"n": size, "tree": encode_tree(tree).decode("ascii")}
         if dist.total() != 1:
-            ok = False
             first_bad = first_bad or {"n": size, "tree": None}
-    return {"check": "equivalence", "passed": ok, "n": n, "first_mismatch": first_bad}
+    return {"check": "equivalence", "passed": first_bad is None, "n": args.n,
+            "first_mismatch": first_bad}
 
 
-def _verify_preserve(spec, n, limit) -> dict:
-    dist = exact_distribution(spec, n, limit)
-    ok = True
-    bad_j = None
-    for j in range(1, n + 1):
-        if pushforward_strip(dist, j).probs != exact_distribution(spec, j, limit).probs:
-            ok = False
-            bad_j = bad_j or j
-    return {"check": "preserve", "passed": ok, "n": n, "first_failing_j": bad_j}
+def _verify_preserve(model, spec, args) -> dict:
+    dist = exact_distribution(spec, args.n, args.limit)
+    bad_j = next((j for j in range(1, args.n + 1) if pushforward_strip(dist, j).probs
+                  != exact_distribution(spec, j, args.limit).probs), None)
+    return {"check": "preserve", "passed": bad_j is None, "n": args.n, "first_failing_j": bad_j}
+
+
+# Run in this order by --check all.
+VERIFY_CHECKS = {
+    "balance": _verify_balance,
+    "ratio": _verify_ratio,
+    "ode": _verify_ode,
+    "scaling": _verify_scaling,
+    "classify": _verify_classify,
+    "equivalence": _verify_equivalence,
+    "preserve": _verify_preserve,
+}
+GROWTH_CHECKS = {"equivalence", "preserve"}  # growth is defined per family
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     model, spec = build_model(args)
     guard_product(args.n, model.b)
-    names = (["balance", "ratio", "ode", "scaling", "classify", "equivalence", "preserve"]
-             if args.check == "all" else [args.check])
+    names = list(VERIFY_CHECKS) if args.check == "all" else [args.check]
     results = []
     for name in names:
-        if name == "balance":
-            results.append(_verify_balance(model, spec, args.n, args.limit))
-        elif name == "ratio":
-            results.append(_verify_ratio(model, spec, max(args.n, 3), args.limit))
-        elif name == "ode":
-            results.append(_verify_ode(model, args.n, args.limit))
-        elif name == "scaling":
-            results.append(_verify_scaling(model, args.a, args.s, args.n, args.limit))
-        elif name == "classify":
-            results.append(_verify_classify(model))
-        elif name in ("equivalence", "preserve"):
-            if spec is None:
-                if args.check == "all":
-                    results.append({"check": name, "passed": None,
-                                    "skipped": "needs --family (growth is family-defined)"})
-                    continue
+        if spec is None and name in GROWTH_CHECKS:
+            if args.check != "all":
                 raise InvalidWeightsError(f"--check {name} needs --family")
-            fn = _verify_equivalence if name == "equivalence" else _verify_preserve
-            results.append(fn(spec, args.n, args.limit))
+            results.append({"check": name, "passed": None,
+                            "skipped": "needs --family (growth is family-defined)"})
         else:
-            raise InvalidWeightsError(f"unknown check {name!r}")
+            results.append(VERIFY_CHECKS[name](model, spec, args))
     passed = all(r["passed"] is not False for r in results)
     emit_json({"command": "verify", "model": model.describe(),
                "checks": results, "passed": passed})
@@ -386,31 +379,14 @@ def cmd_stats(args: argparse.Namespace) -> int:
         grid = [int(x) for x in args.n_grid.split(",")]
         report = check_beta_convergence(spec, args.j, args.load, grid,
                                         args.samples, seed)
-        emit_json({"command": "stats", "check": "beta", "family": spec.describe(),
-                   "j": args.j, "load": args.load, "samples": args.samples,
-                   "cells": [{"n": c.n, "mean": f12(c.mean), "target": f12(c.target),
-                              "error": f12(c.error), "tolerance": f12(c.tolerance),
-                              "ok": c.ok, "second_error": f12(c.second_error),
-                              "second_tolerance": f12(c.second_tolerance),
-                              "second_ok": c.second_ok}
-                             for c in report.cells],
-                   "passed": report.passed})
-        return 0 if report.passed else 1
-    if args.check == "second-order":
+        body = {"samples": args.samples, "cells": [rounded_fields(c) for c in report.cells]}
+    else:
         report = second_order_diagnostic(spec, args.j, args.load, args.n,
                                          args.trajectories, args.horizon, seed)
-        emit_json({"command": "stats", "check": "second-order",
-                   "family": spec.describe(), "j": args.j, "load": args.load,
-                   "n": args.n, "horizon": args.horizon,
-                   "trajectories": args.trajectories,
-                   "skewness": f12(report.skewness),
-                   "excess_kurtosis": f12(report.excess_kurtosis),
-                   "variance_slope": f12(report.variance_slope),
-                   "variance_shape_ok": report.variance_shape_ok,
-                   "degenerate": report.degenerate, "note": report.note,
-                   "passed": report.passed})
-        return 0 if report.passed else 1
-    raise InvalidWeightsError(f"unknown stats check {args.check!r}")
+        body = rounded_fields(report)
+    emit_json({"command": "stats", "check": args.check, "family": spec.describe(),
+               "j": args.j, "load": args.load, **body, "passed": report.passed})
+    return 0 if report.passed else 1
 
 
 # ── parser ────────────────────────────────────────────────────────────────
@@ -439,9 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="structure checks; exit 0 iff all pass")
     add_model_args(p)
-    p.add_argument("--check", default="all",
-                   choices=["balance", "ratio", "ode", "scaling", "classify",
-                            "equivalence", "preserve", "all"])
+    p.add_argument("--check", default="all", choices=[*VERIFY_CHECKS, "all"])
     p.add_argument("--n", type=positive_int, default=6)
     p.add_argument("--a", default="2", help="scaling factor a (rational)")
     p.add_argument("--s", default="2", help="scaling factor s (rational)")

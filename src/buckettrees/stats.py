@@ -2,10 +2,12 @@
 
 This is the only module that touches floating point: everything upstream
 is exact, and the quantities compared here (means, chi-square statistics,
-skewness) are estimates by nature.  Urn batches are drawn by
-exchangeability (a Beta mixing probability, then binomial counts) on numpy
-with a counter-based generator (Philox), while the exact-lane samplers
-elsewhere keep their own integer generator, so the two routes of every
+skewness) are estimates by nature.  It needs only numpy: the chi-square
+p-value is a finite sum (exact for integer degrees of freedom), and
+skewness and kurtosis are ratios of central moments.  Urn batches are
+drawn by exchangeability (a Beta mixing probability, then binomial
+counts) with a counter-based generator (Philox), while the exact-lane
+samplers keep their own integer generator, so the two routes of every
 dual check stay independent.
 
 Limit background, stated operationally: conditional on the insertion load
@@ -26,7 +28,6 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats as sstats
 
 from .evolve import exact_distribution, sample_tree
 from .rng import SplitMix64
@@ -96,9 +97,24 @@ def chi_square_gof(
     dof = len(groups) - 1
     if dof < 1:
         return GofReport(float(statistic), 0, 1.0, level, True, len(groups), total)
-    p_value = float(sstats.chi2.sf(statistic, dof))
+    p_value = chi_square_tail(statistic, dof)
     return GofReport(float(statistic), dof, p_value, level, p_value >= level,
                      len(groups), total)
+
+
+def chi_square_tail(x: float, dof: int) -> float:
+    """P(X >= x), X chi-square with integer ``dof``: with y = x/2, the sum over
+    k < dof//2 of e^-y y^(k+h) / Gamma(k+h+1), h = 0 for even dof and 1/2 for
+    odd, plus erfc(sqrt y) for odd.  Positive terms formed in log space."""
+    if x <= 0:
+        return 1.0
+    y = x / 2
+    half, odd = divmod(dof, 2)
+    terms = [math.exp(-y + (k + odd / 2) * math.log(y) - math.lgamma(k + odd / 2 + 1))
+             for k in range(half)]
+    if odd:
+        terms.append(math.erfc(math.sqrt(y)))
+    return math.fsum(terms)
 
 
 def sampler_gof(
@@ -216,8 +232,7 @@ def check_beta_convergence(
         raise ValueError("every n in the grid must exceed j")
     if sorted(n_grid) != list(n_grid):
         raise ValueError("n_grid must be increasing")
-    if not 1 <= load <= min(j, spec.b):
-        raise ValueError(f"load {load} impossible for j={j}, b={spec.b}")
+    state = urn_from(spec, j, load)
     if j <= spec.b and load != j:
         raise ValueError(f"for j <= b the load is deterministically j={j}")
     if samples < MIN_GOF_SAMPLES:
@@ -228,7 +243,6 @@ def check_beta_convergence(
     m1 = beta_moment(a_param, b_param, 1)
     m2 = beta_moment(a_param, b_param, 2)
     var_beta = m2 - m1 * m1
-    state = urn_from(spec, j, load)
 
     cells = []
     for idx, n in enumerate(n_grid):
@@ -281,6 +295,14 @@ class SecondOrderReport:
                  "constant")
 
 
+def skew_kurtosis(values: np.ndarray) -> tuple[float, float]:
+    """Biased skewness m3/m2^1.5 and excess kurtosis m4/m2^2 - 3 (central m_k)."""
+    dev = values - values.mean()
+    sq = dev * dev
+    m2 = sq.mean()
+    return float((sq * dev).mean() / m2**1.5), float((sq * sq).mean() / m2**2 - 3)
+
+
 def second_order_diagnostic(
     spec: FamilySpec,
     j: int,
@@ -309,13 +331,11 @@ def second_order_diagnostic(
     finite-n pool looks Gaussian.  Pick a cell whose mixing density vanishes
     at both endpoints (for instance load 2 at j = 4 under b = 2 growth).
     """
-    if not 1 <= load <= min(j, spec.b):
-        raise ValueError(f"load {load} impossible for j={j}, b={spec.b}")
+    state = urn_from(spec, j, load)
     if not j < n < horizon:
         raise ValueError(f"need j < n < horizon, got {j}, {n}, {horizon}")
     if trajectories < MIN_GOF_SAMPLES:
         raise ValueError(f"need at least {MIN_GOF_SAMPLES} trajectories, got {trajectories}")
-    state = urn_from(spec, j, load)
     if state.black == 0 or state.white == 0:
         # Deterministic urn: all draws go one way, the centered values vanish.
         return SecondOrderReport(n, horizon, trajectories, 0.0, 0.0, 0.0, True,
@@ -333,8 +353,7 @@ def second_order_diagnostic(
     values = (counts_n - draws * beta_hat) / math.sqrt(draws)
     shape = beta_hat * (1.0 - beta_hat)
     standardized = values / np.sqrt(shape)
-    skewness = float(sstats.skew(standardized))
-    excess_kurtosis = float(sstats.kurtosis(standardized))
+    skewness, excess_kurtosis = skew_kurtosis(standardized)
     slope = float(np.polyfit(shape, values * values, 1)[0])
     passed = abs(skewness) < skew_bound and abs(excess_kurtosis) < kurt_bound
     return SecondOrderReport(n, horizon, trajectories, skewness, excess_kurtosis,

@@ -22,6 +22,10 @@ if TYPE_CHECKING:
     from .weights import WeightModel
 
 
+# Nesting bound of decode_tree: BucketNode's == and hash recurse (== fails at ~250).
+MAX_DECODE_DEPTH = 200
+
+
 class InvalidTreeError(ValueError):
     """The structure or labelling violates a bucket-tree invariant."""
 
@@ -132,7 +136,9 @@ def _node_to_obj(node: BucketNode) -> dict:
     return {"capacity": node.capacity, "children": [_node_to_obj(c) for c in node.children]}
 
 
-def _node_from_obj(obj: object) -> BucketNode:
+def _node_from_obj(obj: object, depth: int = 1) -> BucketNode:
+    if depth > MAX_DECODE_DEPTH:
+        raise EncodingError(f"buckets nested deeper than {MAX_DECODE_DEPTH}")
     if not isinstance(obj, dict):
         raise EncodingError(f"expected object, got {type(obj).__name__}")
     keys = set(obj)
@@ -151,7 +157,8 @@ def _node_from_obj(obj: object) -> BucketNode:
     children = obj["children"]
     if not isinstance(children, list):
         raise EncodingError("children must be a list")
-    return BucketNode(capacity, tuple(labels), tuple(_node_from_obj(c) for c in children))
+    return BucketNode(capacity, tuple(labels),
+                      tuple(_node_from_obj(c, depth + 1) for c in children))
 
 
 def encode_tree(tree: BucketTree) -> bytes:
@@ -161,7 +168,7 @@ def encode_tree(tree: BucketTree) -> bytes:
 
 
 def decode_tree(data: bytes, max_bucket: int) -> BucketTree:
-    """Inverse of encode_tree; validates the result."""
+    """Inverse of encode_tree; validates the result, depth included."""
     try:
         obj = json.loads(data.decode("ascii"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:

@@ -6,7 +6,10 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,6 +30,27 @@ def test_version_matches_pyproject():
     text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
     declared = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE).group(1)
     assert buckettrees.__version__ == declared
+
+
+def test_cli_runs_without_scipy():
+    # scipy is only a test reference: block it, then run both float checks.
+    script = """
+import sys
+sys.modules["scipy"] = None
+from buckettrees.cli import main
+codes = [main(["stats", "--check", "gof", "--family", "bucket-recursive", "--b", "2",
+               "--n", "4", "--samples", "600", "--seed", "1"]),
+         main(["stats", "--check", "second-order", "--family", "bucket-recursive",
+               "--b", "2", "--j", "4", "--load", "2", "--n", "300",
+               "--trajectories", "4000", "--horizon", "12000", "--seed", "5"])]
+print(codes, sorted(m for m, mod in sys.modules.items()
+                    if m.partition(".")[0] == "scipy" and mod is not None))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] []"
 
 
 # ── enumerate ─────────────────────────────────────────────────────────────

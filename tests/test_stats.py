@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from buckettrees import (BucketRecursive, DAryIncreasing, PlaneOriented,
@@ -18,7 +19,8 @@ from buckettrees import (BucketRecursive, DAryIncreasing, PlaneOriented,
                          sampler_gof, second_order_diagnostic,
                          urn_distribution_exact, urn_from)
 from buckettrees import stats
-from buckettrees.stats import MIN_GOF_SAMPLES, _urn_batch
+from buckettrees.stats import (MIN_GOF_SAMPLES, _urn_batch, chi_square_tail,
+                               skew_kurtosis)
 
 F = Fraction
 
@@ -70,6 +72,43 @@ def test_chi_square_input_validation():
         chi_square_gof({"a": 5}, {"a": 1.0})
     with pytest.raises(ValueError, match="sums"):
         chi_square_gof({"a": 100}, {"a": 0.7})
+
+
+def test_chi_square_tail_closed_forms():
+    for x in (1e-3, 0.5, 1.0, 7.3, 50.0, 900.0):
+        y = x / 2
+        assert chi_square_tail(x, 1) == math.erfc(math.sqrt(y))
+        assert chi_square_tail(x, 2) == math.exp(-y)
+        assert chi_square_tail(x, 3) == pytest.approx(
+            math.erfc(math.sqrt(y)) + 2 * math.sqrt(y / math.pi) * math.exp(-y), rel=1e-14)
+        assert chi_square_tail(x, 4) == pytest.approx(math.exp(-y) * (1 + y), rel=1e-14)
+    assert chi_square_tail(0.0, 5) == 1.0
+
+
+def test_chi_square_tail_matches_scipy():
+    chi2 = pytest.importorskip("scipy.stats").chi2
+    tails = (1e-12, 1e-9, 1e-6, 1e-3, 0.05, 0.5, 0.9, 0.999, 1 - 1e-6)
+    for dof in [*range(1, 61), 99, 100, 255, 256, 999, 1000, 2000]:
+        for q in tails:
+            x = chi2.isf(q, dof)
+            assert chi_square_tail(x, dof) == pytest.approx(chi2.sf(x, dof), rel=1e-10)
+
+
+def test_skew_kurtosis_by_hand():
+    # Bernoulli(1/4) data: skewness 2/sqrt(3), excess kurtosis -2/3.
+    skew, kurt = skew_kurtosis(np.array([0.0, 0.0, 0.0, 1.0]))
+    assert skew == pytest.approx(2 / math.sqrt(3), rel=1e-12)
+    assert kurt == pytest.approx(-2 / 3, rel=1e-12)
+
+
+def test_skew_kurtosis_matches_scipy():
+    sstats = pytest.importorskip("scipy.stats")
+    gen = np.random.default_rng(7)
+    for values in (gen.normal(size=1000), gen.gamma(2.0, size=5000),
+                   gen.standard_t(5, size=20000), gen.binomial(30, 0.2, size=300) / 7):
+        skew, kurt = skew_kurtosis(values)
+        assert skew == pytest.approx(sstats.skew(values), rel=1e-12, abs=1e-12)
+        assert kurt == pytest.approx(sstats.kurtosis(values), rel=1e-12, abs=1e-12)
 
 
 def test_sampler_gof_passes_for_families():

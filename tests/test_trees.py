@@ -20,6 +20,7 @@ from buckettrees import (BucketRecursive, BucketTree, DAryIncreasing,
                          enumerate_shapes, insertion_load, node_profile,
                          sample_tree, shape_bucket, single_bucket_tree,
                          subtree_of_label, tree_weight, weights_of)
+from buckettrees.trees import MAX_DECODE_DEPTH
 
 
 def oracle_labellings(tree: BucketTree) -> int:
@@ -154,6 +155,24 @@ def test_decode_rejects_garbage():
         decode_tree(b'{"labels":[2,1],"children":[]}', 2)  # invalid tree
     with pytest.raises(EncodingError):
         decode_tree(b"[" * 3000 + b"]" * 3000, 2)  # deeper than the JSON parser recurses
+
+
+def chain_encoding(depth: int) -> bytes:
+    """Canonical encoding of the b = 1 chain with labels 1..depth."""
+    head = '{"children":[' * (depth - 1) + f'{{"children":[],"labels":[{depth}]}}'
+    tail = "".join(f'],"labels":[{k}]}}' for k in range(depth - 1, 0, -1))
+    return (head + tail).encode("ascii")
+
+
+def test_decode_rejects_deep_chains():
+    shallow = BucketTree(bucket((1,), (bucket((2,), (bucket((3,)),)),)), 1)
+    assert chain_encoding(3) == encode_tree(shallow)
+    at_bound = chain_encoding(MAX_DECODE_DEPTH)
+    assert decode_tree(at_bound, 1) == decode_tree(at_bound, 1)
+    with pytest.raises(EncodingError, match="deeper"):
+        decode_tree(chain_encoding(MAX_DECODE_DEPTH + 1), 1)
+    with pytest.raises(EncodingError):  # the JSON parser may give up first
+        decode_tree(chain_encoding(500), 1)
 
 
 def test_encoding_is_canonical():
