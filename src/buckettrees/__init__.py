@@ -14,10 +14,10 @@ from .trees import (BucketNode, BucketTree, EncodingError, InvalidTreeError,
                     encode_tree, insertion_load, node_profile, shape_bucket,
                     single_bucket_tree, subtree_of_label, tree_weight)
 from .urn import (DescendantSample, UrnState, binomial_moment,
-                  descendants_direct, descendants_from_white,
-                  descendants_law_from_trees, descendants_law_from_urn,
-                  descendants_via_urn, insertion_load_law,
-                  urn_distribution_exact, urn_from, urn_moment_exact, urn_run)
+                  descendants_direct, descendants_law_from_trees,
+                  descendants_law_from_urn, descendants_via_urn,
+                  insertion_load_law, urn_distribution_exact, urn_from,
+                  urn_moment_exact, urn_run)
 from .verify import (AffineRatioReport, BalanceReport, DegenerateFamilyError,
                      NotGrown, ScalingReport, UndefinedRatioError,
                      balance_value, check_affine_ratio, check_balance,
@@ -30,7 +30,7 @@ from .weights import (BucketRecursive, DAryIncreasing, DegreeWeights,
                       InvalidWeightsError, PlaneOriented, PowDegreeWeights,
                       WeightModel, to_fraction, weights_of)
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "BucketNode", "BucketTree", "bucket", "shape_bucket", "single_bucket_tree",
@@ -52,7 +52,7 @@ __all__ = [
     "NotGrown", "UndefinedRatioError", "DegenerateFamilyError",
     "UrnState", "urn_from", "urn_run", "urn_distribution_exact",
     "urn_moment_exact", "binomial_moment", "DescendantSample",
-    "descendants_from_white", "descendants_direct", "descendants_via_urn",
+    "descendants_direct", "descendants_via_urn",
     "insertion_load_law", "descendants_law_from_trees",
     "descendants_law_from_urn",
     "chi_square_gof", "GofReport", "sampler_gof", "beta_moment",

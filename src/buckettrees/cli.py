@@ -220,8 +220,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
     spec = require_spec(args)
     # Tree i grows from its own stream, so output depends on (seed, count) only.
     master = SplitMix64(_parse_seed(args.seed))
-    encodings = [encode_tree(sample_tree(spec, args.n, master.spawn(i)))
-                 for i in range(args.count)]
+    encodings = (encode_tree(sample_tree(spec, args.n, master.spawn(i)))
+                 for i in range(args.count))
 
     if args.aggregate:
         counts = Counter(encodings)

@@ -11,8 +11,10 @@ samplers keep their own integer generator, so the two routes of every
 dual check stay independent.
 
 Limit background, stated operationally: conditional on the insertion load
-K of label j's bucket, the scaled descendant count Y/n converges to a
-Beta(K + kappa, j - K) variable, with kappa the family's shift constant.
+K of label j's bucket, the descendants urn starts with K + kappa white and
+j - K black balls (``urn_from``; kappa = c2/c1), and the scaled descendant
+count Y/n converges to a Beta(K + kappa, j - K) variable, the limit of the
+urn's white fraction.
 At second order sqrt(n) (Y_n/n - beta) is asymptotically a centered
 Gaussian whose variance is proportional to beta (1 - beta); the
 proportionality constant is not pinned down here, so the second-order
@@ -171,10 +173,10 @@ def _urn_batch(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """White-draw counts of ``size`` urn trajectories after ``draws`` draws.
 
-    The urn's draws are exchangeable: given p ~ Beta(W0/sigma, B0/sigma)
-    they are i.i.d. Bernoulli(p), so each count is Binomial(draws, p), and
-    a snapshot count plus an independent Binomial(draws - snapshot_at, p)
-    is the final count.  With no black mass p = 1.  Returns (final counts,
+    The urn's draws are exchangeable: given p ~ Beta(white, black) they
+    are i.i.d. Bernoulli(p), so each count is Binomial(draws, p), and a
+    snapshot count plus an independent Binomial(draws - snapshot_at, p) is
+    the final count.  With no black balls p = 1.  Returns (final counts,
     counts at snapshot_at or None).
     """
     state = urn_from(spec, j, load)
@@ -182,7 +184,7 @@ def _urn_batch(
     if state.black == 0:
         p = np.ones(size)
     else:
-        p = gen.beta(float(state.white / state.sigma), float(state.black / state.sigma), size)
+        p = gen.beta(float(state.white), float(state.black), size)
     if snapshot_at is None:
         return gen.binomial(draws, p), None
     snap = gen.binomial(snapshot_at, p)
@@ -220,28 +222,25 @@ def check_beta_convergence(
     seed: int,
     se_multiplier: float = 4.0,
 ) -> BetaConvergenceReport:
-    """Compare conditional moments of Y/n with the Beta(load+kappa, j-load) limit.
+    """Compare conditional moments of Y/n with the urn's Beta(white, black) limit.
 
     Conditioning on the insertion load is exact: the urn starts from the
-    state that load determines (``urn_from``).  The pass band around each
-    limit moment is se_multiplier standard errors plus the exact finite-n
-    bias, which is computable in closed form from the urn moments; the
-    check passes when both moments of every cell fall inside their bands.
+    state that load determines (``urn_from``), white = load + kappa and
+    black = j - load.  The pass band around each limit moment is
+    se_multiplier standard errors plus the exact finite-n bias, which is
+    computable in closed form from the urn moments; the check passes when
+    both moments of every cell fall inside their bands.
     """
     if not n_grid or any(n <= j for n in n_grid):
         raise ValueError("every n in the grid must exceed j")
     if sorted(n_grid) != list(n_grid):
         raise ValueError("n_grid must be increasing")
     state = urn_from(spec, j, load)
-    if j <= spec.b and load != j:
-        raise ValueError(f"for j <= b the load is deterministically j={j}")
     if samples < MIN_GOF_SAMPLES:
         raise ValueError(f"need at least {MIN_GOF_SAMPLES} samples, got {samples}")
 
-    a_param = load + spec.kappa()
-    b_param = Fraction(j - load)
-    m1 = beta_moment(a_param, b_param, 1)
-    m2 = beta_moment(a_param, b_param, 2)
+    m1 = beta_moment(state.white, state.black, 1)
+    m2 = beta_moment(state.white, state.black, 2)
     var_beta = m2 - m1 * m1
 
     cells = []
@@ -252,16 +251,16 @@ def check_beta_convergence(
         # a zero-variance cell (no black mass) sits on its bias, not an ulp off.
         ys = (1 + counts).tolist()
         mean = Fraction(sum(ys), n * samples)
-        # Exact finite-n mean:  E Y = 1 + W0 * draws / T0.
+        # Exact finite-n mean:  E Y = 1 + white * draws / total.
         exact_mean = (1 + state.white * draws / state.total) / n
         se = math.sqrt(float(var_beta) / samples)
         tolerance = Fraction(se_multiplier * se) + abs(exact_mean - m1)
         error = abs(mean - m1)
 
         emp2 = Fraction(sum(y * y for y in ys), n * n * samples)
-        mom1 = urn_moment_exact(state, draws, 1)          # E A, A = W/sigma
-        mom2 = urn_moment_exact(state, draws, 2)          # E binom(A+1, 2)
-        a0 = state.white / state.sigma
+        mom1 = urn_moment_exact(state, draws, 1)          # E W, W = white + S
+        mom2 = urn_moment_exact(state, draws, 2)          # E binom(W+1, 2)
+        a0 = state.white
         es = mom1 - a0                                     # E S
         es2 = 2 * mom2 - mom1 - 2 * a0 * mom1 + a0 * a0    # E S^2
         exact_second = (1 + 2 * es + es2) / (Fraction(n) ** 2)
@@ -336,18 +335,18 @@ def second_order_diagnostic(
         raise ValueError(f"need j < n < horizon, got {j}, {n}, {horizon}")
     if trajectories < MIN_GOF_SAMPLES:
         raise ValueError(f"need at least {MIN_GOF_SAMPLES} trajectories, got {trajectories}")
-    if state.black == 0 or state.white == 0:
-        # Deterministic urn: all draws go one way, the centered values vanish.
+    if state.black == 0:
+        # Deterministic urn: every draw is white, the centered values vanish.
         return SecondOrderReport(n, horizon, trajectories, 0.0, 0.0, 0.0, True,
                                  True, degenerate=True)
 
     counts_star, counts_n = _urn_batch(
         spec, j, load, horizon - j, trajectories, seed, snapshot_at=n - j)
     assert counts_n is not None
-    scale = spec.weight_scale()
-    total_star = float((state.total + state.sigma * (horizon - j)) * scale)
-    white_star = float(state.white * scale) + float(state.sigma * scale) * counts_star
-    beta_hat = white_star / total_star
+    # beta_hat = (white + k*) / (total + horizon - j).  White and total share
+    # one denominator, so the ratio of numerators is one rounding of it.
+    white, total = state.white, state.total + horizon - j
+    beta_hat = (white.numerator + white.denominator * counts_star) / total.numerator
 
     draws = float(n - j)
     values = (counts_n - draws * beta_hat) / math.sqrt(draws)

@@ -144,12 +144,13 @@ def _node_from_obj(obj: object, depth: int = 1) -> BucketNode:
     keys = set(obj)
     if keys == {"labels", "children"}:
         labels = obj["labels"]
-        if not isinstance(labels, list) or not all(isinstance(x, int) for x in labels):
+        # type() rather than isinstance(): JSON true/false decode to bool, an int.
+        if not isinstance(labels, list) or not all(type(x) is int for x in labels):
             raise EncodingError("labels must be a list of integers")
         capacity = len(labels)
     elif keys == {"capacity", "children"}:
         capacity = obj["capacity"]
-        if not isinstance(capacity, int):
+        if type(capacity) is not int:
             raise EncodingError("capacity must be an integer")
         labels = []
     else:

@@ -1,22 +1,23 @@
 """The descendants statistic and its two-colour urn.
 
-Fix a label j.  In the growing tree, the number of labels >= j in the
-subtree rooted at j's bucket evolves as a Polya urn: white mass favours
-the subtree, black mass the rest, and each arrival adds sigma to the drawn
-colour.  Conditional on the load K that j's bucket had when j arrived, the
-urn starts at
+Fix a label j.  In the growing tree, each label after j joins either the
+subtree rooted at j's bucket (white) or the rest (black), with probability
+proportional to that side's attachment weight.  Attachment weights are
+affine with slope c1, so in units of c1 this is a classical Polya urn in
+ball counts: conditional on the load K that j's bucket had when j arrived,
+it starts with
 
-    white = sigma*K + c2,   black = sigma*(j - K),
+    white = K + kappa,   black = j - K,   kappa = c2 / c1,
 
-with (sigma, c2) the family's affine constants, and after the draw for
-size m the total mass equals sigma*m + c2 for m >= j.  The descendant
-count is recovered from the white mass by an exact integer shift.
+and each draw adds one ball of the colour drawn (kappa > -1 in every
+family, so white > 0; ball counts are rational).  After the draw for size
+m the urn holds m + kappa balls, and the descendant count at size n is
+Y = 1 + (white draws among the n - j draws).
 
-Each draw adds sigma to the colour drawn, so this is a classical Polya
-urn: its draws are exchangeable and the number of white draws in m steps
-is BetaBinomial(m, W0/sigma, B0/sigma) (de Finetti).  Everything here is
-rational arithmetic: simulation, that law in closed form, and closed-form
-binomial moments.
+The draws are exchangeable, so the number of white draws in m steps is
+BetaBinomial(m, white, black) (de Finetti), and Y/n tends to
+Beta(K + kappa, j - K).  Everything here is rational arithmetic:
+simulation, that law in closed form, and closed-form binomial moments.
 """
 
 from __future__ import annotations
@@ -34,22 +35,18 @@ from .weights import FamilySpec, binom_frac
 
 @dataclass(frozen=True)
 class UrnState:
-    """Two colours with rational masses; each draw adds ``sigma`` to one."""
+    """Two colours with rational ball counts; each draw adds one ball."""
 
     white: Fraction
     black: Fraction
-    sigma: Fraction
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "white", Fraction(self.white))
         object.__setattr__(self, "black", Fraction(self.black))
-        object.__setattr__(self, "sigma", Fraction(self.sigma))
         if self.white < 0 or self.black < 0:
-            raise ValueError(f"masses must be non-negative: {self.white}, {self.black}")
+            raise ValueError(f"ball counts must be non-negative: {self.white}, {self.black}")
         if self.white + self.black <= 0:
-            raise ValueError("total mass must be positive")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+            raise ValueError("total ball count must be positive")
 
     @property
     def total(self) -> Fraction:
@@ -62,65 +59,65 @@ def urn_from(spec: FamilySpec, j: int, load: int) -> UrnState:
         raise ValueError(f"j must be >= 1, got {j}")
     if not 1 <= load <= min(j, spec.b):
         raise ValueError(f"load {load} impossible for j={j}, b={spec.b}")
-    sigma, offset = spec.affine_constants()
-    return UrnState(sigma * load + offset, sigma * (j - load), sigma)
+    if load < j <= spec.b:
+        raise ValueError(f"for j <= b the load is deterministically j={j}")
+    return UrnState(load + spec.kappa(), Fraction(j - load))
 
 
-def urn_run(state: UrnState, draws: int, rng: SplitMix64) -> Fraction:
-    """White mass after ``draws`` exact draws."""
+def urn_run(state: UrnState, draws: int, rng: SplitMix64) -> int:
+    """Number of white draws among ``draws`` exact draws."""
     if draws < 0:
         raise ValueError(f"draws must be >= 0, got {draws}")
-    white, black = state.white, state.black
-    for _ in range(draws):
-        if rng.bernoulli(white / (white + black)):
-            white += state.sigma
-        else:
-            black += state.sigma
+    # Draw i is white with probability (white + k) / (total + i), k white so
+    # far; scaled by q to integers, that is one Fraction per draw.
+    q = math.lcm(state.white.denominator, state.black.denominator)
+    white0, total0 = int(state.white * q), int(state.total * q)
+    white = 0
+    for i in range(draws):
+        if rng.bernoulli(Fraction(white0 + q * white, total0 + q * i)):
+            white += 1
     return white
 
 
-def urn_distribution_exact(state: UrnState, draws: int) -> dict[Fraction, Fraction]:
-    """Law of the white mass after ``draws`` draws, in closed form.
+def urn_distribution_exact(state: UrnState, draws: int) -> dict[int, Fraction]:
+    """Law of the number of white draws among ``draws``, in closed form.
 
-    With a = W0/sigma and b = B0/sigma the number k of white draws among m
-    is Beta-binomial:  p_0 = (b)_m / (a+b)_m in rising factorials, and
-    p_{k+1} = p_k * (m-k)/(k+1) * (a+k)/(b+m-k-1).  With no black mass
+    With a = white and b = black the count k among m draws is
+    Beta-binomial:  p_0 = (b)_m / (a+b)_m in rising factorials, and
+    p_{k+1} = p_k * (m-k)/(k+1) * (a+k)/(b+m-k-1).  With no black balls
     every draw is white.
     """
     if draws < 0:
         raise ValueError(f"draws must be >= 0, got {draws}")
     if state.black == 0:
-        return {state.white + state.sigma * draws: Fraction(1)}
-    a = state.white / state.sigma
-    b = state.black / state.sigma
-    m = draws
+        return {draws: Fraction(1)}
+    a, b, m = state.white, state.black, draws
     probs = [math.prod(((b + i) / (a + b + i) for i in range(m)), start=Fraction(1))]
     for k in range(m):
         probs.append(probs[-1] * (m - k) * (a + k) / ((k + 1) * (b + m - k - 1)))
-    return {state.white + state.sigma * k: p for k, p in enumerate(probs) if p != 0}
+    return {k: p for k, p in enumerate(probs) if p != 0}
 
 
 def urn_moment_exact(state: UrnState, draws: int, s: int) -> Fraction:
-    """E binom(W/sigma + s - 1, s) after ``draws`` draws, in closed form.
+    """E binom(W + s - 1, s), W the white ball count after ``draws`` draws.
 
-    Writing T_m = T_0 + sigma*m for the total mass after m draws, the
-    moment equals binom(W_0/sigma + s - 1, s) * prod_{i<s} T_{draws+i}/T_i;
-    one draw multiplies the moment by T_{m+s}/T_m, and the product over a
-    run telescopes.
+    With T_m = T_0 + m balls after m draws the moment equals
+    binom(W_0 + s - 1, s) * prod_{i<s} T_{draws+i}/T_i; one draw multiplies
+    the moment by T_{m+s}/T_m, and the product over a run telescopes.
     """
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     if draws < 0:
         raise ValueError(f"draws must be >= 0, got {draws}")
-    value = binom_frac(state.white / state.sigma + s - 1, s)
+    value = binom_frac(state.white + s - 1, s)
     for i in range(s):
-        value *= (state.total + state.sigma * (draws + i)) / (state.total + state.sigma * i)
+        value *= (state.total + draws + i) / (state.total + i)
     return value
 
 
-def binomial_moment(law: Mapping[Fraction, Fraction], sigma: Fraction, s: int) -> Fraction:
-    """E binom(W/sigma + s - 1, s) over an explicit white-mass law."""
-    return sum((binom_frac(Fraction(w) / sigma + s - 1, s) * p for w, p in law.items()),
+def binomial_moment(state: UrnState, law: Mapping[int, Fraction], s: int) -> Fraction:
+    """E binom(W + s - 1, s) over an explicit law of the white-draw count."""
+    return sum((binom_frac(state.white + k + s - 1, s) * p for k, p in law.items()),
                Fraction(0))
 
 
@@ -141,15 +138,6 @@ def _check_window(n: int, j: int) -> None:
         raise ValueError(f"need 1 <= j <= n, got j={j}, n={n}")
 
 
-def descendants_from_white(spec: FamilySpec, white: Fraction, load: int) -> int:
-    """Invert the urn map: white mass back to a descendant count."""
-    sigma, offset = spec.affine_constants()
-    y = (Fraction(white) - offset) / sigma - load + 1
-    if y.denominator != 1 or y < 1:
-        raise ValueError(f"white mass {white} is not reachable from load {load}")
-    return int(y)
-
-
 def descendants_direct(spec: FamilySpec, n: int, j: int, rng: SplitMix64) -> DescendantSample:
     """Grow a size-n tree and read the statistic off the tree."""
     _check_window(n, j)
@@ -161,15 +149,14 @@ def descendants_via_urn(spec: FamilySpec, n: int, j: int, rng: SplitMix64) -> De
     """Grow only to size j, then run the urn for the remaining steps.
 
     For j <= b the bucket of j is still the root bucket, the urn has no
-    black mass, and the count is the deterministic n + 1 - j.
+    black balls, and the count is the deterministic n + 1 - j.
     """
     _check_window(n, j)
     if j <= spec.b:
         return DescendantSample(n, j, j, n + 1 - j)
     tree = sample_tree(spec, j, rng)
     load = insertion_load(tree, j)
-    white = urn_run(urn_from(spec, j, load), n - j, rng)
-    return DescendantSample(n, j, load, descendants_from_white(spec, white, load))
+    return DescendantSample(n, j, load, 1 + urn_run(urn_from(spec, j, load), n - j, rng))
 
 
 # ── exact laws, two independent routes ────────────────────────────────────
@@ -200,8 +187,6 @@ def descendants_law_from_urn(spec: FamilySpec, n: int, j: int,
     _check_window(n, j)
     law: dict[int, Fraction] = {}
     for load, p_load in insertion_load_law(spec, j, limit).items():
-        urn_law = urn_distribution_exact(urn_from(spec, j, load), n - j)
-        for white, p in urn_law.items():
-            y = descendants_from_white(spec, white, load)
-            law[y] = law.get(y, Fraction(0)) + p_load * p
+        for k, p in urn_distribution_exact(urn_from(spec, j, load), n - j).items():
+            law[1 + k] = law.get(1 + k, Fraction(0)) + p_load * p
     return law

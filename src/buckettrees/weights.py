@@ -321,12 +321,8 @@ class FamilySpec(abc.ABC):
     @abc.abstractmethod
     def describe(self) -> dict: ...
 
-    def sigma(self) -> Fraction:
-        """Ball increment of the descendants urn; equals c1."""
-        return self.affine_constants()[0]
-
     def kappa(self) -> Fraction:
-        """Shift in the limit-law parameters; equals c2 / c1."""
+        """White-ball shift of the descendants urn and its Beta limit; c2 / c1."""
         c1, c2 = self.affine_constants()
         return c2 / c1
 

@@ -186,18 +186,18 @@ def test_criterion_6_descendant_law_urn_reduction():
 
 
 def test_criterion_7_urn_moment_identity():
-    states = [UrnState(F(1), F(1), F(1)), UrnState(F(2), F(1), F(1)),
-              UrnState(F(3), F(2), F(2)), UrnState(F(1, 2), F(1), F(1, 2)),
-              UrnState(F(3), F(2), F(1, 2)), UrnState(F(2), F(0), F(1)),
-              UrnState(F(0), F(3), F(1, 2)),
-              UrnState(F(5, 2), F(3, 2), F(3, 2))]
+    states = [UrnState(F(1), F(1)), UrnState(F(2), F(1)),
+              UrnState(F(3, 2), F(1)), UrnState(F(1), F(2)),
+              UrnState(F(6), F(4)), UrnState(F(2), F(0)),
+              UrnState(F(0), F(6)),
+              UrnState(F(5, 3), F(1))]
     notes = []
     for state in states:
         for draws in range(16):
             law = urn_distribution_exact(state, draws)
             for s in (1, 2, 3):
                 direct = urn_moment_exact(state, draws, s)
-                summed = binomial_moment(law, state.sigma, s)
+                summed = binomial_moment(state, law, s)
                 if direct != summed:
                     notes.append(f"{state} draws={draws} s={s}")
     ok = not notes

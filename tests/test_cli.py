@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -18,6 +19,10 @@ from hypothesis import given, settings, strategies as st
 import buckettrees
 from buckettrees import DAryIncreasing, SplitMix64, encode_tree, sample_tree
 from buckettrees.cli import build_parser, main
+
+# stdout sha256 of the benchmark's exact-lane commands; read, never written.
+DIGESTS = json.loads((Path(__file__).parents[1] / "perfbench" / "digests.json")
+                     .read_text(encoding="utf-8"))
 
 
 def run(capsys, *argv):
@@ -268,6 +273,9 @@ def test_growth_sizes_and_counts_must_be_positive(capsys, argv):
     ("stats", "--check", "beta", "--samples", "0"),
     ("stats", "--check", "second-order", "--trajectories", "0"),
     ("stats", "--check", "second-order", "--trajectories", "2"),
+    # For j <= b label j lands in the root bucket, so its load is j.
+    ("stats", "--check", "second-order", "--j", "2", "--load", "1", "--n", "100",
+     "--trajectories", "100", "--horizon", "1000", "--seed", "1"),
     ("stats", "--check", "gof", "--level", "0"),
     ("stats", "--check", "gof", "--level", "1"),
     ("stats", "--check", "gof", "--level", "nan"),
@@ -284,6 +292,13 @@ def test_stats_enumerate_verify_inputs_are_validated(capsys, argv):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert "error: " in captured.err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("command", sorted(DIGESTS))
+def test_exact_lane_output_matches_benchmark_digest(capsys, command):
+    rc, out, _ = run(capsys, *command.split())
+    assert rc == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == DIGESTS[command]
 
 
 # ── robustness over the parser's own choices ──────────────────────────────

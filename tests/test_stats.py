@@ -157,7 +157,7 @@ def test_urn_batch_matches_exact_law():
     def fits(spec, j, load, draws, counts):
         state = urn_from(spec, j, load)
         law = urn_distribution_exact(state, draws)
-        expected = {float((w - state.white) / state.sigma): float(p) for w, p in law.items()}
+        expected = {float(k): float(p) for k, p in law.items()}
         observed: dict[float, int] = {}
         for c in counts:
             observed[float(c)] = observed.get(float(c), 0) + 1
@@ -267,6 +267,8 @@ def test_second_order_validation():
     spec = BucketRecursive(2)
     with pytest.raises(ValueError, match="impossible"):
         second_order_diagnostic(spec, 4, 3, 100, 10, 1000, 0)
+    with pytest.raises(ValueError, match="deterministically"):
+        second_order_diagnostic(spec, 2, 1, 100, 100, 1000, 1)
     with pytest.raises(ValueError, match="j < n < horizon"):
         second_order_diagnostic(spec, 4, 2, 100, 10, 50, 0)
     with pytest.raises(ValueError, match=str(MIN_GOF_SAMPLES)):

@@ -157,6 +157,14 @@ def test_decode_rejects_garbage():
         decode_tree(b"[" * 3000 + b"]" * 3000, 2)  # deeper than the JSON parser recurses
 
 
+def test_decode_rejects_json_booleans():
+    # JSON true decodes to a bool, which is an int: it must not pass as 1.
+    with pytest.raises(EncodingError, match="labels"):
+        decode_tree(b'{"labels":[true],"children":[]}', 2)
+    with pytest.raises(EncodingError, match="capacity"):
+        decode_tree(b'{"capacity":true,"children":[]}', 2)
+
+
 def chain_encoding(depth: int) -> bytes:
     """Canonical encoding of the b = 1 chain with labels 1..depth."""
     head = '{"children":[' * (depth - 1) + f'{{"children":[],"labels":[{depth}]}}'

@@ -10,30 +10,50 @@ from hypothesis import given, settings, strategies as st
 from buckettrees import (BucketRecursive, DAryIncreasing, PlaneOriented,
                          SplitMix64, UrnState, binomial_moment,
                          count_descendants, descendants_direct,
-                         descendants_from_white, descendants_law_from_trees,
-                         descendants_law_from_urn, descendants_via_urn,
-                         insertion_load_law, sample_tree,
+                         descendants_law_from_trees, descendants_law_from_urn,
+                         descendants_via_urn, insertion_load_law, sample_tree,
                          urn_distribution_exact, urn_from, urn_moment_exact,
                          urn_run)
 
 F = Fraction
 
+# Criterion 6's family grid.
+CRITERION_6_SPECS = [BucketRecursive(1), BucketRecursive(2),
+                     DAryIncreasing(1, F(2)), DAryIncreasing(2, F(2)),
+                     DAryIncreasing(2, F(3, 2)),
+                     PlaneOriented(1, F(1)), PlaneOriented(2, F(1))]
+
+# Ball counts: white may be fractional (K + kappa), black is j - K.
+WHITE = st.fractions(min_value=0, max_value=4, max_denominator=3)
+BLACK = st.integers(0, 4)
+
 
 def test_urn_state_validation():
     with pytest.raises(ValueError, match="non-negative"):
-        UrnState(F(-1), F(1), F(1))
+        UrnState(F(-1), F(1))
     with pytest.raises(ValueError, match="total"):
-        UrnState(F(0), F(0), F(1))
-    with pytest.raises(ValueError, match="sigma"):
-        UrnState(F(1), F(1), F(0))
-    assert UrnState(F(0), F(2), F(1)).total == 2
+        UrnState(F(0), F(0))
+    assert UrnState(F(0), F(2)).total == 2
 
 
 def test_urn_from_families():
-    # white = sigma*load + c2, black = sigma*(j - load).
-    assert urn_from(BucketRecursive(2), 3, 2) == UrnState(F(2), F(1), F(1))
-    assert urn_from(PlaneOriented(2, F(1)), 3, 2) == UrnState(F(3), F(2), F(2))
-    assert urn_from(DAryIncreasing(2, F(3, 2)), 3, 1) == UrnState(F(3, 2), F(1), F(1, 2))
+    # white = load + kappa, black = j - load.
+    assert urn_from(BucketRecursive(2), 3, 2) == UrnState(F(2), F(1))
+    assert urn_from(PlaneOriented(2, F(1)), 3, 2) == UrnState(F(3, 2), F(1))
+    assert urn_from(DAryIncreasing(2, F(3, 2)), 3, 1) == UrnState(F(3), F(2))
+
+
+def test_urn_from_is_the_beta_limit_pair():
+    # The urn starts at the Beta(K + c2/c1, j - K) limit's parameters, with
+    # white > 0 (kappa > -1), on criterion 6's grid.
+    for spec in CRITERION_6_SPECS:
+        c1, c2 = spec.affine_constants()
+        for j in range(1, 7):
+            loads = [j] if j <= spec.b else range(1, spec.b + 1)
+            for load in loads:
+                state = urn_from(spec, j, load)
+                assert (state.white, state.black) == (load + c2 / c1, j - load), (spec, j, load)
+                assert state.white > 0
 
 
 def test_urn_from_rejects_bad_load():
@@ -43,96 +63,96 @@ def test_urn_from_rejects_bad_load():
         urn_from(BucketRecursive(2), 3, 0)
     with pytest.raises(ValueError, match=">= 1"):
         urn_from(BucketRecursive(2), 0, 1)
+    # For j <= b label j always lands in the root bucket, with load j.
+    for load, j in ((1, 2), (1, 3), (2, 3)):
+        with pytest.raises(ValueError, match="deterministically"):
+            urn_from(BucketRecursive(3), j, load)
 
 
 def test_urn_distribution_classical_polya():
     # The classical urn stays uniform over reachable compositions.
-    law = urn_distribution_exact(UrnState(F(1), F(1), F(1)), 2)
-    assert law == {F(1): F(1, 3), F(2): F(1, 3), F(3): F(1, 3)}
+    law = urn_distribution_exact(UrnState(F(1), F(1)), 2)
+    assert law == {0: F(1, 3), 1: F(1, 3), 2: F(1, 3)}
 
 
 def test_urn_distribution_zero_mass_edges():
-    all_white = urn_distribution_exact(UrnState(F(2), F(0), F(1)), 3)
-    assert all_white == {F(5): F(1)}
-    no_white = urn_distribution_exact(UrnState(F(0), F(2), F(1)), 3)
-    assert no_white == {F(0): F(1)}
+    all_white = urn_distribution_exact(UrnState(F(2), F(0)), 3)
+    assert all_white == {3: F(1)}
+    no_white = urn_distribution_exact(UrnState(F(0), F(2)), 3)
+    assert no_white == {0: F(1)}
 
 
 def test_urn_moment_frozen_values():
-    state = UrnState(F(1), F(1), F(1))
+    state = UrnState(F(1), F(1))
     assert urn_moment_exact(state, 2, 1) == 2        # E W after 2 draws
     assert urn_moment_exact(state, 2, 2) == F(10, 3)  # E binom(W+1, 2)
 
 
 def test_urn_moment_matches_distribution():
-    states = [UrnState(F(1), F(1), F(1)), UrnState(F(2), F(1), F(1)),
-              UrnState(F(1, 2), F(3, 2), F(1, 2)), UrnState(F(3), F(0), F(2))]
+    states = [UrnState(F(1), F(1)), UrnState(F(2), F(1)),
+              UrnState(F(1), F(3)), UrnState(F(3, 2), F(0))]
     for state in states:
         for draws in (0, 1, 3, 6):
             law = urn_distribution_exact(state, draws)
             for s in (1, 2, 3):
-                assert urn_moment_exact(state, draws, s) == binomial_moment(law, state.sigma, s)
+                assert urn_moment_exact(state, draws, s) == binomial_moment(state, law, s)
 
 
 @settings(max_examples=40, deadline=None)
-@given(white=st.integers(0, 4), black=st.integers(0, 4),
-       sigma=st.sampled_from([F(1), F(2), F(1, 2), F(3, 2)]),
-       draws=st.integers(0, 7), s=st.integers(1, 3))
-def test_urn_moment_identity_property(white, black, sigma, draws, s):
+@given(white=WHITE, black=BLACK, draws=st.integers(0, 7), s=st.integers(1, 3))
+def test_urn_moment_identity_property(white, black, draws, s):
     if white + black == 0:
         return
-    state = UrnState(sigma * white, sigma * black, sigma)
+    state = UrnState(white, black)
     law = urn_distribution_exact(state, draws)
-    assert urn_moment_exact(state, draws, s) == binomial_moment(law, state.sigma, s)
+    assert urn_moment_exact(state, draws, s) == binomial_moment(state, law, s)
 
 
 @settings(max_examples=40, deadline=None)
-@given(white=st.integers(0, 4), black=st.integers(0, 4),
-       sigma=st.sampled_from([F(1), F(2), F(1, 2), F(3, 2)]),
-       draws=st.integers(0, 7))
-def test_urn_law_obeys_one_draw_recursion(white, black, sigma, draws):
-    # One more draw adds sigma to white with probability W/T, else to black.
+@given(white=WHITE, black=BLACK, draws=st.integers(0, 7))
+def test_urn_law_obeys_one_draw_recursion(white, black, draws):
+    # One more draw is white with probability (white + k) / (total + draws).
     if white + black == 0:
         return
-    state = UrnState(sigma * white, sigma * black, sigma)
-    total = state.total + sigma * draws
-    stepped: dict[Fraction, Fraction] = {}
-    for w, p in urn_distribution_exact(state, draws).items():
-        for nxt, q in ((w + sigma, w / total), (w, 1 - w / total)):
-            if q != 0:
-                stepped[nxt] = stepped.get(nxt, F(0)) + p * q
+    state = UrnState(white, black)
+    total = state.total + draws
+    stepped: dict[int, Fraction] = {}
+    for k, p in urn_distribution_exact(state, draws).items():
+        q = (state.white + k) / total
+        for nxt, r in ((k + 1, q), (k, 1 - q)):
+            if r != 0:
+                stepped[nxt] = stepped.get(nxt, F(0)) + p * r
     assert urn_distribution_exact(state, draws + 1) == stepped
 
 
 def test_white_fraction_is_a_martingale():
-    for state in (UrnState(F(1), F(2), F(1)), UrnState(F(3), F(1), F(2))):
+    for state in (UrnState(F(1), F(2)), UrnState(F(3, 2), F(1, 2))):
         start = state.white / state.total
         for draws in (1, 2, 5):
             law = urn_distribution_exact(state, draws)
-            total = state.total + state.sigma * draws
-            assert sum(p * w / total for w, p in law.items()) == start
+            total = state.total + draws
+            assert sum(p * (state.white + k) / total for k, p in law.items()) == start
 
 
 def test_urn_run_deterministic_and_reachable():
-    state = UrnState(F(2), F(1), F(1))
+    state = UrnState(F(2), F(1))
     w1 = urn_run(state, 10, SplitMix64(3))
     w2 = urn_run(state, 10, SplitMix64(3))
     assert w1 == w2
     assert w1 in urn_distribution_exact(state, 10)
-    assert urn_run(UrnState(F(1), F(0), F(2)), 4, SplitMix64(0)) == 9
+    assert urn_run(UrnState(F(1, 2), F(0)), 4, SplitMix64(0)) == 4
+
+
+@settings(max_examples=40, deadline=None)
+@given(white=WHITE, black=BLACK, draws=st.integers(0, 12), seed=st.integers(0, 2**64 - 1))
+def test_urn_run_lands_in_the_exact_support(white, black, draws, seed):
+    if white + black == 0:
+        return
+    state = UrnState(white, black)
+    assert urn_run(state, draws, SplitMix64(seed)) in urn_distribution_exact(state, draws)
 
 
 # ── descendants ───────────────────────────────────────────────────────────
-
-def test_descendants_from_white_inverts_the_shift():
-    spec = PlaneOriented(2, F(1))  # sigma 2, offset -1
-    for load in (1, 2):
-        for y in (1, 2, 5):
-            white = spec.sigma() * (load + y - 1) + spec.affine_constants()[1]
-            assert descendants_from_white(spec, white, load) == y
-    with pytest.raises(ValueError, match="not reachable"):
-        descendants_from_white(spec, F(2), 1)
-
 
 def test_descendants_law_frozen_example():
     law = descendants_law_from_trees(BucketRecursive(2), 4, 3)
