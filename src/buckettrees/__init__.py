@@ -25,20 +25,20 @@ from .verify import (AffineRatioReport, BalanceReport, DegenerateFamilyError,
 from .stats import (BetaCell, BetaConvergenceReport, GofReport,
                     SecondOrderReport, beta_moment, check_beta_convergence,
                     chi_square_gof, sampler_gof, second_order_diagnostic)
-from .weights import (BucketRecursive, DAryIncreasing, DegreeWeights,
-                      ExpDegreeWeights, ExplicitDegreeWeights, FamilySpec,
-                      InvalidWeightsError, PlaneOriented, PowDegreeWeights,
-                      WeightModel, to_fraction, weights_of)
+from .weights import (AffineDegreeWeights, BucketRecursive, DAryIncreasing,
+                      DegreeWeights, ExplicitDegreeWeights, FamilySpec,
+                      InvalidWeightsError, PlaneOriented, WeightModel,
+                      to_fraction, weights_of)
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "BucketNode", "BucketTree", "bucket", "shape_bucket", "single_bucket_tree",
     "encode_tree", "decode_tree", "tree_weight", "count_labellings",
     "node_profile", "subtree_of_label", "insertion_load", "count_descendants",
     "InvalidTreeError", "EncodingError",
-    "DegreeWeights", "ExplicitDegreeWeights", "ExpDegreeWeights",
-    "PowDegreeWeights", "WeightModel", "FamilySpec", "BucketRecursive",
+    "DegreeWeights", "ExplicitDegreeWeights", "AffineDegreeWeights",
+    "WeightModel", "FamilySpec", "BucketRecursive",
     "DAryIncreasing", "PlaneOriented", "weights_of", "to_fraction",
     "InvalidWeightsError",
     "enumerate_shapes", "shape_count", "total_weight", "total_weights",

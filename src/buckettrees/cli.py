@@ -21,11 +21,10 @@ import signal
 import sys
 from collections import Counter
 from dataclasses import asdict
-from fractions import Fraction
 
 from .enumeration import (EnumerationLimitError, check_ode_recurrence,
                           closed_form_total_weight, enumerate_shapes,
-                          total_weight)
+                          shape_counts, total_weight)
 from .evolve import exact_distribution, pushforward_strip, sample_tree
 from .rng import SplitMix64
 from .trees import EncodingError, InvalidTreeError, encode_tree, tree_weight
@@ -34,13 +33,12 @@ from .urn import (descendants_direct, descendants_law_from_urn,
 from .verify import (NotGrown, check_affine_ratio, check_balance,
                      check_scaling, classify_family)
 from .stats import check_beta_convergence, sampler_gof, second_order_diagnostic
-from .weights import (BucketRecursive, DAryIncreasing, ExpDegreeWeights,
-                      FamilySpec, InvalidWeightsError, PlaneOriented,
-                      PowDegreeWeights, ExplicitDegreeWeights, WeightModel,
-                      to_fraction, weights_of)
+from .weights import (AffineDegreeWeights, BucketRecursive, DAryIncreasing,
+                      ExplicitDegreeWeights, FamilySpec, InvalidWeightsError,
+                      PlaneOriented, WeightModel, to_fraction, weights_of)
 
 DEFAULT_SEED = 271828
-PRODUCT_CEILING = 60  # refuse enumeration when n * b exceeds this
+SHAPE_CEILING = 10**6  # refuse enumeration when size n has more shapes than this
 
 FAMILY_NAMES = ("bucket-recursive", "bdary", "baport")
 
@@ -85,17 +83,19 @@ def _parse_seed(value: str | None) -> int:
 
 
 def parse_degree_rule(text: str):
-    """Explicit list "1,2,2" or a named rule seq:c, exp:c, binom:D, negbinom:r."""
+    """Explicit list "1,2,2" or an AffineDegreeWeights (scale, rate, slope):
+    seq:c = (c, 1, -1), exp:c = (c, 1, 0) = c*e^t, binom:D = (1, D, 1) and
+    negbinom:r = (1, r, -1)."""
     name, sep, value = text.partition(":")
     if sep:
         if name == "seq":
-            return PowDegreeWeights(to_fraction(value), Fraction(-1), Fraction(-1))
+            return AffineDegreeWeights(value, 1, -1)
         if name == "exp":
-            return ExpDegreeWeights(to_fraction(value), Fraction(1))
+            return AffineDegreeWeights(value, 1, 0)
         if name == "binom":
-            return PowDegreeWeights(Fraction(1), Fraction(1), to_fraction(value))
+            return AffineDegreeWeights(1, value, 1)
         if name == "negbinom":
-            return PowDegreeWeights(Fraction(1), Fraction(-1), -to_fraction(value))
+            return AffineDegreeWeights(1, value, -1)
         raise InvalidWeightsError(f"unknown degree rule {name!r}")
     return ExplicitDegreeWeights(tuple(to_fraction(c) for c in text.split(",")))
 
@@ -159,11 +159,13 @@ def require_spec(args: argparse.Namespace) -> FamilySpec:
     return build_spec(args)
 
 
-def guard_product(n: int, b: int) -> None:
-    if n * b > PRODUCT_CEILING:
-        raise EnumerationLimitError(
-            f"refusing n*b = {n * b} > {PRODUCT_CEILING}: enumeration at this size "
-            f"is astronomically large")
+def guard_shapes(n: int, b: int) -> None:
+    # Counts never decrease with the size, so a huge n stops at the first excess.
+    for size, count in zip(range(1, n + 1), shape_counts(b)):
+        if count > SHAPE_CEILING:
+            raise EnumerationLimitError(
+                f"refusing n = {n} at b = {b}: size {size} has {count} shapes, "
+                f"more than {SHAPE_CEILING}")
 
 
 def emit_json(obj: dict) -> None:
@@ -179,7 +181,7 @@ def spawn_seeds(seed: int, count: int) -> list[int]:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     model, spec = build_model(args)
-    guard_product(args.n, model.b)
+    guard_shapes(args.n, model.b)
     rows = []
     for n in range(1, args.n + 1):
         total = total_weight(model, n, args.limit)
@@ -318,7 +320,7 @@ GROWTH_CHECKS = {"equivalence", "preserve"}  # growth is defined per family
 
 def cmd_verify(args: argparse.Namespace) -> int:
     model, spec = build_model(args)
-    guard_product(args.n, model.b)
+    guard_shapes(args.n, model.b)
     names = list(VERIFY_CHECKS) if args.check == "all" else [args.check]
     results = []
     for name in names:
@@ -343,7 +345,7 @@ def cmd_descend(args: argparse.Namespace) -> int:
         raise InvalidWeightsError(f"need 1 <= j <= n, got j={args.j}, n={args.n}")
     writer = csv.writer(sys.stdout, lineterminator="\n")
     if args.mode == "exact":
-        guard_product(args.j, spec.b)
+        guard_shapes(args.j, spec.b)
         law = descendants_law_from_urn(spec, args.n, args.j, args.limit)
         writer.writerow(["descendants", "probability"])
         for y in sorted(law):
@@ -365,7 +367,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     spec = require_spec(args)
     seed = _parse_seed(args.seed)
     if args.check == "gof":
-        guard_product(args.n, spec.b)
+        guard_shapes(args.n, spec.b)
         reports, ok = sampler_gof(spec, args.n, args.samples, spawn_seeds(seed, 3),
                                   args.level, args.limit)
         emit_json({"command": "stats", "check": "gof", "family": spec.describe(),

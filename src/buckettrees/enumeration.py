@@ -13,10 +13,12 @@ so a typo cannot ask for billions of shapes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from .trees import BucketNode, BucketTree, count_labellings, tree_weight
 from .weights import FamilySpec, WeightModel
@@ -66,8 +68,25 @@ def enumerate_shapes(b: int, n: int, limit: int | None = None) -> list[BucketTre
     return [BucketTree(node, b) for node in _shape_nodes(b, n)]
 
 
-def shape_count(b: int, n: int, limit: int | None = None) -> int:
-    return len(enumerate_shapes(b, n, limit))
+def shape_counts(b: int) -> Iterator[int]:
+    """Shape counts of sizes 1, 2, ... (never decreasing), building no shapes:
+    below size b a shape is one bucket, else a full bucket over an ordered
+    forest of size s - b, and a forest splits off its first tree."""
+    if b < 1:
+        raise ValueError(f"b must be >= 1, got b={b}")
+    shapes = [0]
+    forests = [1]
+    for s in itertools.count(1):
+        shapes.append(1 if s < b else forests[s - b])
+        forests.append(sum(shapes[k] * forests[s - k] for k in range(1, s + 1)))
+        yield shapes[s]
+
+
+def shape_count(b: int, n: int) -> int:
+    """Number of shapes of size n, as ``len(enumerate_shapes(b, n))``."""
+    if b < 1 or n < 1:
+        raise ValueError(f"b and n must be >= 1, got b={b}, n={n}")
+    return next(itertools.islice(shape_counts(b), n - 1, None))
 
 
 def total_weight(model: WeightModel, n: int, limit: int | None = None) -> Fraction:

@@ -94,10 +94,9 @@ def sample_tree(spec: FamilySpec, n: int, rng: SplitMix64) -> BucketTree:
         raise ValueError(f"n must be >= 1, got {n}")
     b = spec.b
     scale = spec.weight_scale()
-    c1, c2 = (c * scale for c in spec.affine_constants())
-    if c1.denominator != 1 or c2.denominator != 1:
-        raise AssertionError(f"bad scaled constants {c1}, {c2}")
-    join, split = int(c1), int(c2)
+    c1, c2 = spec.affine_constants()
+    join = c1.numerator * (scale // c1.denominator)
+    split = c2.numerator * (scale // c2.denominator)
     leaf = join + split
     if leaf < 0:
         raise AssertionError(f"negative leaf weight {leaf}")

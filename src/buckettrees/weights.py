@@ -3,9 +3,9 @@
 A weight model assigns a non-negative rational to every tree: saturated
 buckets contribute a degree weight phi_k (k = child count), unsaturated
 leaves a bucket weight psi_c (c = capacity).  Degree weights come either
-as an explicit list or as one of two closed-form rules (exponential and
-power of a binomial); every rule composes with a series the same way, by
-Horner's rule over its coefficients.
+as an explicit list or as the one closed rule of grown families, which
+covers the exponential and every power of a binomial; every rule composes
+with a series the same way, by Horner's rule over its coefficients.
 
 The families are parameter sets for the growth process.  Each is fixed by
 (b, c1, c2), where T_{n+1}/T_n = c1*n + c2, and ``weights_of`` derives its
@@ -132,81 +132,61 @@ class ExplicitDegreeWeights(DegreeWeights):
 
 
 @dataclass(frozen=True)
-class ExpDegreeWeights(DegreeWeights):
-    """phi(t) = scale * exp(rate * t), so phi_k = scale * rate^k / k!."""
+class AffineDegreeWeights(DegreeWeights):
+    """phi_0 = scale and (k+1) phi_{k+1} = (rate - slope*k) phi_k.
 
-    scale: Fraction
-    rate: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "scale", to_fraction(self.scale))
-        object.__setattr__(self, "rate", to_fraction(self.rate))
-        if self.scale <= 0:
-            raise InvalidWeightsError("scale must be positive")
-        if self.rate < 0:
-            raise InvalidWeightsError("a negative rate makes weights alternate in sign")
-
-    def coeff(self, k: int) -> Fraction:
-        return self.scale * self.rate**k / math.factorial(k)
-
-    def scaled(self, factor: Fraction, stretch: Fraction) -> "ExpDegreeWeights":
-        return ExpDegreeWeights(self.scale * factor, self.rate * stretch)
-
-    def support_bound(self) -> int | None:
-        return 0 if self.rate == 0 else None
-
-    def describe(self) -> dict:
-        return {"kind": "exponential", "scale": str(self.scale), "rate": str(self.rate)}
-
-
-@dataclass(frozen=True)
-class PowDegreeWeights(DegreeWeights):
-    """phi(t) = scale * (1 + base*t)^exponent.
-
-    Coefficients are non-negative in exactly two regimes: exponent a
-    non-negative integer with base > 0 (finite support), or exponent < 0
-    with base < 0 (all coefficients positive).
+    Equivalently (1 + slope*t) phi'(t) = rate * phi(t): phi is
+    scale * exp(rate*t) when slope = 0 and scale * (1 + slope*t)^(rate/slope)
+    otherwise.  Every coefficient is non-negative exactly when rate >= 0 and,
+    for slope > 0, rate/slope is an integer (then phi is a polynomial of
+    that degree).
     """
 
     scale: Fraction
-    base: Fraction
-    exponent: Fraction
+    rate: Fraction
+    slope: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scale", to_fraction(self.scale))
-        object.__setattr__(self, "base", to_fraction(self.base))
-        object.__setattr__(self, "exponent", to_fraction(self.exponent))
+        for name in ("scale", "rate", "slope"):
+            object.__setattr__(self, name, to_fraction(getattr(self, name)))
         if self.scale <= 0:
             raise InvalidWeightsError("scale must be positive")
-        if self.base == 0 or self.exponent == 0:
-            return  # constant phi; admissible here, rejected as degenerate by the model
-        integral = self.exponent.denominator == 1 and self.exponent > 0
-        if integral and self.base > 0:
-            return
-        if self.exponent < 0 and self.base < 0:
-            return
-        raise InvalidWeightsError(
-            f"(1 + {self.base} t)^{self.exponent} has sign-alternating coefficients")
+        if self.slope == 0:
+            if self.rate < 0:
+                raise InvalidWeightsError("a negative rate makes weights alternate in sign")
+        elif self.rate < 0 or (self.slope > 0 and (self.rate / self.slope).denominator != 1):
+            raise InvalidWeightsError(
+                f"(1 + {self.slope} t)^{self.rate / self.slope} "
+                f"has sign-alternating coefficients")
 
     def coeff(self, k: int) -> Fraction:
-        return self.scale * binom_frac(self.exponent, k) * self.base**k
+        # scale * prod_{i<k} (alpha - beta*i) / (q^k k!) with alpha, beta integers.
+        q = math.lcm(self.rate.denominator, self.slope.denominator)
+        alpha = self.rate.numerator * (q // self.rate.denominator)
+        beta = self.slope.numerator * (q // self.slope.denominator)
+        num = math.prod(alpha - beta * i for i in range(k))
+        return Fraction(self.scale.numerator * num,
+                        self.scale.denominator * q**k * math.factorial(k))
 
-    def scaled(self, factor: Fraction, stretch: Fraction) -> "PowDegreeWeights":
-        return PowDegreeWeights(self.scale * factor, self.base * stretch, self.exponent)
+    def scaled(self, factor: Fraction, stretch: Fraction) -> "AffineDegreeWeights":
+        return AffineDegreeWeights(self.scale * factor, self.rate * stretch,
+                                   self.slope * stretch)
 
     def support_bound(self) -> int | None:
-        if self.base == 0 or self.exponent == 0:
+        if self.rate == 0:
             return 0
-        if self.exponent.denominator == 1 and self.exponent > 0:
-            return int(self.exponent)
+        if self.slope > 0:
+            return int(self.rate / self.slope)
         return None
 
     def describe(self) -> dict:
+        if self.slope == 0:
+            return {"kind": "exponential", "scale": str(self.scale), "rate": str(self.rate)}
         return {
             "kind": "power",
             "scale": str(self.scale),
-            "base": str(self.base),
-            "exponent": str(self.exponent),
+            "base": str(self.slope),
+            "exponent": str(self.rate / self.slope),
         }
 
 
@@ -305,17 +285,13 @@ class FamilySpec(abc.ABC):
 
         psi_k = T_k = prod_{i<k} (c1*i + c2) for k < b.  The degree rule
         starts at phi_0 = T_b and obeys
-        (k+1) phi_{k+1} = (b*c1 + c2 - c2*k) phi_k: exponential when c2 = 0,
-        a power of a binomial otherwise.
+        (k+1) phi_{k+1} = (b*c1 + c2 - c2*k) phi_k.
         """
         c1, c2 = self.affine_constants()
         totals = [Fraction(1)]
         for i in range(1, self.b):
             totals.append(totals[-1] * self.connectivity(i))
-        if c2 == 0:
-            phi = ExpDegreeWeights(totals[-1], self.b * c1)
-        else:
-            phi = PowDegreeWeights(totals[-1], c2, (self.b * c1 + c2) / c2)
+        phi = AffineDegreeWeights(totals[-1], self.b * c1 + c2, c2)
         return WeightModel(self.b, tuple(totals[:-1]), phi)
 
     @abc.abstractmethod

@@ -12,9 +12,9 @@ import math
 from fractions import Fraction
 from itertools import product
 
-from buckettrees import (BucketRecursive, DAryIncreasing,
+from buckettrees import (AffineDegreeWeights, BucketRecursive, DAryIncreasing,
                          ExplicitDegreeWeights, PlaneOriented,
-                         PowDegreeWeights, SplitMix64, UrnState, WeightModel,
+                         SplitMix64, UrnState, WeightModel,
                          binomial_moment, check_affine_ratio, check_balance,
                          check_beta_convergence, check_ode_recurrence,
                          check_scaling, closed_form_total_weight,
@@ -42,7 +42,7 @@ def family_grid():
 
 
 def bucket_ordered_model(b):
-    return WeightModel(b, (F(1),) * (b - 1), PowDegreeWeights(F(1), F(-1), F(-1)))
+    return WeightModel(b, (F(1),) * (b - 1), AffineDegreeWeights(F(1), F(1), F(-1)))
 
 
 def verdict(num, name, ok, notes=()):

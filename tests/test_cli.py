@@ -124,6 +124,54 @@ def test_enumerate_product_ceiling(capsys):
     assert "refusing" in err
 
 
+def test_enumerate_guard_counts_shapes_not_size(capsys):
+    # Size 11 at b = 6 has 16 shapes; size 30 at b = 1 has about 10^15.
+    rc, out, _ = run(capsys, "enumerate", "--family", "bucket-recursive",
+                     "--b", "6", "--n", "11")
+    assert rc == 0
+    assert out.splitlines()[-1] == "11,3628800,3628800,1"
+    rc, _, err = run(capsys, "enumerate", "--family", "bucket-recursive",
+                     "--b", "1", "--n", "30", "--limit", "30")
+    assert rc == 2
+    assert "refusing" in err
+
+
+# Each named --phi rule: its JSON description and totals T_1..T_5 at b = 1.
+PHI_SPELLINGS = {
+    "seq:2": ({"base": "-1", "exponent": "-1", "kind": "power", "scale": "2"},
+              ["2", "4", "24", "240", "3360"]),
+    "exp:2": ({"kind": "exponential", "rate": "1", "scale": "2"},
+              ["2", "4", "16", "96", "768"]),
+    "binom:3": ({"base": "1", "exponent": "3", "kind": "power", "scale": "1"},
+                ["1", "3", "15", "105", "945"]),
+    "negbinom:1/2": ({"base": "-1", "exponent": "-1/2", "kind": "power", "scale": "1"},
+                     ["1", "1/2", "1", "7/2", "35/2"]),
+}
+PHI_REJECTIONS = {
+    "exp:-1": "error: scale must be positive\n",
+    "exp:0": "error: scale must be positive\n",
+    "seq:0": "error: scale must be positive\n",
+    "binom:1/2": "error: (1 + 1 t)^1/2 has sign-alternating coefficients\n",
+    "binom:-3": "error: (1 + 1 t)^-3 has sign-alternating coefficients\n",
+    "negbinom:-2": "error: (1 + -1 t)^2 has sign-alternating coefficients\n",
+}
+
+
+@pytest.mark.parametrize("spelling", PHI_SPELLINGS)
+def test_phi_spellings_pinned(capsys, spelling):
+    rc, out, _ = run(capsys, "enumerate", "--phi", spelling, "--n", "5", "--format", "json")
+    assert rc == 0
+    report = json.loads(out)
+    assert (report["model"]["phi"], [row["total"] for row in report["rows"]]) \
+        == PHI_SPELLINGS[spelling]
+
+
+@pytest.mark.parametrize("spelling", PHI_REJECTIONS)
+def test_phi_spellings_rejected(capsys, spelling):
+    rc, out, err = run(capsys, "enumerate", "--phi", spelling, "--n", "5", "--format", "json")
+    assert (rc, out, err) == (2, "", PHI_REJECTIONS[spelling])
+
+
 # ── model flag validation ─────────────────────────────────────────────────
 
 def test_model_flags_exactly_one_source(capsys):

@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from buckettrees import (BucketRecursive, DAryIncreasing,
+from buckettrees import (AffineDegreeWeights, BucketRecursive, DAryIncreasing,
                          EnumerationLimitError, ExplicitDegreeWeights,
-                         PlaneOriented, PowDegreeWeights, WeightModel,
+                         PlaneOriented, WeightModel,
                          check_ode_recurrence, closed_form_total_weight,
                          enumerate_shapes, shape_count, total_weight,
                          total_weights, weights_of)
@@ -23,7 +23,7 @@ def bucket_ordered_model(b: int) -> WeightModel:
     For b >= 2 this model is a counterexample: its totals are not affine
     ratios and no growth rule reproduces its law.
     """
-    return WeightModel(b, (F(1),) * (b - 1), PowDegreeWeights(F(1), F(-1), F(-1)))
+    return WeightModel(b, (F(1),) * (b - 1), AffineDegreeWeights(F(1), F(1), F(-1)))
 
 
 def test_shape_counts_b1_catalan():
@@ -33,6 +33,12 @@ def test_shape_counts_b1_catalan():
 
 def test_shape_counts_b2():
     assert [shape_count(2, n) for n in range(1, 7)] == [1, 1, 1, 2, 4, 9]
+
+
+def test_shape_count_matches_enumeration():
+    for b in range(1, 5):
+        for n in range(1, 10):
+            assert shape_count(b, n) == len(enumerate_shapes(b, n))
 
 
 def test_shapes_are_valid_and_distinct():
@@ -48,7 +54,7 @@ def test_shapes_are_valid_and_distinct():
 def test_enumeration_limit_guard():
     with pytest.raises(EnumerationLimitError, match="limit 12"):
         enumerate_shapes(2, 13)
-    assert shape_count(2, 13, limit=13) > 0
+    assert len(enumerate_shapes(2, 13, limit=13)) == shape_count(2, 13) == 5798
     with pytest.raises(EnumerationLimitError, match="limit 5"):
         total_weight(weights_of(BucketRecursive(2)), 6, limit=5)
 

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from buckettrees import (BucketRecursive, BucketTree, DAryIncreasing,
-                         ExplicitDegreeWeights, NotGrown, PlaneOriented,
-                         PowDegreeWeights, UndefinedRatioError, WeightModel,
+from buckettrees import (AffineDegreeWeights, BucketRecursive, BucketTree,
+                         DAryIncreasing, ExplicitDegreeWeights, NotGrown,
+                         PlaneOriented, UndefinedRatioError, WeightModel,
                          balance_value, check_affine_ratio, check_balance,
                          check_scaling, classify_family, count_labellings,
                          enumerate_shapes, shape_bucket, total_weight,
@@ -24,7 +24,7 @@ FAMILIES = [
 
 
 def bucket_ordered_model(b: int) -> WeightModel:
-    return WeightModel(b, (F(1),) * (b - 1), PowDegreeWeights(F(1), F(-1), F(-1)))
+    return WeightModel(b, (F(1),) * (b - 1), AffineDegreeWeights(F(1), F(1), F(-1)))
 
 
 def chain_heavy_model() -> WeightModel:
@@ -165,7 +165,7 @@ def test_classify_rejects_bucket_ordered():
 
 
 def test_classify_rejects_zero_psi():
-    model = WeightModel(2, (F(0),), PowDegreeWeights(F(1), F(-1), F(-3)))
+    model = WeightModel(2, (F(0),), AffineDegreeWeights(F(1), F(3), F(-1)))
     result = classify_family(model)
     assert isinstance(result, NotGrown)
     assert "unreachable" in result.reason

@@ -5,11 +5,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from buckettrees import (BucketRecursive, DAryIncreasing, ExpDegreeWeights,
+from buckettrees import (AffineDegreeWeights, BucketRecursive, DAryIncreasing,
                          ExplicitDegreeWeights, InvalidWeightsError,
-                         PlaneOriented, PowDegreeWeights, WeightModel,
-                         to_fraction, weights_of)
+                         PlaneOriented, WeightModel, to_fraction, weights_of)
 from buckettrees.weights import binom_frac
 
 F = Fraction
@@ -108,11 +108,11 @@ def test_compose_on_identity_recovers_coefficients():
     identity = [F(0), F(1)]
     cases = [
         (ExplicitDegreeWeights((F(1), F(2), F(3))), [1, 2, 3, 0, 0, 0, 0, 0]),
-        (ExpDegreeWeights(F(2), F(3)),
+        (AffineDegreeWeights(F(2), F(3), F(0)),
          [2, 6, 9, 9, F(27, 4), F(81, 20), F(81, 40), F(243, 280)]),
-        (PowDegreeWeights(F(1), F(1), F(4)), [1, 4, 6, 4, 1, 0, 0, 0]),
-        (PowDegreeWeights(F(1), F(-1), F(-3)), [1, 3, 6, 10, 15, 21, 28, 36]),
-        (PowDegreeWeights(F(3, 2), F(-2), F(-1, 2)),
+        (AffineDegreeWeights(F(1), F(4), F(1)), [1, 4, 6, 4, 1, 0, 0, 0]),
+        (AffineDegreeWeights(F(1), F(3), F(-1)), [1, 3, 6, 10, 15, 21, 28, 36]),
+        (AffineDegreeWeights(F(3, 2), F(1), F(-2)),
          [F(3, 2), F(3, 2), F(9, 4), F(15, 4), F(105, 16), F(189, 16), F(693, 32),
           F(1287, 32)]),
     ]
@@ -122,47 +122,71 @@ def test_compose_on_identity_recovers_coefficients():
 
 def test_compose_requires_zero_constant_term():
     with pytest.raises(ValueError, match="zero constant term"):
-        ExpDegreeWeights(F(1), F(1)).compose([F(1), F(1)], 3)
+        AffineDegreeWeights(F(1), F(1), F(0)).compose([F(1), F(1)], 3)
 
 
 def test_compose_of_composite_series():
     # phi(t) = e^t on S(z) = z + z^2: coefficient of z^2 is 1 + 1/2.
-    rule = ExpDegreeWeights(F(1), F(1))
+    rule = AffineDegreeWeights(F(1), F(1), F(0))
     out = rule.compose([F(0), F(1), F(1)], 2)
     assert out == [1, 1, F(3, 2)]
 
 
 def test_pow_rejects_sign_alternating_regimes():
     with pytest.raises(InvalidWeightsError, match="alternating"):
-        PowDegreeWeights(F(1), F(1), F(-2))       # (1+t)^-2 alternates
+        AffineDegreeWeights(F(1), F(-2), F(1))    # (1+t)^-2 alternates
     with pytest.raises(InvalidWeightsError, match="alternating"):
-        PowDegreeWeights(F(1), F(-1), F(2))       # (1-t)^2 has a negative middle
+        AffineDegreeWeights(F(1), F(-2), F(-1))   # (1-t)^2 has a negative middle
     with pytest.raises(InvalidWeightsError, match="alternating"):
-        PowDegreeWeights(F(1), F(1), F(1, 2))     # sqrt(1+t) alternates past k=1
+        AffineDegreeWeights(F(1), F(1, 2), F(1))  # sqrt(1+t) alternates past k=1
 
 
 def test_exp_rejects_negative_rate():
     with pytest.raises(InvalidWeightsError, match="alternate"):
-        ExpDegreeWeights(F(1), F(-1))
+        AffineDegreeWeights(F(1), F(-1), F(0))
+
+
+RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+
+
+@given(st.sampled_from([F(1), F(3, 2)]), RATIONALS, RATIONALS)
+def test_affine_rule_follows_its_recurrence(scale, rate, slope):
+    # Within |p| <= 6, q <= 3 any sign change of the sequence shows by k = 19.
+    phi = [scale]
+    for k in range(20):
+        phi.append(phi[-1] * (rate - slope * k) / (k + 1))
+    try:
+        rule = AffineDegreeWeights(scale, rate, slope)
+    except InvalidWeightsError:
+        assert any(c < 0 for c in phi)
+        return
+    assert all(c >= 0 for c in phi)
+    assert [rule.coeff(k) for k in range(21)] == phi
+    nonzero = [k for k, c in enumerate(phi) if c]
+    bound = rule.support_bound()
+    assert bound == (nonzero[-1] if phi[-1] == 0 else None)
+    scaled = rule.scaled(F(2, 3), F(3, 2))
+    assert [scaled.coeff(k) for k in range(21)] == [F(2, 3) * F(3, 2)**k * c
+                                                   for k, c in enumerate(phi)]
 
 
 def test_scale_must_be_positive():
     with pytest.raises(InvalidWeightsError, match="positive"):
-        ExpDegreeWeights(F(0), F(1))
+        AffineDegreeWeights(F(0), F(1), F(0))
     with pytest.raises(InvalidWeightsError, match="positive"):
-        PowDegreeWeights(F(-1), F(1), F(2))
+        AffineDegreeWeights(F(-1), F(2), F(1))
 
 
 # ── model validation ──────────────────────────────────────────────────────
 
 def test_model_rejects_wrong_psi_length():
     with pytest.raises(InvalidWeightsError, match="expected 2 bucket weights"):
-        WeightModel(3, (F(1),), ExpDegreeWeights(F(1), F(1)))
+        WeightModel(3, (F(1),), AffineDegreeWeights(F(1), F(1), F(0)))
 
 
 def test_model_rejects_negative_psi():
     with pytest.raises(InvalidWeightsError, match="non-negative"):
-        WeightModel(2, (F(-1),), ExpDegreeWeights(F(1), F(1)))
+        WeightModel(2, (F(-1),), AffineDegreeWeights(F(1), F(1), F(0)))
 
 
 def test_model_rejects_zero_phi0():
@@ -174,7 +198,7 @@ def test_model_rejects_chain_only_weights():
     with pytest.raises(InvalidWeightsError, match="degenerate"):
         WeightModel(1, (), ExplicitDegreeWeights((F(1), F(1))))
     with pytest.raises(InvalidWeightsError, match="degenerate"):
-        WeightModel(2, (F(1),), ExpDegreeWeights(F(1), F(0)))
+        WeightModel(2, (F(1),), AffineDegreeWeights(F(1), F(0), F(0)))
 
 
 def test_psi_extended():
@@ -197,8 +221,8 @@ def test_scaled_model_coefficients():
 
 
 def test_scaled_preserves_rule_class():
-    assert isinstance(weights_of(BucketRecursive(2)).scaled(2, 3).phi, ExpDegreeWeights)
-    assert isinstance(weights_of(PlaneOriented(2, F(1))).scaled(2, 3).phi, PowDegreeWeights)
+    assert weights_of(BucketRecursive(2)).scaled(2, 3).phi.describe()["kind"] == "exponential"
+    assert weights_of(PlaneOriented(2, F(1))).scaled(2, 3).phi.describe()["kind"] == "power"
 
 
 def test_scaled_rejects_nonpositive_factors():
