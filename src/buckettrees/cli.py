@@ -24,7 +24,7 @@ from dataclasses import asdict
 
 from .enumeration import (EnumerationLimitError, check_ode_recurrence,
                           closed_form_total_weight, enumerate_shapes,
-                          shape_counts, total_weight)
+                          labelled_counts, shape_counts, total_weight)
 from .evolve import exact_distribution, pushforward_strip, sample_tree
 from .rng import SplitMix64
 from .trees import EncodingError, InvalidTreeError, encode_tree, tree_weight
@@ -39,6 +39,9 @@ from .weights import (AffineDegreeWeights, BucketRecursive, DAryIncreasing,
 
 DEFAULT_SEED = 271828
 SHAPE_CEILING = 10**6  # refuse enumeration when size n has more shapes than this
+# Refuse an exact labelled law with more trees than this; PlaneOriented(1, 1)
+# at n = 8 (135,135 trees) still runs.
+LABELLED_CEILING = 2 * 10**5
 
 FAMILY_NAMES = ("bucket-recursive", "bdary", "baport")
 
@@ -159,13 +162,22 @@ def require_spec(args: argparse.Namespace) -> FamilySpec:
     return build_spec(args)
 
 
-def guard_shapes(n: int, b: int) -> None:
+def _guard(n: int, b: int, counts, what: str, ceiling: int) -> None:
     # Counts never decrease with the size, so a huge n stops at the first excess.
-    for size, count in zip(range(1, n + 1), shape_counts(b)):
-        if count > SHAPE_CEILING:
+    for size, count in zip(range(1, n + 1), counts):
+        if count > ceiling:
             raise EnumerationLimitError(
-                f"refusing n = {n} at b = {b}: size {size} has {count} shapes, "
-                f"more than {SHAPE_CEILING}")
+                f"refusing n = {n} at b = {b}: size {size} has {count} {what}, "
+                f"more than {ceiling}")
+
+
+def guard_shapes(n: int, b: int) -> None:
+    _guard(n, b, shape_counts(b), "shapes", SHAPE_CEILING)
+
+
+def guard_labelled(n: int, b: int) -> None:
+    """Refuse an exact labelled law of size n with too many possible trees."""
+    _guard(n, b, labelled_counts(b), "labelled trees", LABELLED_CEILING)
 
 
 def emit_json(obj: dict) -> None:
@@ -322,6 +334,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     model, spec = build_model(args)
     guard_shapes(args.n, model.b)
     names = list(VERIFY_CHECKS) if args.check == "all" else [args.check]
+    if spec is not None and GROWTH_CHECKS.intersection(names):
+        guard_labelled(args.n, spec.b)
     results = []
     for name in names:
         if spec is None and name in GROWTH_CHECKS:
@@ -346,6 +360,7 @@ def cmd_descend(args: argparse.Namespace) -> int:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     if args.mode == "exact":
         guard_shapes(args.j, spec.b)
+        guard_labelled(args.j, spec.b)
         law = descendants_law_from_urn(spec, args.n, args.j, args.limit)
         writer.writerow(["descendants", "probability"])
         for y in sorted(law):
@@ -368,6 +383,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     seed = _parse_seed(args.seed)
     if args.check == "gof":
         guard_shapes(args.n, spec.b)
+        guard_labelled(args.n, spec.b)
         reports, ok = sampler_gof(spec, args.n, args.samples, spawn_seeds(seed, 3),
                                   args.level, args.limit)
         emit_json({"command": "stats", "check": "gof", "family": spec.describe(),

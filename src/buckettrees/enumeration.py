@@ -82,6 +82,22 @@ def shape_counts(b: int) -> Iterator[int]:
         yield shapes[s]
 
 
+def labelled_counts(b: int) -> Iterator[int]:
+    """Labelled-tree counts of sizes 1, 2, ... (never decreasing), building
+    no trees: as in ``shape_counts``, but a forest of m labels gives its
+    first tree any k of them, C(m, k) ways.  It bounds the support of every
+    family's law (b = 1: (2n - 3)!!)."""
+    if b < 1:
+        raise ValueError(f"b must be >= 1, got b={b}")
+    trees = [0]
+    forests = [1]
+    for m in itertools.count(1):
+        trees.append(1 if m < b else forests[m - b])
+        forests.append(sum(math.comb(m, k) * trees[k] * forests[m - k]
+                           for k in range(1, m + 1)))
+        yield trees[m]
+
+
 def shape_count(b: int, n: int) -> int:
     """Number of shapes of size n, as ``len(enumerate_shapes(b, n))``."""
     if b < 1 or n < 1:

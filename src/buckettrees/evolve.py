@@ -81,6 +81,14 @@ def growth_options(tree: BucketTree, spec: FamilySpec) -> list[tuple[BucketTree,
     return options
 
 
+@lru_cache(maxsize=32)
+def _integer_weights(spec: FamilySpec) -> tuple[int, int]:
+    """(c1, c2) times weight_scale(): the integer join and split weights."""
+    scale = spec.weight_scale()
+    c1, c2 = spec.affine_constants()
+    return c1.numerator * (scale // c1.denominator), c2.numerator * (scale // c2.denominator)
+
+
 def sample_tree(spec: FamilySpec, n: int, rng: SplitMix64) -> BucketTree:
     """Grow a labelled tree of size n from a single label.
 
@@ -93,10 +101,7 @@ def sample_tree(spec: FamilySpec, n: int, rng: SplitMix64) -> BucketTree:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     b = spec.b
-    scale = spec.weight_scale()
-    c1, c2 = spec.affine_constants()
-    join = c1.numerator * (scale // c1.denominator)
-    split = c2.numerator * (scale // c2.denominator)
+    join, split = _integer_weights(spec)
     leaf = join + split
     if leaf < 0:
         raise AssertionError(f"negative leaf weight {leaf}")

@@ -9,9 +9,10 @@ and reproducible across platforms.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
-_MASK = (1 << 64) - 1
+_SPAN = 1 << 64
+_MASK = _SPAN - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
@@ -41,6 +42,18 @@ class SplitMix64:
             raise ValueError("bound must be positive")
         if bound == 1:
             return 0
+        if bound <= _MASK:
+            # One word per try: the loop below with words == 1, u64 inlined.
+            limit = _SPAN - _SPAN % bound
+            counter = self._counter
+            while True:
+                counter = (counter + _GOLDEN) & _MASK
+                z = (counter ^ (counter >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+                z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+                z ^= z >> 31
+                if z < limit:
+                    self._counter = counter
+                    return z % bound
         words = (bound.bit_length() + 63) // 64
         span = 1 << (64 * words)
         limit = span - span % bound
@@ -51,11 +64,16 @@ class SplitMix64:
             if x < limit:
                 return x % bound
 
-    def bernoulli(self, p: Fraction) -> bool:
-        """Exact coin flip with rational success probability."""
-        if not 0 <= p <= 1:
-            raise ValueError(f"probability out of range: {p}")
-        return self.randbelow(p.denominator) < p.numerator
+    def bernoulli(self, numerator: int, denominator: int) -> bool:
+        """Exact coin flip with success probability numerator / denominator.
+
+        The fraction is reduced first, so equal probabilities draw the same
+        words whatever their spelling.
+        """
+        if denominator <= 0 or not 0 <= numerator <= denominator:
+            raise ValueError(f"probability out of range: {numerator}/{denominator}")
+        g = math.gcd(numerator, denominator)
+        return self.randbelow(denominator // g) < numerator // g
 
     def spawn(self, index: int) -> SplitMix64:
         """Independent child stream, reproducible from (seed, index)."""

@@ -130,12 +130,6 @@ def single_bucket_tree(max_bucket: int, label: int = 1) -> BucketTree:
 
 # ── canonical encoding ────────────────────────────────────────────────────
 
-def _node_to_obj(node: BucketNode) -> dict:
-    if node.labels:
-        return {"labels": list(node.labels), "children": [_node_to_obj(c) for c in node.children]}
-    return {"capacity": node.capacity, "children": [_node_to_obj(c) for c in node.children]}
-
-
 def _node_from_obj(obj: object, depth: int = 1) -> BucketNode:
     if depth > MAX_DECODE_DEPTH:
         raise EncodingError(f"buckets nested deeper than {MAX_DECODE_DEPTH}")
@@ -162,10 +156,18 @@ def _node_from_obj(obj: object, depth: int = 1) -> BucketNode:
                       tuple(_node_from_obj(c, depth + 1) for c in children))
 
 
+def _node_json(node: BucketNode) -> str:
+    # json.dumps(sort_keys=True, separators=(",", ":")) of the node's object
+    # form {"labels"|"capacity", "children"}, written directly.
+    kids = ",".join(map(_node_json, node.children))
+    if node.labels:
+        return f'{{"children":[{kids}],"labels":[{",".join(map(str, node.labels))}]}}'
+    return f'{{"capacity":{node.capacity},"children":[{kids}]}}'
+
+
 def encode_tree(tree: BucketTree) -> bytes:
     """Deterministic byte encoding; injective for fixed ``max_bucket``."""
-    obj = _node_to_obj(tree.root)
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("ascii")
+    return _node_json(tree.root).encode("ascii")
 
 
 def decode_tree(data: bytes, max_bucket: int) -> BucketTree:

@@ -69,12 +69,12 @@ def urn_run(state: UrnState, draws: int, rng: SplitMix64) -> int:
     if draws < 0:
         raise ValueError(f"draws must be >= 0, got {draws}")
     # Draw i is white with probability (white + k) / (total + i), k white so
-    # far; scaled by q to integers, that is one Fraction per draw.
+    # far; scaled by q, an integer coin.
     q = math.lcm(state.white.denominator, state.black.denominator)
     white0, total0 = int(state.white * q), int(state.total * q)
     white = 0
     for i in range(draws):
-        if rng.bernoulli(Fraction(white0 + q * white, total0 + q * i)):
+        if rng.bernoulli(white0 + q * white, total0 + q * i):
             white += 1
     return white
 

@@ -11,14 +11,16 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import buckettrees
-from buckettrees import DAryIncreasing, SplitMix64, encode_tree, sample_tree
-from buckettrees.cli import build_parser, main
+from buckettrees import (DAryIncreasing, EnumerationLimitError, SplitMix64, encode_tree,
+                         sample_tree)
+from buckettrees.cli import build_parser, guard_labelled, main
 
 # stdout sha256 of the benchmark's exact-lane commands; read, never written.
 DIGESTS = json.loads((Path(__file__).parents[1] / "perfbench" / "digests.json")
@@ -134,6 +136,38 @@ def test_enumerate_guard_counts_shapes_not_size(capsys):
                      "--b", "1", "--n", "30", "--limit", "30")
     assert rc == 2
     assert "refusing" in err
+
+
+PORT_B1 = ["--family", "baport", "--b", "1", "--alpha", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", *PORT_B1, "--n", "10"],
+    ["verify", *PORT_B1, "--n", "10", "--check", "equivalence"],
+    ["verify", *PORT_B1, "--n", "9", "--check", "preserve"],
+    ["stats", "--check", "gof", *PORT_B1, "--n", "10", "--samples", "20"],
+    ["descend", *PORT_B1, "--n", "30", "--j", "10", "--mode", "exact"],
+])
+def test_labelled_laws_are_guarded_by_their_tree_count(capsys, argv):
+    # n = 10 is within the size limit 12, but at b = 1 it has 34,459,425
+    # labelled trees (size 9: 2,027,025).
+    start = time.perf_counter()
+    rc, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert rc == 2 and out == ""
+    assert err.startswith("error: refusing") and err.count("\n") == 1
+    assert "labelled trees" in err
+
+
+def test_labelled_guard_ceiling(capsys):
+    guard_labelled(8, 1)     # PlaneOriented(1, 1) at n = 8: 135,135 trees
+    guard_labelled(9, 2)     # 54,025
+    for n, b in [(9, 1), (10, 2)]:
+        with pytest.raises(EnumerationLimitError, match="labelled trees"):
+            guard_labelled(n, b)
+    # Checks that build no labelled law are not refused.
+    rc, out, _ = run(capsys, "verify", *PORT_B1, "--n", "10", "--check", "classify")
+    assert rc == 0 and json.loads(out)["passed"] is True
 
 
 # Each named --phi rule: its JSON description and totals T_1..T_5 at b = 1.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,8 +12,9 @@ from buckettrees import (AffineDegreeWeights, BucketRecursive, DAryIncreasing,
                          EnumerationLimitError, ExplicitDegreeWeights,
                          PlaneOriented, WeightModel,
                          check_ode_recurrence, closed_form_total_weight,
-                         enumerate_shapes, shape_count, total_weight,
-                         total_weights, weights_of)
+                         count_labellings, enumerate_shapes, exact_distribution,
+                         shape_count, total_weight, total_weights, weights_of)
+from buckettrees.enumeration import labelled_counts
 
 F = Fraction
 
@@ -39,6 +41,23 @@ def test_shape_count_matches_enumeration():
     for b in range(1, 5):
         for n in range(1, 10):
             assert shape_count(b, n) == len(enumerate_shapes(b, n))
+
+
+def test_labelled_counts_sum_labellings_over_shapes():
+    for b in range(1, 5):
+        counts = list(itertools.islice(labelled_counts(b), 9))
+        for n in range(1, 10):
+            assert counts[n - 1] == sum(map(count_labellings, enumerate_shapes(b, n)))
+
+
+def test_labelled_counts_are_plane_oriented_supports():
+    # Every weight of a PORT is positive, so its law charges every labelled tree.
+    assert list(itertools.islice(labelled_counts(1), 8)) == [1, 1, 3, 15, 105, 945, 10395, 135135]
+    assert list(itertools.islice(labelled_counts(2), 7)) == [1, 1, 1, 3, 13, 77, 573]
+    for b, sizes in [(1, 6), (2, 8), (3, 8)]:
+        counts = list(itertools.islice(labelled_counts(b), sizes))
+        for n in range(1, sizes + 1):
+            assert len(exact_distribution(PlaneOriented(b, F(1)), n).probs) == counts[n - 1]
 
 
 def test_shapes_are_valid_and_distinct():

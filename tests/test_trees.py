@@ -8,6 +8,7 @@ constraints explicitly.
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -195,6 +196,42 @@ def test_sampled_trees_validate_and_roundtrip(seed, n):
     tree = sample_tree(spec, n, SplitMix64(seed))
     tree.validate()
     assert decode_tree(encode_tree(tree), spec.b) == tree
+
+
+def reference_encoding(tree: BucketTree) -> bytes:
+    """The canonical encoding as json.dumps of the tree's object form."""
+
+    def obj(node):
+        kids = [obj(c) for c in node.children]
+        if node.labels:
+            return {"labels": list(node.labels), "children": kids}
+        return {"capacity": node.capacity, "children": kids}
+
+    return json.dumps(obj(tree.root), sort_keys=True, separators=(",", ":")).encode("ascii")
+
+
+FAMILIES = [BucketRecursive(1), BucketRecursive(3), DAryIncreasing(2, Fraction(2)),
+            DAryIncreasing(3, Fraction(4, 3)), PlaneOriented(2, Fraction(1)),
+            PlaneOriented(3, Fraction(1, 2))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(FAMILIES), n=st.integers(1, 40), seed=st.integers(0, 2**64 - 1))
+def test_encoding_of_sampled_trees_is_json_of_the_object_form(family, n, seed):
+    tree = sample_tree(family, n, SplitMix64(seed))
+    data = encode_tree(tree)
+    assert data == reference_encoding(tree)
+    assert decode_tree(data, family.b) == tree
+
+
+@settings(max_examples=60, deadline=None)
+@given(b=st.integers(1, 4), n=st.integers(1, 8), pick=st.integers(0, 10**6))
+def test_encoding_of_shapes_is_json_of_the_object_form(b, n, pick):
+    shapes = enumerate_shapes(b, n)
+    shape = shapes[pick % len(shapes)]
+    data = encode_tree(shape)
+    assert data == reference_encoding(shape)
+    assert decode_tree(data, b) == shape
 
 
 # ── weights ───────────────────────────────────────────────────────────────
