@@ -21,6 +21,7 @@ import signal
 import sys
 from collections import Counter
 from dataclasses import asdict
+from typing import Iterator
 
 from .enumeration import (EnumerationLimitError, check_ode_recurrence,
                           closed_form_total_weight, enumerate_shapes,
@@ -162,7 +163,7 @@ def require_spec(args: argparse.Namespace) -> FamilySpec:
     return build_spec(args)
 
 
-def _guard(n: int, b: int, counts, what: str, ceiling: int) -> None:
+def _guard(n: int, b: int, counts: Iterator[int], what: str, ceiling: int) -> None:
     # Counts never decrease with the size, so a huge n stops at the first excess.
     for size, count in zip(range(1, n + 1), counts):
         if count > ceiling:

@@ -42,7 +42,7 @@ class SplitMix64:
             raise ValueError("bound must be positive")
         if bound == 1:
             return 0
-        if bound <= _MASK:
+        if bound.bit_length() <= 64:
             # One word per try: the loop below with words == 1, u64 inlined.
             limit = _SPAN - _SPAN % bound
             counter = self._counter
