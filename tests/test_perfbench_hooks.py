@@ -5,7 +5,7 @@ argument by position, so a rename in the package would only surface as a
 crash of a traced benchmark run.  It counts RNG words from the advance of
 ``SplitMix64._counter``, so a draw that moved the counter by anything but
 one golden step per word would silently corrupt that count.  The file is
-parsed, not imported.
+parsed, not imported, and each constant is evaluated on its own.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ def _constant(name: str):
     for node in ast.parse(LAYERS.read_text()).body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == name for t in node.targets):
-            return ast.literal_eval(node.value)
+            return eval(compile(ast.Expression(node.value), str(LAYERS), "eval"), {})
     raise AssertionError(f"{name} is not assigned in {LAYERS}")
 
 
@@ -45,14 +45,6 @@ def test_rng_argument_positions_name_rng():
     for dotted, index in _constant("_RNG_ARG").items():
         params = list(inspect.signature(_function(dotted)).parameters)
         assert index < len(params) and params[index] == "rng", dotted
-
-
-def _golden_inverse() -> int:
-    for node in ast.parse(LAYERS.read_text()).body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "_GOLDEN_INV" for t in node.targets):
-            return eval(compile(ast.Expression(node.value), str(LAYERS), "eval"), {})
-    raise AssertionError(f"_GOLDEN_INV is not assigned in {LAYERS}")
 
 
 class WordCounter:
@@ -94,5 +86,5 @@ def test_tracer_word_count_matches_words_drawn():
         p = Fraction(2 * step, 6 * step + 4)
         assert rng.bernoulli(2 * step, 6 * step + 4) == (
             replay.randbelow(p.denominator) < p.numerator)
-    drawn = (rng._counter - seed) * _golden_inverse() & _MASK
+    drawn = (rng._counter - seed) * _constant("_GOLDEN_INV") & _MASK
     assert drawn == replay.words
