@@ -21,11 +21,10 @@ import signal
 import sys
 from collections import Counter
 from dataclasses import asdict
-from typing import Iterator
 
 from .enumeration import (EnumerationLimitError, check_ode_recurrence,
                           closed_form_total_weight, enumerate_shapes,
-                          labelled_counts, shape_counts, total_weight)
+                          guard_labelled, guard_shapes, total_weight)
 from .evolve import exact_distribution, pushforward_strip, sample_tree
 from .rng import SplitMix64
 from .trees import EncodingError, InvalidTreeError, encode_tree, tree_weight
@@ -39,10 +38,6 @@ from .weights import (AffineDegreeWeights, BucketRecursive, DAryIncreasing,
                       PlaneOriented, WeightModel, to_fraction, weights_of)
 
 DEFAULT_SEED = 271828
-SHAPE_CEILING = 10**6  # refuse enumeration when size n has more shapes than this
-# Refuse an exact labelled law with more trees than this; PlaneOriented(1, 1)
-# at n = 8 (135,135 trees) still runs.
-LABELLED_CEILING = 2 * 10**5
 
 FAMILY_NAMES = ("bucket-recursive", "bdary", "baport")
 
@@ -161,24 +156,6 @@ def require_spec(args: argparse.Namespace) -> FamilySpec:
     if args.family is None:
         raise InvalidWeightsError("this command needs --family (growth is family-defined)")
     return build_spec(args)
-
-
-def _guard(n: int, b: int, counts: Iterator[int], what: str, ceiling: int) -> None:
-    # Counts never decrease with the size, so a huge n stops at the first excess.
-    for size, count in zip(range(1, n + 1), counts):
-        if count > ceiling:
-            raise EnumerationLimitError(
-                f"refusing n = {n} at b = {b}: size {size} has {count} {what}, "
-                f"more than {ceiling}")
-
-
-def guard_shapes(n: int, b: int) -> None:
-    _guard(n, b, shape_counts(b), "shapes", SHAPE_CEILING)
-
-
-def guard_labelled(n: int, b: int) -> None:
-    """Refuse an exact labelled law of size n with too many possible trees."""
-    _guard(n, b, labelled_counts(b), "labelled trees", LABELLED_CEILING)
 
 
 def emit_json(obj: dict) -> None:
@@ -360,9 +337,7 @@ def cmd_descend(args: argparse.Namespace) -> int:
         raise InvalidWeightsError(f"need 1 <= j <= n, got j={args.j}, n={args.n}")
     writer = csv.writer(sys.stdout, lineterminator="\n")
     if args.mode == "exact":
-        guard_shapes(args.j, spec.b)
-        guard_labelled(args.j, spec.b)
-        law = descendants_law_from_urn(spec, args.n, args.j, args.limit)
+        law = descendants_law_from_urn(spec, args.n, args.j)
         writer.writerow(["descendants", "probability"])
         for y in sorted(law):
             writer.writerow([y, str(law[y])])
@@ -448,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=positive_int, default=1000)
     p.add_argument("--mode", choices=["urn", "direct", "exact"], default="urn")
     p.add_argument("--seed")
-    p.add_argument("--limit", type=int)
     p.set_defaults(func=cmd_descend)
 
     p = sub.add_parser("stats", help="simulation-based checks of the limit laws")

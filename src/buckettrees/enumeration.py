@@ -24,6 +24,10 @@ from .trees import BucketNode, BucketTree, count_labellings, tree_weight
 from .weights import FamilySpec, WeightModel
 
 DEFAULT_SIZE_LIMIT = 12
+SHAPE_CEILING = 10**6  # refuse enumeration when size n has more shapes than this
+# Refuse an exact labelled law with more trees than this; PlaneOriented(1, 1)
+# at n = 8 (135,135 trees) still runs.
+LABELLED_CEILING = 2 * 10**5
 
 
 class EnumerationLimitError(RuntimeError):
@@ -96,6 +100,24 @@ def labelled_counts(b: int) -> Iterator[int]:
         forests.append(sum(math.comb(m, k) * trees[k] * forests[m - k]
                            for k in range(1, m + 1)))
         yield trees[m]
+
+
+def _guard(n: int, b: int, counts: Iterator[int], what: str, ceiling: int) -> None:
+    # Counts never decrease with the size, so a huge n stops at the first excess.
+    for size, count in zip(range(1, n + 1), counts):
+        if count > ceiling:
+            raise EnumerationLimitError(
+                f"refusing n = {n} at b = {b}: size {size} has {count} {what}, "
+                f"more than {ceiling}")
+
+
+def guard_shapes(n: int, b: int) -> None:
+    _guard(n, b, shape_counts(b), "shapes", SHAPE_CEILING)
+
+
+def guard_labelled(n: int, b: int) -> None:
+    """Refuse an exact labelled law of size n with too many possible trees."""
+    _guard(n, b, labelled_counts(b), "labelled trees", LABELLED_CEILING)
 
 
 def shape_count(b: int, n: int) -> int:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .enumeration import DEFAULT_SIZE_LIMIT, EnumerationLimitError
+from .enumeration import _check_limit, guard_labelled
 from .rng import SplitMix64
 from .trees import BucketNode, BucketTree, InvalidTreeError, single_bucket_tree
 from .weights import FamilySpec
@@ -188,14 +188,12 @@ def _exact_distribution(spec: FamilySpec, n: int) -> TreeDistribution:
 
 
 def exact_distribution(spec: FamilySpec, n: int, limit: int | None = None) -> TreeDistribution:
-    """Law of the size-n tree under the growth process (cached)."""
+    """Law of the size-n tree under the growth process (cached); refuses a
+    size above ``limit`` or one with more labelled trees than the ceiling."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    bound = DEFAULT_SIZE_LIMIT if limit is None else limit
-    if n > bound:
-        raise EnumerationLimitError(
-            f"size {n} exceeds the distribution limit {bound}; "
-            f"pass limit={n} to override")
+    _check_limit(n, limit)
+    guard_labelled(n, spec.b)
     return _exact_distribution(spec, n)
 
 

@@ -18,6 +18,16 @@ The draws are exchangeable, so the number of white draws in m steps is
 BetaBinomial(m, white, black) (de Finetti), and Y/n tends to
 Beta(K + kappa, j - K).  Everything here is rational arithmetic:
 simulation, that law in closed form, and closed-form binomial moments.
+
+The law of K needs no trees either.  A bucket holding k < b labels has
+attachment weight c1*k + c2 wherever it sits, so with E U_k(m) the mean
+number of such buckets at size m, label m + 1 joins one of them with
+probability p_k(m) = (c1*k + c2) E U_k(m) / (c1*m + c2), and starts a new
+bucket with probability 1 - sum_k p_k(m).  The normaliser is deterministic,
+so the means evolve linearly: each step moves p_k(m) from load k to k + 1
+(a bucket reaching b leaves the count) and the new-bucket mass to load 1,
+starting from the root, E U_1(1) = 1.  Then P(K = k + 1) = p_k(j - 1) and
+K = 1 takes the rest.
 """
 
 from __future__ import annotations
@@ -161,13 +171,21 @@ def descendants_via_urn(spec: FamilySpec, n: int, j: int, rng: SplitMix64) -> De
 
 # ── exact laws, two independent routes ────────────────────────────────────
 
-def insertion_load_law(spec: FamilySpec, j: int, limit: int | None = None) -> dict[int, Fraction]:
-    """Law of the load of j's bucket at the moment j arrives."""
-    law: dict[int, Fraction] = {}
-    for tree, p in exact_distribution(spec, j, limit).probs.items():
-        load = insertion_load(tree, j)
-        law[load] = law.get(load, Fraction(0)) + p
-    return law
+def insertion_load_law(spec: FamilySpec, j: int) -> dict[int, Fraction]:
+    """Law of the load of j's bucket at the moment j arrives, by the
+    expected-count recurrence of the module docstring: O(j*b) steps."""
+    if j < 1:
+        raise ValueError(f"j must be >= 1, got {j}")
+    if j <= spec.b:
+        return {j: Fraction(1)}
+    weights = [spec.attachment_weight(k, 0) for k in range(1, spec.b)]
+    expected = [Fraction(int(k == 1)) for k in range(1, spec.b)]   # size 1: the root
+    for m in range(1, j):
+        joins = [w * u / spec.connectivity(m) for w, u in zip(weights, expected)]
+        new_leaf = 1 - sum(joins, Fraction(0))
+        expected = [u - p + q for u, p, q in zip(expected, joins, [new_leaf, *joins])]
+    law = {1: new_leaf, **{k + 1: p for k, p in enumerate(joins, 1)}}
+    return {load: p for load, p in law.items() if p}
 
 
 def descendants_law_from_trees(spec: FamilySpec, n: int, j: int,
@@ -181,12 +199,11 @@ def descendants_law_from_trees(spec: FamilySpec, n: int, j: int,
     return law
 
 
-def descendants_law_from_urn(spec: FamilySpec, n: int, j: int,
-                             limit: int | None = None) -> dict[int, Fraction]:
+def descendants_law_from_urn(spec: FamilySpec, n: int, j: int) -> dict[int, Fraction]:
     """Descendant-count law via the urn, mixing over the insertion load."""
     _check_window(n, j)
     law: dict[int, Fraction] = {}
-    for load, p_load in insertion_load_law(spec, j, limit).items():
+    for load, p_load in insertion_load_law(spec, j).items():
         for k, p in urn_distribution_exact(urn_from(spec, j, load), n - j).items():
             law[1 + k] = law.get(1 + k, Fraction(0)) + p_load * p
     return law

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -146,7 +147,6 @@ PORT_B1 = ["--family", "baport", "--b", "1", "--alpha", "1"]
     ["verify", *PORT_B1, "--n", "10", "--check", "equivalence"],
     ["verify", *PORT_B1, "--n", "9", "--check", "preserve"],
     ["stats", "--check", "gof", *PORT_B1, "--n", "10", "--samples", "20"],
-    ["descend", *PORT_B1, "--n", "30", "--j", "10", "--mode", "exact"],
 ])
 def test_labelled_laws_are_guarded_by_their_tree_count(capsys, argv):
     # n = 10 is within the size limit 12, but at b = 1 it has 34,459,425
@@ -157,6 +157,32 @@ def test_labelled_laws_are_guarded_by_their_tree_count(capsys, argv):
     assert rc == 2 and out == ""
     assert err.startswith("error: refusing") and err.count("\n") == 1
     assert "labelled trees" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["descend", *PORT_B1, "--n", "30", "--j", "10", "--mode", "exact"],
+    ["descend", "--family", "bucket-recursive", "--b", "2", "--n", "40", "--j", "20",
+     "--mode", "exact"],
+])
+def test_descend_exact_builds_no_labelled_trees(capsys, argv):
+    # The insertion-load law comes from the urn's recurrence, so a j whose
+    # labelled trees the guard would refuse still answers at once.
+    start = time.perf_counter()
+    rc, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert rc == 0 and err == ""
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert sum(Fraction(p) for _, p in rows) == 1
+
+
+def test_descend_has_no_limit_option(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["descend", *PORT_B1, "--n", "30", "--j", "10", "--mode", "exact",
+              "--limit", "5"])
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 2
+    assert err.startswith("usage:") and "unrecognized arguments: --limit 5" in err
+    assert "Traceback" not in err
 
 
 def test_labelled_guard_ceiling(capsys):

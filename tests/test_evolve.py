@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -158,6 +159,14 @@ def test_exact_distribution_guard():
         exact_distribution(BucketRecursive(2), 13)
     with pytest.raises(ValueError, match=">= 1"):
         exact_distribution(BucketRecursive(2), 0)
+
+
+def test_exact_distribution_refuses_too_many_labelled_trees():
+    # n = 10 is within the size limit, but at b = 1 it has 34,459,425 trees.
+    start = time.perf_counter()
+    with pytest.raises(EnumerationLimitError, match="labelled trees"):
+        exact_distribution(PlaneOriented(1, F(1)), 10)
+    assert time.perf_counter() - start < 1
 
 
 # ── label stripping ───────────────────────────────────────────────────────

@@ -2,7 +2,9 @@
 
 ``perfbench/layers.py`` wraps package functions by name and reads the RNG
 argument by position, so a rename in the package would only surface as a
-crash of a traced benchmark run.  It counts RNG words from the advance of
+crash of a traced benchmark run; its report re-reads every traced law
+through the original ``exact_distribution`` with positional arguments, so a
+changed signature would crash it too.  It counts RNG words from the advance of
 ``SplitMix64._counter``, so a draw that moved the counter by anything but
 one golden step per word would silently corrupt that count.  The file is
 parsed, not imported, and each constant is evaluated on its own.
@@ -16,7 +18,7 @@ import inspect
 from fractions import Fraction
 from pathlib import Path
 
-from buckettrees import SplitMix64
+from buckettrees import SplitMix64, evolve
 from buckettrees.rng import _GOLDEN, _MASK, _mix
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
@@ -45,6 +47,16 @@ def test_rng_argument_positions_name_rng():
     for dotted, index in _constant("_RNG_ARG").items():
         params = list(inspect.signature(_function(dotted)).parameters)
         assert index < len(params) and params[index] == "rng", dotted
+
+
+def test_tracer_exact_distribution_calls_bind_to_its_signature():
+    signature = inspect.signature(evolve.exact_distribution)
+    calls = [node for node in ast.walk(ast.parse(LAYERS.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "_exact_distribution"]
+    assert calls, f"no _exact_distribution call in {LAYERS}"
+    for call in calls:
+        signature.bind(*call.args, **{k.arg: k.value for k in call.keywords})
 
 
 class WordCounter:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from buckettrees import (BucketRecursive, DAryIncreasing, PlaneOriented,
                          SplitMix64, UrnState, binomial_moment,
-                         count_descendants, descendants_direct,
+                         chi_square_gof, count_descendants, descendants_direct,
                          descendants_law_from_trees, descendants_law_from_urn,
-                         descendants_via_urn, insertion_load_law, sample_tree,
+                         descendants_via_urn, exact_distribution,
+                         insertion_load, insertion_load_law, sample_tree,
                          urn_distribution_exact, urn_from, urn_moment_exact,
                          urn_run)
 
@@ -167,6 +169,48 @@ def test_insertion_load_law_frozen_example():
 def test_insertion_load_law_point_mass_below_b():
     for j in (1, 2, 3):
         assert insertion_load_law(BucketRecursive(3), j) == {j: F(1)}
+
+
+# The recurrence's grid: every b = 1, 2, 3 with each family's affine constants.
+LOAD_LAW_SPECS = [BucketRecursive(1), BucketRecursive(2), BucketRecursive(3),
+                  DAryIncreasing(1, F(2)), DAryIncreasing(2, F(2)),
+                  DAryIncreasing(3, F(4, 3)), PlaneOriented(1, F(1)),
+                  PlaneOriented(2, F(1)), PlaneOriented(3, F(1, 2))]
+
+
+def tree_read_load_law(spec, j):
+    law: dict[int, Fraction] = {}
+    for tree, p in exact_distribution(spec, j).probs.items():
+        load = insertion_load(tree, j)
+        law[load] = law.get(load, F(0)) + p
+    return law
+
+
+@pytest.mark.parametrize("spec", LOAD_LAW_SPECS, ids=[
+    "recursive-b1", "recursive-b2", "recursive-b3", "dary-b1-d2", "dary-b2-d2",
+    "dary-b3-d4/3", "port-b1-a1", "port-b2-a1", "port-b3-a1/2"])
+def test_insertion_load_law_matches_the_tree_law(spec):
+    # At b = 1 every load is 1; size 8 would build 135,135 trees (about 6 s)
+    # to show it once more, so b = 1 stops at 7.
+    for j in range(1, 9 if spec.b > 1 else 8):
+        law = insertion_load_law(spec, j)
+        assert law == tree_read_load_law(spec, j), (spec, j)
+        assert sum(law.values()) == 1
+
+
+@pytest.mark.parametrize("spec", [BucketRecursive(3), PlaneOriented(2, F(1, 2))],
+                         ids=["recursive-b3", "port-b2-a1/2"])
+def test_insertion_load_law_fits_the_sampler_at_j_100(spec):
+    law = insertion_load_law(spec, 100)
+    assert sum(law.values()) == 1 and all(p > 0 for p in law.values())
+    expected = {load: float(p) for load, p in law.items()}
+    reports = []
+    for seed in (101, 202, 303):
+        rng = SplitMix64(seed)
+        counts = Counter(insertion_load(sample_tree(spec, 100, rng), 100) for _ in range(500))
+        reports.append(chi_square_gof(counts, expected))
+    # sampler_gof's rule: the fit fails when two of the three runs reject.
+    assert sum(not r.passed for r in reports) < 2, [r.p_value for r in reports]
 
 
 def test_both_routes_agree_small_grid():
