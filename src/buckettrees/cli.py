@@ -289,9 +289,16 @@ def _verify_equivalence(model, spec, args) -> dict:
 
 
 def _verify_preserve(model, spec, args) -> dict:
-    dist = exact_distribution(spec, args.n, args.limit)
-    bad_j = next((j for j in range(1, args.n + 1) if pushforward_strip(dist, j).probs
-                  != exact_distribution(spec, j, args.limit).probs), None)
+    # strip_j of strip_{j+1} is strip_j, so checking each size against the
+    # next one covers every j <= n.  Walking down from n refuses a size above
+    # --limit before any work; the last failure seen is the smallest j.
+    bad_j = None
+    law = exact_distribution(spec, args.n, args.limit)
+    for j in range(args.n - 1, 0, -1):
+        smaller = exact_distribution(spec, j, args.limit)
+        if pushforward_strip(law, j).probs != smaller.probs:
+            bad_j = j
+        law = smaller
     return {"check": "preserve", "passed": bad_j is None, "n": args.n, "first_failing_j": bad_j}
 
 
@@ -338,9 +345,16 @@ def cmd_descend(args: argparse.Namespace) -> int:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     if args.mode == "exact":
         law = descendants_law_from_urn(spec, args.n, args.j)
+        # An exact probability may have more digits than str(int) allows by
+        # default; lift that cap only while formatting, before any output.
+        cap = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            rows = [[y, str(law[y])] for y in sorted(law)]
+        finally:
+            sys.set_int_max_str_digits(cap)
         writer.writerow(["descendants", "probability"])
-        for y in sorted(law):
-            writer.writerow([y, str(law[y])])
+        writer.writerows(rows)
         return 0
     draw = descendants_via_urn if args.mode == "urn" else descendants_direct
     master = SplitMix64(_parse_seed(args.seed))
@@ -449,7 +463,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (InvalidWeightsError, InvalidTreeError, EncodingError,
-            EnumerationLimitError, ValueError) as exc:
+            EnumerationLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

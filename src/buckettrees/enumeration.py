@@ -17,7 +17,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator
 
 from .trees import BucketNode, BucketTree, count_labellings, tree_weight
@@ -42,34 +41,24 @@ def _check_limit(n: int, limit: int | None) -> None:
             f"pass limit={n} to override")
 
 
-@lru_cache(maxsize=None)
-def _shape_nodes(b: int, n: int) -> tuple[BucketNode, ...]:
-    if n < 1:
-        return ()
-    if n < b:
-        return (BucketNode(n),)
-    return tuple(BucketNode(b, (), forest) for forest in _forests(b, n - b))
-
-
-@lru_cache(maxsize=None)
-def _forests(b: int, total: int) -> tuple[tuple[BucketNode, ...], ...]:
-    # Ordered forests of shapes with sizes summing to ``total``.
-    if total == 0:
-        return ((),)
-    out: list[tuple[BucketNode, ...]] = []
-    for first_size in range(1, total + 1):
-        for first in _shape_nodes(b, first_size):
-            for rest in _forests(b, total - first_size):
-                out.append((first,) + rest)
-    return tuple(out)
-
-
 def enumerate_shapes(b: int, n: int, limit: int | None = None) -> list[BucketTree]:
-    """All shapes of size n: capacities in [1, b], internal buckets full."""
+    """All shapes of size n: capacities in [1, b], internal buckets full.
+
+    Built upward by the recurrence ``shape_counts`` counts with, forests
+    only up to size n - b (at b = 1 a forest of size n would hold every
+    shape of size n + 1)."""
     if b < 1 or n < 1:
         raise ValueError(f"b and n must be >= 1, got b={b}, n={n}")
     _check_limit(n, limit)
-    return [BucketTree(node, b) for node in _shape_nodes(b, n)]
+    shapes: list[list[BucketNode]] = [[]]
+    forests: list[list[tuple[BucketNode, ...]]] = [[()]]
+    for s in range(1, n + 1):
+        shapes.append([BucketNode(s)] if s < b
+                      else [BucketNode(b, (), forest) for forest in forests[s - b]])
+        if s <= n - b:
+            forests.append([(first,) + rest for k in range(1, s + 1)
+                            for first in shapes[k] for rest in forests[s - k]])
+    return [BucketTree(node, b) for node in shapes[n]]
 
 
 def shape_counts(b: int) -> Iterator[int]:

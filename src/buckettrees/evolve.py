@@ -176,25 +176,22 @@ class TreeDistribution:
                 raise ValueError(f"bad support element {tree}")
 
 
-@lru_cache(maxsize=None)
-def _exact_distribution(spec: FamilySpec, n: int) -> TreeDistribution:
-    if n == 1:
-        return TreeDistribution(1, {single_bucket_tree(spec.b): Fraction(1)})
-    acc: dict[BucketTree, Fraction] = {}
-    for tree, prob in _exact_distribution(spec, n - 1).probs.items():
-        for grown, p in growth_options(tree, spec):
-            acc[grown] = acc.get(grown, Fraction(0)) + prob * p
-    return TreeDistribution(n, acc)
-
-
 def exact_distribution(spec: FamilySpec, n: int, limit: int | None = None) -> TreeDistribution:
-    """Law of the size-n tree under the growth process (cached); refuses a
-    size above ``limit`` or one with more labelled trees than the ceiling."""
+    """Law of the size-n tree under the growth process, grown from size 1 one
+    label at a time; refuses a size above ``limit`` or one with more labelled
+    trees than the ceiling."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _check_limit(n, limit)
     guard_labelled(n, spec.b)
-    return _exact_distribution(spec, n)
+    probs = {single_bucket_tree(spec.b): Fraction(1)}
+    for _ in range(1, n):
+        acc: dict[BucketTree, Fraction] = {}
+        for tree, prob in probs.items():
+            for grown, p in growth_options(tree, spec):
+                acc[grown] = acc.get(grown, Fraction(0)) + prob * p
+        probs = acc
+    return TreeDistribution(n, probs)
 
 
 # ── label removal ─────────────────────────────────────────────────────────

@@ -109,6 +109,15 @@ def test_enumerate_dump_shapes(capsys, tmp_path):
     assert [len(shapes[key]) for key in ("1", "2", "3", "4")] == [1, 1, 2, 5]
 
 
+def test_enumerate_dump_shapes_to_unwritable_path(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    rc, out, err = run(capsys, "enumerate", "--family", "bucket-recursive",
+                       "--b", "1", "--n", "4", "--dump-shapes", str(target))
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not target.exists()
+
+
 def test_enumerate_guard_and_limit(capsys):
     rc, _, err = run(capsys, "enumerate", "--family", "bucket-recursive",
                      "--b", "2", "--n", "13")
@@ -327,6 +336,23 @@ def test_descend_exact_law(capsys):
     assert rc == 0
     assert out == ("descendants,probability\n"
                    "1,2/5\n2,3/10\n3,1/5\n4,1/10\n")
+
+
+def test_descend_exact_prints_probabilities_of_any_length(capsys):
+    # These probabilities have about 9,900 digits, more than the default cap
+    # on int/str conversion (4,300); the cap is back in place afterwards.
+    cap = sys.get_int_max_str_digits()
+    rc, out, err = run(capsys, "descend", "--family", "baport", "--b", "1",
+                       "--alpha", "1/997", "--n", "1500", "--j", "3", "--mode", "exact")
+    assert rc == 0 and err == ""
+    assert sys.get_int_max_str_digits() == cap
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert max(len(p) for _, p in rows) > cap
+    sys.set_int_max_str_digits(0)
+    try:
+        assert sum(Fraction(p) for _, p in rows) == 1
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 def test_descend_sampled_modes_agree_on_support(capsys):

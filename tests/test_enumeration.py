@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
-from buckettrees import (AffineDegreeWeights, BucketRecursive, DAryIncreasing,
-                         EnumerationLimitError, ExplicitDegreeWeights,
-                         PlaneOriented, WeightModel,
+from buckettrees import (AffineDegreeWeights, BucketNode, BucketRecursive,
+                         BucketTree, DAryIncreasing, EnumerationLimitError,
+                         ExplicitDegreeWeights, PlaneOriented, WeightModel,
                          check_ode_recurrence, closed_form_total_weight,
                          count_labellings, enumerate_shapes, exact_distribution,
                          shape_count, total_weight, total_weights, weights_of)
@@ -68,6 +69,29 @@ def test_shapes_are_valid_and_distinct():
                 s.validate()
                 assert s.size == n
             assert len({id(s.root) for s in shapes}) == len(shapes)
+
+
+def test_shape_order_matches_the_recursive_reference():
+    # The order enumerate_shapes had when it recursed from the top: a full
+    # bucket over each ordered forest, which splits off its first tree.
+    # --dump-shapes and check_scaling's first_mismatch depend on it.
+    @functools.cache
+    def shape_nodes(b, n):
+        if n < b:
+            return (BucketNode(n),)
+        return tuple(BucketNode(b, (), forest) for forest in forests(b, n - b))
+
+    @functools.cache
+    def forests(b, total):
+        if total == 0:
+            return ((),)
+        return tuple((first,) + rest for first_size in range(1, total + 1)
+                     for first in shape_nodes(b, first_size)
+                     for rest in forests(b, total - first_size))
+
+    for b in range(1, 5):
+        for n in range(1, 10):
+            assert enumerate_shapes(b, n) == [BucketTree(node, b) for node in shape_nodes(b, n)]
 
 
 def test_enumeration_limit_guard():

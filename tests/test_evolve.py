@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from buckettrees import (BucketRecursive, BucketTree, DAryIncreasing,
                          growth_options, pushforward_strip, sample_tree,
                          sampler_gof, single_bucket_tree, strip_labels,
                          total_weight, tree_weight, weights_of)
+from buckettrees import enumeration, evolve
 from buckettrees.enumeration import EnumerationLimitError
 
 F = Fraction
@@ -169,6 +172,18 @@ def test_exact_distribution_refuses_too_many_labelled_trees():
     assert time.perf_counter() - start < 1
 
 
+def test_exact_lane_keeps_no_state():
+    # Memory is bounded by the guards: a law is dropped with its last
+    # reference, and no function of the exact lane memoizes without bound.
+    law = weakref.ref(exact_distribution(BucketRecursive(2), 6))
+    gc.collect()
+    assert law() is None
+    for module in (evolve, enumeration):
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_parameters"):
+                assert value.cache_parameters()["maxsize"] is not None, name
+
+
 # ── label stripping ───────────────────────────────────────────────────────
 
 def test_strip_labels_example():
@@ -191,6 +206,8 @@ def test_strip_labels_validates_input():
 
 
 def test_pushforward_matches_smaller_law():
+    # Every j, not one step: this carries the premise strip_j of strip_{j+1}
+    # = strip_j on which the one-step preserve checks rest.
     for spec in SPECS:
         dist = exact_distribution(spec, 6)
         for j in range(1, 7):
