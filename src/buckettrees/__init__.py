@@ -5,9 +5,8 @@ from .enumeration import (DEFAULT_SIZE_LIMIT, EnumerationLimitError,
                           OdeCheckReport, check_ode_recurrence,
                           closed_form_total_weight, enumerate_shapes,
                           shape_count, total_weight, total_weights)
-from .evolve import (TreeDistribution, attachment_probability,
-                     exact_distribution, growth_options, pushforward_strip,
-                     sample_tree, strip_labels)
+from .evolve import (TreeDistribution, exact_distribution, growth_options,
+                     pushforward_strip, sample_tree, strip_labels)
 from .rng import SplitMix64
 from .trees import (BucketNode, BucketTree, EncodingError, InvalidTreeError,
                     bucket, count_descendants, count_labellings, decode_tree,
@@ -18,10 +17,10 @@ from .urn import (DescendantSample, UrnState, binomial_moment,
                   descendants_law_from_urn, descendants_via_urn,
                   insertion_load_law, urn_distribution_exact, urn_from,
                   urn_moment_exact, urn_run)
-from .verify import (AffineRatioReport, BalanceReport, DegenerateFamilyError,
-                     NotGrown, ScalingReport, UndefinedRatioError,
-                     balance_value, check_affine_ratio, check_balance,
-                     check_scaling, classify_family)
+from .verify import (AffineRatioReport, BalanceReport, NotGrown,
+                     ScalingReport, UndefinedRatioError, balance_value,
+                     check_affine_ratio, check_balance, check_scaling,
+                     classify_family)
 from .stats import (BetaCell, BetaConvergenceReport, GofReport,
                     SecondOrderReport, beta_moment, check_beta_convergence,
                     chi_square_gof, sampler_gof, second_order_diagnostic)
@@ -30,7 +29,7 @@ from .weights import (AffineDegreeWeights, BucketRecursive, DAryIncreasing,
                       InvalidWeightsError, PlaneOriented, WeightModel,
                       to_fraction, weights_of)
 
-__version__ = "0.6.1"
+__version__ = "0.7.0"
 
 __all__ = [
     "BucketNode", "BucketTree", "bucket", "shape_bucket", "single_bucket_tree",
@@ -44,12 +43,11 @@ __all__ = [
     "enumerate_shapes", "shape_count", "total_weight", "total_weights",
     "closed_form_total_weight", "check_ode_recurrence", "OdeCheckReport",
     "EnumerationLimitError", "DEFAULT_SIZE_LIMIT",
-    "growth_options", "attachment_probability",
-    "sample_tree", "TreeDistribution", "exact_distribution",
+    "growth_options", "sample_tree", "TreeDistribution", "exact_distribution",
     "strip_labels", "pushforward_strip",
     "balance_value", "check_balance", "BalanceReport", "check_affine_ratio",
     "AffineRatioReport", "check_scaling", "ScalingReport", "classify_family",
-    "NotGrown", "UndefinedRatioError", "DegenerateFamilyError",
+    "NotGrown", "UndefinedRatioError",
     "UrnState", "urn_from", "urn_run", "urn_distribution_exact",
     "urn_moment_exact", "binomial_moment", "DescendantSample",
     "descendants_direct", "descendants_via_urn",

@@ -50,6 +50,7 @@ def enumerate_shapes(b: int, n: int, limit: int | None = None) -> list[BucketTre
     if b < 1 or n < 1:
         raise ValueError(f"b and n must be >= 1, got b={b}, n={n}")
     _check_limit(n, limit)
+    guard_shapes(n, b)
     shapes: list[list[BucketNode]] = [[]]
     forests: list[list[tuple[BucketNode, ...]]] = [[()]]
     for s in range(1, n + 1):

@@ -26,21 +26,6 @@ from .trees import BucketNode, BucketTree, InvalidTreeError, single_bucket_tree
 from .weights import FamilySpec
 
 
-def attachment_probability(tree: BucketTree, node_index: int, spec: FamilySpec) -> Fraction:
-    """Probability that the next label attaches at the node with this preorder index."""
-    if tree.max_bucket != spec.b:
-        raise InvalidTreeError(f"tree has b={tree.max_bucket}, family has b={spec.b}")
-    for index, node in enumerate(tree.preorder()):
-        if index == node_index:
-            break
-    else:
-        raise ValueError(f"node index {node_index} out of range")
-    w = spec.attachment_weight(node.capacity, len(node.children))
-    if w < 0:
-        raise AssertionError(f"negative attachment weight at node {node_index}")
-    return w / spec.connectivity(tree.size)
-
-
 def growth_options(tree: BucketTree, spec: FamilySpec) -> list[tuple[BucketTree, Fraction]]:
     """Every positive-probability successor of a labelled tree, with its exact
     probability, nodes in preorder and the slots of a saturated node in order.

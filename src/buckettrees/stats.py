@@ -38,6 +38,12 @@ from .weights import FamilySpec
 from .urn import urn_from, urn_moment_exact
 
 MIN_GOF_SAMPLES = 20
+# Pass band of check_beta_convergence: this many standard errors plus the
+# exact finite-n bias.
+SE_MULTIPLIER = 4.0
+# Normality bounds of second_order_diagnostic on |skewness| and |excess kurtosis|.
+SKEW_BOUND = 0.1
+KURT_BOUND = 0.2
 
 
 # ── goodness of fit ───────────────────────────────────────────────────────
@@ -220,14 +226,13 @@ def check_beta_convergence(
     n_grid: Sequence[int],
     samples: int,
     seed: int,
-    se_multiplier: float = 4.0,
 ) -> BetaConvergenceReport:
     """Compare conditional moments of Y/n with the urn's Beta(white, black) limit.
 
     Conditioning on the insertion load is exact: the urn starts from the
     state that load determines (``urn_from``), white = load + kappa and
     black = j - load.  The pass band around each limit moment is
-    se_multiplier standard errors plus the exact finite-n bias, which is
+    SE_MULTIPLIER standard errors plus the exact finite-n bias, which is
     computable in closed form from the urn moments; the check passes when
     both moments of every cell fall inside their bands.
     """
@@ -254,7 +259,7 @@ def check_beta_convergence(
         # Exact finite-n mean:  E Y = 1 + white * draws / total.
         exact_mean = (1 + state.white * draws / state.total) / n
         se = math.sqrt(float(var_beta) / samples)
-        tolerance = Fraction(se_multiplier * se) + abs(exact_mean - m1)
+        tolerance = Fraction(SE_MULTIPLIER * se) + abs(exact_mean - m1)
         error = abs(mean - m1)
 
         emp2 = Fraction(sum(y * y for y in ys), n * n * samples)
@@ -265,7 +270,7 @@ def check_beta_convergence(
         es2 = 2 * mom2 - mom1 - 2 * a0 * mom1 + a0 * a0    # E S^2
         exact_second = (1 + 2 * es + es2) / (Fraction(n) ** 2)
         se2 = float(np.std(((1 + counts) / n) ** 2, ddof=1)) / math.sqrt(samples)
-        second_tol = Fraction(se_multiplier * se2) + abs(exact_second - m2)
+        second_tol = Fraction(SE_MULTIPLIER * se2) + abs(exact_second - m2)
         second_error = abs(emp2 - m2)
 
         cells.append(BetaCell(n, float(mean), float(m1), float(error), float(tolerance),
@@ -310,8 +315,6 @@ def second_order_diagnostic(
     trajectories: int,
     horizon: int,
     seed: int,
-    skew_bound: float = 0.1,
-    kurt_bound: float = 0.2,
 ) -> SecondOrderReport:
     """Test the centered fluctuation of Y_n for Gaussian shape.
 
@@ -354,6 +357,6 @@ def second_order_diagnostic(
     standardized = values / np.sqrt(shape)
     skewness, excess_kurtosis = skew_kurtosis(standardized)
     slope = float(np.polyfit(shape, values * values, 1)[0])
-    passed = abs(skewness) < skew_bound and abs(excess_kurtosis) < kurt_bound
+    passed = abs(skewness) < SKEW_BOUND and abs(excess_kurtosis) < KURT_BOUND
     return SecondOrderReport(n, horizon, trajectories, skewness, excess_kurtosis,
                              slope, slope > 0, passed)

@@ -71,9 +71,6 @@ class BucketTree:
             yield node
             stack.extend(reversed(node.children))
 
-    def node_count(self) -> int:
-        return sum(1 for _ in self.preorder())
-
     def is_labelled(self) -> bool:
         return bool(self.root.labels)
 
@@ -123,9 +120,9 @@ class BucketTree:
             raise InvalidTreeError(f"labels must be exactly 1..n, got {sorted(all_labels)}")
 
 
-def single_bucket_tree(max_bucket: int, label: int = 1) -> BucketTree:
-    """The size-1 tree: one bucket holding one label."""
-    return BucketTree(BucketNode(1, (label,), ()), max_bucket)
+def single_bucket_tree(max_bucket: int) -> BucketTree:
+    """The size-1 tree: one bucket holding label 1."""
+    return BucketTree(BucketNode(1, (1,), ()), max_bucket)
 
 
 # ── canonical encoding ────────────────────────────────────────────────────

@@ -188,12 +188,11 @@ def insertion_load_law(spec: FamilySpec, j: int) -> dict[int, Fraction]:
     return {load: p for load, p in law.items() if p}
 
 
-def descendants_law_from_trees(spec: FamilySpec, n: int, j: int,
-                               limit: int | None = None) -> dict[int, Fraction]:
+def descendants_law_from_trees(spec: FamilySpec, n: int, j: int) -> dict[int, Fraction]:
     """Descendant-count law read from the exact tree distribution."""
     _check_window(n, j)
     law: dict[int, Fraction] = {}
-    for tree, p in exact_distribution(spec, n, limit).probs.items():
+    for tree, p in exact_distribution(spec, n).probs.items():
         y = count_descendants(tree, j)
         law[y] = law.get(y, Fraction(0)) + p
     return law

@@ -7,9 +7,12 @@ depends only on the tree's size.  Equivalent symptoms checked here:
 * ``check_balance``   - the per-tree balance sum is constant at each size;
 * ``check_affine_ratio`` - consecutive totals have affine ratios
   T_{n+1}/T_n = c1*n + c2;
-* ``check_scaling``   - rescaled weights leave tree probabilities alone;
 * ``classify_family`` - recover which growth rule (if any) produced the
   model, up to rescaling.
+
+``check_scaling`` is not one of them: a joint rescaling multiplies every
+size-n weight by a^n/s, so it leaves the tree law of every model alone,
+grown or not.  It checks the rescaling itself.
 
 Classification works on ratio sequences: with gamma_k = psi_1 (k+1)
 phi_{k+1}/phi_k and beta_k = psi_{k+1}/psi_k (psi_b := phi_0), a grown
@@ -29,12 +32,12 @@ from .weights import (BucketRecursive, DAryIncreasing, FamilySpec,
                       PlaneOriented, RationalLike, WeightModel)
 
 
+# Degrees through which classify_family checks an unbounded degree rule.
+CLASSIFY_PROBE = 8
+
+
 class UndefinedRatioError(ValueError):
     """A weight ratio in the balance sum has a zero denominator."""
-
-
-class DegenerateFamilyError(ValueError):
-    """Only chain trees carry weight; no branching family fits."""
 
 
 def balance_value(tree: BucketTree, model: WeightModel) -> Fraction:
@@ -156,28 +159,21 @@ class NotGrown:
     reason: str
 
 
-def classify_family(model: WeightModel, probe: int = 8) -> FamilySpec | NotGrown:
+def classify_family(model: WeightModel) -> FamilySpec | NotGrown:
     """Recover the growth rule behind a model, up to rescaling.
 
-    Checks the ratio lines through degree ``probe`` (further degrees are
-    either pinned by a closed-form rule or truncated by finite support).
-    Returns the family with exact parameters, or NotGrown with a reason.
-    Raises DegenerateFamilyError if only chains carry weight; the model
-    constructor normally rejects those before this point.
+    Checks the ratio lines through degree CLASSIFY_PROBE (further degrees
+    are either pinned by a closed-form rule or truncated by finite support,
+    which the model constructor keeps at degree 2 or more).  Returns the
+    family with exact parameters, or NotGrown with a reason.
     """
-    if probe < 2:
-        raise ValueError(f"probe must be >= 2, got {probe}")
     b = model.b
     for k in range(1, b):
         if model.psi[k - 1] == 0:
             return NotGrown(f"psi_{k} = 0: capacity-{k} buckets are unreachable")
 
     bound = model.phi.support_bound()
-    if bound is not None and bound < 2:
-        raise DegenerateFamilyError(
-            "no degree weight with k >= 2 is positive; only chains carry weight")
-
-    horizon = probe if bound is None else bound
+    horizon = CLASSIFY_PROBE if bound is None else bound
     phi = model.phi_coefficients(horizon + 1)
     for k in range(horizon + 1):
         if phi[k] == 0:

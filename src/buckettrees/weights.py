@@ -15,7 +15,6 @@ canonical weight model with psi_1 = 1 from those three numbers alone.
 from __future__ import annotations
 
 import abc
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -347,9 +346,6 @@ class DAryIncreasing(FamilySpec):
             raise InvalidWeightsError(
                 f"(d-1)*b must be a positive integer, got {slots}")
 
-    def max_degree(self) -> int:
-        return int((self.d - 1) * self.b) + 1
-
     def affine_constants(self) -> tuple[Fraction, Fraction]:
         return self.d - 1, Fraction(1)
 
@@ -377,7 +373,6 @@ class PlaneOriented(FamilySpec):
         return {"family": "plane-oriented", "b": self.b, "alpha": str(self.alpha)}
 
 
-@functools.lru_cache(maxsize=None)
 def weights_of(spec: FamilySpec) -> WeightModel:
-    """Canonical weight model of a family (cached)."""
+    """Canonical weight model of a family."""
     return spec.weight_model()

@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 import buckettrees
 from buckettrees import (DAryIncreasing, EnumerationLimitError, SplitMix64, encode_tree,
                          sample_tree)
+from buckettrees import enumeration
 from buckettrees.cli import build_parser, guard_labelled, main
 
 # stdout sha256 of the benchmark's exact-lane commands; read, never written.
@@ -38,6 +39,14 @@ def test_version_matches_pyproject():
     text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
     declared = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE).group(1)
     assert buckettrees.__version__ == declared
+
+
+def test_public_names_resolve():
+    for name in buckettrees.__all__:
+        assert hasattr(buckettrees, name), name
+    namespace: dict = {}
+    exec("from buckettrees import *", namespace)
+    assert set(buckettrees.__all__) <= namespace.keys()
 
 
 def test_cli_runs_without_scipy():
@@ -146,6 +155,15 @@ def test_enumerate_guard_counts_shapes_not_size(capsys):
                      "--b", "1", "--n", "30", "--limit", "30")
     assert rc == 2
     assert "refusing" in err
+
+
+def test_shape_ceiling_covers_the_size_a_check_builds(capsys, monkeypatch):
+    # The CLI counts shapes at --n, but the ratio check builds size n + 1.
+    monkeypatch.setattr(enumeration, "SHAPE_CEILING", 1000)
+    rc, out, err = run(capsys, "verify", "--family", "bucket-recursive", "--b", "2",
+                       "--n", "11", "--limit", "12", "--check", "ratio")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: refusing") and "size 12 has 2188 shapes" in err
 
 
 PORT_B1 = ["--family", "baport", "--b", "1", "--alpha", "1"]
@@ -379,10 +397,13 @@ def test_descend_zero_draw_window_is_a_point_mass(capsys):
 
 
 def test_descend_rejects_bad_window(capsys):
-    rc, _, err = run(capsys, "descend", "--family", "bucket-recursive",
-                     "--b", "2", "--n", "4", "--j", "5", "--mode", "exact")
-    assert rc == 2
-    assert "error:" in err
+    # Every mode refuses through the library's window check, before any output.
+    for mode in ("exact", "urn", "direct"):
+        for j in ("0", "5"):
+            rc, out, err = run(capsys, "descend", "--family", "bucket-recursive",
+                               "--b", "2", "--n", "4", "--j", j, "--mode", mode)
+            assert rc == 2 and out == ""
+            assert err == f"error: need 1 <= j <= n, got j={j}, n=4\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -15,6 +15,7 @@ from buckettrees import (AffineDegreeWeights, BucketNode, BucketRecursive,
                          check_ode_recurrence, closed_form_total_weight,
                          count_labellings, enumerate_shapes, exact_distribution,
                          shape_count, total_weight, total_weights, weights_of)
+from buckettrees import enumeration
 from buckettrees.enumeration import labelled_counts
 
 F = Fraction
@@ -100,6 +101,14 @@ def test_enumeration_limit_guard():
     assert len(enumerate_shapes(2, 13, limit=13)) == shape_count(2, 13) == 5798
     with pytest.raises(EnumerationLimitError, match="limit 5"):
         total_weight(weights_of(BucketRecursive(2)), 6, limit=5)
+
+
+def test_enumeration_limit_does_not_lift_the_shape_ceiling(monkeypatch):
+    # A lowered ceiling keeps the sizes cheap to build should the guard fail.
+    monkeypatch.setattr(enumeration, "SHAPE_CEILING", 1000)
+    assert len(enumerate_shapes(2, 11)) == shape_count(2, 11)
+    with pytest.raises(EnumerationLimitError, match="size 12 has 2188 shapes"):
+        enumerate_shapes(2, 12)
 
 
 def test_enumerate_rejects_bad_arguments():

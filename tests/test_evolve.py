@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import gc
+import importlib
+import pkgutil
 import time
 import weakref
 from fractions import Fraction
@@ -10,37 +12,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import buckettrees
 from buckettrees import (BucketRecursive, BucketTree, DAryIncreasing,
                          InvalidTreeError, PlaneOriented, SplitMix64,
-                         TreeDistribution, attachment_probability, bucket,
-                         decode_tree, encode_tree, exact_distribution,
-                         growth_options, pushforward_strip, sample_tree,
-                         sampler_gof, single_bucket_tree, strip_labels,
-                         total_weight, tree_weight, weights_of)
-from buckettrees import enumeration, evolve
+                         TreeDistribution, bucket, decode_tree, encode_tree,
+                         exact_distribution, growth_options, pushforward_strip,
+                         sample_tree, sampler_gof, single_bucket_tree,
+                         strip_labels, total_weight, tree_weight, weights_of)
 from buckettrees.enumeration import EnumerationLimitError
 
 F = Fraction
 
 SPECS = [BucketRecursive(2), DAryIncreasing(2, F(2)), PlaneOriented(2, F(1))]
-
-
-def test_attachment_probability_example():
-    # Size-3 tree, uniform attachment: the full root bucket has weight 2.
-    spec = BucketRecursive(2)
-    tree = BucketTree(bucket((1, 2), (bucket((3,)),)), 2)
-    assert attachment_probability(tree, 0, spec) == F(2, 3)
-    assert attachment_probability(tree, 1, spec) == F(1, 3)
-    with pytest.raises(ValueError, match="out of range"):
-        attachment_probability(tree, 2, spec)
-
-
-def test_attachment_probability_preferential():
-    spec = PlaneOriented(2, F(1))  # weight 2c - (1 - deg)
-    tree = BucketTree(bucket((1, 2), (bucket((3,)), bucket((4,)))), 2)
-    # Root (degree 2): 4 + 1 = 5; each leaf: 2 - 1 = 1; normalizer 2*4 - 1 = 7.
-    assert attachment_probability(tree, 0, spec) == F(5, 7)
-    assert attachment_probability(tree, 1, spec) == F(1, 7)
 
 
 def test_growth_options_sum_to_one():
@@ -68,6 +51,11 @@ def test_growth_options_split_slots_uniformly():
         grown.validate()
     # Only the path to the receiving node is rebuilt.
     assert options[0][0].root.children[1] is tree.root.children[0]
+    # Preferential attachment, weight 2c - (1 - deg): the degree-2 root has
+    # 4 + 1 = 5 over three slots, each leaf 2 - 1 = 1, normalizer 2*4 - 1 = 7.
+    tree = BucketTree(bucket((1, 2), (bucket((3,)), bucket((4,)))), 2)
+    assert ([p for _, p in growth_options(tree, PlaneOriented(2, F(1)))]
+            == [F(5, 21)] * 3 + [F(1, 7)] * 2)
 
 
 def test_growth_options_skip_zero_weight_nodes():
@@ -174,11 +162,12 @@ def test_exact_distribution_refuses_too_many_labelled_trees():
 
 def test_exact_lane_keeps_no_state():
     # Memory is bounded by the guards: a law is dropped with its last
-    # reference, and no function of the exact lane memoizes without bound.
+    # reference, and no function of the package memoizes without bound.
     law = weakref.ref(exact_distribution(BucketRecursive(2), 6))
     gc.collect()
     assert law() is None
-    for module in (evolve, enumeration):
+    for info in pkgutil.iter_modules(buckettrees.__path__):
+        module = importlib.import_module(f"buckettrees.{info.name}")
         for name, value in vars(module).items():
             if hasattr(value, "cache_parameters"):
                 assert value.cache_parameters()["maxsize"] is not None, name

@@ -82,7 +82,7 @@ def test_size_and_node_count():
     tree = BucketTree(bucket((1, 2), (bucket((3,)), bucket((4, 5)))), 2)
     tree.validate()
     assert tree.size == 5
-    assert tree.node_count() == 3
+    assert len(list(tree.preorder())) == 3
     assert tree.is_labelled()
     shape = tree.shape()
     assert not shape.is_labelled()

@@ -103,8 +103,13 @@ def test_affine_ratio_needs_three_points():
 # ── scaling ───────────────────────────────────────────────────────────────
 
 def test_scaling_preserves_probabilities():
-    for spec in (BucketRecursive(2), DAryIncreasing(2, F(2)), PlaneOriented(2, F(1))):
-        model = weights_of(spec)
+    # Grown or not, a joint rescaling multiplies every size-n weight by
+    # a^n / s: the last two models fail balance, ratio and classify.
+    models = [weights_of(spec) for spec in
+              (BucketRecursive(2), DAryIncreasing(2, F(2)), PlaneOriented(2, F(1)))]
+    models += [bucket_ordered_model(2),
+               WeightModel(1, (), ExplicitDegreeWeights((F(1), F(3), F(1))))]
+    for model in models:
         for a, s in ((F(2), F(1, 2)), (F(3), F(2)), (F(1, 2), F(5))):
             for n in range(1, 6):
                 assert check_scaling(model, a, s, n).passed
@@ -129,9 +134,7 @@ def test_rescaling_only_degree_weights_breaks_the_law():
     assert any(p != q for p, q in probs)
 
 
-def test_scaling_check_detects_the_same_break():
-    # Same mismatch surfaced through the checker: compare the half-scaled
-    # model against its own joint rescaling undoing only psi.
+def test_scaling_check_reports_a_joint_rescaling_as_passed():
     model = weights_of(BucketRecursive(2))
     report = check_scaling(model, 2, 3, 4)
     assert report.passed  # joint rescaling is invisible, as it must be
@@ -190,8 +193,3 @@ def test_classify_accepts_explicit_binary_weights():
     # (1, 2, 1) is the d = 2 family given as a plain list.
     model = WeightModel(1, (), ExplicitDegreeWeights((F(1), F(2), F(1))))
     assert classify_family(model) == DAryIncreasing(1, F(2))
-
-
-def test_classify_probe_validation():
-    with pytest.raises(ValueError, match=">= 2"):
-        classify_family(weights_of(BucketRecursive(2)), probe=1)

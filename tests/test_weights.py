@@ -92,10 +92,6 @@ def test_psi1_is_one_for_all_families():
         assert weights_of(spec).psi1 == 1
 
 
-def test_weights_of_is_cached():
-    assert weights_of(BucketRecursive(2)) is weights_of(BucketRecursive(2))
-
-
 # ── rule mechanics ────────────────────────────────────────────────────────
 
 def test_explicit_weights_strip_trailing_zeros():
@@ -268,9 +264,3 @@ def test_family_rejects_bad_parameters():
         DAryIncreasing(1, F(3, 2))
     with pytest.raises(InvalidWeightsError, match="positive"):
         PlaneOriented(2, F(0))
-
-
-def test_dary_max_degree():
-    assert DAryIncreasing(1, F(2)).max_degree() == 2
-    assert DAryIncreasing(2, F(3, 2)).max_degree() == 2
-    assert DAryIncreasing(3, F(3)).max_degree() == 7
