@@ -51,11 +51,16 @@ def test_growth_options_split_slots_uniformly():
         grown.validate()
     # Only the path to the receiving node is rebuilt.
     assert options[0][0].root.children[1] is tree.root.children[0]
-    # Preferential attachment, weight 2c - (1 - deg): the degree-2 root has
-    # 4 + 1 = 5 over three slots, each leaf 2 - 1 = 1, normalizer 2*4 - 1 = 7.
+
+
+def test_attachment_probability_preferential():
+    spec = PlaneOriented(2, F(1))  # weight 2c - (1 - deg)
     tree = BucketTree(bucket((1, 2), (bucket((3,)), bucket((4,)))), 2)
-    assert ([p for _, p in growth_options(tree, PlaneOriented(2, F(1)))]
-            == [F(5, 21)] * 3 + [F(1, 7)] * 2)
+    probs = [p for _, p in growth_options(tree, spec)]
+    # Root (degree 2): 4 + 1 = 5 over three slots; each leaf: 2 - 1 = 1;
+    # normalizer 2*4 - 1 = 7.  Nodes in preorder, slots in order.
+    assert probs == [F(5, 21)] * 3 + [F(1, 7)] * 2
+    assert sum(probs[:3]) == F(5, 7)
 
 
 def test_growth_options_skip_zero_weight_nodes():
