@@ -25,9 +25,10 @@ from dataclasses import asdict
 from .enumeration import (EnumerationLimitError, check_ode_recurrence,
                           closed_form_total_weight, enumerate_shapes,
                           guard_labelled, guard_shapes, total_weight)
-from .evolve import exact_distribution, pushforward_strip, sample_tree
+from .evolve import exact_laws, pushforward_strip, sample_tree
 from .rng import SplitMix64
-from .trees import EncodingError, InvalidTreeError, encode_tree, tree_weight
+from .trees import (EncodingError, InvalidTreeError, encode_tree, weigh,
+                    weight_table)
 from .urn import (descendants_direct, descendants_law_from_urn,
                   descendants_via_urn)
 from .verify import (NotGrown, check_affine_ratio, check_balance,
@@ -276,11 +277,12 @@ def _verify_ode(model, spec, args) -> dict:
 
 def _verify_equivalence(model, spec, args) -> dict:
     first_bad = None
-    for size in range(1, args.n + 1):
-        dist = exact_distribution(spec, size, args.limit)
+    for dist in exact_laws(spec, args.n, args.limit):
+        size = dist.size
         total = total_weight(model, size, args.limit)
+        table = weight_table(model, size)
         for tree, prob in dist.probs.items():
-            if prob != tree_weight(tree, model) / total:
+            if prob != weigh(tree, table) / total:
                 first_bad = first_bad or {"n": size, "tree": encode_tree(tree).decode("ascii")}
         if dist.total() != 1:
             first_bad = first_bad or {"n": size, "tree": None}
@@ -290,15 +292,15 @@ def _verify_equivalence(model, spec, args) -> dict:
 
 def _verify_preserve(model, spec, args) -> dict:
     # strip_j of strip_{j+1} is strip_j, so checking each size against the
-    # next one covers every j <= n.  Walking down from n refuses a size above
-    # --limit before any work; the last failure seen is the smallest j.
+    # one before covers every j <= n.  Walking up, the first failure is the
+    # smallest j, and only two consecutive laws are held at a time.
     bad_j = None
-    law = exact_distribution(spec, args.n, args.limit)
-    for j in range(args.n - 1, 0, -1):
-        smaller = exact_distribution(spec, j, args.limit)
-        if pushforward_strip(law, j).probs != smaller.probs:
-            bad_j = j
-        law = smaller
+    smaller = None
+    for law in exact_laws(spec, args.n, args.limit):
+        if smaller is not None and pushforward_strip(law, smaller.size).probs != smaller.probs:
+            bad_j = smaller.size
+            break
+        smaller = law
     return {"check": "preserve", "passed": bad_j is None, "n": args.n, "first_failing_j": bad_j}
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .trees import BucketNode, BucketTree, count_labellings, tree_weight
+from .trees import BucketNode, BucketTree, count_labellings, weigh, weight_table
 from .weights import FamilySpec, WeightModel
 
 DEFAULT_SIZE_LIMIT = 12
@@ -119,9 +119,11 @@ def shape_count(b: int, n: int) -> int:
 
 def total_weight(model: WeightModel, n: int, limit: int | None = None) -> Fraction:
     """T_n: sum of tree weight times labelling count over all size-n shapes."""
+    shapes = enumerate_shapes(model.b, n, limit)   # refuses n before the table
+    table = weight_table(model, n)
     total = Fraction(0)
-    for shape in enumerate_shapes(model.b, n, limit):
-        w = tree_weight(shape, model)
+    for shape in shapes:
+        w = weigh(shape, table)
         if w:
             total += w * count_labellings(shape)
     return total

@@ -7,8 +7,8 @@ insertion slot among the degree+1 gaps is uniform.  Sampling is exact:
 the rational weights are cleared to integers and a uniform integer below
 their sum is drawn.
 
-``exact_distribution`` computes the full law of the process at a given
-size by dynamic programming over labelled trees, so sampled and
+``exact_laws`` computes the full law of the process at every size up to a
+given one by dynamic programming over labelled trees, so sampled and
 theoretical distributions can be compared without estimation error.
 """
 
@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .enumeration import _check_limit, guard_labelled
 from .rng import SplitMix64
@@ -161,22 +161,31 @@ class TreeDistribution:
                 raise ValueError(f"bad support element {tree}")
 
 
-def exact_distribution(spec: FamilySpec, n: int, limit: int | None = None) -> TreeDistribution:
-    """Law of the size-n tree under the growth process, grown from size 1 one
-    label at a time; refuses a size above ``limit`` or one with more labelled
-    trees than the ceiling."""
+def exact_laws(spec: FamilySpec, n: int, limit: int | None = None) -> Iterator[TreeDistribution]:
+    """Laws of the sizes 1, ..., n under the growth process, each grown from
+    the one before by one label; refuses a size above ``limit`` or one with
+    more labelled trees than the ceiling before the first step."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _check_limit(n, limit)
     guard_labelled(n, spec.b)
     probs = {single_bucket_tree(spec.b): Fraction(1)}
-    for _ in range(1, n):
+    yield TreeDistribution(1, probs)
+    for size in range(2, n + 1):
         acc: dict[BucketTree, Fraction] = {}
         for tree, prob in probs.items():
             for grown, p in growth_options(tree, spec):
                 acc[grown] = acc.get(grown, Fraction(0)) + prob * p
         probs = acc
-    return TreeDistribution(n, probs)
+        yield TreeDistribution(size, probs)
+
+
+def exact_distribution(spec: FamilySpec, n: int, limit: int | None = None) -> TreeDistribution:
+    """Law of the size-n tree under the growth process: the last of
+    ``exact_laws``."""
+    for law in exact_laws(spec, n, limit):
+        pass
+    return law
 
 
 # ── label removal ─────────────────────────────────────────────────────────

@@ -183,22 +183,45 @@ def decode_tree(data: bytes, max_bucket: int) -> BucketTree:
 
 # ── weights and labelling counts ──────────────────────────────────────────
 
+WeightTable = tuple[int, list[int], list[int]]
+
+
+def weight_table(model: "WeightModel", degree: int) -> WeightTable:
+    """The node weights of trees with at most ``degree`` children per node,
+    read from the model once: (b, numerators, denominators), where entry
+    c - 1 is psi_c (c < b) and entry b - 1 + k is phi_k (k <= degree)."""
+    weights = [*model.psi, *model.phi_coefficients(degree)]
+    return model.b, [w.numerator for w in weights], [w.denominator for w in weights]
+
+
+def weigh(tree: BucketTree, table: WeightTable) -> Fraction:
+    """``tree_weight`` read from a table that covers the tree's degrees; the
+    node weights are multiplied as integers, numerators and denominators
+    apart."""
+    b, nums, dens = table
+    if tree.max_bucket != b:
+        raise InvalidTreeError(f"tree built for b={tree.max_bucket} but model has b={b}")
+    num = den = 1
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        kids = node.children
+        c = node.capacity
+        i = c - 1 if c < b else b - 1 + len(kids)
+        num *= nums[i]
+        if not num:
+            return Fraction(0)
+        den *= dens[i]
+        stack.extend(kids)
+    return Fraction(num, den)
+
+
 def tree_weight(tree: BucketTree, model: "WeightModel") -> Fraction:
     """Product over nodes: saturated buckets contribute the degree weight
     for their child count, unsaturated leaves the bucket weight for their
     capacity."""
-    if tree.max_bucket != model.b:
-        raise InvalidTreeError(
-            f"tree built for b={tree.max_bucket} but model has b={model.b}")
-    w = Fraction(1)
-    for node in tree.preorder():
-        if node.capacity == model.b:
-            w *= model.phi.coeff(len(node.children))
-        else:
-            w *= model.psi[node.capacity - 1]
-        if w == 0:
-            return Fraction(0)
-    return w
+    degree = max(len(node.children) for node in tree.preorder())
+    return weigh(tree, weight_table(model, degree))
 
 
 def count_labellings(tree: BucketTree) -> int:

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .enumeration import enumerate_shapes, total_weights
-from .trees import BucketTree, count_labellings, node_profile, tree_weight
+from .trees import (BucketTree, count_labellings, node_profile, weigh,
+                    weight_table)
 from .weights import (BucketRecursive, DAryIncreasing, FamilySpec,
                       PlaneOriented, RationalLike, WeightModel)
 
@@ -79,8 +80,10 @@ def check_balance(model: WeightModel, n: int, limit: int | None = None) -> Balan
     their ratios may be undefined without meaning anything.
     """
     values: dict[BucketTree, Fraction] = {}
-    for shape in enumerate_shapes(model.b, n, limit):
-        if tree_weight(shape, model) == 0:
+    shapes = enumerate_shapes(model.b, n, limit)
+    table = weight_table(model, n)
+    for shape in shapes:
+        if weigh(shape, table) == 0:
             continue
         values[shape] = balance_value(shape, model)
     distinct = set(values.values())
@@ -140,8 +143,10 @@ def check_scaling(
     """
     scaled = model.scaled(a, s)
     shapes = enumerate_shapes(model.b, n, limit)
-    base_weights = [tree_weight(t, model) for t in shapes]
-    scaled_weights = [tree_weight(t, scaled) for t in shapes]
+    base_table = weight_table(model, n)
+    scaled_table = weight_table(scaled, n)
+    base_weights = [weigh(t, base_table) for t in shapes]
+    scaled_weights = [weigh(t, scaled_table) for t in shapes]
     base_total = sum(w * count_labellings(t) for w, t in zip(base_weights, shapes))
     scaled_total = sum(w * count_labellings(t) for w, t in zip(scaled_weights, shapes))
     if base_total == 0 or scaled_total == 0:

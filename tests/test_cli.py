@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -12,6 +13,7 @@ import re
 import subprocess
 import sys
 import time
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,9 +21,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import buckettrees
-from buckettrees import (DAryIncreasing, EnumerationLimitError, SplitMix64, encode_tree,
-                         sample_tree)
-from buckettrees import enumeration
+from buckettrees import (DAryIncreasing, EnumerationLimitError, SplitMix64,
+                         TreeDistribution, encode_tree, sample_tree)
+from buckettrees import cli, enumeration
 from buckettrees.cli import build_parser, guard_labelled, main
 
 # stdout sha256 of the benchmark's exact-lane commands; read, never written.
@@ -317,6 +319,40 @@ def test_verify_all_checks_for_family(capsys):
     names = {entry["check"] for entry in payload["checks"]}
     assert {"balance", "ratio", "scaling", "classify", "ode",
             "equivalence", "preserve"} <= names
+
+
+def test_verify_preserve_reports_the_smallest_failing_j(capsys, monkeypatch):
+    # The laws are checked from size 2 up; the report names the smallest j.
+    strip = cli.pushforward_strip
+
+    def corrupted(dist, j):
+        image = strip(dist, j)
+        return TreeDistribution(j, {}) if j in (2, 4) else image
+
+    monkeypatch.setattr(cli, "pushforward_strip", corrupted)
+    rc, out, _ = run(capsys, "verify", "--family", "baport", "--b", "2",
+                     "--alpha", "1", "--n", "6", "--check", "preserve")
+    assert rc == 1
+    assert json.loads(out)["checks"][0]["first_failing_j"] == 2
+
+
+def test_verify_preserve_holds_two_laws_at_a_time(capsys, monkeypatch):
+    laws = cli.exact_laws
+    alive = []
+
+    def watched(spec, n, limit=None):
+        refs = []
+        for law in laws(spec, n, limit):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in refs))
+            refs.append(weakref.ref(law))
+            yield law
+
+    monkeypatch.setattr(cli, "exact_laws", watched)
+    rc, _, _ = run(capsys, "verify", "--family", "bucket-recursive", "--b", "2",
+                   "--n", "6", "--check", "preserve")
+    # When law m arrives, of the earlier laws only law m - 1 is still held.
+    assert rc == 0 and alive == [0, 1, 1, 1, 1, 1]
 
 
 def test_verify_classify_reports_family(capsys):

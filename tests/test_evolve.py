@@ -16,7 +16,8 @@ import buckettrees
 from buckettrees import (BucketRecursive, BucketTree, DAryIncreasing,
                          InvalidTreeError, PlaneOriented, SplitMix64,
                          TreeDistribution, bucket, decode_tree, encode_tree,
-                         exact_distribution, growth_options, pushforward_strip,
+                         exact_distribution, exact_laws, growth_options,
+                         pushforward_strip,
                          sample_tree, sampler_gof, single_bucket_tree,
                          strip_labels, total_weight, tree_weight, weights_of)
 from buckettrees.enumeration import EnumerationLimitError
@@ -150,9 +151,20 @@ def test_tree_distribution_validate_rejects_bad_laws():
         TreeDistribution(1, {single_bucket_tree(2): F(1, 2)}).validate()
 
 
+def test_exact_laws_are_every_smaller_law():
+    for spec in SPECS:
+        sizes = []
+        for law in exact_laws(spec, 6):
+            sizes.append(law.size)
+            assert law.probs == exact_distribution(spec, law.size).probs
+        assert sizes == [1, 2, 3, 4, 5, 6]
+
+
 def test_exact_distribution_guard():
     with pytest.raises(EnumerationLimitError, match="limit 12"):
         exact_distribution(BucketRecursive(2), 13)
+    with pytest.raises(EnumerationLimitError, match="limit 12"):
+        next(exact_laws(BucketRecursive(2), 13))
     with pytest.raises(ValueError, match=">= 1"):
         exact_distribution(BucketRecursive(2), 0)
 
@@ -162,6 +174,8 @@ def test_exact_distribution_refuses_too_many_labelled_trees():
     start = time.perf_counter()
     with pytest.raises(EnumerationLimitError, match="labelled trees"):
         exact_distribution(PlaneOriented(1, F(1)), 10)
+    with pytest.raises(EnumerationLimitError, match="labelled trees"):
+        next(exact_laws(PlaneOriented(1, F(1)), 10))
     assert time.perf_counter() - start < 1
 
 

@@ -15,13 +15,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from buckettrees import (BucketRecursive, BucketTree, DAryIncreasing,
-                         EncodingError, InvalidTreeError, PlaneOriented,
-                         SplitMix64, bucket, count_descendants,
+                         EncodingError, ExplicitDegreeWeights,
+                         InvalidTreeError, PlaneOriented, SplitMix64,
+                         WeightModel, bucket, count_descendants,
                          count_labellings, decode_tree, encode_tree,
                          enumerate_shapes, insertion_load, node_profile,
                          sample_tree, shape_bucket, single_bucket_tree,
                          subtree_of_label, tree_weight, weights_of)
-from buckettrees.trees import MAX_DECODE_DEPTH
+from buckettrees.trees import MAX_DECODE_DEPTH, weigh, weight_table
 
 
 def oracle_labellings(tree: BucketTree) -> int:
@@ -256,6 +257,42 @@ def test_tree_weight_rejects_mismatched_bound():
     model = weights_of(BucketRecursive(2))
     with pytest.raises(InvalidTreeError, match="b=3"):
         tree_weight(single_bucket_tree(3), model)
+    with pytest.raises(InvalidTreeError, match="b=3"):
+        weigh(single_bucket_tree(3), weight_table(model, 1))
+
+
+def per_node_weight(tree: BucketTree, model: WeightModel) -> Fraction:
+    """Reference: the product of the node weights, each read off the model."""
+    w = Fraction(1)
+    for node in tree.preorder():
+        if node.capacity == model.b:
+            w *= model.phi.coeff(len(node.children))
+        else:
+            w *= model.psi[node.capacity - 1]
+    return w
+
+
+ZERO_GAP = ExplicitDegreeWeights((1, 0, 2))   # phi_1 = 0
+TABLE_MODELS = {
+    **{f"{spec.describe()['family']}-b{b}": weights_of(spec)
+       for b in (1, 2, 3)
+       for spec in (BucketRecursive(b), DAryIncreasing(b, Fraction(2)),
+                    PlaneOriented(b, Fraction(1)))},
+    "port-b2-scaled": weights_of(PlaneOriented(2, Fraction(1))).scaled(3, Fraction(1, 2)),
+    "raw-b1": WeightModel(1, (), ZERO_GAP),
+    "raw-b2-psi1-zero": WeightModel(2, (0,), ZERO_GAP),
+    "raw-b3-psi1-zero": WeightModel(3, (0, Fraction(5, 3)), ZERO_GAP),
+}
+
+
+@pytest.mark.parametrize("model", TABLE_MODELS.values(), ids=TABLE_MODELS.keys())
+def test_tree_weight_table_matches_per_node_product(model):
+    for n in range(1, 9):
+        table = weight_table(model, n)
+        for shape in enumerate_shapes(model.b, n):
+            expected = per_node_weight(shape, model)
+            assert weigh(shape, table) == expected
+            assert tree_weight(shape, model) == expected
 
 
 def test_node_profile_identities():
