@@ -17,9 +17,9 @@ from buckettrees import (BucketRecursive, BucketTree, DAryIncreasing,
                          InvalidTreeError, PlaneOriented, SplitMix64,
                          TreeDistribution, bucket, decode_tree, encode_tree,
                          exact_distribution, exact_laws, growth_options,
-                         pushforward_strip,
-                         sample_tree, sampler_gof, single_bucket_tree,
-                         strip_labels, total_weight, tree_weight, weights_of)
+                         pushforward_strip, sample_tree, sampler_gof,
+                         single_bucket_tree, strip_labels, total_weight,
+                         tree_weight, weights_of)
 from buckettrees.enumeration import EnumerationLimitError
 
 F = Fraction

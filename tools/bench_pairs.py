@@ -5,12 +5,13 @@
 
 Each DIR is the root of a source checkout with its own perfbench/ and src/.
 Every side of a pair runs ``python3 perfbench/run.py --workload W --seed N
---seconds S`` in its own checkout, one run at a time; pair i runs the parent
+--seconds S`` in its own checkout, one run at a time, with S the
+``run_seconds`` of the change's BENCHMARK.json; pair i runs the parent
 first when i is odd and the change first when it is even.  The file keeps
 each run's last stdout line (the result) as printed, and a summary per
 workload: for each end-to-end metric, the median and quartiles of each side
 and the number of pairs in which the change read lower (ties count for
-neither side), and the commit of each checkout.
+neither side).  It also records the commit of each checkout.
 """
 
 from __future__ import annotations
@@ -64,14 +65,14 @@ def main() -> int:
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--pairs", required=True, help="workload=count,...")
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
     roots = {"parent": args.parent, "change": args.change}
+    seconds = json.loads((args.change / "BENCHMARK.json").read_text())["run_seconds"]
     report = {
         "command": "python3 perfbench/run.py --workload W --seed N --seconds S --trace 0",
         "seed": args.seed,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "revisions": {side: revision(root) for side, root in roots.items()},
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "platform": platform.platform()},
@@ -84,7 +85,7 @@ def main() -> int:
             order = ("parent", "change") if i % 2 else ("change", "parent")
             pair = {"first": order[0]}
             for side in order:
-                pair[side] = run_side(roots[side], workload, args.seed, args.seconds)
+                pair[side] = run_side(roots[side], workload, args.seed, seconds)
             pairs.append(pair)
             print(f"{workload} pair {i}: run_s parent "
                   f"{pair['parent']['metrics']['run_s']['value']:.4f} change "
