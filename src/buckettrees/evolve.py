@@ -14,10 +14,10 @@ theoretical distributions can be compared without estimation error.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Mapping
 
 from .enumeration import _check_limit, guard_labelled
@@ -66,14 +66,6 @@ def growth_options(tree: BucketTree, spec: FamilySpec) -> list[tuple[BucketTree,
     return options
 
 
-@lru_cache(maxsize=32)
-def _integer_weights(spec: FamilySpec) -> tuple[int, int]:
-    """(c1, c2) times weight_scale(): the integer join and split weights."""
-    scale = spec.weight_scale()
-    c1, c2 = spec.affine_constants()
-    return c1.numerator * (scale // c1.denominator), c2.numerator * (scale // c2.denominator)
-
-
 def sample_tree(spec: FamilySpec, n: int, rng: SplitMix64) -> BucketTree:
     """Grow a labelled tree of size n from a single label.
 
@@ -86,7 +78,11 @@ def sample_tree(spec: FamilySpec, n: int, rng: SplitMix64) -> BucketTree:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     b = spec.b
-    join, split = _integer_weights(spec)
+    # (c1, c2) times their common denominator: the integer join and split weights.
+    c1, c2 = spec.c1, spec.c2
+    scale = math.lcm(c1.denominator, c2.denominator)
+    join = c1.numerator * (scale // c1.denominator)
+    split = c2.numerator * (scale // c2.denominator)
     leaf = join + split
     if leaf < 0:
         raise AssertionError(f"negative leaf weight {leaf}")

@@ -8,7 +8,8 @@ covers the exponential and every power of a binomial; every rule composes
 with a series the same way, by Horner's rule over its coefficients.
 
 The families are parameter sets for the growth process.  Each is fixed by
-(b, c1, c2), where T_{n+1}/T_n = c1*n + c2, and ``weights_of`` derives its
+(b, c1, c2), where T_{n+1}/T_n = c1*n + c2; a family keeps c1 and c2 as
+attributes set once when it is built, and ``weights_of`` derives its
 canonical weight model with psi_1 = 1 from those three numbers alone.
 """
 
@@ -262,7 +263,7 @@ class WeightModel:
 # ── grown families ────────────────────────────────────────────────────────
 
 class FamilySpec(abc.ABC):
-    """A parameterized growth rule; carries its derived constants.
+    """A parameterized growth rule, fixed by (b, c1, c2).
 
     The attachment weight of a node is affine in its bucket load and child
     count: c1 * capacity + c2 * (1 - degree).  Summing over all nodes of a
@@ -270,50 +271,32 @@ class FamilySpec(abc.ABC):
     """
 
     b: int
-
-    @abc.abstractmethod
-    def affine_constants(self) -> tuple[Fraction, Fraction]:
-        """(c1, c2) with T_{n+1}/T_n = c1*n + c2 for the canonical model."""
+    c1: Fraction
+    c2: Fraction
 
     def __post_init__(self) -> None:
         if self.b < 1:
             raise InvalidWeightsError(f"b must be >= 1, got {self.b}")
 
-    def weight_model(self) -> WeightModel:
-        """Canonical weights with psi_1 = 1, derived from (b, c1, c2).
-
-        psi_k = T_k = prod_{i<k} (c1*i + c2) for k < b.  The degree rule
-        starts at phi_0 = T_b and obeys
-        (k+1) phi_{k+1} = (b*c1 + c2 - c2*k) phi_k.
-        """
-        c1, c2 = self.affine_constants()
-        totals = [Fraction(1)]
-        for i in range(1, self.b):
-            totals.append(totals[-1] * self.connectivity(i))
-        phi = AffineDegreeWeights(totals[-1], self.b * c1 + c2, c2)
-        return WeightModel(self.b, tuple(totals[:-1]), phi)
+    def _hold(self, c1: Fraction, c2: Fraction) -> None:
+        # Plain attributes, not dataclass fields: they follow from the
+        # parameters, so they play no part in ==, hash or repr.
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
 
     @abc.abstractmethod
     def describe(self) -> dict: ...
 
     def kappa(self) -> Fraction:
         """White-ball shift of the descendants urn and its Beta limit; c2 / c1."""
-        c1, c2 = self.affine_constants()
-        return c2 / c1
+        return self.c2 / self.c1
 
     def connectivity(self, n: int) -> Fraction:
         """Total attachment weight of any size-n tree grown by this rule."""
-        c1, c2 = self.affine_constants()
-        return c1 * n + c2
+        return self.c1 * n + self.c2
 
     def attachment_weight(self, capacity: int, degree: int) -> Fraction:
-        c1, c2 = self.affine_constants()
-        return c1 * capacity + c2 * (1 - degree)
-
-    def weight_scale(self) -> int:
-        """Common denominator turning attachment weights into integers."""
-        c1, c2 = self.affine_constants()
-        return math.lcm(c1.denominator, c2.denominator)
+        return self.c1 * capacity + self.c2 * (1 - degree)
 
 
 @dataclass(frozen=True)
@@ -322,8 +305,9 @@ class BucketRecursive(FamilySpec):
 
     b: int
 
-    def affine_constants(self) -> tuple[Fraction, Fraction]:
-        return Fraction(1), Fraction(0)
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self._hold(Fraction(1), Fraction(0))
 
     def describe(self) -> dict:
         return {"family": "bucket-recursive", "b": self.b}
@@ -345,9 +329,7 @@ class DAryIncreasing(FamilySpec):
         if slots.denominator != 1:
             raise InvalidWeightsError(
                 f"(d-1)*b must be a positive integer, got {slots}")
-
-    def affine_constants(self) -> tuple[Fraction, Fraction]:
-        return self.d - 1, Fraction(1)
+        self._hold(self.d - 1, Fraction(1))
 
     def describe(self) -> dict:
         return {"family": "dary", "b": self.b, "d": str(self.d)}
@@ -365,14 +347,21 @@ class PlaneOriented(FamilySpec):
         object.__setattr__(self, "alpha", to_fraction(self.alpha))
         if self.alpha <= 0:
             raise InvalidWeightsError(f"alpha must be positive, got {self.alpha}")
-
-    def affine_constants(self) -> tuple[Fraction, Fraction]:
-        return self.alpha + 1, Fraction(-1)
+        self._hold(self.alpha + 1, Fraction(-1))
 
     def describe(self) -> dict:
         return {"family": "plane-oriented", "b": self.b, "alpha": str(self.alpha)}
 
 
 def weights_of(spec: FamilySpec) -> WeightModel:
-    """Canonical weight model of a family."""
-    return spec.weight_model()
+    """Canonical weights of a family with psi_1 = 1, from (b, c1, c2) alone.
+
+    psi_k = T_k = prod_{i<k} (c1*i + c2) for k < b.  The degree rule
+    starts at phi_0 = T_b and obeys
+    (k+1) phi_{k+1} = (b*c1 + c2 - c2*k) phi_k.
+    """
+    totals = [Fraction(1)]
+    for i in range(1, spec.b):
+        totals.append(totals[-1] * spec.connectivity(i))
+    phi = AffineDegreeWeights(totals[-1], spec.b * spec.c1 + spec.c2, spec.c2)
+    return WeightModel(spec.b, tuple(totals[:-1]), phi)

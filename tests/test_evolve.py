@@ -181,15 +181,14 @@ def test_exact_distribution_refuses_too_many_labelled_trees():
 
 def test_exact_lane_keeps_no_state():
     # Memory is bounded by the guards: a law is dropped with its last
-    # reference, and no function of the package memoizes without bound.
+    # reference, and no function of the package memoizes.
     law = weakref.ref(exact_distribution(BucketRecursive(2), 6))
     gc.collect()
     assert law() is None
     for info in pkgutil.iter_modules(buckettrees.__path__):
         module = importlib.import_module(f"buckettrees.{info.name}")
         for name, value in vars(module).items():
-            if hasattr(value, "cache_parameters"):
-                assert value.cache_parameters()["maxsize"] is not None, name
+            assert not hasattr(value, "cache_parameters"), name
 
 
 # ── label stripping ───────────────────────────────────────────────────────

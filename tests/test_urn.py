@@ -49,7 +49,7 @@ def test_urn_from_is_the_beta_limit_pair():
     # The urn starts at the Beta(K + c2/c1, j - K) limit's parameters, with
     # white > 0 (kappa > -1), on criterion 6's grid.
     for spec in CRITERION_6_SPECS:
-        c1, c2 = spec.affine_constants()
+        c1, c2 = spec.c1, spec.c2
         for j in range(1, 7):
             loads = [j] if j <= spec.b else range(1, spec.b + 1)
             for load in loads:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -232,9 +233,11 @@ def test_scaled_rejects_nonpositive_factors():
 # ── family parameter validation and constants ─────────────────────────────
 
 def test_family_constants():
-    assert BucketRecursive(2).affine_constants() == (1, 0)
-    assert DAryIncreasing(2, F(3, 2)).affine_constants() == (F(1, 2), 1)
-    assert PlaneOriented(2, F(1)).affine_constants() == (2, -1)
+    for spec, constants in [(BucketRecursive(2), (1, 0)),
+                            (DAryIncreasing(2, F(3, 2)), (F(1, 2), 1)),
+                            (PlaneOriented(2, F(1)), (2, -1))]:
+        assert (spec.c1, spec.c2) == constants
+        assert type(spec.c1) is type(spec.c2) is Fraction
     assert PlaneOriented(3, F(1, 2)).kappa() == F(-2, 3)
     assert DAryIncreasing(1, F(2)).connectivity(5) == 6
     assert BucketRecursive(4).connectivity(7) == 7
@@ -247,12 +250,26 @@ def test_attachment_weight():
     assert spec.attachment_weight(1, 0) == 1
 
 
-def test_weight_scale_clears_denominators():
-    spec = DAryIncreasing(2, F(3, 2))
-    scale = spec.weight_scale()
-    c1, c2 = spec.affine_constants()
-    assert (c1 * scale).denominator == 1 and (c2 * scale).denominator == 1
-    assert scale == 2
+def test_family_constants_are_not_fields():
+    # c1 and c2 follow from the parameters: equality, hashing, repr, the
+    # dataclass fields and the description see the parameters only.
+    assert PlaneOriented(2, 1) == PlaneOriented(2, F(1))
+    assert hash(PlaneOriented(2, 1)) == hash(PlaneOriented(2, F(1)))
+    assert DAryIncreasing(2, 2) != DAryIncreasing(2, F(3, 2))
+    assert repr(BucketRecursive(3)) == "BucketRecursive(b=3)"
+    assert repr(DAryIncreasing(2, 2)) == "DAryIncreasing(b=2, d=Fraction(2, 1))"
+    assert repr(PlaneOriented(2, F(1, 2))) == "PlaneOriented(b=2, alpha=Fraction(1, 2))"
+    assert [f.name for f in dataclasses.fields(BucketRecursive)] == ["b"]
+    assert [f.name for f in dataclasses.fields(DAryIncreasing)] == ["b", "d"]
+    assert [f.name for f in dataclasses.fields(PlaneOriented)] == ["b", "alpha"]
+    assert BucketRecursive(3).describe() == {"family": "bucket-recursive", "b": 3}
+    assert DAryIncreasing(2, 2).describe() == {"family": "dary", "b": 2, "d": "2"}
+    assert PlaneOriented(2, F(1, 2)).describe() == {
+        "family": "plane-oriented", "b": 2, "alpha": "1/2"}
+    with pytest.raises(TypeError):
+        BucketRecursive(2, c1=F(1))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        BucketRecursive(2).c1 = F(2)
 
 
 def test_family_rejects_bad_parameters():
