@@ -345,16 +345,8 @@ def cmd_descend(args: argparse.Namespace) -> int:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     if args.mode == "exact":
         law = descendants_law_from_urn(spec, args.n, args.j)
-        # An exact probability may have more digits than str(int) allows by
-        # default; lift that cap only while formatting, before any output.
-        cap = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            rows = [[y, str(law[y])] for y in sorted(law)]
-        finally:
-            sys.set_int_max_str_digits(cap)
         writer.writerow(["descendants", "probability"])
-        writer.writerows(rows)
+        writer.writerows([y, str(law[y])] for y in sorted(law))
         return 0
     draw = descendants_via_urn if args.mode == "urn" else descendants_direct
     master = SplitMix64(_parse_seed(args.seed))
@@ -458,12 +450,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # An exact value may have more digits than str(int) allows by default
+    # (4,300); lift that cap for the command and restore it however it ends.
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (InvalidWeightsError, InvalidTreeError, EncodingError,
             EnumerationLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 def entrypoint() -> None:

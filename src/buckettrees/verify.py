@@ -29,8 +29,8 @@ from fractions import Fraction
 from .enumeration import enumerate_shapes, total_weights
 from .trees import (BucketTree, count_labellings, node_profile, weigh,
                     weight_table)
-from .weights import (BucketRecursive, DAryIncreasing, FamilySpec,
-                      PlaneOriented, RationalLike, WeightModel)
+from .weights import (AffineDegreeWeights, BucketRecursive, DAryIncreasing,
+                      FamilySpec, PlaneOriented, RationalLike, WeightModel)
 
 
 # Degrees through which classify_family checks an unbounded degree rule.
@@ -167,10 +167,11 @@ class NotGrown:
 def classify_family(model: WeightModel) -> FamilySpec | NotGrown:
     """Recover the growth rule behind a model, up to rescaling.
 
-    Checks the ratio lines through degree CLASSIFY_PROBE (further degrees
-    are either pinned by a closed-form rule or truncated by finite support,
-    which the model constructor keeps at degree 2 or more).  Returns the
-    family with exact parameters, or NotGrown with a reason.
+    Checks the ratio lines through degree CLASSIFY_PROBE, and an explicit
+    list through its last entry (further degrees are either pinned by the
+    closed-form rule or truncated by finite support, which the model
+    constructor keeps at degree 2 or more).  Returns the family with exact
+    parameters, or NotGrown with a reason.
     """
     b = model.b
     for k in range(1, b):
@@ -179,6 +180,10 @@ def classify_family(model: WeightModel) -> FamilySpec | NotGrown:
 
     bound = model.phi.support_bound()
     horizon = CLASSIFY_PROBE if bound is None else bound
+    if isinstance(model.phi, AffineDegreeWeights):
+        # The rule fixes every later ratio, and the max-degree test below
+        # compares the line's zero with the bound itself.
+        horizon = min(horizon, CLASSIFY_PROBE)
     phi = model.phi_coefficients(horizon + 1)
     for k in range(horizon + 1):
         if phi[k] == 0:

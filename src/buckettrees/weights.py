@@ -353,6 +353,11 @@ class PlaneOriented(FamilySpec):
         return {"family": "plane-oriented", "b": self.b, "alpha": str(self.alpha)}
 
 
+# Largest b whose canonical weights weights_of builds: the digits of
+# psi_k = T_k grow like k!, so psi_1..psi_{b-1} cost O(b^2) to build.
+MAX_MODEL_B = 1000
+
+
 def weights_of(spec: FamilySpec) -> WeightModel:
     """Canonical weights of a family with psi_1 = 1, from (b, c1, c2) alone.
 
@@ -360,6 +365,9 @@ def weights_of(spec: FamilySpec) -> WeightModel:
     starts at phi_0 = T_b and obeys
     (k+1) phi_{k+1} = (b*c1 + c2 - c2*k) phi_k.
     """
+    if spec.b > MAX_MODEL_B:
+        raise InvalidWeightsError(
+            f"b = {spec.b} is above {MAX_MODEL_B}, the largest capacity whose weights are built")
     totals = [Fraction(1)]
     for i in range(1, spec.b):
         totals.append(totals[-1] * spec.connectivity(i))

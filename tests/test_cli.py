@@ -159,6 +159,24 @@ def test_enumerate_guard_counts_shapes_not_size(capsys):
     assert "refusing" in err
 
 
+def test_large_bucket_capacity_is_refused_before_any_work(capsys):
+    # The canonical weights cost O(b^2) to build; commands that never build
+    # them (sample, descend, stats) take any b.
+    start = time.perf_counter()
+    for command in ("enumerate", "verify"):
+        rc, out, err = run(capsys, command, "--family", "bucket-recursive",
+                           "--b", "100000", "--n", "3")
+        assert rc == 2 and out == ""
+        assert err == "error: b = 100000 is above 1000, the largest capacity whose weights are built\n"
+    assert time.perf_counter() - start < 1
+    rc, out, _ = run(capsys, "enumerate", "--family", "bucket-recursive",
+                     "--b", "1000", "--n", "3")
+    assert rc == 0 and out.splitlines()[-1] == "3,2,2,1"
+    rc, out, _ = run(capsys, "sample", "--family", "bucket-recursive",
+                     "--b", "100000", "--n", "3")
+    assert rc == 0 and out == '{"children":[],"labels":[1,2,3]}\n'
+
+
 def test_shape_ceiling_covers_the_size_a_check_builds(capsys, monkeypatch):
     # The CLI counts shapes at --n, but the ratio check builds size n + 1.
     monkeypatch.setattr(enumeration, "SHAPE_CEILING", 1000)
@@ -365,6 +383,18 @@ def test_verify_classify_reports_family(capsys):
     assert payload["checks"][0]["family"]["d"] == "2"
 
 
+def test_verify_classify_probes_a_long_degree_rule_briefly(capsys):
+    # D = 3000 used to be checked degree by degree, O(D^2) products; the
+    # bytes are those printed before the probe was bounded.
+    start = time.perf_counter()
+    for model in (["--family", "bdary", "--b", "1", "--d", "3000"], ["--phi", "binom:3000"]):
+        rc, out, _ = run(capsys, "verify", *model, "--n", "3", "--check", "classify")
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "49cb39a72a08fe122a2f2b2e6db39c1569fe17dd008735162dfe8c233e543ba3")
+    assert time.perf_counter() - start < 1
+
+
 def test_verify_classify_rejects_unscaled_binomial(capsys):
     # (1+t)^3 alone is not a rescaling of the canonical binary model:
     # rescaling moves the bucket weights too.
@@ -407,6 +437,35 @@ def test_descend_exact_prints_probabilities_of_any_length(capsys):
         assert sum(Fraction(p) for _, p in rows) == 1
     finally:
         sys.set_int_max_str_digits(cap)
+
+
+# d = 10^5000 has 5,001 digits; each command prints an exact value longer
+# than the default cap, given here as its digits.
+TEN_5000 = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("argv, digits", [
+    (["verify", "--family", "bdary", "--b", "1", "--d", "1e5000", "--n", "3",
+      "--check", "ratio"], "9" * 5000),                        # c1 = d - 1
+    (["enumerate", "--family", "bdary", "--b", "1", "--d", "1e5000", "--n", "3",
+      "--format", "json"], "1" + "9" * 5000 + "0" * 5000),     # T_3 = d (2d - 1)
+    (["enumerate", "--phi", "1,0,1e5000", "--n", "4"], "2" + TEN_5000[1:]),
+    (["stats", "--check", "gof", "--family", "bdary", "--b", "1", "--d", "1e5000",
+      "--n", "3", "--samples", "20"], TEN_5000),
+], ids=["verify-ratio", "enumerate-json", "enumerate-phi", "stats-gof"])
+def test_exact_values_of_any_length_print_in_full(capsys, argv, digits):
+    cap = sys.get_int_max_str_digits()
+    rc, out, err = run(capsys, *argv)
+    assert rc == 0 and err == ""
+    assert sys.get_int_max_str_digits() == cap
+    assert re.search(rf"\b{digits}\b", out)
+
+
+def test_int_digit_cap_is_restored_after_an_error(capsys):
+    cap = sys.get_int_max_str_digits()
+    rc, _, err = run(capsys, "enumerate", "--phi", "1,0,x", "--n", "4")
+    assert rc == 2 and err.startswith("error:")
+    assert sys.get_int_max_str_digits() == cap
 
 
 def test_descend_sampled_modes_agree_on_support(capsys):

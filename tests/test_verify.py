@@ -189,6 +189,12 @@ def test_classify_detects_non_binomial_finite_support():
     assert "affine line" in result.reason
 
 
+def test_classify_probes_a_finite_rule_only_to_the_probe():
+    # binom:D is the b = 1 family with d = D; D = 10^6 answers at once.
+    model = WeightModel(1, (), AffineDegreeWeights(F(1), F(10**6), F(1)))
+    assert classify_family(model) == DAryIncreasing(1, F(10**6))
+
+
 def test_classify_accepts_explicit_binary_weights():
     # (1, 2, 1) is the d = 2 family given as a plain list.
     model = WeightModel(1, (), ExplicitDegreeWeights((F(1), F(2), F(1))))

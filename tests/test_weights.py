@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from buckettrees import (AffineDegreeWeights, BucketRecursive, DAryIncreasing,
                          ExplicitDegreeWeights, InvalidWeightsError,
                          PlaneOriented, WeightModel, to_fraction, weights_of)
-from buckettrees.weights import binom_frac
+from buckettrees.weights import MAX_MODEL_B, binom_frac
 
 F = Fraction
 
@@ -270,6 +270,14 @@ def test_family_constants_are_not_fields():
         BucketRecursive(2, c1=F(1))
     with pytest.raises(dataclasses.FrozenInstanceError):
         BucketRecursive(2).c1 = F(2)
+
+
+def test_weights_of_refuses_a_capacity_above_the_bound():
+    assert MAX_MODEL_B == 1000
+    model = weights_of(BucketRecursive(MAX_MODEL_B))
+    assert model.b == MAX_MODEL_B and model.psi[2] == 2   # psi_3 = T_3 = 2
+    with pytest.raises(InvalidWeightsError, match="above 1000"):
+        weights_of(BucketRecursive(MAX_MODEL_B + 1))
 
 
 def test_family_rejects_bad_parameters():
