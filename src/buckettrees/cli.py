@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import signal
@@ -39,6 +40,7 @@ from .weights import (AffineDegreeWeights, BucketRecursive, DAryIncreasing,
                       PlaneOriented, WeightModel, to_fraction, weights_of)
 
 DEFAULT_SEED = 271828
+SCALING_A = SCALING_S = 2  # the joint rescaling of verify --check scaling
 
 FAMILY_NAMES = ("bucket-recursive", "bdary", "baport")
 
@@ -62,6 +64,14 @@ def positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def size_grid(text: str) -> list[int]:
+    """argparse type for --n-grid: comma-separated sizes, strictly increasing."""
+    grid = [positive_int(part) for part in text.split(",")]
+    if any(a >= b for a, b in zip(grid, grid[1:])):
+        raise argparse.ArgumentTypeError(f"must be strictly increasing, got {text!r}")
+    return grid
 
 
 def probability(text: str) -> float:
@@ -257,9 +267,9 @@ def _verify_ratio(model, spec, args) -> dict:
 
 
 def _verify_scaling(model, spec, args) -> dict:
-    report = check_scaling(model, args.a, args.s, args.n, args.limit)
-    return {"check": "scaling", "passed": report.passed, "a": str(to_fraction(args.a)),
-            "s": str(to_fraction(args.s)), "n": args.n}
+    report = check_scaling(model, SCALING_A, SCALING_S, args.n, args.limit)
+    return {"check": "scaling", "passed": report.passed, "a": str(SCALING_A),
+            "s": str(SCALING_S), "n": args.n}
 
 
 def _verify_classify(model, spec, args) -> dict:
@@ -374,8 +384,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
                    "passed": ok})
         return 0 if ok else 1
     if args.check == "beta":
-        grid = [int(x) for x in args.n_grid.split(",")]
-        report = check_beta_convergence(spec, args.j, args.load, grid,
+        report = check_beta_convergence(spec, args.j, args.load, args.n_grid,
                                         args.samples, seed)
         body = {"samples": args.samples, "cells": [rounded_fields(c) for c in report.cells]}
     else:
@@ -394,16 +403,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="buckettrees",
         description="Bucket increasing trees: enumeration, growth, checks, urns.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Full option names only, so an unknown --a is refused, not read as --alpha.
+    add_command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("enumerate", help="weighted totals T_n, optional shape dump")
+    p = add_command("enumerate", help="weighted totals T_n, optional shape dump")
     add_model_args(p)
     p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--dump-shapes", metavar="PATH")
-    p.add_argument("--limit", type=int, help="raise the per-size enumeration guard")
+    p.add_argument("--limit", type=positive_int, help="raise the per-size enumeration guard")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("sample", help="draw labelled trees from the growth process")
+    p = add_command("sample", help="draw labelled trees from the growth process")
     add_model_args(p)
     p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--count", type=positive_int, default=1)
@@ -411,16 +422,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aggregate", action="store_true", help="frequency CSV instead of lines")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("verify", help="structure checks; exit 0 iff all pass")
+    p = add_command("verify", help="structure checks; exit 0 iff all pass")
     add_model_args(p)
     p.add_argument("--check", default="all", choices=[*VERIFY_CHECKS, "all"])
     p.add_argument("--n", type=positive_int, default=6)
-    p.add_argument("--a", default="2", help="scaling factor a (rational)")
-    p.add_argument("--s", default="2", help="scaling factor s (rational)")
-    p.add_argument("--limit", type=int)
+    p.add_argument("--limit", type=positive_int)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("descend", help="descendant counts of label j at size n")
+    p = add_command("descend", help="descendant counts of label j at size n")
     add_model_args(p)
     p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--j", type=int, required=True)
@@ -429,19 +438,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed")
     p.set_defaults(func=cmd_descend)
 
-    p = sub.add_parser("stats", help="simulation-based checks of the limit laws")
+    p = add_command("stats", help="simulation-based checks of the limit laws")
     add_model_args(p)
     p.add_argument("--check", required=True, choices=["gof", "beta", "second-order"])
-    p.add_argument("--n", type=int, default=5)
-    p.add_argument("--j", type=int, default=4)
-    p.add_argument("--load", type=int, default=1, help="conditioned insertion load")
-    p.add_argument("--samples", type=int, default=20000)
-    p.add_argument("--n-grid", default="100,400,2000", dest="n_grid")
-    p.add_argument("--trajectories", type=int, default=10000)
-    p.add_argument("--horizon", type=int, default=100000)
+    p.add_argument("--n", type=positive_int, default=5)
+    p.add_argument("--j", type=positive_int, default=4)
+    p.add_argument("--load", type=positive_int, default=1, help="conditioned insertion load")
+    p.add_argument("--samples", type=positive_int, default=20000)
+    p.add_argument("--n-grid", type=size_grid, default=[100, 400, 2000], dest="n_grid")
+    p.add_argument("--trajectories", type=positive_int, default=10000)
+    p.add_argument("--horizon", type=positive_int, default=100000)
     p.add_argument("--level", type=probability, default=0.01)
     p.add_argument("--seed")
-    p.add_argument("--limit", type=int)
+    p.add_argument("--limit", type=positive_int)
     p.set_defaults(func=cmd_stats)
 
     return parser

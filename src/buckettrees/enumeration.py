@@ -38,7 +38,7 @@ def _check_limit(n: int, limit: int | None) -> None:
     if n > bound:
         raise EnumerationLimitError(
             f"size {n} exceeds the enumeration limit {bound}; "
-            f"pass limit={n} to override")
+            f"a limit of {n} (--limit {n} on the command line) allows it")
 
 
 def enumerate_shapes(b: int, n: int, limit: int | None = None) -> list[BucketTree]:

@@ -27,14 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .enumeration import enumerate_shapes, total_weights
-from .trees import (BucketTree, count_labellings, node_profile, weigh,
-                    weight_table)
+from .trees import BucketTree, node_profile, weigh, weight_table
 from .weights import (AffineDegreeWeights, BucketRecursive, DAryIncreasing,
-                      FamilySpec, PlaneOriented, RationalLike, WeightModel)
-
-
-# Degrees through which classify_family checks an unbounded degree rule.
-CLASSIFY_PROBE = 8
+                      FamilySpec, PlaneOriented, RationalLike, WeightModel,
+                      to_fraction)
 
 
 class UndefinedRatioError(ValueError):
@@ -56,7 +52,7 @@ def balance_value(tree: BucketTree, model: WeightModel) -> Fraction:
         if denom == 0:
             raise UndefinedRatioError(f"psi_{k} = 0 but a capacity-{k} bucket is present")
         value += count * (model.psi_extended(k + 1) / denom)
-    psi1 = model.psi1
+    psi1 = model.psi_extended(1)
     for k, count in saturated.items():
         denom = model.phi.coeff(k)
         if denom == 0:
@@ -115,8 +111,8 @@ def check_affine_ratio(model: WeightModel, n_max: int, limit: int | None = None)
     r1, r2 = ratios[0], ratios[1]
     c1 = r2 - r1
     c2 = 2 * r1 - r2
-    for n in range(1, n_max + 1):
-        if totals[n] / totals[n - 1] != c1 * n + c2:
+    for n, ratio in enumerate(ratios, start=1):
+        if ratio != c1 * n + c2:
             return AffineRatioReport(False, c1, c2, n)
     return AffineRatioReport(True, c1, c2, None)
 
@@ -135,24 +131,19 @@ def check_scaling(
     n: int,
     limit: int | None = None,
 ) -> ScalingReport:
-    """Compare normalized tree probabilities before and after rescaling.
+    """Check that the joint rescaling multiplies every size-n weight by a^n / s.
 
-    The joint rescaling psi_k -> a^k s^-1 psi_k, phi_k -> a^b s^{k-1} phi_k
-    multiplies every size-n weight by a^n / s, so w(T)/T_n must match tree
-    by tree.  Rescaling only half of the weights breaks the coupling.
+    psi_k -> a^k s^-1 psi_k and phi_k -> a^b s^{k-1} phi_k scale an
+    unsaturated capacity-c bucket by a^c / s and a saturated degree-k one
+    by a^b s^{k-1}, so a size-n tree by a^n / s.  Rescaling only half of
+    the weights breaks this.
     """
     scaled = model.scaled(a, s)
-    shapes = enumerate_shapes(model.b, n, limit)
+    factor = to_fraction(a) ** n / to_fraction(s)
     base_table = weight_table(model, n)
     scaled_table = weight_table(scaled, n)
-    base_weights = [weigh(t, base_table) for t in shapes]
-    scaled_weights = [weigh(t, scaled_table) for t in shapes]
-    base_total = sum(w * count_labellings(t) for w, t in zip(base_weights, shapes))
-    scaled_total = sum(w * count_labellings(t) for w, t in zip(scaled_weights, shapes))
-    if base_total == 0 or scaled_total == 0:
-        raise ValueError(f"T_{n} = 0: probabilities are undefined")
-    for shape, w0, w1 in zip(shapes, base_weights, scaled_weights):
-        if w0 / base_total != w1 / scaled_total:
+    for shape in enumerate_shapes(model.b, n, limit):
+        if weigh(shape, scaled_table) != factor * weigh(shape, base_table):
             return ScalingReport(False, n, shape)
     return ScalingReport(True, n, None)
 
@@ -167,10 +158,10 @@ class NotGrown:
 def classify_family(model: WeightModel) -> FamilySpec | NotGrown:
     """Recover the growth rule behind a model, up to rescaling.
 
-    Checks the ratio lines through degree CLASSIFY_PROBE, and an explicit
-    list through its last entry (further degrees are either pinned by the
-    closed-form rule or truncated by finite support, which the model
-    constructor keeps at degree 2 or more).  Returns the family with exact
+    An affine degree rule satisfies (k+1) phi_{k+1}/phi_k = rate - slope*k
+    at every degree, so its ratio line is fixed by gamma_0 and gamma_1; an
+    explicit list is checked through its last entry (the model constructor
+    keeps that at degree 2 or more).  Returns the family with exact
     parameters, or NotGrown with a reason.
     """
     b = model.b
@@ -179,18 +170,14 @@ def classify_family(model: WeightModel) -> FamilySpec | NotGrown:
             return NotGrown(f"psi_{k} = 0: capacity-{k} buckets are unreachable")
 
     bound = model.phi.support_bound()
-    horizon = CLASSIFY_PROBE if bound is None else bound
-    if isinstance(model.phi, AffineDegreeWeights):
-        # The rule fixes every later ratio, and the max-degree test below
-        # compares the line's zero with the bound itself.
-        horizon = min(horizon, CLASSIFY_PROBE)
+    horizon = 1 if isinstance(model.phi, AffineDegreeWeights) else bound
     phi = model.phi_coefficients(horizon + 1)
     for k in range(horizon + 1):
         if phi[k] == 0:
             return NotGrown(
                 f"phi_{k} = 0 while phi_{horizon} > 0: gap in the degree weights")
 
-    psi1 = model.psi1
+    psi1 = model.psi_extended(1)
     gamma = [psi1 * (k + 1) * phi[k + 1] / phi[k] for k in range(horizon + 1)]
     g0, g1 = gamma[0], gamma[1]
     slope = g1 - g0

@@ -222,11 +222,6 @@ class WeightModel:
                 "degenerate model: no degree weight phi_k with k >= 2 is positive, "
                 "so all trees are label chains")
 
-    @property
-    def psi1(self) -> Fraction:
-        """psi_1, reading psi_b := phi_0 so that b = 1 is covered."""
-        return self.psi[0] if self.b > 1 else self.phi.coeff(0)
-
     def psi_extended(self, k: int) -> Fraction:
         """psi_k for 1 <= k <= b, with psi_b := phi_0."""
         if not 1 <= k <= self.b:

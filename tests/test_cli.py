@@ -134,6 +134,8 @@ def test_enumerate_guard_and_limit(capsys):
                      "--b", "2", "--n", "13")
     assert rc == 2
     assert "error:" in err
+    # The refusal names the size to allow, in the CLI's own terms.
+    assert "limit 12" in err and "--limit 13" in err and "limit=" not in err
     rc, out, _ = run(capsys, "enumerate", "--family", "bucket-recursive",
                      "--b", "2", "--n", "13", "--limit", "13")
     assert rc == 0
@@ -231,6 +233,16 @@ def test_descend_has_no_limit_option(capsys):
     assert exit_info.value.code == 2
     assert err.startswith("usage:") and "unrecognized arguments: --limit 5" in err
     assert "Traceback" not in err
+
+
+def test_verify_has_no_scaling_factor_options(capsys):
+    for flag in ("--a", "--s"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "--family", "bucket-recursive", "--b", "2", flag, "2"])
+        err = capsys.readouterr().err
+        assert exit_info.value.code == 2
+        assert err.startswith("usage:") and f"unrecognized arguments: {flag} 2" in err
+        assert "Traceback" not in err
 
 
 def test_labelled_guard_ceiling(capsys):
@@ -527,8 +539,13 @@ def test_growth_sizes_and_counts_must_be_positive(capsys, argv):
     ("stats", "--check", "gof", "--level", "0"),
     ("stats", "--check", "gof", "--level", "1"),
     ("stats", "--check", "gof", "--level", "nan"),
+    ("stats", "--check", "beta", "--n-grid", "30,30"),
+    ("stats", "--check", "beta", "--n-grid", "400,100"),
+    ("stats", "--check", "beta", "--n-grid", "0,30"),
     ("enumerate", "--n", "0"),
+    ("enumerate", "--n", "3", "--limit", "0"),
     ("verify", "--n", "-3", "--check", "balance"),
+    ("verify", "--n", "3", "--limit", "-1"),
 ])
 def test_stats_enumerate_verify_inputs_are_validated(capsys, argv):
     try:
@@ -540,6 +557,34 @@ def test_stats_enumerate_verify_inputs_are_validated(capsys, argv):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert "error: " in captured.err.splitlines()[-1]
+
+
+# Options a check does not read are still validated: each value must be
+# refused by the parser, never ignored.
+@pytest.mark.parametrize("check, option, value", [
+    ("gof", "--trajectories", "-1"),
+    ("gof", "--horizon", "-7"),
+    ("gof", "--j", "-3"),
+    ("gof", "--load", "-2"),
+    ("gof", "--n-grid", "x"),
+    ("second-order", "--samples", "-5"),
+    ("second-order", "--n-grid", "y"),
+    ("second-order", "--n-grid", "30,30"),
+    ("beta", "--n", "0"),
+    ("beta", "--trajectories", "0"),
+    ("beta", "--horizon", "-1"),
+    ("beta", "--limit", "0"),
+    ("gof", "--limit", "-4"),
+])
+def test_stats_refuses_bad_values_of_unread_options(capsys, check, option, value):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["stats", "--check", check, "--family", "bucket-recursive", "--b", "2",
+              option, value])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert f"error: argument {option}" in captured.err.splitlines()[-1]
 
 
 @pytest.mark.parametrize("command", sorted(DIGESTS))
@@ -561,8 +606,6 @@ TEXT_VALUES = {
     "--alpha": (["1", "1/2", "2"], "0"),
     "--psi": (["1", "1,2"], "x"),
     "--phi": (["1,2,1", "1,1", "seq:1", "exp:2", "binom:2", "negbinom:1"], "bad:1"),
-    "--a": (["2", "1/2", "3"], "0"),
-    "--s": (["2", "3", "1/2"], "x"),
     "--n-grid": (["8,20", "30", "10,12,40"], "20,8"),
     "--level": (["0.01", "0.001", "0.5"], "1"),
     "--seed": (["0", "7", "123456789"], "x"),

@@ -222,6 +222,8 @@ def test_beta_convergence_validation():
         check_beta_convergence(spec, 4, 1, [4, 10], 100, 0)
     with pytest.raises(ValueError, match="increasing"):
         check_beta_convergence(spec, 4, 1, [100, 50], 100, 0)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        check_beta_convergence(spec, 4, 1, [50, 50], 100, 0)
     with pytest.raises(ValueError, match="impossible"):
         check_beta_convergence(spec, 4, 3, [50], 100, 0)
     with pytest.raises(ValueError, match="deterministically"):

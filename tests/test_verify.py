@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from buckettrees import (AffineDegreeWeights, BucketRecursive, BucketTree,
                          DAryIncreasing, ExplicitDegreeWeights, NotGrown,
@@ -140,6 +141,30 @@ def test_scaling_check_reports_a_joint_rescaling_as_passed():
     assert report.passed  # joint rescaling is invisible, as it must be
 
 
+def _scale_degree_weights_only(self, a, s):
+    a, s = F(a), F(s)
+    return WeightModel(self.b, self.psi, self.phi.scaled(a**self.b / s, s))
+
+
+@pytest.mark.parametrize("spec", [PlaneOriented(3, F(1, 2)), BucketRecursive(2),
+                                  DAryIncreasing(2, F(2)), PlaneOriented(2, F(1))])
+def test_scaling_check_fails_when_only_degree_weights_rescale(monkeypatch, spec):
+    # At PlaneOriented(3, 1/2) and n = 4 this mutant leaves the normalized
+    # law alone, but not the factor a^n / s on every weight.
+    model = weights_of(spec)
+    monkeypatch.setattr(WeightModel, "scaled", _scale_degree_weights_only)
+    report = check_scaling(model, 2, 3, 4)
+    assert not report.passed
+    assert report.first_mismatch is not None
+
+
+def test_scaling_check_needs_no_positive_total():
+    # phi = (1, 0, 1) at b = 1: the only size-2 tree has weight phi_1 = 0.
+    model = WeightModel(1, (), ExplicitDegreeWeights((F(1), F(0), F(1))))
+    assert total_weight(model, 2) == 0
+    assert check_scaling(model, 2, 3, 2).passed
+
+
 # ── classification ────────────────────────────────────────────────────────
 
 def test_classify_recovers_families():
@@ -193,6 +218,29 @@ def test_classify_probes_a_finite_rule_only_to_the_probe():
     # binom:D is the b = 1 family with d = D; D = 10^6 answers at once.
     model = WeightModel(1, (), AffineDegreeWeights(F(1), F(10**6), F(1)))
     assert classify_family(model) == DAryIncreasing(1, F(10**6))
+
+
+POSITIVE = st.builds(Fraction, st.integers(1, 9), st.integers(1, 4))
+
+
+@st.composite
+def affine_rules(draw):
+    """Exponential (slope 0), negative-slope and polynomial (degree 2-12) rules."""
+    scale, rate = draw(POSITIVE), draw(POSITIVE)
+    kind = draw(st.sampled_from(["exponential", "negative", "polynomial"]))
+    if kind == "exponential":
+        return AffineDegreeWeights(scale, rate, 0)
+    if kind == "negative":
+        return AffineDegreeWeights(scale, rate, -draw(POSITIVE))
+    return AffineDegreeWeights(scale, rate * draw(st.integers(2, 12)), rate)
+
+
+@given(affine_rules())
+def test_affine_rule_ratios_lie_on_its_line(rule):
+    # classify_family reads an affine rule's line from gamma_0 and gamma_1 alone.
+    bound = rule.support_bound()
+    for k in range(min(20 if bound is None else bound, 20) + 1):
+        assert (k + 1) * rule.coeff(k + 1) / rule.coeff(k) == rule.rate - rule.slope * k
 
 
 def test_classify_accepts_explicit_binary_weights():

@@ -90,7 +90,7 @@ def test_b3_family_weights(spec, psi, phi, describe):
 def test_psi1_is_one_for_all_families():
     specs = [BucketRecursive(3), DAryIncreasing(3, F(2)), PlaneOriented(3, F(1, 2))]
     for spec in specs:
-        assert weights_of(spec).psi1 == 1
+        assert weights_of(spec).psi_extended(1) == 1
 
 
 # ── rule mechanics ────────────────────────────────────────────────────────
