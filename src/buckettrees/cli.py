@@ -2,8 +2,10 @@
 
 Subcommands: enumerate (totals and shape dumps), sample (grow labelled
 trees), verify (structure checks), descend (the descendants statistic),
-stats (simulation-based checks).  Models are given either as a family
-(--family with its parameters) or as explicit weights (--psi/--phi).
+stats (simulation-based checks).  enumerate and verify take a model either
+as a family (--family with its parameters) or as explicit weights
+(--psi/--phi); sample, descend and stats grow trees, so they take a family
+only.
 
 Exit codes: 0 success / all checks passed, 1 a check failed, 2 usage or
 validation error.  Identical (command line, seed) pairs produce identical
@@ -28,8 +30,7 @@ from .enumeration import (EnumerationLimitError, check_ode_recurrence,
                           guard_labelled, guard_shapes, total_weight)
 from .evolve import exact_laws, pushforward_strip, sample_tree
 from .rng import SplitMix64
-from .trees import (EncodingError, InvalidTreeError, encode_tree, weigh,
-                    weight_table)
+from .trees import encode_tree, weigh, weight_table
 from .urn import (descendants_direct, descendants_law_from_urn,
                   descendants_via_urn)
 from .verify import (NotGrown, check_affine_ratio, check_balance,
@@ -120,18 +121,26 @@ def parse_weights(psi_text: str | None, phi_text: str, b: int | None = None) -> 
     return WeightModel(inferred, psi, parse_degree_rule(phi_text))
 
 
-def add_model_args(parser: argparse.ArgumentParser) -> None:
+def add_family_args(parser: argparse.ArgumentParser) -> argparse._ArgumentGroup:
     group = parser.add_argument_group("model")
-    group.add_argument("--family", choices=FAMILY_NAMES,
-                       help="growth family; alternative to --psi/--phi")
+    group.add_argument("--family", choices=FAMILY_NAMES, help="growth family")
     group.add_argument("--b", type=int, help="bucket capacity")
     group.add_argument("--d", help="branching parameter for bdary (rational)")
     group.add_argument("--alpha", help="attachment parameter for baport (rational)")
+    return group
+
+
+def add_model_args(parser: argparse.ArgumentParser) -> None:
+    """The family options, or raw weights in place of a family."""
+    group = add_family_args(parser)
     group.add_argument("--psi", help="comma-separated bucket weights psi_1..psi_{b-1}")
-    group.add_argument("--phi", help="degree weights: list or seq:/exp:/binom:/negbinom: rule")
+    group.add_argument("--phi", help="degree weights in place of --family: list or "
+                                     "seq:/exp:/binom:/negbinom: rule")
 
 
 def build_spec(args: argparse.Namespace) -> FamilySpec:
+    if args.family is None:
+        raise InvalidWeightsError("this command needs --family (growth is family-defined)")
     if args.b is None:
         raise InvalidWeightsError("--b is required with --family")
     if args.family == "bucket-recursive":
@@ -156,17 +165,13 @@ def build_model(args: argparse.Namespace) -> tuple[WeightModel, FamilySpec | Non
     if has_family == has_weights:
         raise InvalidWeightsError("give exactly one of --family or --phi")
     if has_family:
+        if args.psi is not None:
+            raise InvalidWeightsError("--psi only applies with --phi, not --family")
         spec = build_spec(args)
         return weights_of(spec), spec
     if args.d or args.alpha:
         raise InvalidWeightsError("--d/--alpha only apply with --family")
     return parse_weights(args.psi, args.phi, args.b), None
-
-
-def require_spec(args: argparse.Namespace) -> FamilySpec:
-    if args.family is None:
-        raise InvalidWeightsError("this command needs --family (growth is family-defined)")
-    return build_spec(args)
 
 
 def emit_json(obj: dict) -> None:
@@ -220,7 +225,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 # ── sample ────────────────────────────────────────────────────────────────
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    spec = require_spec(args)
+    spec = build_spec(args)
     # Tree i grows from its own stream, so output depends on (seed, count) only.
     master = SplitMix64(_parse_seed(args.seed))
     encodings = (encode_tree(sample_tree(spec, args.n, master.spawn(i)))
@@ -351,7 +356,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ── descend ───────────────────────────────────────────────────────────────
 
 def cmd_descend(args: argparse.Namespace) -> int:
-    spec = require_spec(args)
+    spec = build_spec(args)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     if args.mode == "exact":
         law = descendants_law_from_urn(spec, args.n, args.j)
@@ -371,7 +376,7 @@ def cmd_descend(args: argparse.Namespace) -> int:
 # ── stats ─────────────────────────────────────────────────────────────────
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    spec = require_spec(args)
+    spec = build_spec(args)
     seed = _parse_seed(args.seed)
     if args.check == "gof":
         reports, ok = sampler_gof(spec, args.n, args.samples, spawn_seeds(seed, 3),
@@ -415,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate)
 
     p = add_command("sample", help="draw labelled trees from the growth process")
-    add_model_args(p)
+    add_family_args(p)
     p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--count", type=positive_int, default=1)
     p.add_argument("--seed")
@@ -430,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = add_command("descend", help="descendant counts of label j at size n")
-    add_model_args(p)
+    add_family_args(p)
     p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--count", type=positive_int, default=1000)
@@ -439,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_descend)
 
     p = add_command("stats", help="simulation-based checks of the limit laws")
-    add_model_args(p)
+    add_family_args(p)
     p.add_argument("--check", required=True, choices=["gof", "beta", "second-order"])
     p.add_argument("--n", type=positive_int, default=5)
     p.add_argument("--j", type=positive_int, default=4)
@@ -465,8 +470,7 @@ def main(argv: list[str] | None = None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except (InvalidWeightsError, InvalidTreeError, EncodingError,
-            EnumerationLimitError, ValueError, OSError) as exc:
+    except (ValueError, EnumerationLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

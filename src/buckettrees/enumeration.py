@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .trees import BucketNode, BucketTree, count_labellings, weigh, weight_table
 from .weights import FamilySpec, WeightModel
@@ -62,34 +62,31 @@ def enumerate_shapes(b: int, n: int, limit: int | None = None) -> list[BucketTre
     return [BucketTree(node, b) for node in shapes[n]]
 
 
-def shape_counts(b: int) -> Iterator[int]:
-    """Shape counts of sizes 1, 2, ... (never decreasing), building no shapes:
-    below size b a shape is one bucket, else a full bucket over an ordered
-    forest of size s - b, and a forest splits off its first tree."""
-    if b < 1:
-        raise ValueError(f"b must be >= 1, got b={b}")
-    shapes = [0]
-    forests = [1]
-    for s in itertools.count(1):
-        shapes.append(1 if s < b else forests[s - b])
-        forests.append(sum(shapes[k] * forests[s - k] for k in range(1, s + 1)))
-        yield shapes[s]
-
-
-def labelled_counts(b: int) -> Iterator[int]:
-    """Labelled-tree counts of sizes 1, 2, ... (never decreasing), building
-    no trees: as in ``shape_counts``, but a forest of m labels gives its
-    first tree any k of them, C(m, k) ways.  It bounds the support of every
-    family's law (b = 1: (2n - 3)!!)."""
+def _tree_counts(b: int, ways: Callable[[int, int], int]) -> Iterator[int]:
+    # Below size b a tree is one bucket, else a full bucket over an ordered
+    # forest of size m - b; a forest of size m splits off a first tree of
+    # size k, which it can do in ways(m, k) ways.
     if b < 1:
         raise ValueError(f"b must be >= 1, got b={b}")
     trees = [0]
     forests = [1]
     for m in itertools.count(1):
         trees.append(1 if m < b else forests[m - b])
-        forests.append(sum(math.comb(m, k) * trees[k] * forests[m - k]
-                           for k in range(1, m + 1)))
+        forests.append(sum(ways(m, k) * trees[k] * forests[m - k] for k in range(1, m + 1)))
         yield trees[m]
+
+
+def shape_counts(b: int) -> Iterator[int]:
+    """Shape counts of sizes 1, 2, ... (never decreasing), building no shapes."""
+    return _tree_counts(b, lambda m, k: 1)
+
+
+def labelled_counts(b: int) -> Iterator[int]:
+    """Labelled-tree counts of sizes 1, 2, ... (never decreasing), building
+    no trees: as ``shape_counts``, but a forest of m labels gives its first
+    tree any k of them, C(m, k) ways.  It bounds the support of every
+    family's law (b = 1: (2n - 3)!!)."""
+    return _tree_counts(b, math.comb)
 
 
 def _guard(n: int, b: int, counts: Iterator[int], what: str, ceiling: int) -> None:
@@ -156,18 +153,11 @@ class OdeCheckReport:
     failing_index: int | None = None
 
 
-def check_ode_recurrence(
-    model: WeightModel,
-    n_max: int,
-    totals: list[Fraction] | None = None,
-    limit: int | None = None,
-) -> OdeCheckReport:
-    """Verify the recurrence against enumerated (or supplied) totals."""
+def check_ode_recurrence(model: WeightModel, n_max: int,
+                         limit: int | None = None) -> OdeCheckReport:
+    """Verify the recurrence against the enumerated totals T_1..T_{n_max}."""
     b = model.b
-    if totals is None:
-        totals = total_weights(model, n_max, limit)
-    if len(totals) != n_max:
-        raise ValueError(f"expected {n_max} totals, got {len(totals)}")
+    totals = total_weights(model, n_max, limit)
 
     for k in range(1, min(b, n_max + 1)):
         if totals[k - 1] != model.psi[k - 1]:

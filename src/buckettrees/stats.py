@@ -38,6 +38,7 @@ from .weights import FamilySpec
 from .urn import urn_from, urn_moment_exact
 
 MIN_GOF_SAMPLES = 20
+MIN_EXPECTED = 5.0  # chi_square_gof pools bins until each expects this many
 # Pass band of check_beta_convergence: this many standard errors plus the
 # exact finite-n bias.
 SE_MULTIPLIER = 4.0
@@ -59,15 +60,11 @@ class GofReport:
     samples: int
 
 
-def chi_square_gof(
-    observed: Mapping,
-    expected: Mapping,
-    level: float = 0.01,
-    min_expected: float = 5.0,
-) -> GofReport:
+def chi_square_gof(observed: Mapping, expected: Mapping,
+                   level: float = 0.01) -> GofReport:
     """Pearson chi-square of observed counts against an expected law.
 
-    Bins with expected count below ``min_expected`` are pooled (smallest
+    Bins with expected count below ``MIN_EXPECTED`` are pooled (smallest
     first) before computing the statistic; the p-value uses the chi-square
     tail with bins - 1 degrees of freedom.
     """
@@ -90,7 +87,7 @@ def chi_square_gof(
     for key in order:
         exp_acc += float(expected[key]) * total
         obs_acc += observed.get(key, 0)
-        if exp_acc >= min_expected:
+        if exp_acc >= MIN_EXPECTED:
             groups.append((exp_acc, obs_acc))
             exp_acc = 0.0
             obs_acc = 0
@@ -294,9 +291,8 @@ class SecondOrderReport:
     variance_shape_ok: bool
     passed: bool
     degenerate: bool = False
-    note: str = ("heuristic diagnostic: normality thresholds are conventions and "
-                 "the variance shape is checked only up to an unknown positive "
-                 "constant")
+    note: str = ("heuristic diagnostic: normality thresholds are conventions, and "
+                 "the variance slope is reported only, not checked")
 
 
 def skew_kurtosis(values: np.ndarray) -> tuple[float, float]:

@@ -321,6 +321,48 @@ def test_family_parameter_pairing(capsys):
     assert rc == 2
 
 
+# Growth is family-defined: the growing commands have no --psi or --phi.
+GROWTH_ARGV = {
+    "sample": ["sample", "--family", "baport", "--b", "2", "--alpha", "1", "--n", "5"],
+    "descend": ["descend", "--family", "bucket-recursive", "--b", "2", "--n", "6",
+                "--j", "3", "--mode", "exact"],
+    "stats": ["stats", "--check", "gof", "--family", "bdary", "--b", "2", "--d", "2",
+              "--n", "4", "--samples", "200"],
+}
+
+
+@pytest.mark.parametrize("weights", [["--psi", "1"], ["--phi", "1,1,1"]])
+@pytest.mark.parametrize("command", sorted(GROWTH_ARGV))
+def test_growth_commands_refuse_raw_weights(capsys, command, weights):
+    with pytest.raises(SystemExit) as exit_info:
+        main(GROWTH_ARGV[command] + weights)
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 2
+    assert err.startswith("usage:")
+    assert f"unrecognized arguments: {' '.join(weights)}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", sorted(GROWTH_ARGV))
+def test_growth_commands_need_a_family(capsys, command):
+    argv = GROWTH_ARGV[command]
+    at = argv.index("--family")
+    rc, out, err = run(capsys, *argv[:at], *argv[at + 2:])
+    assert (rc, out) == (2, "")
+    assert err == "error: this command needs --family (growth is family-defined)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--family", "bucket-recursive", "--b", "2", "--n", "3", "--psi", "7"],
+    ["verify", "--family", "baport", "--b", "2", "--alpha", "1", "--n", "4", "--psi", "3",
+     "--check", "all"],
+])
+def test_psi_beside_family_is_refused(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err == "error: --psi only applies with --phi, not --family\n"
+
+
 # ── verify ────────────────────────────────────────────────────────────────
 
 def test_verify_family_passes(capsys):
@@ -641,7 +683,8 @@ def _value(action: argparse.Action, valid: bool):
 
 @st.composite
 def cli_argv(draw):
-    """A subcommand with a family or explicit model and some of its options.
+    """A subcommand with a family, explicit weights where it takes them, or
+    neither, and some of its options.
 
     Every value comes from the option's valid spellings, except that about
     half of the argvs carry one invalid value.
@@ -650,10 +693,12 @@ def cli_argv(draw):
     actions = {a.option_strings[-1]: a for a in SUBCOMMANDS[name]._actions
                if a.option_strings and a.dest not in ("help", "dump_shapes")}
     family = draw(st.sampled_from([*FAMILY_PARAMETER, None]))
-    if family is None:
+    if family is not None:
+        model = ["--family", "--b", *FAMILY_PARAMETER[family]]
+    elif "--phi" in actions:
         model = ["--phi"] + (["--psi"] if draw(st.booleans()) else [])
     else:
-        model = ["--family", "--b", *FAMILY_PARAMETER[family]]
+        model = []  # a growth command without its family
     flags = model + [flag for flag, action in actions.items() if flag not in MODEL_FLAGS
                      and (action.required or flag in ALWAYS or draw(st.booleans()))]
     broken = draw(st.one_of(st.none(), st.sampled_from(flags)))

@@ -169,29 +169,25 @@ def test_ode_recurrence_passes_for_bucket_ordered():
     assert check_ode_recurrence(bucket_ordered_model(2), 7).passed
 
 
-def test_ode_recurrence_detects_perturbed_total():
+def test_ode_recurrence_detects_perturbed_total(monkeypatch):
     model = weights_of(BucketRecursive(2))
     totals = total_weights(model, 6)
     totals[2] += 1  # corrupt T_3
-    report = check_ode_recurrence(model, 6, totals=totals)
+    monkeypatch.setattr(enumeration, "total_weights", lambda *args: totals)
+    report = check_ode_recurrence(model, 6)
     assert not report.passed
     assert report.failure_kind == "coefficient"
     assert report.failing_index == 1  # T_3 = 1! [z^1] phi(T)
 
 
-def test_ode_recurrence_detects_bad_initial_condition():
+def test_ode_recurrence_detects_bad_initial_condition(monkeypatch):
     model = weights_of(BucketRecursive(2))
     totals = total_weights(model, 6)
     totals[0] = F(7)
-    report = check_ode_recurrence(model, 6, totals=totals)
+    monkeypatch.setattr(enumeration, "total_weights", lambda *args: totals)
+    report = check_ode_recurrence(model, 6)
     assert report.failure_kind == "initial"
     assert report.failing_index == 1
-
-
-def test_ode_recurrence_rejects_wrong_length():
-    model = weights_of(BucketRecursive(2))
-    with pytest.raises(ValueError, match="expected 4 totals"):
-        check_ode_recurrence(model, 4, totals=[F(1)])
 
 
 def test_composition_spot_value():
