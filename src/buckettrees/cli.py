@@ -10,7 +10,8 @@ only.
 Exit codes: 0 success / all checks passed, 1 a check failed, 2 usage or
 validation error.  Identical (command line, seed) pairs produce identical
 output; the default seed is the documented constant below, overridable by
-the BUCKETTREES_SEED environment variable or --seed.
+the BUCKETTREES_SEED environment variable or --seed, either an integer in
+[0, 2**64).
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import json
+import math
 import os
 import signal
 import sys
@@ -86,11 +89,27 @@ def probability(text: str) -> float:
     return value
 
 
-def _parse_seed(value: str | None) -> int:
+def seed_value(text: str) -> int:
+    """argparse type for --seed: an integer in [0, 2**64)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2**64), got {value}")
+    return value
+
+
+def _parse_seed(value: int | None) -> int:
     if value is not None:
-        return int(value)
+        return value
     env = os.environ.get("BUCKETTREES_SEED")
-    return int(env) if env else DEFAULT_SEED
+    if not env:
+        return DEFAULT_SEED
+    try:
+        return seed_value(env)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"BUCKETTREES_SEED: {exc}") from None
 
 
 def parse_degree_rule(text: str):
@@ -175,7 +194,8 @@ def build_model(args: argparse.Namespace) -> tuple[WeightModel, FamilySpec | Non
 
 
 def emit_json(obj: dict) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    # Strict JSON: a non-finite float raises here instead of printing Infinity.
+    print(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False))
 
 
 def spawn_seeds(seed: int, count: int) -> list[int]:
@@ -383,9 +403,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
                                   args.level, args.limit)
         emit_json({"command": "stats", "check": "gof", "family": spec.describe(),
                    "n": args.n, "samples": args.samples, "level": args.level,
-                   "runs": [{"statistic": f12(r.statistic), "dof": r.dof,
-                             "p_value": f12(r.p_value), "passed": r.passed}
-                            for r in reports],
+                   # A sample outside the law's support has statistic inf.
+                   "runs": [{"statistic": f12(r.statistic) if math.isfinite(r.statistic)
+                             else None, "dof": r.dof, "p_value": f12(r.p_value),
+                             "passed": r.passed} for r in reports],
                    "passed": ok})
         return 0 if ok else 1
     if args.check == "beta":
@@ -423,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_family_args(p)
     p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--count", type=positive_int, default=1)
-    p.add_argument("--seed")
+    p.add_argument("--seed", type=seed_value)
     p.add_argument("--aggregate", action="store_true", help="frequency CSV instead of lines")
     p.set_defaults(func=cmd_sample)
 
@@ -440,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--count", type=positive_int, default=1000)
     p.add_argument("--mode", choices=["urn", "direct", "exact"], default="urn")
-    p.add_argument("--seed")
+    p.add_argument("--seed", type=seed_value)
     p.set_defaults(func=cmd_descend)
 
     p = add_command("stats", help="simulation-based checks of the limit laws")
@@ -454,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trajectories", type=positive_int, default=10000)
     p.add_argument("--horizon", type=positive_int, default=100000)
     p.add_argument("--level", type=probability, default=0.01)
-    p.add_argument("--seed")
+    p.add_argument("--seed", type=seed_value)
     p.add_argument("--limit", type=positive_int)
     p.set_defaults(func=cmd_stats)
 
@@ -462,6 +483,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; returns its exit code.
+
+    The first call in a process freezes the garbage collector's view of the
+    heap as it stands (``gc.freeze``); importing the package freezes nothing.
+    """
+    # Everything alive now (interpreter, stdlib, numpy, this package) lives
+    # until exit, so no collection, at exit included, need walk it again.
+    if not gc.get_freeze_count():
+        gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     # An exact value may have more digits than str(int) allows by default

@@ -8,6 +8,7 @@ import gc
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -21,9 +22,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import buckettrees
-from buckettrees import (DAryIncreasing, EnumerationLimitError, SplitMix64,
-                         TreeDistribution, encode_tree, sample_tree)
-from buckettrees import cli, enumeration
+from buckettrees import (BucketRecursive, BucketTree, DAryIncreasing,
+                         EnumerationLimitError, SplitMix64, TreeDistribution, bucket,
+                         encode_tree, sample_tree)
+from buckettrees import cli, enumeration, stats
 from buckettrees.cli import build_parser, guard_labelled, main
 
 # stdout sha256 of the benchmark's exact-lane commands; read, never written.
@@ -51,6 +53,16 @@ def test_public_names_resolve():
     assert set(buckettrees.__all__) <= namespace.keys()
 
 
+def _run_script(script: str) -> str:
+    """Last stdout line of script run in a fresh interpreter (the pytest
+    process may already be frozen by an earlier main)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
 def test_cli_runs_without_scipy():
     # scipy is only a test reference: block it, then run both float checks.
     script = """
@@ -65,11 +77,32 @@ codes = [main(["stats", "--check", "gof", "--family", "bucket-recursive", "--b",
 print(codes, sorted(m for m, mod in sys.modules.items()
                     if m.partition(".")[0] == "scipy" and mod is not None))
 """
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env, check=False)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+    assert _run_script(script) == "[0, 0] []"
+
+
+def test_imports_freeze_nothing():
+    script = """
+import gc
+import buckettrees
+counts = [gc.get_freeze_count()]
+import buckettrees.cli
+counts.append(gc.get_freeze_count())
+print(counts)
+"""
+    assert _run_script(script) == "[0, 0]"
+
+
+def test_main_freezes_once_per_process():
+    script = """
+import gc
+from buckettrees.cli import main
+argv = ["enumerate", "--family", "bucket-recursive", "--b", "2", "--n", "3"]
+main(argv)
+first = gc.get_freeze_count()
+main(argv)
+print(first > 0, gc.get_freeze_count() == first, gc.isenabled())
+"""
+    assert _run_script(script) == "True True True"
 
 
 # ── enumerate ─────────────────────────────────────────────────────────────
@@ -790,6 +823,75 @@ def test_stats_gof_smoke(capsys):
     payload = json.loads(out)
     assert payload["passed"] is True
     assert len(payload["runs"]) == 3
+
+
+def test_stats_gof_rejection_prints_strict_json(capsys, monkeypatch):
+    # A sampler that puts every later label under the root grows a tree
+    # outside the binary (d = 2) law's support: statistic inf, certain rejection.
+    def flat(spec, n, rng):
+        return BucketTree(bucket((1,), tuple(bucket((k,)) for k in range(2, n + 1))), 1)
+
+    monkeypatch.setattr(stats, "sample_tree", flat)
+    rc, out, err = run(capsys, "stats", "--check", "gof", "--family", "bdary",
+                       "--b", "1", "--d", "2", "--n", "4", "--samples", "100")
+    assert rc == 1
+    assert err == ""
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload["passed"] is False
+    assert [(r["statistic"], r["p_value"], r["passed"]) for r in payload["runs"]] \
+        == [(None, 0.0, False)] * 3
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_emit_json_refuses_non_finite_numbers(capsys, value):
+    with pytest.raises(ValueError):
+        cli.emit_json({"x": value})
+    assert capsys.readouterr().out == ""
+
+
+SEEDED_COMMANDS = {
+    "sample": ["sample", "--family", "bucket-recursive", "--b", "2", "--n", "4"],
+    "descend": ["descend", "--family", "bucket-recursive", "--b", "2", "--n", "6",
+                "--j", "3", "--count", "5"],
+    "stats": ["stats", "--check", "second-order", "--family", "bucket-recursive",
+              "--b", "2", "--j", "4", "--load", "2", "--n", "100",
+              "--trajectories", "20", "--horizon", "200"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEEDED_COMMANDS))
+@pytest.mark.parametrize("value", ["-1", str(2**64), "1.5", "x"])
+@pytest.mark.parametrize("source", ["--seed", "BUCKETTREES_SEED"])
+def test_seed_outside_range_is_refused_by_name(capsys, monkeypatch, command, value, source):
+    argv = SEEDED_COMMANDS[command]
+    if source == "--seed":
+        argv = [*argv, "--seed", value]
+    else:
+        monkeypatch.setenv(source, value)
+    try:
+        rc = main(argv)
+    except SystemExit as exit_info:
+        rc = exit_info.code
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and source in errors[0], captured.err
+
+
+@pytest.mark.parametrize("value", ["0", str(2**64 - 1)])
+def test_seed_range_ends_are_accepted(capsys, monkeypatch, value):
+    rc, via_flag, _ = run(capsys, *SEEDED_COMMANDS["sample"], "--count", "3", "--seed", value)
+    assert rc == 0
+    monkeypatch.setenv("BUCKETTREES_SEED", value)
+    rc, via_env, _ = run(capsys, *SEEDED_COMMANDS["sample"], "--count", "3")
+    assert rc == 0
+    assert via_flag == via_env
+    master = SplitMix64(int(value))
+    spec = BucketRecursive(2)
+    assert via_flag.splitlines() == [
+        encode_tree(sample_tree(spec, 4, master.spawn(i))).decode("ascii") for i in range(3)]
 
 
 def test_stats_beta_smoke(capsys):

@@ -11,7 +11,9 @@ first when i is odd and the change first when it is even.  The file keeps
 each run's last stdout line (the result) as printed, and a summary per
 workload: for each end-to-end metric, the median and quartiles of each side
 and the number of pairs in which the change read lower (ties count for
-neither side).  It also records the commit of each checkout.
+neither side).  It also records the commit of each checkout.  --pairs is
+checked in full before the first run, and --out is rewritten after every
+pair, so an interrupted run keeps the pairs it finished.
 """
 
 from __future__ import annotations
@@ -59,6 +61,23 @@ def summary(pairs: list[dict]) -> dict:
     return out
 
 
+def parse_pairs(text: str, workloads: list[str]) -> list[tuple[str, int]]:
+    """``workload=count,...`` as (workload, count) items, or ValueError."""
+    items = []
+    for item in text.split(","):
+        workload, _, count = item.partition("=")
+        try:
+            number = int(count)
+        except ValueError:
+            raise ValueError(f"not workload=count: {item!r}") from None
+        if workload not in workloads:
+            raise ValueError(f"unknown workload {workload!r} (one of {', '.join(workloads)})")
+        if number < 1:
+            raise ValueError(f"{workload}: count must be at least 1, got {number}")
+        items.append((workload, number))
+    return items
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -68,7 +87,13 @@ def main() -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
     roots = {"parent": args.parent, "change": args.change}
-    seconds = json.loads((args.change / "BENCHMARK.json").read_text())["run_seconds"]
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
+    try:
+        items = parse_pairs(args.pairs, [w["name"] for w in benchmark["workloads"]])
+    except ValueError as exc:
+        print(f"bench_pairs.py: error: --pairs: {exc}", file=sys.stderr)
+        return 2
+    seconds = benchmark["run_seconds"]
     report = {
         "command": "python3 perfbench/run.py --workload W --seed N --seconds S --trace 0",
         "seed": args.seed,
@@ -78,10 +103,9 @@ def main() -> int:
                     "platform": platform.platform()},
         "workloads": {},
     }
-    for item in args.pairs.split(","):
-        workload, count = item.split("=")
+    for workload, count in items:
         pairs = []
-        for i in range(1, int(count) + 1):
+        for i in range(1, count + 1):
             order = ("parent", "change") if i % 2 else ("change", "parent")
             pair = {"first": order[0]}
             for side in order:
@@ -90,8 +114,9 @@ def main() -> int:
             print(f"{workload} pair {i}: run_s parent "
                   f"{pair['parent']['metrics']['run_s']['value']:.4f} change "
                   f"{pair['change']['metrics']['run_s']['value']:.4f}", file=sys.stderr)
-        report["workloads"][workload] = {"pairs": pairs, "summary": summary(pairs)}
-    args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+            report["workloads"][workload] = {"pairs": pairs, "summary": summary(pairs)}
+            args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n",
+                                encoding="utf-8")
     return 0
 
 
