@@ -31,7 +31,7 @@ from dataclasses import asdict
 from .enumeration import (EnumerationLimitError, check_ode_recurrence,
                           closed_form_total_weight, enumerate_shapes,
                           guard_labelled, guard_shapes, total_weight)
-from .evolve import exact_laws, pushforward_strip, sample_tree
+from .evolve import exact_laws, pushforward_strip, sample_encoding
 from .rng import SplitMix64
 from .trees import encode_tree, weigh, weight_table
 from .urn import (descendants_direct, descendants_law_from_urn,
@@ -90,11 +90,19 @@ def probability(text: str) -> float:
 
 
 def seed_value(text: str) -> int:
-    """argparse type for --seed: an integer in [0, 2**64)."""
+    """argparse type for --seed: an integer in [0, 2**64).  The error line
+    quotes at most the first 24 characters of a refused value."""
+    shown = repr(text) if len(text) <= 24 else f"{text[:24]!r}... ({len(text)} characters)"
+    # 2**64 has 20 digits, so a decimal with more significant digits is out
+    # of range.  It is refused before int(), which past its digit cap (4,300
+    # by default) would call it no integer at all.
+    digits = text.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if len(digits) > 20 and digits.isdecimal():
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2**64), got {shown}")
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not an integer: {shown}") from None
     if not 0 <= value < 1 << 64:
         raise argparse.ArgumentTypeError(f"must lie in [0, 2**64), got {value}")
     return value
@@ -248,8 +256,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     spec = build_spec(args)
     # Tree i grows from its own stream, so output depends on (seed, count) only.
     master = SplitMix64(_parse_seed(args.seed))
-    encodings = (encode_tree(sample_tree(spec, args.n, master.spawn(i)))
-                 for i in range(args.count))
+    encodings = (sample_encoding(spec, args.n, master.spawn(i)) for i in range(args.count))
 
     if args.aggregate:
         counts = Counter(encodings)
@@ -377,6 +384,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_descend(args: argparse.Namespace) -> int:
     spec = build_spec(args)
+    # Resolved in every mode, so a bad BUCKETTREES_SEED is refused even
+    # where no draw reads it.
+    seed = _parse_seed(args.seed)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     if args.mode == "exact":
         law = descendants_law_from_urn(spec, args.n, args.j)
@@ -384,7 +394,7 @@ def cmd_descend(args: argparse.Namespace) -> int:
         writer.writerows([y, str(law[y])] for y in sorted(law))
         return 0
     draw = descendants_via_urn if args.mode == "urn" else descendants_direct
-    master = SplitMix64(_parse_seed(args.seed))
+    master = SplitMix64(seed)
     counts = Counter(draw(spec, args.n, args.j, master.spawn(i)).descendants
                      for i in range(args.count))
     writer.writerow(["descendants", "count"])

@@ -22,7 +22,8 @@ from typing import Iterator, Mapping
 
 from .enumeration import _check_limit, guard_labelled
 from .rng import SplitMix64
-from .trees import BucketNode, BucketTree, InvalidTreeError, single_bucket_tree
+from .trees import (BucketNode, BucketTree, InvalidTreeError, encode_grown,
+                    single_bucket_tree)
 from .weights import FamilySpec
 
 
@@ -66,14 +67,16 @@ def growth_options(tree: BucketTree, spec: FamilySpec) -> list[tuple[BucketTree,
     return options
 
 
-def sample_tree(spec: FamilySpec, n: int, rng: SplitMix64) -> BucketTree:
-    """Grow a labelled tree of size n from a single label.
+def _grow(spec: FamilySpec, n: int, rng: SplitMix64) -> tuple[list[list[int]], list[list[int]]]:
+    """Grow a labelled tree of size n from a single label, as flat lists:
+    node i (in creation order, the root first) holds the bucket labels[i]
+    and the child indices children[i], which all exceed i.
 
-    Nodes live in flat lists indexed by creation order, and a Fenwick tree
-    over their scaled integer attachment weights finds the target of each
-    label in O(log n).  A label changes one weight (+c1 when it joins a
-    bucket, -c2 when it starts a child) and may add a leaf of weight
-    c1 + c2, so growth to size n costs O(n log n).
+    A Fenwick tree over the nodes' scaled integer attachment weights finds
+    the target of each label in O(log n).  A label changes one weight (+c1
+    when it joins a bucket, -c2 when it starts a child) and may add a leaf,
+    whose weight c1 + c2 its slot already holds, so growth to size n costs
+    O(n log n).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -88,14 +91,11 @@ def sample_tree(spec: FamilySpec, n: int, rng: SplitMix64) -> BucketTree:
         raise AssertionError(f"negative leaf weight {leaf}")
     labels: list[list[int]] = [[1]]
     children: list[list[int]] = [[]]
-    fenwick = [0] * (n + 1)  # 1-based; nodes never outnumber labels
-
-    def bump(index: int, delta: int) -> None:
-        while index <= n:
-            fenwick[index] += delta
-            index += index & -index
-
-    bump(1, leaf)
+    # 1-based, one slot per possible node (nodes never outnumber labels),
+    # each at the leaf weight from the start.  A slot not grown yet lies
+    # past the running total, which no pick reaches, so the descent never
+    # stops there, and a new leaf needs no update.
+    fenwick = [leaf * (index & -index) for index in range(n + 1)]
     top = 1 << (n.bit_length() - 1)
     total = leaf
     for size in range(1, n):
@@ -118,22 +118,40 @@ def sample_tree(spec: FamilySpec, n: int, rng: SplitMix64) -> BucketTree:
             kids.insert(rng.randbelow(len(kids) + 1), len(labels))
             labels.append([size + 1])
             children.append([])
-            bump(len(labels), leaf)
             total += leaf
             delta = -split
         if join * len(bucket) + split * (1 - len(children[node])) < 0:
             raise AssertionError(f"negative attachment weight at node {node}")
-        bump(node + 1, delta)
+        index = node + 1
+        while index <= n:
+            fenwick[index] += delta
+            index += index & -index
         total += delta
         if total != join * (size + 1) + split:
             raise AssertionError("attachment weights must sum to the normalizer")
+    return labels, children
+
+
+def sample_tree(spec: FamilySpec, n: int, rng: SplitMix64) -> BucketTree:
+    """Grow a labelled tree of size n from a single label, in O(n log n).
+
+    Callers that only need the tree's bytes should use ``sample_encoding``,
+    which draws the same words and builds no nodes.
+    """
+    labels, children = _grow(spec, n, rng)
     # Children are created after their parents, so a reverse walk builds
     # every subtree before the node that holds it.
     built: list[BucketNode] = [None] * len(labels)  # type: ignore[list-item]
     for index in range(len(labels) - 1, -1, -1):
         built[index] = BucketNode(len(labels[index]), tuple(labels[index]),
                                   tuple(built[k] for k in children[index]))
-    return BucketTree(built[0], b)
+    return BucketTree(built[0], spec.b)
+
+
+def sample_encoding(spec: FamilySpec, n: int, rng: SplitMix64) -> bytes:
+    """``encode_tree(sample_tree(spec, n, rng))``, written straight from the
+    growth lists: the same bytes from the same words, with no node built."""
+    return encode_grown(*_grow(spec, n, rng))
 
 
 # ── exact law of the process ──────────────────────────────────────────────

@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .evolve import exact_distribution, sample_tree
+from .evolve import exact_distribution, sample_encoding
 from .rng import SplitMix64
 from .trees import encode_tree
 from .weights import FamilySpec
@@ -141,7 +141,7 @@ def sampler_gof(
     reports = []
     for seed in seeds:
         rng = SplitMix64(seed)
-        counts = Counter(encode_tree(sample_tree(spec, n, rng)) for _ in range(samples))
+        counts = Counter(sample_encoding(spec, n, rng) for _ in range(samples))
         reports.append(chi_square_gof(counts, expected, level))
     failures = sum(1 for r in reports if not r.passed)
     return reports, failures < 2

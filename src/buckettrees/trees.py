@@ -162,6 +162,18 @@ def _node_json(node: BucketNode) -> str:
     return f'{{"capacity":{node.capacity},"children":[{kids}]}}'
 
 
+def encode_grown(labels: list[list[int]], children: list[list[int]]) -> bytes:
+    """``encode_tree`` of a labelled tree held in flat lists: node i holds the
+    bucket labels[i] and the child indices children[i], each larger than i,
+    and node 0 is the root."""
+    # A reverse walk writes every subtree before the node that holds it.
+    text = [""] * len(labels)
+    for index in range(len(labels) - 1, -1, -1):
+        kids = ",".join([text[k] for k in children[index]])
+        text[index] = f'{{"children":[{kids}],"labels":[{",".join(map(str, labels[index]))}]}}'
+    return text[0].encode("ascii")
+
+
 def encode_tree(tree: BucketTree) -> bytes:
     """Deterministic byte encoding; injective for fixed ``max_bucket``."""
     return _node_json(tree.root).encode("ascii")

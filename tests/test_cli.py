@@ -829,9 +829,10 @@ def test_stats_gof_rejection_prints_strict_json(capsys, monkeypatch):
     # A sampler that puts every later label under the root grows a tree
     # outside the binary (d = 2) law's support: statistic inf, certain rejection.
     def flat(spec, n, rng):
-        return BucketTree(bucket((1,), tuple(bucket((k,)) for k in range(2, n + 1))), 1)
+        return encode_tree(
+            BucketTree(bucket((1,), tuple(bucket((k,)) for k in range(2, n + 1))), 1))
 
-    monkeypatch.setattr(stats, "sample_tree", flat)
+    monkeypatch.setattr(stats, "sample_encoding", flat)
     rc, out, err = run(capsys, "stats", "--check", "gof", "--family", "bdary",
                        "--b", "1", "--d", "2", "--n", "4", "--samples", "100")
     assert rc == 1
@@ -853,6 +854,9 @@ SEEDED_COMMANDS = {
     "sample": ["sample", "--family", "bucket-recursive", "--b", "2", "--n", "4"],
     "descend": ["descend", "--family", "bucket-recursive", "--b", "2", "--n", "6",
                 "--j", "3", "--count", "5"],
+    # Draws nothing, but refuses a bad seed all the same.
+    "descend-exact": ["descend", "--family", "bucket-recursive", "--b", "2", "--n", "6",
+                      "--j", "3", "--mode", "exact"],
     "stats": ["stats", "--check", "second-order", "--family", "bucket-recursive",
               "--b", "2", "--j", "4", "--load", "2", "--n", "100",
               "--trajectories", "20", "--horizon", "200"],
@@ -863,7 +867,13 @@ SEEDED_COMMANDS = {
 @pytest.mark.parametrize("value", ["-1", str(2**64), "1.5", "x"])
 @pytest.mark.parametrize("source", ["--seed", "BUCKETTREES_SEED"])
 def test_seed_outside_range_is_refused_by_name(capsys, monkeypatch, command, value, source):
-    argv = SEEDED_COMMANDS[command]
+    errors, err = _seed_refusal(capsys, monkeypatch, SEEDED_COMMANDS[command], source, value)
+    assert len(errors) == 1 and source in errors[0], err
+
+
+def _seed_refusal(capsys, monkeypatch, argv, source, value):
+    """Run argv with the seed from source; returns its error lines and stderr
+    after checking that it exits 2 with no output and no traceback."""
     if source == "--seed":
         argv = [*argv, "--seed", value]
     else:
@@ -876,8 +886,28 @@ def test_seed_outside_range_is_refused_by_name(capsys, monkeypatch, command, val
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
-    errors = [line for line in captured.err.splitlines() if "error:" in line]
-    assert len(errors) == 1 and source in errors[0], captured.err
+    return [line for line in captured.err.splitlines() if "error:" in line], captured.err
+
+
+@pytest.mark.parametrize("command", sorted(SEEDED_COMMANDS))
+@pytest.mark.parametrize("value", ["9" * 5000, "-" + "9" * 5000, "1" + "_0" * 3000, "x" * 5000],
+                         ids=["digits", "negative", "underscored", "letters"])
+@pytest.mark.parametrize("source", ["--seed", "BUCKETTREES_SEED"])
+def test_overlong_seed_is_refused_in_one_short_line(capsys, monkeypatch, command, value, source):
+    errors, err = _seed_refusal(capsys, monkeypatch, SEEDED_COMMANDS[command], source, value)
+    assert len(errors) == 1 and source in errors[0], err
+    reason = "not an integer" if value.startswith("x") else "must lie in [0, 2**64)"
+    assert reason in errors[0]
+    assert all(len(line) < 200 for line in err.splitlines()), err
+
+
+def test_descend_exact_output_does_not_depend_on_the_seed(capsys, monkeypatch):
+    argv = SEEDED_COMMANDS["descend-exact"]
+    rc, plain, _ = run(capsys, *argv)
+    assert rc == 0
+    assert run(capsys, *argv, "--seed", "7") == (0, plain, "")
+    monkeypatch.setenv("BUCKETTREES_SEED", str(2**64 - 1))
+    assert run(capsys, *argv) == (0, plain, "")
 
 
 @pytest.mark.parametrize("value", ["0", str(2**64 - 1)])

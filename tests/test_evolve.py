@@ -17,9 +17,9 @@ from buckettrees import (BucketRecursive, BucketTree, DAryIncreasing,
                          InvalidTreeError, PlaneOriented, SplitMix64,
                          TreeDistribution, bucket, decode_tree, encode_tree,
                          exact_distribution, exact_laws, growth_options,
-                         pushforward_strip, sample_tree, sampler_gof,
-                         single_bucket_tree, strip_labels, total_weight,
-                         tree_weight, weights_of)
+                         pushforward_strip, sample_encoding, sample_tree,
+                         sampler_gof, single_bucket_tree, strip_labels,
+                         total_weight, tree_weight, weights_of)
 from buckettrees.enumeration import EnumerationLimitError
 
 F = Fraction
@@ -99,6 +99,20 @@ def test_sample_tree_large_n_round_trips():
     tree.validate()
     assert tree.size == 10_000
     assert decode_tree(encode_tree(tree), 2) == tree
+    assert sample_encoding(PlaneOriented(2, F(1)), 10_000, SplitMix64(2024)) \
+        == encode_tree(tree)
+
+
+@pytest.mark.parametrize("spec", [family for b in (1, 2, 3) for family in
+                                  (BucketRecursive(b), DAryIncreasing(b, F(2)),
+                                   PlaneOriented(b, F(1)))], ids=repr)
+def test_sample_encoding_is_the_encoded_sample_tree(spec):
+    # Same bytes from the same words: both generators end on the same counter.
+    for n in (1, 2, 5, 60):
+        for seed in range(20):
+            flat, built = SplitMix64(seed), SplitMix64(seed)
+            assert sample_encoding(spec, n, flat) == encode_tree(sample_tree(spec, n, built))
+            assert flat._counter == built._counter
 
 
 @settings(max_examples=25, deadline=None)

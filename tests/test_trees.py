@@ -22,7 +22,7 @@ from buckettrees import (BucketRecursive, BucketTree, DAryIncreasing,
                          enumerate_shapes, insertion_load, node_profile,
                          sample_tree, shape_bucket, single_bucket_tree,
                          subtree_of_label, tree_weight, weights_of)
-from buckettrees.trees import MAX_DECODE_DEPTH, weigh, weight_table
+from buckettrees.trees import MAX_DECODE_DEPTH, encode_grown, weigh, weight_table
 
 
 def oracle_labellings(tree: BucketTree) -> int:
@@ -188,6 +188,13 @@ def test_decode_rejects_deep_chains():
 def test_encoding_is_canonical():
     tree = BucketTree(bucket((1, 2), (bucket((3,)),)), 2)
     assert encode_tree(tree) == b'{"children":[{"children":[],"labels":[3]}],"labels":[1,2]}'
+
+
+def test_encode_grown_follows_the_child_lists():
+    # Node i holds labels[i]; children[i] lists its children in order.
+    tree = BucketTree(bucket((1, 2), (bucket((4,)), bucket((3, 5)))), 2)
+    assert encode_grown([[1, 2], [3, 5], [4]], [[2, 1], [], []]) == encode_tree(tree)
+    assert encode_grown([[1]], [[]]) == b'{"children":[],"labels":[1]}'
 
 
 @settings(max_examples=30, deadline=None)
