@@ -29,8 +29,8 @@ from collections import Counter
 from dataclasses import asdict
 
 from .enumeration import (EnumerationLimitError, check_ode_recurrence,
-                          closed_form_total_weight, enumerate_shapes,
-                          guard_labelled, guard_shapes, total_weight)
+                          closed_form_total_weight, enumerate_shapes, guard_growth,
+                          guard_labelled, guard_shapes, total_weights)
 from .evolve import exact_laws, pushforward_strip, sample_encoding
 from .rng import SplitMix64
 from .trees import encode_tree, weigh, weight_table
@@ -59,14 +59,27 @@ def rounded_fields(report) -> dict:
     return {k: f12(v) if isinstance(v, float) else v for k, v in asdict(report).items()}
 
 
+def quoted(text: str) -> str:
+    """A refused command-line value as an error line shows it: at most its
+    first 24 characters."""
+    return repr(text) if len(text) <= 24 else f"{text[:24]!r}... ({len(text)} characters)"
+
+
 def positive_int(text: str) -> int:
     """argparse type for sizes and counts: an integer >= 1."""
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        # Past its digit cap (4,300 by default) int() refuses a decimal too.
+        digits = text.strip().lstrip("+-").replace("_", "")
+        if not (digits.isdecimal() and 0 < sys.get_int_max_str_digits() < len(digits)):
+            raise argparse.ArgumentTypeError(f"not an integer: {quoted(text)}") from None
+        if text.strip().startswith("-"):
+            raise argparse.ArgumentTypeError(f"must be at least 1, got {quoted(text)}") from None
+        raise argparse.ArgumentTypeError(f"too large: {quoted(text)}") from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(
+            f"must be at least 1, got {value if len(text) <= 24 else quoted(text)}")
     return value
 
 
@@ -74,7 +87,7 @@ def size_grid(text: str) -> list[int]:
     """argparse type for --n-grid: comma-separated sizes, strictly increasing."""
     grid = [positive_int(part) for part in text.split(",")]
     if any(a >= b for a, b in zip(grid, grid[1:])):
-        raise argparse.ArgumentTypeError(f"must be strictly increasing, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be strictly increasing, got {quoted(text)}")
     return grid
 
 
@@ -83,7 +96,7 @@ def probability(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not a number: {quoted(text)}") from None
     if not 0 < value < 1:
         raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {value}")
     return value
@@ -92,7 +105,7 @@ def probability(text: str) -> float:
 def seed_value(text: str) -> int:
     """argparse type for --seed: an integer in [0, 2**64).  The error line
     quotes at most the first 24 characters of a refused value."""
-    shown = repr(text) if len(text) <= 24 else f"{text[:24]!r}... ({len(text)} characters)"
+    shown = quoted(text)
     # 2**64 has 20 digits, so a decimal with more significant digits is out
     # of range.  It is refused before int(), which past its digit cap (4,300
     # by default) would call it no integer at all.
@@ -217,8 +230,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     model, spec = build_model(args)
     guard_shapes(args.n, model.b)
     rows = []
-    for n in range(1, args.n + 1):
-        total = total_weight(model, n, args.limit)
+    for n, total in enumerate(total_weights(model, args.n, args.limit), start=1):
         row = {"n": n, "total": str(total)}
         if spec is not None:
             closed = closed_form_total_weight(spec, n)
@@ -254,6 +266,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     spec = build_spec(args)
+    guard_growth(args.n)
     # Tree i grows from its own stream, so output depends on (seed, count) only.
     master = SplitMix64(_parse_seed(args.seed))
     encodings = (sample_encoding(spec, args.n, master.spawn(i)) for i in range(args.count))
@@ -317,63 +330,69 @@ def _verify_ode(model, spec, args) -> dict:
             "failure_kind": report.failure_kind, "failing_index": report.failing_index}
 
 
-def _verify_equivalence(model, spec, args) -> dict:
-    first_bad = None
-    for dist in exact_laws(spec, args.n, args.limit):
-        size = dist.size
-        total = total_weight(model, size, args.limit)
-        table = weight_table(model, size)
-        for tree, prob in dist.probs.items():
-            if prob != weigh(tree, table) / total:
-                first_bad = first_bad or {"n": size, "tree": encode_tree(tree).decode("ascii")}
-        if dist.total() != 1:
-            first_bad = first_bad or {"n": size, "tree": None}
-    return {"check": "equivalence", "passed": first_bad is None, "n": args.n,
-            "first_mismatch": first_bad}
+def _verify_laws(model, spec, args, names) -> list[dict]:
+    """The growth checks in names, from one walk up the exact laws that
+    holds two consecutive laws at a time.
 
-
-def _verify_preserve(model, spec, args) -> dict:
-    # strip_j of strip_{j+1} is strip_j, so checking each size against the
-    # one before covers every j <= n.  Walking up, the first failure is the
-    # smallest j, and only two consecutive laws are held at a time.
-    bad_j = None
-    smaller = None
+    equivalence holds each size-n law against the model's weights over
+    T_n, the totals read off the recurrence.  preserve holds the image of
+    each law under strip_j against the law of size j = n - 1: strip_j of
+    strip_{j+1} is strip_j, so that covers every j <= n, and walking up,
+    the first failure is the smallest j.
+    """
+    totals = first_bad = bad_j = smaller = None
     for law in exact_laws(spec, args.n, args.limit):
-        if smaller is not None and pushforward_strip(law, smaller.size).probs != smaller.probs:
-            bad_j = smaller.size
-            break
+        size = law.size
+        if "equivalence" in names and first_bad is None:
+            if totals is None:   # past exact_laws' own guards, which name the size
+                totals = total_weights(model, args.n, args.limit)
+            table = weight_table(model, size)
+            for tree, prob in law.probs.items():
+                if prob != weigh(tree, table) / totals[size - 1]:
+                    first_bad = {"n": size, "tree": encode_tree(tree).decode("ascii")}
+                    break
+            if first_bad is None and law.total() != 1:
+                first_bad = {"n": size, "tree": None}
+        if "preserve" in names and bad_j is None and smaller is not None:
+            if pushforward_strip(law, smaller.size).probs != smaller.probs:
+                bad_j = smaller.size
         smaller = law
-    return {"check": "preserve", "passed": bad_j is None, "n": args.n, "first_failing_j": bad_j}
+    results = {
+        "equivalence": {"check": "equivalence", "passed": first_bad is None, "n": args.n,
+                        "first_mismatch": first_bad},
+        "preserve": {"check": "preserve", "passed": bad_j is None, "n": args.n,
+                     "first_failing_j": bad_j},
+    }
+    return [results[name] for name in names]
 
 
-# Run in this order by --check all.
+# Run in this order by --check all, the growth checks last.
 VERIFY_CHECKS = {
     "balance": _verify_balance,
     "ratio": _verify_ratio,
     "ode": _verify_ode,
     "scaling": _verify_scaling,
     "classify": _verify_classify,
-    "equivalence": _verify_equivalence,
-    "preserve": _verify_preserve,
 }
-GROWTH_CHECKS = {"equivalence", "preserve"}  # growth is defined per family
+GROWTH_CHECKS = ("equivalence", "preserve")  # growth is defined per family
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     model, spec = build_model(args)
     guard_shapes(args.n, model.b)
-    names = list(VERIFY_CHECKS) if args.check == "all" else [args.check]
-    if spec is not None and GROWTH_CHECKS.intersection(names):
+    names = [*VERIFY_CHECKS, *GROWTH_CHECKS] if args.check == "all" else [args.check]
+    growth = [name for name in names if name in GROWTH_CHECKS]
+    if spec is not None and growth:
         guard_labelled(args.n, spec.b)
-    results = []
-    for name in names:
-        if spec is None and name in GROWTH_CHECKS:
-            if args.check != "all":
-                raise InvalidWeightsError(f"--check {name} needs --family")
-            results.append({"check": name, "passed": None,
-                            "skipped": "needs --family (growth is family-defined)"})
-        else:
-            results.append(VERIFY_CHECKS[name](model, spec, args))
+    if spec is None and growth and args.check != "all":
+        raise InvalidWeightsError(f"--check {args.check} needs --family")
+    results = [VERIFY_CHECKS[name](model, spec, args) for name in names
+               if name in VERIFY_CHECKS]
+    if spec is None:
+        results += [{"check": name, "passed": None,
+                     "skipped": "needs --family (growth is family-defined)"} for name in growth]
+    elif growth:
+        results += _verify_laws(model, spec, args, growth)
     passed = all(r["passed"] is not False for r in results)
     emit_json({"command": "verify", "model": model.describe(),
                "checks": results, "passed": passed})
@@ -384,6 +403,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_descend(args: argparse.Namespace) -> int:
     spec = build_spec(args)
+    guard_growth(args.n)
     # Resolved in every mode, so a bad BUCKETTREES_SEED is refused even
     # where no draw reads it.
     seed = _parse_seed(args.seed)
@@ -460,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("verify", help="structure checks; exit 0 iff all pass")
     add_model_args(p)
-    p.add_argument("--check", default="all", choices=[*VERIFY_CHECKS, "all"])
+    p.add_argument("--check", default="all", choices=[*VERIFY_CHECKS, *GROWTH_CHECKS, "all"])
     p.add_argument("--n", type=positive_int, default=6)
     p.add_argument("--limit", type=positive_int)
     p.set_defaults(func=cmd_verify)

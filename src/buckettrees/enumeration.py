@@ -7,6 +7,13 @@ satisfies a coefficient recurrence: writing T(z) = sum T_n z^n / n!, the
 b-th derivative of T equals phi(T), i.e. T_{n+b} = n! [z^n] phi(T(z)) with
 T_k = psi_k for k < b.
 
+The totals come two ways.  ``total_weights`` reads them off the recurrence,
+from psi and phi alone, one new coefficient of phi(T) per size: an
+affine degree rule needs one O(n) sum per coefficient, an explicit list
+keeps the powers of T as it goes.  ``total_weight`` enumerates every shape
+and weighs its labellings; ``check_ode_recurrence`` holds the two routes
+against each other.
+
 Enumeration is exact and intended for desk-scale sizes; the guard exists
 so a typo cannot ask for billions of shapes.
 """
@@ -20,13 +27,17 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from .trees import BucketNode, BucketTree, count_labellings, weigh, weight_table
-from .weights import FamilySpec, WeightModel
+from .weights import AffineDegreeWeights, DegreeWeights, FamilySpec, WeightModel
 
 DEFAULT_SIZE_LIMIT = 12
 SHAPE_CEILING = 10**6  # refuse enumeration when size n has more shapes than this
 # Refuse an exact labelled law with more trees than this; PlaneOriented(1, 1)
 # at n = 8 (135,135 trees) still runs.
 LABELLED_CEILING = 2 * 10**5
+# Refuse to grow a tree with more labels than this.  At b = 1, one node per
+# label, a sampled tree peaks at about 760 bytes per label (106 MB of RSS at
+# 10^5 labels), so the largest tree stays under 1 GB.
+GROWTH_CEILING = 10**6
 
 
 class EnumerationLimitError(RuntimeError):
@@ -107,6 +118,14 @@ def guard_labelled(n: int, b: int) -> None:
     _guard(n, b, labelled_counts(b), "labelled trees", LABELLED_CEILING)
 
 
+def guard_growth(n: int) -> None:
+    """Refuse to grow a tree of size n above GROWTH_CEILING labels."""
+    if n > GROWTH_CEILING:
+        raise EnumerationLimitError(
+            f"refusing to grow a tree of more than {GROWTH_CEILING} labels "
+            f"(about 760 bytes of memory per label)")
+
+
 def shape_count(b: int, n: int) -> int:
     """Number of shapes of size n, as ``len(enumerate_shapes(b, n))``."""
     if b < 1 or n < 1:
@@ -126,9 +145,49 @@ def total_weight(model: WeightModel, n: int, limit: int | None = None) -> Fracti
     return total
 
 
+def _composed(phi: DegreeWeights, u: list[Fraction]) -> Iterator[Fraction]:
+    # f_0, f_1, ...: the coefficients of phi(T) for T = sum_i u[i] z^i, f_m
+    # formed once u[1..m] are in u (u[0] = 0), which the caller extends.
+    if isinstance(phi, AffineDegreeWeights):
+        f: list[Fraction] = []
+        for m in itertools.count():
+            f.append(phi.scale if m == 0 else sum(
+                ((phi.rate * i - phi.slope * (m - i)) * u[i] * f[m - i]
+                 for i in range(1, m + 1)), Fraction(0)) / m)
+            yield f[m]
+    else:
+        coeffs = [phi.coeff(k) for k in range(phi.support_bound() + 1)]
+        powers = [[Fraction(1)]] + [[] for _ in coeffs[1:]]   # powers[k][m] = [z^m] T^k
+        for m in itertools.count():
+            if m:
+                powers[0].append(Fraction(0))
+            for lower, power in zip(powers, powers[1:]):
+                power.append(sum((u[i] * lower[m - i] for i in range(1, m + 1)), Fraction(0)))
+            yield sum((c * power[m] for c, power in zip(coeffs, powers) if c), Fraction(0))
+
+
 def total_weights(model: WeightModel, n_max: int, limit: int | None = None) -> list[Fraction]:
-    """[T_1, ..., T_{n_max}]."""
-    return [total_weight(model, n, limit) for n in range(1, n_max + 1)]
+    """[T_1, ..., T_{n_max}] by the recurrence, from psi and phi alone.
+
+    With u_i = T_i / i!, T_{m+b} = m! f_m where f_m = [z^m] phi(T) reads
+    only u_1..u_m.  An affine rule, (1 + slope*t) phi' = rate*phi, gives
+    F = phi(T) the equation (1 + slope*T) F' = rate*F*T', so f_0 = scale
+    and m f_m = sum_{i=1..m} (rate*i - slope*(m - i)) u_i f_{m-i}: one O(m)
+    sum.  An explicit list of degree D keeps the powers T^k one coefficient
+    ahead of the last, O(D*m).  Sizes are refused as ``total_weight``
+    refuses them, the first refused size named.
+    """
+    b = model.b
+    for n, count in zip(range(1, n_max + 1), shape_counts(b)):
+        _check_limit(n, limit)
+        if count > SHAPE_CEILING:
+            guard_shapes(n, b)
+    totals = list(model.psi[:n_max])
+    u = [Fraction(0)] + [t / math.factorial(i) for i, t in enumerate(totals, start=1)]
+    for m, f_m in zip(range(n_max - b + 1), _composed(model.phi, u)):
+        totals.append(math.factorial(m) * f_m)
+        u.append(totals[-1] / math.factorial(m + b))
+    return totals
 
 
 def closed_form_total_weight(spec: FamilySpec, n: int) -> Fraction:
@@ -155,19 +214,14 @@ class OdeCheckReport:
 
 def check_ode_recurrence(model: WeightModel, n_max: int,
                          limit: int | None = None) -> OdeCheckReport:
-    """Verify the recurrence against the enumerated totals T_1..T_{n_max}."""
-    b = model.b
-    totals = total_weights(model, n_max, limit)
+    """Hold the enumerated totals T_1..T_{n_max} against the recurrence's.
 
-    for k in range(1, min(b, n_max + 1)):
-        if totals[k - 1] != model.psi[k - 1]:
-            return OdeCheckReport(False, n_max, "initial", k)
-
-    if n_max >= b:
-        egf = [Fraction(0)] + [totals[m - 1] / math.factorial(m) for m in range(1, n_max + 1)]
-        composed = model.phi.compose(egf, n_max - b)
-        for m in range(n_max - b + 1):
-            if totals[m + b - 1] != math.factorial(m) * composed[m]:
-                return OdeCheckReport(False, n_max, "coefficient", m)
-
+    [z^m] phi(T) reads only T_1..T_m, so the first size k at which the two
+    routes differ is where the identity first fails: an initial value when
+    k < b, else coefficient k - b."""
+    for k, expected in enumerate(total_weights(model, n_max, limit), start=1):
+        if total_weight(model, k, limit) != expected:
+            if k < model.b:
+                return OdeCheckReport(False, n_max, "initial", k)
+            return OdeCheckReport(False, n_max, "coefficient", k - model.b)
     return OdeCheckReport(True, n_max)

@@ -165,6 +165,13 @@ def beta_moment(a: Fraction, b: Fraction, s: int) -> Fraction:
     return value
 
 
+def _check_urn_size(n: int) -> None:
+    # numpy draws the counts as int64, and Y = 1 + (white draws) <= n must fit.
+    if n >= 1 << 63:
+        raise ValueError(f"size {n} is past the urn batch's range: numpy counts "
+                         f"draws in 64-bit integers, so n must be below 2**63")
+
+
 def _urn_batch(
     spec: FamilySpec,
     j: int,
@@ -237,6 +244,7 @@ def check_beta_convergence(
         raise ValueError("every n in the grid must exceed j")
     if any(a >= b for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be strictly increasing")
+    _check_urn_size(n_grid[-1])
     state = urn_from(spec, j, load)
     if samples < MIN_GOF_SAMPLES:
         raise ValueError(f"need at least {MIN_GOF_SAMPLES} samples, got {samples}")
@@ -333,6 +341,7 @@ def second_order_diagnostic(
     state = urn_from(spec, j, load)
     if not j < n < horizon:
         raise ValueError(f"need j < n < horizon, got {j}, {n}, {horizon}")
+    _check_urn_size(horizon)
     if trajectories < MIN_GOF_SAMPLES:
         raise ValueError(f"need at least {MIN_GOF_SAMPLES} trajectories, got {trajectories}")
     if state.black == 0:

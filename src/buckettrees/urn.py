@@ -93,19 +93,30 @@ def urn_distribution_exact(state: UrnState, draws: int) -> dict[int, Fraction]:
     """Law of the number of white draws among ``draws``, in closed form.
 
     With a = white and b = black the count k among m draws is
-    Beta-binomial:  p_0 = (b)_m / (a+b)_m in rising factorials, and
-    p_{k+1} = p_k * (m-k)/(k+1) * (a+k)/(b+m-k-1).  With no black balls
-    every draw is white.
+    Beta-binomial, p_k = C(m, k) (a)_k (b)_{m-k} / (a+b)_m in rising
+    factorials.  Scaled by q, the lcm of the two denominators, the balls
+    are integers A and B, and every p_k shares the denominator
+    D = prod_{i<m} (A + B + q*i): its numerator starts at
+    N_0 = prod_{i<m} (B + q*i) and steps by
+    N_{k+1} = N_k (m-k)(A + q*k) / ((k+1)(B + q*(m-k-1))), a division that
+    is always exact.  With no black balls every draw is white.
     """
     if draws < 0:
         raise ValueError(f"draws must be >= 0, got {draws}")
     if state.black == 0:
         return {draws: Fraction(1)}
-    a, b, m = state.white, state.black, draws
-    probs = [math.prod(((b + i) / (a + b + i) for i in range(m)), start=Fraction(1))]
-    for k in range(m):
-        probs.append(probs[-1] * (m - k) * (a + k) / ((k + 1) * (b + m - k - 1)))
-    return {k: p for k, p in enumerate(probs) if p != 0}
+    m = draws
+    q = math.lcm(state.white.denominator, state.black.denominator)
+    a, b = int(state.white * q), int(state.black * q)
+    denominator = math.prod(a + b + q * i for i in range(m))
+    numerator = math.prod(b + q * i for i in range(m))
+    law = {}
+    for k in range(m + 1):
+        if numerator:
+            law[k] = Fraction(numerator, denominator)
+        if k < m:
+            numerator = numerator * (m - k) * (a + q * k) // ((k + 1) * (b + q * (m - k - 1)))
+    return law
 
 
 def urn_moment_exact(state: UrnState, draws: int, s: int) -> Fraction:

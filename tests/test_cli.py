@@ -442,7 +442,8 @@ def test_verify_preserve_reports_the_smallest_failing_j(capsys, monkeypatch):
     assert json.loads(out)["checks"][0]["first_failing_j"] == 2
 
 
-def test_verify_preserve_holds_two_laws_at_a_time(capsys, monkeypatch):
+def _laws_alive(capsys, monkeypatch, check):
+    """How many earlier laws are still held as each law arrives."""
     laws = cli.exact_laws
     alive = []
 
@@ -456,9 +457,35 @@ def test_verify_preserve_holds_two_laws_at_a_time(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "exact_laws", watched)
     rc, _, _ = run(capsys, "verify", "--family", "bucket-recursive", "--b", "2",
-                   "--n", "6", "--check", "preserve")
+                   "--n", "6", "--check", check)
+    assert rc == 0
+    return alive
+
+
+def test_verify_preserve_holds_two_laws_at_a_time(capsys, monkeypatch):
     # When law m arrives, of the earlier laws only law m - 1 is still held.
-    assert rc == 0 and alive == [0, 1, 1, 1, 1, 1]
+    assert _laws_alive(capsys, monkeypatch, "preserve") == [0, 1, 1, 1, 1, 1]
+
+
+def test_verify_all_holds_two_laws_at_a_time(capsys, monkeypatch):
+    # equivalence and preserve share the walk, and neither keeps a law.
+    assert _laws_alive(capsys, monkeypatch, "all") == [0, 1, 1, 1, 1, 1]
+
+
+def test_verify_all_walks_the_exact_laws_once(capsys, monkeypatch):
+    laws = cli.exact_laws
+    calls = []
+
+    def counted(spec, n, limit=None):
+        calls.append(n)
+        return laws(spec, n, limit)
+
+    monkeypatch.setattr(cli, "exact_laws", counted)
+    rc, out, _ = run(capsys, "verify", "--family", "baport", "--b", "2", "--alpha", "1",
+                     "--n", "6", "--check", "all")
+    checks = {entry["check"]: entry["passed"] for entry in json.loads(out)["checks"]}
+    assert rc == 0 and calls == [6]
+    assert checks["equivalence"] is checks["preserve"] is True
 
 
 def test_verify_classify_reports_family(capsys):
@@ -621,6 +648,11 @@ def test_growth_sizes_and_counts_must_be_positive(capsys, argv):
     ("enumerate", "--n", "3", "--limit", "0"),
     ("verify", "--n", "-3", "--check", "balance"),
     ("verify", "--n", "3", "--limit", "-1"),
+    # Past numpy's int64, the urn batch's counts would overflow.
+    ("stats", "--check", "beta", "--j", "4", "--load", "2",
+     "--n-grid", "100000000000000000000000", "--samples", "100"),
+    ("stats", "--check", "second-order", "--j", "4", "--load", "2", "--n", "1000",
+     "--trajectories", "100", "--horizon", "100000000000000000000000"),
 ])
 def test_stats_enumerate_verify_inputs_are_validated(capsys, argv):
     try:
@@ -632,6 +664,55 @@ def test_stats_enumerate_verify_inputs_are_validated(capsys, argv):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert "error: " in captured.err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "--check", "beta", "--family", "baport", "--b", "2", "--alpha", "1",
+     "--j", "4", "--load", "2", "--n-grid", "100000000000000000000000", "--samples", "100"],
+    ["stats", "--check", "second-order", "--family", "bucket-recursive", "--b", "2",
+     "--j", "4", "--load", "2", "--n", "1000", "--trajectories", "100",
+     "--horizon", "100000000000000000000000"],
+])
+def test_stats_refuses_sizes_past_the_urn_batch_range(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err == ("error: size 100000000000000000000000 is past the urn batch's range: "
+                   "numpy counts draws in 64-bit integers, so n must be below 2**63\n")
+
+
+GROWN = {
+    "sample": ["sample", "--family", "bdary", "--b", "2", "--d", "2"],
+    "descend": ["descend", "--family", "bdary", "--b", "2", "--d", "2", "--j", "3"],
+    "descend-exact": ["descend", "--family", "bdary", "--b", "2", "--d", "2", "--j", "3",
+                      "--mode", "exact"],
+}
+
+
+# Only sizes the ceiling refuses: none of these may start to grow a tree.
+@pytest.mark.parametrize("command", sorted(GROWN))
+@pytest.mark.parametrize("n", [enumeration.GROWTH_CEILING + 1, 10**30])
+def test_growth_sizes_above_the_ceiling_are_refused_in_one_line(capsys, command, n):
+    rc, out, err = run(capsys, *GROWN[command], "--n", str(n))
+    assert rc == 2 and out == ""
+    assert err == (f"error: refusing to grow a tree of more than {enumeration.GROWTH_CEILING} "
+                   f"labels (about 760 bytes of memory per label)\n")
+
+
+@pytest.mark.parametrize("value, reason", [
+    ("9" * 5000, "too large: '999999999999999999999999'... (5000 characters)"),
+    ("-" + "9" * 5000, "must be at least 1, got '-99999999999999999999999'... (5001 characters)"),
+    ("x" * 5000, "not an integer: 'xxxxxxxxxxxxxxxxxxxxxxxx'... (5000 characters)"),
+    ("-" + "9" * 30, "must be at least 1, got '-99999999999999999999999'... (31 characters)"),
+])
+def test_overlong_sizes_are_refused_in_one_short_line(capsys, value, reason):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*GROWN["sample"], "--n", value])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert captured.out == "" and len(errors) == 1, captured.err
+    assert errors[0].endswith(f"argument --n: {reason}")
+    assert len(errors[0].encode()) < 200
 
 
 # Options a check does not read are still validated: each value must be

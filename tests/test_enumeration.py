@@ -169,11 +169,17 @@ def test_ode_recurrence_passes_for_bucket_ordered():
     assert check_ode_recurrence(bucket_ordered_model(2), 7).passed
 
 
+def _corrupt_enumerated(monkeypatch, n, value):
+    # The enumerated route reads value at size n; the recurrence is untouched.
+    enumerated = enumeration.total_weight
+    monkeypatch.setattr(enumeration, "total_weight",
+                        lambda model, k, limit=None: value if k == n
+                        else enumerated(model, k, limit))
+
+
 def test_ode_recurrence_detects_perturbed_total(monkeypatch):
     model = weights_of(BucketRecursive(2))
-    totals = total_weights(model, 6)
-    totals[2] += 1  # corrupt T_3
-    monkeypatch.setattr(enumeration, "total_weights", lambda *args: totals)
+    _corrupt_enumerated(monkeypatch, 3, total_weight(model, 3) + 1)   # corrupt T_3
     report = check_ode_recurrence(model, 6)
     assert not report.passed
     assert report.failure_kind == "coefficient"
@@ -182,12 +188,45 @@ def test_ode_recurrence_detects_perturbed_total(monkeypatch):
 
 def test_ode_recurrence_detects_bad_initial_condition(monkeypatch):
     model = weights_of(BucketRecursive(2))
-    totals = total_weights(model, 6)
-    totals[0] = F(7)
-    monkeypatch.setattr(enumeration, "total_weights", lambda *args: totals)
+    _corrupt_enumerated(monkeypatch, 1, F(7))
     report = check_ode_recurrence(model, 6)
     assert report.failure_kind == "initial"
     assert report.failing_index == 1
+
+
+# Every family at b = 1, 2, 3, the bucket-ordered model, an explicit list
+# with a zero interior coefficient and an affine rule of no family.
+RECURRENCE_MODELS = [
+    *(weights_of(spec) for b in (1, 2, 3)
+      for spec in (BucketRecursive(b), DAryIncreasing(b, F(2)), PlaneOriented(b, F(1)))),
+    bucket_ordered_model(2),
+    WeightModel(3, (F(1), F(1)), ExplicitDegreeWeights((F(1), F(0), F(5), F(1)))),
+    WeightModel(1, (), AffineDegreeWeights(F(1), F(3), F(-1))),
+    WeightModel(2, (F(2),), AffineDegreeWeights(F(1), F(3), F(-1))),
+]
+
+
+@pytest.mark.parametrize("model", RECURRENCE_MODELS, ids=lambda m: repr(m.describe()))
+def test_recurrence_totals_equal_enumerated_totals(model):
+    assert total_weights(model, 10, limit=10) == [total_weight(model, n) for n in range(1, 11)]
+
+
+@pytest.mark.parametrize("n_max, limit, message", [
+    (13, None, "size 13 exceeds the enumeration limit 12"),
+    (9, 7, "size 8 exceeds the enumeration limit 7"),
+])
+def test_recurrence_refuses_the_size_enumeration_would(n_max, limit, message):
+    model = weights_of(BucketRecursive(2))
+    with pytest.raises(EnumerationLimitError, match=message):
+        total_weights(model, n_max, limit)
+    with pytest.raises(EnumerationLimitError, match=message):
+        [total_weight(model, n, limit) for n in range(1, n_max + 1)]
+
+
+def test_recurrence_refuses_the_first_size_over_the_shape_ceiling(monkeypatch):
+    monkeypatch.setattr(enumeration, "SHAPE_CEILING", 1000)
+    with pytest.raises(EnumerationLimitError, match="refusing n = 12 at b = 2: size 12 "):
+        total_weights(weights_of(BucketRecursive(2)), 14, limit=14)
 
 
 def test_composition_spot_value():

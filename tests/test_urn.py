@@ -84,6 +84,30 @@ def test_urn_distribution_zero_mass_edges():
     assert no_white == {0: F(1)}
 
 
+def _beta_binomial_by_products(state: UrnState, m: int) -> dict[int, Fraction]:
+    # The reference: p_0 = (b)_m / (a+b)_m, then the ratio p_{k+1}/p_k, in Fractions.
+    if state.black == 0:
+        return {m: F(1)}
+    a, b = state.white, state.black
+    probs = [F(1)]
+    for i in range(m):
+        probs[0] *= (b + i) / (a + b + i)
+    for k in range(m):
+        probs.append(probs[-1] * (m - k) * (a + k) / ((k + 1) * (b + m - k - 1)))
+    return {k: p for k, p in enumerate(probs) if p != 0}
+
+
+@pytest.mark.parametrize("state", [
+    UrnState(F(0), F(3)), UrnState(F(0), F(3, 2)),          # white = 0
+    UrnState(F(5, 2), F(0)), UrnState(F(2), F(0)),          # black = 0
+    UrnState(F(3, 2), F(2)), UrnState(F(5, 3), F(4)),       # kappa = -1/2, 2/3
+    UrnState(F(1, 7), F(2, 5)), UrnState(F(2), F(1)),
+])
+def test_integer_urn_law_equals_the_fraction_products(state):
+    for m in [*range(0, 200, 9), 200]:
+        assert urn_distribution_exact(state, m) == _beta_binomial_by_products(state, m), m
+
+
 def test_urn_moment_frozen_values():
     state = UrnState(F(1), F(1))
     assert urn_moment_exact(state, 2, 1) == 2        # E W after 2 draws

@@ -13,7 +13,10 @@ workload: for each end-to-end metric, the median and quartiles of each side
 and the number of pairs in which the change read lower (ties count for
 neither side).  It also records the commit of each checkout.  --pairs is
 checked in full before the first run, and --out is rewritten after every
-pair, so an interrupted run keeps the pairs it finished.
+pair, so an interrupted run keeps the pairs it finished.  A run whose
+result reads ``correct: false`` or ``failed > 0`` stops the comparison: --out
+is written with the pairs before it and that result under ``failed_run``,
+and the script exits 1 with one line naming the workload, pair and side.
 """
 
 from __future__ import annotations
@@ -59,6 +62,10 @@ def summary(pairs: list[dict]) -> dict:
         row["pairs"] = len(pairs)
         out[metric] = row
     return out
+
+
+def write(out: Path, report: dict) -> None:
+    out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def parse_pairs(text: str, workloads: list[str]) -> list[tuple[str, int]]:
@@ -109,14 +116,21 @@ def main() -> int:
             order = ("parent", "change") if i % 2 else ("change", "parent")
             pair = {"first": order[0]}
             for side in order:
-                pair[side] = run_side(roots[side], workload, args.seed, seconds)
+                pair[side] = result = run_side(roots[side], workload, args.seed, seconds)
+                if result.get("correct") is False or result.get("failed", 0) > 0:
+                    report["failed_run"] = {"workload": workload, "pair": i, "side": side,
+                                            "result": result}
+                    write(args.out, report)
+                    print(f"bench_pairs.py: error: {workload} pair {i}: the {side} run failed "
+                          f"its output checks ({result.get('failed')} of "
+                          f"{result.get('attempted')} commands)", file=sys.stderr)
+                    return 1
             pairs.append(pair)
             print(f"{workload} pair {i}: run_s parent "
                   f"{pair['parent']['metrics']['run_s']['value']:.4f} change "
                   f"{pair['change']['metrics']['run_s']['value']:.4f}", file=sys.stderr)
             report["workloads"][workload] = {"pairs": pairs, "summary": summary(pairs)}
-            args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n",
-                                encoding="utf-8")
+            write(args.out, report)
     return 0
 
 
