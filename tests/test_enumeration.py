@@ -230,13 +230,13 @@ def test_recurrence_refuses_the_first_size_over_the_shape_ceiling(monkeypatch):
 
 
 def test_composition_spot_value():
-    # For the b=2 bucket ordered model, T_5 = 3! [z^3] 1/(1 - T(z)) = 13.
+    # For the b=2 bucket ordered model, T_5 = 3! [z^3] 1/(1 - T(z)) = 13:
+    # [z^3] of T + T^2 + T^3 is u_3 + 2 u_1 u_2 + u_1^3, u_m = T_m / m!.
     model = bucket_ordered_model(2)
-    totals = total_weights(model, 5)
-    egf = [F(0)] + [t / math.factorial(m) for m, t in enumerate(totals, start=1)]
-    composed = model.phi.compose(egf, 3)
-    assert composed[3] == F(13, 6)
-    assert math.factorial(3) * composed[3] == totals[4] == 13
+    u = [F(0)] + [total_weight(model, m) / math.factorial(m) for m in range(1, 4)]
+    composed = u[3] + 2 * u[1] * u[2] + u[1] ** 3
+    assert composed == F(13, 6)
+    assert math.factorial(3) * composed == total_weights(model, 5)[4] == total_weight(model, 5) == 13
 
 
 def test_totals_of_truncated_model_vanish_beyond_support():
