@@ -403,7 +403,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_descend(args: argparse.Namespace) -> int:
     spec = build_spec(args)
-    guard_growth(args.n)
+    if args.mode != "exact":
+        # Direct mode grows a tree of size n, urn mode one of size j.
+        guard_growth(args.n if args.mode == "direct" else args.j)
     # Resolved in every mode, so a bad BUCKETTREES_SEED is refused even
     # where no draw reads it.
     seed = _parse_seed(args.seed)

@@ -95,11 +95,11 @@ def urn_distribution_exact(state: UrnState, draws: int) -> dict[int, Fraction]:
     With a = white and b = black the count k among m draws is
     Beta-binomial, p_k = C(m, k) (a)_k (b)_{m-k} / (a+b)_m in rising
     factorials.  Scaled by q, the lcm of the two denominators, the balls
-    are integers A and B, and every p_k shares the denominator
-    D = prod_{i<m} (A + B + q*i): its numerator starts at
-    N_0 = prod_{i<m} (B + q*i) and steps by
-    N_{k+1} = N_k (m-k)(A + q*k) / ((k+1)(B + q*(m-k-1))), a division that
-    is always exact.  With no black balls every draw is white.
+    are integers A and B, so p_0 = prod_{i<m} (B + q*i) / (A + B + q*i) is
+    one quotient of two integer products, and each next term is the last
+    times the small ratio (m-k)(A + q*k) / ((k+1)(B + q*(m-k-1))): only
+    p_0 reduces two big integers against each other.  With no black balls
+    every draw is white.
     """
     if draws < 0:
         raise ValueError(f"draws must be >= 0, got {draws}")
@@ -108,14 +108,14 @@ def urn_distribution_exact(state: UrnState, draws: int) -> dict[int, Fraction]:
     m = draws
     q = math.lcm(state.white.denominator, state.black.denominator)
     a, b = int(state.white * q), int(state.black * q)
-    denominator = math.prod(a + b + q * i for i in range(m))
-    numerator = math.prod(b + q * i for i in range(m))
+    p = Fraction(math.prod(b + q * i for i in range(m)),
+                 math.prod(a + b + q * i for i in range(m)))
     law = {}
     for k in range(m + 1):
-        if numerator:
-            law[k] = Fraction(numerator, denominator)
+        if p:
+            law[k] = p
         if k < m:
-            numerator = numerator * (m - k) * (a + q * k) // ((k + 1) * (b + q * (m - k - 1)))
+            p *= Fraction((m - k) * (a + q * k), (k + 1) * (b + q * (m - k - 1)))
     return law
 
 

@@ -4,7 +4,8 @@ A weight model assigns a non-negative rational to every tree: saturated
 buckets contribute a degree weight phi_k (k = child count), unsaturated
 leaves a bucket weight psi_c (c = capacity).  Degree weights come either
 as an explicit list or as the one closed rule of grown families, which
-covers the exponential and every power of a binomial.
+covers the exponential and every power of a binomial; every rule composes
+with a series the same way, by Horner's rule over its coefficients.
 
 The families are parameter sets for the growth process.  Each is fixed by
 (b, c1, c2), where T_{n+1}/T_n = c1*n + c2; a family keeps c1 and c2 as
@@ -18,7 +19,7 @@ import abc
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -46,6 +47,17 @@ def binom_frac(x: Fraction, k: int) -> Fraction:
     return num / math.factorial(k)
 
 
+def _mul_trunc(a: Sequence[Fraction], b: Sequence[Fraction], order: int) -> list[Fraction]:
+    out = [Fraction(0)] * (order + 1)
+    for i, ai in enumerate(a[: order + 1]):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b[: order + 1 - i]):
+            if bj:
+                out[i + j] += ai * bj
+    return out
+
+
 # ── degree-weight rules ───────────────────────────────────────────────────
 
 class DegreeWeights(abc.ABC):
@@ -54,6 +66,19 @@ class DegreeWeights(abc.ABC):
     @abc.abstractmethod
     def coeff(self, k: int) -> Fraction:
         """phi_k."""
+
+    def compose(self, series: Sequence[Fraction], order: int) -> list[Fraction]:
+        """Coefficients of phi(S(z)) through z^order, for S with S(0) = 0."""
+        if series and series[0] != 0:
+            raise ValueError("composition requires a series with zero constant term")
+        # S^k starts at z^k, so coefficients past the order never contribute.
+        bound = self.support_bound()
+        top = order if bound is None else min(order, bound)
+        acc = [Fraction(0)] * (order + 1)
+        for k in range(top, -1, -1):
+            acc = _mul_trunc(acc, series, order)
+            acc[0] += self.coeff(k)
+        return acc
 
     @abc.abstractmethod
     def scaled(self, factor: Fraction, stretch: Fraction) -> "DegreeWeights":

@@ -682,9 +682,8 @@ def test_stats_refuses_sizes_past_the_urn_batch_range(capsys, argv):
 
 GROWN = {
     "sample": ["sample", "--family", "bdary", "--b", "2", "--d", "2"],
-    "descend": ["descend", "--family", "bdary", "--b", "2", "--d", "2", "--j", "3"],
-    "descend-exact": ["descend", "--family", "bdary", "--b", "2", "--d", "2", "--j", "3",
-                      "--mode", "exact"],
+    "descend-direct": ["descend", "--family", "bdary", "--b", "2", "--d", "2", "--j", "3",
+                       "--mode", "direct"],
 }
 
 
@@ -696,6 +695,28 @@ def test_growth_sizes_above_the_ceiling_are_refused_in_one_line(capsys, command,
     assert rc == 2 and out == ""
     assert err == (f"error: refusing to grow a tree of more than {enumeration.GROWTH_CEILING} "
                    f"labels (about 760 bytes of memory per label)\n")
+
+
+# Urn mode grows only a tree of size j, so the ceiling reads j there.
+@pytest.mark.parametrize("j", [enumeration.GROWTH_CEILING + 1, 10**30])
+def test_descend_urn_refuses_a_label_above_the_ceiling(capsys, j):
+    rc, out, err = run(capsys, "descend", "--family", "bdary", "--b", "2", "--d", "2",
+                       "--n", str(j), "--j", str(j))
+    assert rc == 2 and out == ""
+    assert err == (f"error: refusing to grow a tree of more than {enumeration.GROWTH_CEILING} "
+                   f"labels (about 760 bytes of memory per label)\n")
+
+
+# With j <= b neither mode grows a tree past size j or runs a draw, so a
+# size past the ceiling answers at once: label j has n + 1 - j descendants.
+@pytest.mark.parametrize("n", [enumeration.GROWTH_CEILING + 1, 10**30])
+@pytest.mark.parametrize("mode, header, weight", [("exact", "probability", "1"),
+                                                  ("urn", "count", "3")])
+def test_descend_past_the_ceiling_without_growing_a_tree(capsys, n, mode, header, weight):
+    rc, out, err = run(capsys, "descend", "--family", "bdary", "--b", "2", "--d", "2",
+                       "--n", str(n), "--j", "2", "--count", "3", "--mode", mode)
+    assert rc == 0 and err == ""
+    assert out == f"descendants,{header}\n{n - 1},{weight}\n"
 
 
 @pytest.mark.parametrize("value, reason", [

@@ -229,14 +229,36 @@ def test_recurrence_refuses_the_first_size_over_the_shape_ceiling(monkeypatch):
         total_weights(weights_of(BucketRecursive(2)), 14, limit=14)
 
 
+EXP = AffineDegreeWeights(F(1), F(1), F(0))
+
+
+@pytest.mark.parametrize("phi", [EXP, ExplicitDegreeWeights((F(1), F(1), F(1, 2)))],
+                         ids=["affine", "explicit"])
+def test_composed_on_a_composite_series(phi):
+    # e^t on z + z^2 (through t^2, all that reaches z^2): 1, 1, 1 + 1/2.
+    assert list(itertools.islice(enumeration._composed(phi, [F(0), F(1), F(1)]), 3)) == [
+        1, 1, F(3, 2)]
+
+
+@pytest.mark.parametrize("phi", [
+    EXP, AffineDegreeWeights(F(2), F(3), F(1)), AffineDegreeWeights(F(1), F(3), F(-1)),
+    ExplicitDegreeWeights((F(1), F(0), F(5), F(1))), ExplicitDegreeWeights((F(2), F(1, 3))),
+], ids=repr)
+def test_composed_matches_compose(phi):
+    # Both branches against Horner's rule on one composite series.
+    series = [F(0), F(1), F(-2), F(1, 3), F(0), F(5, 7), F(1), F(-1, 2)]
+    composed = list(itertools.islice(enumeration._composed(phi, series), len(series)))
+    assert composed == phi.compose(series, len(series) - 1)
+
+
 def test_composition_spot_value():
-    # For the b=2 bucket ordered model, T_5 = 3! [z^3] 1/(1 - T(z)) = 13:
-    # [z^3] of T + T^2 + T^3 is u_3 + 2 u_1 u_2 + u_1^3, u_m = T_m / m!.
+    # For the b=2 bucket ordered model, T_5 = 3! [z^3] 1/(1 - T(z)) = 13.
     model = bucket_ordered_model(2)
-    u = [F(0)] + [total_weight(model, m) / math.factorial(m) for m in range(1, 4)]
-    composed = u[3] + 2 * u[1] * u[2] + u[1] ** 3
-    assert composed == F(13, 6)
-    assert math.factorial(3) * composed == total_weights(model, 5)[4] == total_weight(model, 5) == 13
+    totals = total_weights(model, 5)
+    egf = [F(0)] + [t / math.factorial(m) for m, t in enumerate(totals, start=1)]
+    composed = model.phi.compose(egf, 3)
+    assert composed[3] == F(13, 6)
+    assert math.factorial(3) * composed[3] == totals[4] == 13
 
 
 def test_totals_of_truncated_model_vanish_beyond_support():

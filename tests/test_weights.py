@@ -101,7 +101,8 @@ def test_explicit_weights_strip_trailing_zeros():
     assert w.coeff(5) == 0
 
 
-def test_rule_coefficients_through_degree_7():
+def test_compose_on_identity_recovers_coefficients():
+    identity = [F(0), F(1)]
     cases = [
         (ExplicitDegreeWeights((F(1), F(2), F(3))), [1, 2, 3, 0, 0, 0, 0, 0]),
         (AffineDegreeWeights(F(2), F(3), F(0)),
@@ -113,7 +114,19 @@ def test_rule_coefficients_through_degree_7():
           F(1287, 32)]),
     ]
     for rule, coefficients in cases:
-        assert [rule.coeff(k) for k in range(8)] == coefficients
+        assert rule.compose(identity, 7) == coefficients
+
+
+def test_compose_requires_zero_constant_term():
+    with pytest.raises(ValueError, match="zero constant term"):
+        AffineDegreeWeights(F(1), F(1), F(0)).compose([F(1), F(1)], 3)
+
+
+def test_compose_of_composite_series():
+    # phi(t) = e^t on S(z) = z + z^2: coefficient of z^2 is 1 + 1/2.
+    rule = AffineDegreeWeights(F(1), F(1), F(0))
+    out = rule.compose([F(0), F(1), F(1)], 2)
+    assert out == [1, 1, F(3, 2)]
 
 
 def test_pow_rejects_sign_alternating_regimes():
