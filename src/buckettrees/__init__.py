@@ -6,8 +6,9 @@ from .enumeration import (DEFAULT_SIZE_LIMIT, EnumerationLimitError,
                           closed_form_total_weight, enumerate_shapes,
                           shape_count, total_weight, total_weights)
 from .evolve import (TreeDistribution, exact_distribution, exact_laws,
-                     growth_options, pushforward_strip, sample_encoding,
-                     sample_tree, strip_labels)
+                     growth_options, pushforward_strip, sample_counts,
+                     sample_encoding, sample_encodings, sample_tree,
+                     strip_labels)
 from .rng import SplitMix64
 from .trees import (BucketNode, BucketTree, EncodingError, InvalidTreeError,
                     bucket, count_descendants, count_labellings, decode_tree,
@@ -30,7 +31,7 @@ from .weights import (AffineDegreeWeights, BucketRecursive, DAryIncreasing,
                       InvalidWeightsError, PlaneOriented, WeightModel,
                       to_fraction, weights_of)
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 __all__ = [
     "BucketNode", "BucketTree", "bucket", "shape_bucket", "single_bucket_tree",
@@ -44,7 +45,8 @@ __all__ = [
     "enumerate_shapes", "shape_count", "total_weight", "total_weights",
     "closed_form_total_weight", "check_ode_recurrence", "OdeCheckReport",
     "EnumerationLimitError", "DEFAULT_SIZE_LIMIT",
-    "growth_options", "sample_tree", "sample_encoding", "TreeDistribution",
+    "growth_options", "sample_tree", "sample_encoding", "sample_encodings",
+    "sample_counts", "TreeDistribution",
     "exact_distribution", "exact_laws",
     "strip_labels", "pushforward_strip",
     "balance_value", "check_balance", "BalanceReport", "check_affine_ratio",

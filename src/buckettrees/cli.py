@@ -31,7 +31,7 @@ from dataclasses import asdict
 from .enumeration import (EnumerationLimitError, check_ode_recurrence,
                           closed_form_total_weight, enumerate_shapes, guard_growth,
                           guard_labelled, guard_shapes, total_weights)
-from .evolve import exact_laws, pushforward_strip, sample_encoding
+from .evolve import exact_laws, pushforward_strip, sample_encodings
 from .rng import SplitMix64
 from .trees import encode_tree, weigh, weight_table
 from .urn import (descendants_direct, descendants_law_from_urn,
@@ -65,14 +65,28 @@ def quoted(text: str) -> str:
     return repr(text) if len(text) <= 24 else f"{text[:24]!r}... ({len(text)} characters)"
 
 
+def past_digit_cap(text: str) -> bool:
+    """Whether text is a decimal that int() refuses only for its length: past
+    its digit cap (4,300 by default), which ``main`` lifts after parsing."""
+    digits = text.strip().lstrip("+-").replace("_", "")
+    return digits.isdecimal() and 0 < sys.get_int_max_str_digits() < len(digits)
+
+
+def integer(text: str) -> int:
+    """argparse type for descend --j: an integer, whose range the command checks."""
+    try:
+        return int(text)
+    except ValueError:
+        reason = "too many digits" if past_digit_cap(text) else "not an integer"
+        raise argparse.ArgumentTypeError(f"{reason}: {quoted(text)}") from None
+
+
 def positive_int(text: str) -> int:
-    """argparse type for sizes and counts: an integer >= 1."""
+    """argparse type for sizes, counts and --b: an integer >= 1."""
     try:
         value = int(text)
     except ValueError:
-        # Past its digit cap (4,300 by default) int() refuses a decimal too.
-        digits = text.strip().lstrip("+-").replace("_", "")
-        if not (digits.isdecimal() and 0 < sys.get_int_max_str_digits() < len(digits)):
+        if not past_digit_cap(text):
             raise argparse.ArgumentTypeError(f"not an integer: {quoted(text)}") from None
         if text.strip().startswith("-"):
             raise argparse.ArgumentTypeError(f"must be at least 1, got {quoted(text)}") from None
@@ -164,7 +178,7 @@ def parse_weights(psi_text: str | None, phi_text: str, b: int | None = None) -> 
 def add_family_args(parser: argparse.ArgumentParser) -> argparse._ArgumentGroup:
     group = parser.add_argument_group("model")
     group.add_argument("--family", choices=FAMILY_NAMES, help="growth family")
-    group.add_argument("--b", type=int, help="bucket capacity")
+    group.add_argument("--b", type=positive_int, help="bucket capacity")
     group.add_argument("--d", help="branching parameter for bdary (rational)")
     group.add_argument("--alpha", help="attachment parameter for baport (rational)")
     return group
@@ -269,7 +283,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     guard_growth(args.n)
     # Tree i grows from its own stream, so output depends on (seed, count) only.
     master = SplitMix64(_parse_seed(args.seed))
-    encodings = (sample_encoding(spec, args.n, master.spawn(i)) for i in range(args.count))
+    encodings = sample_encodings(spec, args.n, (master.spawn(i) for i in range(args.count)))
 
     if args.aggregate:
         counts = Counter(encodings)
@@ -490,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command("descend", help="descendant counts of label j at size n")
     add_family_args(p)
     p.add_argument("--n", type=positive_int, required=True)
-    p.add_argument("--j", type=int, required=True)
+    p.add_argument("--j", type=integer, required=True)
     p.add_argument("--count", type=positive_int, default=1000)
     p.add_argument("--mode", choices=["urn", "direct", "exact"], default="urn")
     p.add_argument("--seed", type=seed_value)

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from itertools import starmap
+from typing import Iterable, Iterator, Mapping
 
 from .enumeration import _check_limit, guard_labelled
 from .rng import SplitMix64
@@ -67,16 +69,21 @@ def growth_options(tree: BucketTree, spec: FamilySpec) -> list[tuple[BucketTree,
     return options
 
 
-def _grow(spec: FamilySpec, n: int, rng: SplitMix64) -> tuple[list[list[int]], list[list[int]]]:
-    """Grow a labelled tree of size n from a single label, as flat lists:
-    node i (in creation order, the root first) holds the bucket labels[i]
-    and the child indices children[i], which all exceed i.
+def _grow_each(spec: FamilySpec, n: int,
+               rngs: Iterable[SplitMix64]) -> Iterator[tuple[list[list[int]], list[list[int]]]]:
+    """Grow one labelled tree of size n from a single label per stream of
+    ``rngs``, lazily, each as flat lists: node i (in creation order, the
+    root first) holds the bucket labels[i] and the child indices
+    children[i], which all exceed i.  A stream may appear more than once;
+    its trees then follow each other in it.
 
     A Fenwick tree over the nodes' scaled integer attachment weights finds
     the target of each label in O(log n).  A label changes one weight (+c1
     when it joins a bucket, -c2 when it starts a child) and may add a leaf,
     whose weight c1 + c2 its slot already holds, so growth to size n costs
-    O(n log n).
+    O(n log n).  The family's integer weights, the Fenwick template and its
+    top bit are worked out once for the batch, and n < 1 is refused here,
+    before any stream is read.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -89,47 +96,58 @@ def _grow(spec: FamilySpec, n: int, rng: SplitMix64) -> tuple[list[list[int]], l
     leaf = join + split
     if leaf < 0:
         raise AssertionError(f"negative leaf weight {leaf}")
-    labels: list[list[int]] = [[1]]
-    children: list[list[int]] = [[]]
     # 1-based, one slot per possible node (nodes never outnumber labels),
     # each at the leaf weight from the start.  A slot not grown yet lies
     # past the running total, which no pick reaches, so the descent never
     # stops there, and a new leaf needs no update.
-    fenwick = [leaf * (index & -index) for index in range(n + 1)]
+    template = [leaf * (index & -index) for index in range(n + 1)]
     top = 1 << (n.bit_length() - 1)
-    total = leaf
-    for size in range(1, n):
-        # Fenwick descent: the first node whose cumulative weight exceeds pick.
-        pick = rng.randbelow(total)
-        node = 0
-        step = top
-        while step:
-            probe = node + step
-            if probe <= n and fenwick[probe] <= pick:
-                node = probe
-                pick -= fenwick[probe]
-            step >>= 1
-        bucket = labels[node]
-        if len(bucket) < b:
-            bucket.append(size + 1)
-            delta = join
-        else:
-            kids = children[node]
-            kids.insert(rng.randbelow(len(kids) + 1), len(labels))
-            labels.append([size + 1])
-            children.append([])
-            total += leaf
-            delta = -split
-        if join * len(bucket) + split * (1 - len(children[node])) < 0:
-            raise AssertionError(f"negative attachment weight at node {node}")
-        index = node + 1
-        while index <= n:
-            fenwick[index] += delta
-            index += index & -index
-        total += delta
-        if total != join * (size + 1) + split:
-            raise AssertionError("attachment weights must sum to the normalizer")
-    return labels, children
+
+    def grow(rng: SplitMix64) -> tuple[list[list[int]], list[list[int]]]:
+        randbelow = rng.randbelow
+        labels: list[list[int]] = [[1]]
+        children: list[list[int]] = [[]]
+        fenwick = template.copy()
+        total = leaf
+        for size in range(1, n):
+            # Fenwick descent: the first node whose cumulative weight exceeds pick.
+            pick = randbelow(total)
+            node = 0
+            step = top
+            while step:
+                probe = node + step
+                if probe <= n and fenwick[probe] <= pick:
+                    node = probe
+                    pick -= fenwick[probe]
+                step >>= 1
+            bucket = labels[node]
+            if len(bucket) < b:
+                bucket.append(size + 1)
+                delta = join
+            else:
+                kids = children[node]
+                kids.insert(randbelow(len(kids) + 1), len(labels))
+                labels.append([size + 1])
+                children.append([])
+                total += leaf
+                delta = -split
+            if join * len(bucket) + split * (1 - len(children[node])) < 0:
+                raise AssertionError(f"negative attachment weight at node {node}")
+            index = node + 1
+            while index <= n:
+                fenwick[index] += delta
+                index += index & -index
+            total += delta
+            if total != join * (size + 1) + split:
+                raise AssertionError("attachment weights must sum to the normalizer")
+        return labels, children
+
+    return map(grow, rngs)
+
+
+def _grow(spec: FamilySpec, n: int, rng: SplitMix64) -> tuple[list[list[int]], list[list[int]]]:
+    """One tree of ``_grow_each``: the flat lists grown from rng."""
+    return next(_grow_each(spec, n, (rng,)))
 
 
 def sample_tree(spec: FamilySpec, n: int, rng: SplitMix64) -> BucketTree:
@@ -148,10 +166,26 @@ def sample_tree(spec: FamilySpec, n: int, rng: SplitMix64) -> BucketTree:
     return BucketTree(built[0], spec.b)
 
 
+def sample_encodings(spec: FamilySpec, n: int, rngs: Iterable[SplitMix64]) -> Iterator[bytes]:
+    """``sample_encoding`` of each stream of rngs in turn, lazily; the growth
+    set-up runs once, and n < 1 is refused before any stream is read."""
+    return starmap(encode_grown, _grow_each(spec, n, rngs))
+
+
 def sample_encoding(spec: FamilySpec, n: int, rng: SplitMix64) -> bytes:
     """``encode_tree(sample_tree(spec, n, rng))``, written straight from the
     growth lists: the same bytes from the same words, with no node built."""
-    return encode_grown(*_grow(spec, n, rng))
+    return next(sample_encodings(spec, n, (rng,)))
+
+
+def sample_counts(spec: FamilySpec, n: int, rngs: Iterable[SplitMix64]) -> Counter[bytes]:
+    """``Counter(sample_encodings(spec, n, rngs))``, encoding each distinct
+    tree once: trees are counted by their flat lists first, which are
+    canonical for a labelled tree (nodes in the order of their first
+    labels, children in slot order)."""
+    grown = Counter((tuple(map(tuple, labels)), tuple(map(tuple, children)))
+                    for labels, children in _grow_each(spec, n, rngs))
+    return Counter({encode_grown(*key): count for key, count in grown.items()})
 
 
 # ── exact law of the process ──────────────────────────────────────────────

@@ -5,15 +5,29 @@ denominator instead of comparing floats, so every probability is realized
 without rounding bias.  The generator is a 64-bit counter hashed through
 the SplitMix64 finalizer: stateless apart from the counter, cheap to fork,
 and reproducible across platforms.
+
+Word k of a stream is mix(seed + k * GOLDEN) and needs no other word, so a
+stream mixes its next words in blocks: the block's counters sit in 128-bit
+lanes of one Python int, each mixing round runs once over the whole int
+(a lane's 64-bit value times a 64-bit constant stays inside its lane), and
+the words are read back through an explicit little-endian ``struct``
+format.  The words, their order and the counter are those of mixing one
+word at a time.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 
 _SPAN = 1 << 64
 _MASK = _SPAN - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_FIRST_BLOCK = 16   # words mixed by a stream's first refill
+_MAX_BLOCK = 256    # each refill doubles the block up to this many words
+
+# Block size -> (lane ones, lane mask, lane steps, unpack); built at first use.
+_LANES: dict[int, tuple] = {}
 
 
 def _mix(z: int) -> int:
@@ -22,16 +36,50 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _lanes(size: int) -> tuple:
+    """Constants of a block of ``size`` words, lane i (bits 128i and up)
+    holding word size - i, so the last lane read back is the first word."""
+    lanes = _LANES.get(size)
+    if lanes is None:
+        ones = sum(1 << (128 * i) for i in range(size))
+        steps = sum((size - i) << (128 * i) for i in range(size)) * _GOLDEN
+        # The low 8 bytes of each 16-byte lane, lowest lane first.
+        unpack = struct.Struct("<" + "Q8x" * size).unpack
+        lanes = _LANES[size] = (ones, ones * _MASK, steps, unpack)
+    return lanes
+
+
 class SplitMix64:
     """Seedable stream of 64-bit words; output n is a hash of seed + n deltas."""
 
     def __init__(self, seed: int) -> None:
         self._seed = seed & _MASK
-        self._counter = self._seed
+        self._base = self._seed   # the counter before the buffer's first word
+        self._block = 0           # words mixed by the last refill
+        self._words: list[int] = []   # unread words of the block, next one last
+
+    @property
+    def _counter(self) -> int:
+        """The counter of the last word drawn: the seed plus one GOLDEN per word."""
+        return (self._base + (self._block - len(self._words)) * _GOLDEN) & _MASK
+
+    def _refill(self) -> list[int]:
+        base = (self._base + self._block * _GOLDEN) & _MASK
+        size = min(2 * self._block, _MAX_BLOCK) if self._block else _FIRST_BLOCK
+        ones, mask, steps, unpack = _lanes(size)
+        z = (base * ones + steps) & mask
+        z = (z ^ (z >> 30)) & mask
+        z = z * 0xBF58476D1CE4E5B9 & mask
+        z = (z ^ (z >> 27)) & mask
+        z = z * 0x94D049BB133111EB & mask
+        z ^= z >> 31   # the lanes' high halves are never read
+        self._base = base
+        self._block = size
+        self._words = words = list(unpack(z.to_bytes(16 * size, "little")))
+        return words
 
     def u64(self) -> int:
-        self._counter = (self._counter + _GOLDEN) & _MASK
-        return _mix(self._counter)
+        return (self._words or self._refill()).pop()
 
     def randbelow(self, bound: int) -> int:
         """Uniform integer in [0, bound), unbiased via rejection.
@@ -43,23 +91,21 @@ class SplitMix64:
         if bound == 1:
             return 0
         if bound.bit_length() <= 64:
-            # One word per try: the loop below with words == 1, u64 inlined.
+            # One word per try: the loop below with count == 1, u64 inlined.
             limit = _SPAN - _SPAN % bound
-            counter = self._counter
+            words = self._words
             while True:
-                counter = (counter + _GOLDEN) & _MASK
-                z = (counter ^ (counter >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
-                z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
-                z ^= z >> 31
+                if not words:
+                    words = self._refill()
+                z = words.pop()
                 if z < limit:
-                    self._counter = counter
                     return z % bound
-        words = (bound.bit_length() + 63) // 64
-        span = 1 << (64 * words)
+        count = (bound.bit_length() + 63) // 64
+        span = 1 << (64 * count)
         limit = span - span % bound
         while True:
             x = 0
-            for _ in range(words):
+            for _ in range(count):
                 x = (x << 64) | self.u64()
             if x < limit:
                 return x % bound

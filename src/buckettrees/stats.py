@@ -24,14 +24,14 @@ check is a shape diagnostic rather than an exact test.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .evolve import exact_distribution, sample_encoding
+from .evolve import exact_distribution, sample_counts
 from .rng import SplitMix64
 from .trees import encode_tree
 from .weights import FamilySpec
@@ -140,8 +140,8 @@ def sampler_gof(
     expected = {encode_tree(tree): float(p) for tree, p in dist.probs.items()}
     reports = []
     for seed in seeds:
-        rng = SplitMix64(seed)
-        counts = Counter(sample_encoding(spec, n, rng) for _ in range(samples))
+        # Each run draws its trees one after another from one stream.
+        counts = sample_counts(spec, n, repeat(SplitMix64(seed), samples))
         reports.append(chi_square_gof(counts, expected, level))
     failures = sum(1 for r in reports if not r.passed)
     return reports, failures < 2
@@ -342,6 +342,13 @@ def second_order_diagnostic(
     if not j < n < horizon:
         raise ValueError(f"need j < n < horizon, got {j}, {n}, {horizon}")
     _check_urn_size(horizon)
+    # beta_hat below forms white.numerator + white.denominator * (white draws)
+    # in numpy's int64, which wraps silently past 2**63.
+    if state.white.numerator + state.white.denominator * (horizon - j) >= 1 << 63:
+        raise ValueError(f"horizon {horizon} is past the second-order range at j = {j}: numpy "
+                         f"scales the {horizon - j} draws by the white count's denominator in "
+                         f"64-bit integers, so its numerator plus that product must be below "
+                         f"2**63")
     if trajectories < MIN_GOF_SAMPLES:
         raise ValueError(f"need at least {MIN_GOF_SAMPLES} trajectories, got {trajectories}")
     if state.black == 0:

@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:
     from .weights import WeightModel
@@ -162,7 +162,7 @@ def _node_json(node: BucketNode) -> str:
     return f'{{"capacity":{node.capacity},"children":[{kids}]}}'
 
 
-def encode_grown(labels: list[list[int]], children: list[list[int]]) -> bytes:
+def encode_grown(labels: Sequence[Sequence[int]], children: Sequence[Sequence[int]]) -> bytes:
     """``encode_tree`` of a labelled tree held in flat lists: node i holds the
     bucket labels[i] and the child indices children[i], each larger than i,
     and node 0 is the root."""

@@ -14,7 +14,9 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 import weakref
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -680,6 +682,25 @@ def test_stats_refuses_sizes_past_the_urn_batch_range(capsys, argv):
                    "numpy counts draws in 64-bit integers, so n must be below 2**63\n")
 
 
+def test_second_order_refuses_a_white_count_past_int64(capsys):
+    # White = load + kappa has denominator 10^12 + 1 here: times 10^8 draws
+    # it passes 2^63, where numpy's int64 would wrap into nan.
+    argv = ["stats", "--check", "second-order", "--family", "baport", "--b", "2",
+            "--alpha", "1/1000000000000", "--j", "4", "--load", "2", "--n", "1000",
+            "--trajectories", "2000"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, *argv, "--horizon", "100000000")
+        assert rc == 2 and out == ""
+        assert err == ("error: horizon 100000000 is past the second-order range at j = 4: "
+                       "numpy scales the 99999996 draws by the white count's denominator in "
+                       "64-bit integers, so its numerator plus that product must be below "
+                       "2**63\n")
+        rc, out, err = run(capsys, *argv, "--horizon", "2500")
+    assert rc in (0, 1) and err == ""
+    assert json.loads(out, parse_constant=_reject_constant)["check"] == "second-order"
+
+
 GROWN = {
     "sample": ["sample", "--family", "bdary", "--b", "2", "--d", "2"],
     "descend-direct": ["descend", "--family", "bdary", "--b", "2", "--d", "2", "--j", "3",
@@ -733,6 +754,31 @@ def test_overlong_sizes_are_refused_in_one_short_line(capsys, value, reason):
     errors = [line for line in captured.err.splitlines() if "error:" in line]
     assert captured.out == "" and len(errors) == 1, captured.err
     assert errors[0].endswith(f"argument --n: {reason}")
+    assert len(errors[0].encode()) < 200
+
+
+@pytest.mark.parametrize("argv, option, reason", [
+    (["descend", "--family", "bdary", "--b", "2", "--d", "2", "--n", "5", "--j", "9" * 5000],
+     "--j", "too many digits: '999999999999999999999999'... (5000 characters)"),
+    (["descend", "--family", "bdary", "--b", "2", "--d", "2", "--n", "5", "--j", "-" + "9" * 5000],
+     "--j", "too many digits: '-99999999999999999999999'... (5001 characters)"),
+    (["descend", "--family", "bdary", "--b", "2", "--d", "2", "--n", "5", "--j", "x" * 5000],
+     "--j", "not an integer: 'xxxxxxxxxxxxxxxxxxxxxxxx'... (5000 characters)"),
+    (["sample", "--family", "bdary", "--b", "9" * 5000, "--d", "2", "--n", "5"],
+     "--b", "too large: '999999999999999999999999'... (5000 characters)"),
+    (["enumerate", "--phi", "1", "--b", "x" * 5000, "--n", "3"],
+     "--b", "not an integer: 'xxxxxxxxxxxxxxxxxxxxxxxx'... (5000 characters)"),
+    (["stats", "--check", "gof", "--family", "bdary", "--b", "0", "--d", "2"],
+     "--b", "must be at least 1, got 0"),
+])
+def test_overlong_b_and_j_are_refused_in_one_short_line(capsys, argv, option, reason):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert captured.out == "" and len(errors) == 1, captured.err
+    assert errors[0].endswith(f"argument {option}: {reason}")
     assert len(errors[0].encode()) < 200
 
 
@@ -930,11 +976,12 @@ def test_stats_gof_smoke(capsys):
 def test_stats_gof_rejection_prints_strict_json(capsys, monkeypatch):
     # A sampler that puts every later label under the root grows a tree
     # outside the binary (d = 2) law's support: statistic inf, certain rejection.
-    def flat(spec, n, rng):
-        return encode_tree(
+    def flat(spec, n, rngs):
+        tree = encode_tree(
             BucketTree(bucket((1,), tuple(bucket((k,)) for k in range(2, n + 1))), 1))
+        return Counter(tree for _ in rngs)
 
-    monkeypatch.setattr(stats, "sample_encoding", flat)
+    monkeypatch.setattr(stats, "sample_counts", flat)
     rc, out, err = run(capsys, "stats", "--check", "gof", "--family", "bdary",
                        "--b", "1", "--d", "2", "--n", "4", "--samples", "100")
     assert rc == 1

@@ -7,6 +7,7 @@ import importlib
 import pkgutil
 import time
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,11 +16,12 @@ from hypothesis import given, settings, strategies as st
 import buckettrees
 from buckettrees import (BucketRecursive, BucketTree, DAryIncreasing,
                          InvalidTreeError, PlaneOriented, SplitMix64,
-                         TreeDistribution, bucket, decode_tree, encode_tree,
-                         exact_distribution, exact_laws, growth_options,
-                         pushforward_strip, sample_encoding, sample_tree,
-                         sampler_gof, single_bucket_tree, strip_labels,
-                         total_weight, tree_weight, weights_of)
+                         TreeDistribution, bucket, chi_square_gof,
+                         decode_tree, encode_tree, exact_distribution,
+                         exact_laws, growth_options, pushforward_strip,
+                         sample_counts, sample_encoding, sample_encodings,
+                         sample_tree, sampler_gof, single_bucket_tree,
+                         strip_labels, total_weight, tree_weight, weights_of)
 from buckettrees.enumeration import EnumerationLimitError
 
 F = Fraction
@@ -113,6 +115,60 @@ def test_sample_encoding_is_the_encoded_sample_tree(spec):
             flat, built = SplitMix64(seed), SplitMix64(seed)
             assert sample_encoding(spec, n, flat) == encode_tree(sample_tree(spec, n, built))
             assert flat._counter == built._counter
+
+
+BATCH_SPECS = [family for b in (1, 2, 3) for family in
+               (BucketRecursive(b), DAryIncreasing(b, F(2)), PlaneOriented(b, F(1)))]
+
+
+@pytest.mark.parametrize("spec", BATCH_SPECS, ids=repr)
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 60])
+def test_batches_are_the_one_stream_samples(spec, n):
+    # Spawned streams (as sample draws) and one stream repeated (as
+    # sampler_gof draws): the same bytes, the same counts, the same end
+    # counters as sample_encoding called once per tree.
+    def spawned():
+        return [SplitMix64(n).spawn(i) for i in range(40)]
+
+    def repeated():
+        return [SplitMix64(n + 1)] * 40
+
+    for streams in (spawned, repeated):
+        one, listed, counted = streams(), streams(), streams()
+        singles = [sample_encoding(spec, n, rng) for rng in one]
+        assert list(sample_encodings(spec, n, listed)) == singles
+        assert sample_counts(spec, n, counted) == Counter(singles)
+        ends = [rng._counter for rng in one]
+        assert [rng._counter for rng in listed] == ends
+        assert [rng._counter for rng in counted] == ends
+
+
+@pytest.mark.parametrize("batch", [sample_encodings, sample_counts])
+def test_batches_refuse_size_zero_before_any_draw(batch):
+    rng = SplitMix64(5)
+
+    def streams():
+        yield rng
+        raise AssertionError("a stream was read")
+
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        batch(PlaneOriented(2, F(1)), 0, streams())
+    assert rng._counter == 5
+
+
+def test_sampler_gof_counts_each_run_from_one_stream():
+    # Each run is the chi-square of one stream's trees, encoded one by one.
+    spec, n, samples, seeds = DAryIncreasing(2, F(2)), 5, 300, (41, 42, 43)
+    expected = {encode_tree(tree): float(p)
+                for tree, p in exact_distribution(spec, n).probs.items()}
+    wanted = []
+    for seed in seeds:
+        rng = SplitMix64(seed)
+        counts = Counter(sample_encoding(spec, n, rng) for _ in range(samples))
+        wanted.append(chi_square_gof(counts, expected, 0.01))
+    reports, ok = sampler_gof(spec, n, samples, seeds)
+    assert reports == wanted
+    assert ok == (sum(not r.passed for r in wanted) < 2)
 
 
 @settings(max_examples=25, deadline=None)

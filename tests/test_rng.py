@@ -7,11 +7,18 @@ was added: every bound must give the same value from the same words.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from buckettrees import SplitMix64
+from buckettrees.rng import _GOLDEN, _MASK, _mix
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 BOUNDS = [1, 2, 3, 2**63 + 1, 2**64 - 1, 2**64, 2**64 + 1, 10**36 + 7]
 
@@ -61,3 +68,100 @@ def test_bernoulli_draws_the_reduced_fraction():
 def test_bernoulli_rejects_out_of_range(num, den):
     with pytest.raises(ValueError, match="out of range"):
         SplitMix64(0).bernoulli(num, den)
+
+
+# ── words mixed in blocks ──────────────────────────────────────────────────
+# A stream mixes its next 16, 32, 64, 128 and then 256 words at a time.  Word
+# k is still _mix(seed + k * GOLDEN), and _counter is the counter of the last
+# word drawn, so the blocks must be invisible from outside.
+
+BLOCK_EDGES = [16, 48, 112, 240, 496, 752]   # words drawn when each block runs out
+SEEDS = [0, 1, 2**64 - 1]
+_GOLDEN_INV = pow(_GOLDEN, -1, 1 << 64)
+
+
+class ScalarStream:
+    """The stream one word at a time, as it was mixed before the blocks."""
+
+    def __init__(self, seed: int) -> None:
+        self.counter = seed
+
+    def word(self) -> int:
+        self.counter = (self.counter + _GOLDEN) & _MASK
+        return _mix(self.counter)
+
+    def randbelow(self, bound: int) -> int:
+        if bound == 1:
+            return 0
+        words = (bound.bit_length() + 63) // 64
+        span = 1 << (64 * words)
+        while True:
+            x = 0
+            for _ in range(words):
+                x = (x << 64) | self.word()
+            if x < span - span % bound:
+                return x % bound
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_block_words_are_the_counter_hashes(seed):
+    rng = SplitMix64(seed)
+    count = BLOCK_EDGES[-1] + 40   # past the cap: two blocks of 256 and more
+    reference = [_mix((seed + k * _GOLDEN) & _MASK) for k in range(1, count + 1)]
+    drawn = []
+    for k in range(1, count + 1):
+        drawn.append(rng.u64())
+        assert rng._counter == (seed + k * _GOLDEN) & _MASK
+    assert drawn == reference
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_interleaved_draws_match_the_scalar_stream(seed):
+    # Six words a round (randbelow(1) draws none, 2**64 + 1 takes two), so
+    # the two-word draw starts on word 6r + 4: words 16, 112 and 496 end a block.
+    rng, ref = SplitMix64(seed), ScalarStream(seed)
+    calls = [("u64", None), ("randbelow", 1), ("randbelow", 12),
+             ("randbelow", 2**63), ("randbelow", 2**64 + 1), ("bernoulli", (5, 7))]
+    straddled = 0
+    for step in range(900):
+        name, arg = calls[step % len(calls)]
+        if name == "u64":
+            assert rng.u64() == ref.word()
+        elif name == "randbelow":
+            drawn = (ref.counter - seed) * _GOLDEN_INV & _MASK
+            straddled += arg == 2**64 + 1 and drawn + 1 in BLOCK_EDGES
+            assert rng.randbelow(arg) == ref.randbelow(arg)
+        else:
+            assert rng.bernoulli(*arg) == (ref.randbelow(arg[1]) < arg[0])
+        assert rng._counter == ref.counter
+    assert straddled == 3
+
+
+def test_randbelow_one_draws_no_word():
+    rng = SplitMix64(9)
+    assert [rng.randbelow(1) for _ in range(5)] == [0] * 5
+    assert rng._counter == 9
+    assert rng.u64() == _mix((9 + _GOLDEN) & _MASK)
+
+
+def test_counter_is_read_only():
+    with pytest.raises(AttributeError):
+        SplitMix64(3)._counter = 7
+
+
+@pytest.mark.parametrize("drawn", [0, 1, 15, 16, 17, 100, 600])
+def test_spawn_ignores_the_parent_buffer(drawn):
+    fresh, used = SplitMix64(77), SplitMix64(77)
+    for _ in range(drawn):
+        used.u64()
+    for index in (0, 1, 5, 1000):
+        a, b = fresh.spawn(index), used.spawn(index)
+        assert [a.u64() for _ in range(20)] == [b.u64() for _ in range(20)]
+        assert a._counter == b._counter
+
+
+def test_lane_constants_are_built_at_first_use():
+    code = ("import buckettrees.rng as rng; assert not rng._LANES; "
+            "rng.SplitMix64(1).u64(); assert list(rng._LANES) == [16]")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": str(SRC)})

@@ -276,3 +276,16 @@ def test_second_order_validation():
         second_order_diagnostic(spec, 4, 2, 100, 10, 50, 0)
     with pytest.raises(ValueError, match=str(MIN_GOF_SAMPLES)):
         second_order_diagnostic(spec, 4, 2, 100, MIN_GOF_SAMPLES - 1, 1000, 0)
+
+
+def test_second_order_refuses_where_int64_would_wrap():
+    # beta_hat forms white.numerator + white.denominator * k in int64 for
+    # white draws k <= horizon - j: the largest horizon that fits runs, one
+    # more is refused before any draw.
+    spec, j, load = PlaneOriented(2, F(1, 10**12)), 4, 2
+    white = urn_from(spec, j, load).white
+    horizon = j + ((1 << 63) - 1 - white.numerator) // white.denominator
+    report = second_order_diagnostic(spec, j, load, 1000, MIN_GOF_SAMPLES, horizon, 3)
+    assert math.isfinite(report.skewness) and math.isfinite(report.excess_kurtosis)
+    with pytest.raises(ValueError, match=f"horizon {horizon + 1} is past the second-order"):
+        second_order_diagnostic(spec, j, load, 1000, MIN_GOF_SAMPLES, horizon + 1, 3)
