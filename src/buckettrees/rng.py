@@ -41,11 +41,13 @@ def _lanes(size: int) -> tuple:
     holding word size - i, so the last lane read back is the first word."""
     lanes = _LANES.get(size)
     if lanes is None:
-        ones = sum(1 << (128 * i) for i in range(size))
-        steps = sum((size - i) << (128 * i) for i in range(size)) * _GOLDEN
+        # Written as bytes, 16 per lane: summing shifted ints costs O(size^2).
+        ones = int.from_bytes(b"\x01".ljust(16, b"\x00") * size, "little")
+        steps = int.from_bytes(b"".join(k.to_bytes(16, "little") for k in range(size, 0, -1)),
+                               "little")
         # The low 8 bytes of each 16-byte lane, lowest lane first.
         unpack = struct.Struct("<" + "Q8x" * size).unpack
-        lanes = _LANES[size] = (ones, ones * _MASK, steps, unpack)
+        lanes = _LANES[size] = (ones, ones * _MASK, steps * _GOLDEN, unpack)
     return lanes
 
 
