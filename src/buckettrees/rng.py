@@ -69,6 +69,8 @@ class SplitMix64:
         base = (self._base + self._block * _GOLDEN) & _MASK
         size = min(2 * self._block, _MAX_BLOCK) if self._block else _FIRST_BLOCK
         ones, mask, steps, unpack = _lanes(size)
+        # A shift brings the next lane's low bits into a lane's high half, so
+        # each multiply starts from masked lanes: then no product spills over.
         z = (base * ones + steps) & mask
         z = (z ^ (z >> 30)) & mask
         z = z * 0xBF58476D1CE4E5B9 & mask
