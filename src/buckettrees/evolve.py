@@ -150,11 +150,27 @@ def _grow(spec: FamilySpec, n: int, rng: SplitMix64) -> tuple[list[list[int]], l
     return next(_grow_each(spec, n, (rng,)))
 
 
+def _grown_label(spec: FamilySpec, n: int, j: int, rng: SplitMix64) -> tuple[int, int]:
+    """``insertion_load`` and ``count_descendants`` of label j in the tree of
+    size n grown from rng, read off the growth lists with no node built."""
+    labels, children = _grow(spec, n, rng)
+    node = next(i for i, bucket in enumerate(labels) if j in bucket)
+    place = labels[node].index(j)
+    # Every label below the node exceeds its whole bucket.
+    descendants, stack = len(labels[node]) - place, children[node].copy()
+    while stack:
+        k = stack.pop()
+        descendants += len(labels[k])
+        stack += children[k]
+    return place + 1, descendants
+
+
 def sample_tree(spec: FamilySpec, n: int, rng: SplitMix64) -> BucketTree:
     """Grow a labelled tree of size n from a single label, in O(n log n).
 
     Callers that only need the tree's bytes should use ``sample_encoding``,
-    which draws the same words and builds no nodes.
+    and the descendants statistic reads label j off the same lists
+    (``_grown_label``); both draw the same words and build no nodes.
     """
     labels, children = _grow(spec, n, rng)
     # Children are created after their parents, so a reverse walk builds

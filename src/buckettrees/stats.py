@@ -168,7 +168,9 @@ def beta_moment(a: Fraction, b: Fraction, s: int) -> Fraction:
 def _check_urn_size(n: int) -> None:
     # numpy draws the counts as int64, and Y = 1 + (white draws) <= n must fit.
     if n >= 1 << 63:
-        raise ValueError(f"size {n} is past the urn batch's range: numpy counts "
+        text = str(n)   # a long size is shown the way cli.quoted shows a value
+        shown = text if len(text) <= 24 else f"{text[:24]!r}... ({len(text)} characters)"
+        raise ValueError(f"size {shown} is past the urn batch's range: numpy counts "
                          f"draws in 64-bit integers, so n must be below 2**63")
 
 

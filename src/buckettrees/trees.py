@@ -273,22 +273,12 @@ def node_profile(tree: BucketTree) -> tuple[dict[int, int], dict[int, int]]:
 
 # ── label queries ─────────────────────────────────────────────────────────
 
-def _locate(node: BucketNode, label: int) -> BucketNode | None:
-    if label in node.labels:
-        return node
-    for child in node.children:
-        found = _locate(child, label)
-        if found is not None:
-            return found
-    return None
-
-
 def subtree_of_label(tree: BucketTree, label: int) -> BucketNode:
     """The node whose bucket holds ``label`` (root of its subtree)."""
-    node = _locate(tree.root, label)
-    if node is None:
-        raise ValueError(f"label {label} not present")
-    return node
+    for node in tree.preorder():
+        if label in node.labels:
+            return node
+    raise ValueError(f"label {label} not present")
 
 
 def insertion_load(tree: BucketTree, label: int) -> int:
@@ -302,12 +292,7 @@ def insertion_load(tree: BucketTree, label: int) -> int:
 
 
 def count_descendants(tree: BucketTree, label: int) -> int:
-    """Number of labels >= label in the subtree rooted at label's bucket."""
+    """Number of labels >= label in the subtree rooted at label's bucket: all
+    of them but those below label in its own bucket."""
     node = subtree_of_label(tree, label)
-    total = 0
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        total += sum(1 for x in cur.labels if x >= label)
-        stack.extend(cur.children)
-    return total
+    return BucketTree(node, tree.max_bucket).size - sum(1 for x in node.labels if x < label)

@@ -37,9 +37,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .evolve import exact_distribution, sample_tree
+from .evolve import _grown_label, exact_distribution
 from .rng import SplitMix64
-from .trees import count_descendants, insertion_load
+from .trees import count_descendants
 from .weights import FamilySpec, binom_frac
 
 
@@ -160,23 +160,24 @@ def _check_window(n: int, j: int) -> None:
 
 
 def descendants_direct(spec: FamilySpec, n: int, j: int, rng: SplitMix64) -> DescendantSample:
-    """Grow a size-n tree and read the statistic off the tree."""
+    """Grow a size-n tree and read the statistic off its growth lists, as
+    the tree queries read it off ``sample_tree``, with no node built."""
     _check_window(n, j)
-    tree = sample_tree(spec, n, rng)
-    return DescendantSample(n, j, insertion_load(tree, j), count_descendants(tree, j))
+    return DescendantSample(n, j, *_grown_label(spec, n, j, rng))
 
 
 def descendants_via_urn(spec: FamilySpec, n: int, j: int, rng: SplitMix64) -> DescendantSample:
     """Grow only to size j, then run the urn for the remaining steps.
 
-    For j <= b the bucket of j is still the root bucket, the urn has no
-    black balls, and the count is the deterministic n + 1 - j.
+    The growth draws the words of the first j - 1 steps of
+    ``descendants_direct``, so both routes give j the same load on one
+    stream.  For j <= b the bucket of j is still the root bucket, the urn
+    has no black balls, and the count is the deterministic n + 1 - j.
     """
     _check_window(n, j)
     if j <= spec.b:
         return DescendantSample(n, j, j, n + 1 - j)
-    tree = sample_tree(spec, j, rng)
-    load = insertion_load(tree, j)
+    load, _ = _grown_label(spec, j, j, rng)
     return DescendantSample(n, j, load, 1 + urn_run(urn_from(spec, j, load), n - j, rng))
 
 

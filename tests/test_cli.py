@@ -27,7 +27,7 @@ import buckettrees
 from buckettrees import (BucketRecursive, BucketTree, DAryIncreasing,
                          EnumerationLimitError, SplitMix64, TreeDistribution, bucket,
                          encode_tree, sample_tree)
-from buckettrees import cli, enumeration, stats
+from buckettrees import cli, enumeration, evolve, stats, trees
 from buckettrees.cli import build_parser, guard_labelled, main
 
 # stdout sha256 of the benchmark's exact-lane commands; read, never written.
@@ -356,6 +356,29 @@ def test_family_parameter_pairing(capsys):
     assert rc == 2
 
 
+# Refusals that no other test reaches: exit 2, one error line each.
+@pytest.mark.parametrize("argv, message", [
+    (["enumerate", "--psi", "1", "--phi", "1,1,1", "--b", "3", "--n", "3"],
+     "--b 3 conflicts with 1 bucket weights (implies b=2)"),
+    (["sample", "--family", "baport", "--n", "3"], "--b is required with --family"),
+    (["sample", "--family", "baport", "--b", "2", "--n", "3"],
+     "baport requires --alpha and no --d"),
+    (["verify", "--phi", "1,1,1", "--d", "2", "--n", "3"],
+     "--d/--alpha only apply with --family"),
+    (["stats", "--check", "gof", "--family", "bucket-recursive", "--b", "2", "--level", "x"],
+     "argument --level: not a number: 'x'"),
+])
+def test_model_and_level_refusals_print_one_line(capsys, argv, message):
+    try:
+        rc = main(argv)
+    except SystemExit as exit_info:   # argparse's refusals follow its usage block
+        rc = exit_info.code
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert (rc, captured.out) == (2, "") and len(errors) == 1, captured.err
+    assert captured.err.endswith(f"error: {message}\n")
+
+
 # Growth is family-defined: the growing commands have no --psi or --phi.
 GROWTH_ARGV = {
     "sample": ["sample", "--family", "baport", "--b", "2", "--alpha", "1", "--n", "5"],
@@ -442,6 +465,27 @@ def test_verify_preserve_reports_the_smallest_failing_j(capsys, monkeypatch):
                      "--alpha", "1", "--n", "6", "--check", "preserve")
     assert rc == 1
     assert json.loads(out)["checks"][0]["first_failing_j"] == 2
+
+
+def test_verify_equivalence_fails_on_a_mutated_growth_law(capsys, monkeypatch):
+    # Squared and renormalised growth probabilities: equivalence fails at the
+    # first size whose options are unequal (4 under (2,1)-PORT), while
+    # preserve holds under any growth kernel and still passes.
+    grow = evolve.growth_options
+
+    def squared(tree, spec):
+        options = grow(tree, spec)
+        norm = sum(p * p for _, p in options)
+        return [(grown, p * p / norm) for grown, p in options]
+
+    monkeypatch.setattr(evolve, "growth_options", squared)
+    argv = ["verify", "--family", "baport", "--b", "2", "--alpha", "1", "--n", "6"]
+    rc, out, _ = run(capsys, *argv, "--check", "equivalence")
+    check = json.loads(out)["checks"][0]
+    assert rc == 1 and check["passed"] is False
+    assert check["first_mismatch"]["n"] == 4 and check["first_mismatch"]["tree"] is not None
+    rc, out, _ = run(capsys, *argv, "--check", "preserve")
+    assert rc == 0 and json.loads(out)["checks"][0]["passed"] is True
 
 
 def _laws_alive(capsys, monkeypatch, check):
@@ -680,6 +724,22 @@ def test_stats_refuses_sizes_past_the_urn_batch_range(capsys, argv):
     assert rc == 2 and out == ""
     assert err == ("error: size 100000000000000000000000 is past the urn batch's range: "
                    "numpy counts draws in 64-bit integers, so n must be below 2**63\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "--check", "beta", "--family", "bucket-recursive", "--b", "2",
+     "--j", "4", "--load", "2", "--n-grid", "9" * 4000, "--samples", "100"],
+    ["stats", "--check", "second-order", "--family", "bucket-recursive", "--b", "2",
+     "--j", "4", "--load", "2", "--n", "1000", "--trajectories", "100",
+     "--horizon", "9" * 4000],
+])
+def test_stats_quotes_a_long_size_past_the_urn_batch_range(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err == ("error: size '999999999999999999999999'... (4000 characters) is past the "
+                   "urn batch's range: numpy counts draws in 64-bit integers, so n must be "
+                   "below 2**63\n")
+    assert len(err.encode()) < 200
 
 
 def test_second_order_refuses_a_white_count_past_int64(capsys):
@@ -959,6 +1019,22 @@ def test_sample_env_seed_matches_flag(capsys, monkeypatch):
                           "--seed", "99")
     assert rc == 0
     assert via_env == via_flag
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "40", "--count", "3"],
+    ["descend", "--n", "40", "--j", "6", "--count", "3", "--mode", "direct"],
+    ["descend", "--n", "40", "--j", "6", "--count", "3", "--mode", "urn"],
+], ids=["sample", "descend-direct", "descend-urn"])
+def test_sampled_commands_build_no_node(capsys, monkeypatch, argv):
+    # sample and both sampled descend modes read the growth lists directly.
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a sampled command built a BucketNode")
+
+    monkeypatch.setattr(trees.BucketNode, "__init__", refuse)
+    rc, out, err = run(capsys, *argv, "--family", "baport", "--b", "2", "--alpha", "1",
+                       "--seed", "5")
+    assert (rc, err) == (0, "") and out
 
 
 # ── stats ─────────────────────────────────────────────────────────────────

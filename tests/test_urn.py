@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from buckettrees import (BucketRecursive, DAryIncreasing, PlaneOriented,
+from buckettrees import (BucketRecursive, DAryIncreasing, FamilySpec, PlaneOriented,
                          SplitMix64, UrnState, binomial_moment,
                          chi_square_gof, count_descendants, descendants_direct,
                          descendants_law_from_trees, descendants_law_from_urn,
@@ -247,12 +247,60 @@ def test_both_routes_agree_small_grid():
                 assert trees == urn, (spec, n, j)
 
 
-def test_descendants_direct_matches_tree_reading():
-    spec = PlaneOriented(2, F(1))
-    sample = descendants_direct(spec, 8, 3, SplitMix64(11))
-    tree = sample_tree(spec, 8, SplitMix64(11))
-    assert sample.descendants == count_descendants(tree, 3)
-    assert 1 <= sample.load <= 2
+# The flat reader against the tree queries: b = 1, 2, 3, integer and
+# non-integer (c1, c2), and windows from the root label to the last one.
+READER_SPECS = [BucketRecursive(1), BucketRecursive(2), BucketRecursive(3),
+                PlaneOriented(2, F(1)), PlaneOriented(3, F(1)), PlaneOriented(3, F(1, 2)),
+                DAryIncreasing(2, F(2)), DAryIncreasing(3, F(4, 3))]
+
+
+@pytest.mark.parametrize("spec", READER_SPECS, ids=[
+    "recursive-b1", "recursive-b2", "recursive-b3", "port-b2-a1", "port-b3-a1",
+    "port-b3-a1/2", "dary-b2-d2", "dary-b3-d4/3"])
+@pytest.mark.parametrize("n, j", [(1, 1), (2, 1), (2, 2), (5, 3), (30, 1), (60, 6),
+                                  (200, 17), (200, 200)])
+def test_descendants_direct_matches_tree_reading(spec, n, j):
+    for seed in range(20):
+        sample = descendants_direct(spec, n, j, SplitMix64(seed))
+        tree = sample_tree(spec, n, SplitMix64(seed))
+        assert (sample.load, sample.descendants) == (
+            insertion_load(tree, j), count_descendants(tree, j)), (seed, sample)
+        # Growth to size j draws the words of direct growth's first j - 1 steps.
+        assert descendants_via_urn(spec, n, j, SplitMix64(seed)).load == sample.load, seed
+
+
+# Item 14's check: sampled descendants of j = 6 at n = 60 against the exact
+# urn law, 1,000 trees per run, tree i of run s grown from
+# SplitMix64(s).spawn(i).  The routes share only (b, c1, c2): the sampler
+# grows by its integer weights, the law reads kappa and the load law.
+URN_FIT_SPECS = [BucketRecursive(2), PlaneOriented(2, F(1)), DAryIncreasing(2, F(2))]
+
+
+def urn_fit_reports(spec):
+    n, j = 60, 6
+    expected = {y: float(p) for y, p in descendants_law_from_urn(spec, n, j).items()}
+    reports = []
+    for seed in (1, 2, 3):
+        master = SplitMix64(seed)
+        counts = Counter(descendants_direct(spec, n, j, master.spawn(i)).descendants
+                         for i in range(1000))
+        reports.append(chi_square_gof(counts, expected, 0.01))
+    return reports
+
+
+@pytest.mark.parametrize("spec", URN_FIT_SPECS, ids=["recursive-b2", "port-b2-a1", "dary-b2-d2"])
+def test_sampled_descendants_fit_the_exact_urn_law(spec):
+    reports = urn_fit_reports(spec)
+    # sampler_gof's rule: the fit fails when two of the three runs reject.
+    assert sum(not r.passed for r in reports) < 2, [r.p_value for r in reports]
+
+
+def test_urn_fit_rejects_a_shifted_kappa(monkeypatch):
+    # A kappa off by 1/2 moves the law's white balls and nothing the sampler reads.
+    kappa = FamilySpec.kappa
+    monkeypatch.setattr(FamilySpec, "kappa", lambda self: kappa(self) + F(1, 2))
+    reports = urn_fit_reports(PlaneOriented(2, F(1)))
+    assert sum(not r.passed for r in reports) >= 2, [r.p_value for r in reports]
 
 
 def test_descendants_via_urn_degenerate_branch():
