@@ -9,7 +9,11 @@ their sum is drawn.
 
 ``exact_laws`` computes the full law of the process at every size up to a
 given one by dynamic programming over labelled trees, so sampled and
-theoretical distributions can be compared without estimation error.
+theoretical distributions can be compared without estimation error.  The
+DP runs in integers: one options kernel (``_option_table`` for the weights,
+``_grown_roots`` for the successors) serves it and ``growth_options``, each
+law is summed as numerators over one denominator, and a ``Fraction`` is
+built once per tree, when the law is yielded.
 """
 
 from __future__ import annotations
@@ -29,6 +33,52 @@ from .trees import (BucketNode, BucketTree, InvalidTreeError, encode_grown,
 from .weights import FamilySpec
 
 
+def _option_table(spec: FamilySpec, size: int) -> tuple[list[tuple[int, ...]], int]:
+    """The growth kernel of a size-``size`` tree in integers, read from the
+    spec once: (slots, scale), where slots[c - 1] (c < b) holds the weight
+    of the one join into an unsaturated bucket of load c and slots[b - 1 + k]
+    holds the weight of each of the k + 1 slots of a saturated node of
+    degree k, for every degree a size-``size`` tree can have.  A weight over
+    scale is the option's probability; a node of nonpositive attachment
+    weight gets no slot.
+    """
+    b = spec.b
+    normalizer = spec.connectivity(size)
+    # (probability of one slot, number of slots) for each kind of node.
+    kinds = [(spec.attachment_weight(c, 0) / normalizer, 1) for c in range(1, b)]
+    kinds += [(spec.attachment_weight(b, k) / normalizer / (k + 1), k + 1)
+              for k in range(size - b + 1)]
+    scale = math.lcm(*(p.denominator for p, _ in kinds if p > 0))
+    slots = [(p.numerator * (scale // p.denominator),) * count if p > 0 else ()
+             for p, count in kinds]
+    return slots, scale
+
+
+def _grown_roots(root: BucketNode, label: int, b: int,
+                 slots: list[tuple[int, ...]]) -> list[tuple[BucketNode, int]]:
+    """The roots of every successor of the tree at root when ``label`` arrives,
+    each with its integer weight from ``_option_table``: nodes in preorder,
+    the slots of a saturated node in order.  A successor rebuilds only the
+    path from the root to the receiving node and shares every other subtree.
+    """
+    capacity, labels, kids = root.capacity, root.labels, root.children
+    if capacity < b:
+        # An unsaturated bucket has no children.
+        return [(BucketNode(capacity + 1, labels + (label,), kids), weight)
+                for weight in slots[capacity - 1]]
+    options = []
+    weights = slots[b - 1 + len(kids)]
+    if weights:
+        leaf = BucketNode(1, (label,), ())
+        options = [(BucketNode(capacity, labels, kids[:slot] + (leaf,) + kids[slot:]), weight)
+                   for slot, weight in enumerate(weights)]
+    for i, child in enumerate(kids):
+        head, tail = kids[:i], kids[i + 1:]
+        options += [(BucketNode(capacity, labels, head + (grown,) + tail), weight)
+                    for grown, weight in _grown_roots(child, label, b, slots)]
+    return options
+
+
 def growth_options(tree: BucketTree, spec: FamilySpec) -> list[tuple[BucketTree, Fraction]]:
     """Every positive-probability successor of a labelled tree, with its exact
     probability, nodes in preorder and the slots of a saturated node in order.
@@ -36,37 +86,16 @@ def growth_options(tree: BucketTree, spec: FamilySpec) -> list[tuple[BucketTree,
     The next label joins an unsaturated bucket or starts a child in one of
     the degree+1 gaps of a saturated one.  A successor rebuilds only the
     path from the root to the receiving node and shares every other subtree.
+    This is the ``Fraction`` view of the integer kernel ``exact_laws`` runs.
     """
     if tree.max_bucket != spec.b:
         raise InvalidTreeError(f"tree has b={tree.max_bucket}, family has b={spec.b}")
     if not tree.is_labelled():
         raise InvalidTreeError("growth needs a labelled tree")
     size = tree.size
-    label = size + 1
-    normalizer = spec.connectivity(size)
-    options: list[tuple[BucketTree, Fraction]] = []
-
-    def visit(node: BucketNode, rebuild) -> None:
-        # rebuild(replacement) is the whole tree with node swapped out.
-        kids = node.children
-        weight = spec.attachment_weight(node.capacity, len(kids))
-        if weight > 0:
-            if node.capacity < spec.b:
-                joined = BucketNode(node.capacity + 1, node.labels + (label,), kids)
-                options.append((rebuild(joined), weight / normalizer))
-            else:
-                leaf = BucketNode(1, (label,), ())
-                share = weight / normalizer / (len(kids) + 1)
-                for slot in range(len(kids) + 1):
-                    split = BucketNode(node.capacity, node.labels,
-                                       kids[:slot] + (leaf,) + kids[slot:])
-                    options.append((rebuild(split), share))
-        for i, child in enumerate(kids):
-            visit(child, lambda new, i=i: rebuild(
-                BucketNode(node.capacity, node.labels, kids[:i] + (new,) + kids[i + 1:])))
-
-    visit(tree.root, lambda new: BucketTree(new, tree.max_bucket))
-    return options
+    slots, scale = _option_table(spec, size)
+    return [(BucketTree(root, spec.b), Fraction(weight, scale))
+            for root, weight in _grown_roots(tree.root, size + 1, spec.b, slots)]
 
 
 def _grow_each(spec: FamilySpec, n: int,
@@ -206,6 +235,12 @@ def sample_counts(spec: FamilySpec, n: int, rngs: Iterable[SplitMix64]) -> Count
 
 # ── exact law of the process ──────────────────────────────────────────────
 
+def _integer_sum(values: list[Fraction]) -> tuple[list[int], int]:
+    """values as integer numerators over the lcm of their denominators."""
+    scale = math.lcm(*(value.denominator for value in values))
+    return [value.numerator * (scale // value.denominator) for value in values], scale
+
+
 @dataclass(frozen=True)
 class TreeDistribution:
     """Probability law over labelled trees of one size."""
@@ -214,7 +249,8 @@ class TreeDistribution:
     probs: Mapping[BucketTree, Fraction]
 
     def total(self) -> Fraction:
-        return sum(self.probs.values(), Fraction(0))
+        nums, scale = _integer_sum(list(self.probs.values()))
+        return Fraction(sum(nums), scale)
 
     def validate(self) -> None:
         if self.total() != 1:
@@ -228,19 +264,30 @@ class TreeDistribution:
 def exact_laws(spec: FamilySpec, n: int, limit: int | None = None) -> Iterator[TreeDistribution]:
     """Laws of the sizes 1, ..., n under the growth process, each grown from
     the one before by one label; refuses a size above ``limit`` or one with
-    more labelled trees than the ceiling before the first step."""
+    more labelled trees than the ceiling before the first step.
+
+    A step runs in integers: the size-m law is read as numerators over one
+    denominator, each tree's successors come from ``_grown_roots`` with the
+    weights of ``_option_table`` for size m, and each tree's ``Fraction`` is
+    built once, when the size-(m+1) law is yielded.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _check_limit(n, limit)
     guard_labelled(n, spec.b)
-    probs = {single_bucket_tree(spec.b): Fraction(1)}
+    b = spec.b
+    probs = {single_bucket_tree(b): Fraction(1)}
     yield TreeDistribution(1, probs)
     for size in range(2, n + 1):
-        acc: dict[BucketTree, Fraction] = {}
-        for tree, prob in probs.items():
-            for grown, p in growth_options(tree, spec):
-                acc[grown] = acc.get(grown, Fraction(0)) + prob * p
-        probs = acc
+        slots, scale = _option_table(spec, size - 1)
+        nums, denominator = _integer_sum(list(probs.values()))
+        acc: dict[BucketNode, int] = {}
+        get = acc.get
+        for tree, num in zip(probs, nums):
+            for root, weight in _grown_roots(tree.root, size, b, slots):
+                acc[root] = get(root, 0) + num * weight
+        denominator *= scale
+        probs = {BucketTree(root, b): Fraction(num, denominator) for root, num in acc.items()}
         yield TreeDistribution(size, probs)
 
 
@@ -259,7 +306,8 @@ def strip_labels(tree: BucketTree, j: int) -> BucketTree:
 
     Growing to size n and keeping labels 1..j reproduces the size-j law:
     labels above j only ever occupy buckets that vanish entirely or sit at
-    the tail of a surviving bucket, so removal never orphans a child.
+    the tail of a surviving bucket, so removal never orphans a child.  The
+    walk stops at a bucket that loses labels: every child of it must vanish.
     """
     if not tree.is_labelled():
         raise InvalidTreeError("strip_labels requires a labelled tree")
@@ -267,16 +315,20 @@ def strip_labels(tree: BucketTree, j: int) -> BucketTree:
         raise ValueError(f"j={j} outside 1..{tree.size}")
 
     def keep(node: BucketNode) -> BucketNode | None:
-        labels = tuple(x for x in node.labels if x <= j)
+        labels, kids = node.labels, node.children
+        if labels and max(labels) <= j:
+            if not kids:
+                return node
+            kept = [*map(keep, kids)]
+            if all(map(operator.is_, kept, kids)):
+                return node   # nothing above j below here: share the subtree
+            return BucketNode(node.capacity, labels, tuple([k for k in kept if k is not None]))
+        labels = tuple(x for x in labels if x <= j)
         if not labels:
             return None
-        kids = tuple(k for k in (keep(child) for child in node.children) if k is not None)
-        if len(labels) < len(node.labels):
-            if kids:
-                raise AssertionError("a bucket kept children while losing labels")
-        elif len(kids) == len(node.children) and all(map(operator.is_, kids, node.children)):
-            return node   # nothing above j below here: share the subtree
-        return BucketNode(len(labels), labels, kids)
+        if any(x <= j for child in kids for x in child.labels):
+            raise AssertionError("a bucket kept children while losing labels")
+        return BucketNode(len(labels), labels, ())
 
     root = keep(tree.root)
     assert root is not None, "j >= 1 keeps the root"
@@ -284,9 +336,12 @@ def strip_labels(tree: BucketTree, j: int) -> BucketTree:
 
 
 def pushforward_strip(dist: TreeDistribution, j: int) -> TreeDistribution:
-    """Image of a tree law under strip_labels(., j)."""
-    acc: dict[BucketTree, Fraction] = {}
-    for tree, prob in dist.probs.items():
+    """Image of a tree law under strip_labels(., j), summed in integers over
+    the lcm of the law's denominators."""
+    nums, scale = _integer_sum(list(dist.probs.values()))
+    acc: dict[BucketTree, int] = {}
+    get = acc.get
+    for tree, num in zip(dist.probs, nums):
         smaller = strip_labels(tree, j)
-        acc[smaller] = acc.get(smaller, Fraction(0)) + prob
-    return TreeDistribution(j, acc)
+        acc[smaller] = get(smaller, 0) + num
+    return TreeDistribution(j, {tree: Fraction(num, scale) for tree, num in acc.items()})

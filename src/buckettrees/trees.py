@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -22,7 +22,8 @@ if TYPE_CHECKING:
     from .weights import WeightModel
 
 
-# Nesting bound of decode_tree: BucketNode's == and hash recurse (== fails at ~250).
+# Nesting bound of decode_tree: BucketNode's == recurses and fails at depth 250
+# under the default recursion limit; its hash is stored and does not recurse.
 MAX_DECODE_DEPTH = 200
 
 
@@ -34,11 +35,26 @@ class EncodingError(ValueError):
     """The byte string is not a canonical tree encoding."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class BucketNode:
+    """One bucket and its ordered children.  The hash, that of (capacity,
+    labels, children), is stored when the node is built, so it never recurses."""
+
     capacity: int
     labels: tuple[int, ...] = ()
     children: tuple["BucketNode", ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __init__(self, capacity: int, labels: tuple[int, ...] = (),
+                 children: tuple["BucketNode", ...] = ()) -> None:
+        put = object.__setattr__
+        put(self, "capacity", capacity)
+        put(self, "labels", labels)
+        put(self, "children", children)
+        put(self, "_hash", hash((capacity, labels, children)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def bucket(labels: tuple[int, ...] | list[int], children: tuple[BucketNode, ...] = ()) -> BucketNode:
@@ -62,7 +78,12 @@ class BucketTree:
     @property
     def size(self) -> int:
         """Total number of labels (sum of capacities)."""
-        return sum(node.capacity for node in self.preorder())
+        total, stack = 0, [self.root]
+        while stack:
+            node = stack.pop()
+            total += node.capacity
+            stack += node.children
+        return total
 
     def preorder(self) -> Iterator[BucketNode]:
         stack = [self.root]

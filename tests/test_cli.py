@@ -468,17 +468,21 @@ def test_verify_preserve_reports_the_smallest_failing_j(capsys, monkeypatch):
 
 
 def test_verify_equivalence_fails_on_a_mutated_growth_law(capsys, monkeypatch):
-    # Squared and renormalised growth probabilities: equivalence fails at the
-    # first size whose options are unequal (4 under (2,1)-PORT), while
-    # preserve holds under any growth kernel and still passes.
-    grow = evolve.growth_options
+    # Slots no longer uniform: of a saturated node with k >= 1 children, the
+    # first slot takes 3/2 of its share and the second 1/2, so each node
+    # keeps its total weight and every law still sums to 1.  Equivalence
+    # fails at the first size with a two-slot node (4 under (2,1)-PORT),
+    # while preserve holds under any growth kernel and still passes.
+    table = evolve._option_table
 
-    def squared(tree, spec):
-        options = grow(tree, spec)
-        norm = sum(p * p for _, p in options)
-        return [(grown, p * p / norm) for grown, p in options]
+    def skewed(spec, size):
+        slots, scale = table(spec, size)
+        skew = [tuple(2 * w for w in weights) if len(weights) < 2
+                else (3 * weights[0], weights[1]) + tuple(2 * w for w in weights[2:])
+                for weights in slots]
+        return skew, 2 * scale
 
-    monkeypatch.setattr(evolve, "growth_options", squared)
+    monkeypatch.setattr(evolve, "_option_table", skewed)
     argv = ["verify", "--family", "baport", "--b", "2", "--alpha", "1", "--n", "6"]
     rc, out, _ = run(capsys, *argv, "--check", "equivalence")
     check = json.loads(out)["checks"][0]

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import buckettrees
-from buckettrees import (BucketRecursive, BucketTree, DAryIncreasing,
+from buckettrees import (BucketNode, BucketRecursive, BucketTree, DAryIncreasing,
                          InvalidTreeError, PlaneOriented, SplitMix64,
                          TreeDistribution, bucket, chi_square_gof,
                          decode_tree, encode_tree, exact_distribution,
@@ -230,6 +230,75 @@ def test_exact_laws_are_every_smaller_law():
         assert sizes == [1, 2, 3, 4, 5, 6]
 
 
+def reference_options(tree, spec):
+    """Successors of a labelled tree with their probabilities, in Fraction
+    arithmetic: each node's weight read from the spec as it is visited, the
+    path to it rebuilt through a chain of closures."""
+    label = tree.size + 1
+    normalizer = spec.connectivity(tree.size)
+    options = []
+
+    def visit(node, rebuild):
+        kids = node.children
+        weight = spec.attachment_weight(node.capacity, len(kids))
+        if weight > 0:
+            if node.capacity < spec.b:
+                joined = BucketNode(node.capacity + 1, node.labels + (label,), kids)
+                options.append((rebuild(joined), weight / normalizer))
+            else:
+                leaf = BucketNode(1, (label,), ())
+                share = weight / normalizer / (len(kids) + 1)
+                for slot in range(len(kids) + 1):
+                    split = BucketNode(node.capacity, node.labels,
+                                       kids[:slot] + (leaf,) + kids[slot:])
+                    options.append((rebuild(split), share))
+        for i, child in enumerate(kids):
+            visit(child, lambda new, i=i: rebuild(
+                BucketNode(node.capacity, node.labels, kids[:i] + (new,) + kids[i + 1:])))
+
+    visit(tree.root, lambda new: BucketTree(new, tree.max_bucket))
+    return options
+
+
+def reference_laws(spec, n):
+    """The labelled-tree DP summed one option at a time in Fraction arithmetic."""
+    probs = {single_bucket_tree(spec.b): F(1)}
+    yield probs
+    for _ in range(2, n + 1):
+        acc = {}
+        for tree, prob in probs.items():
+            for grown, p in reference_options(tree, spec):
+                acc[grown] = acc.get(grown, F(0)) + prob * p
+        probs = acc
+        yield probs
+
+
+def has_zero_weight_node(tree, spec):
+    return any(spec.attachment_weight(node.capacity, len(node.children)) == 0
+               for node in tree.preorder())
+
+
+@pytest.mark.parametrize("spec", [BucketRecursive(1), BucketRecursive(2), BucketRecursive(3),
+                                  PlaneOriented(2, F(1)), PlaneOriented(3, F(1, 2)),
+                                  DAryIncreasing(2, F(2)), DAryIncreasing(3, F(4, 3))], ids=repr)
+def test_exact_laws_match_the_fraction_reference(spec):
+    zero_weight_seen = False
+    for law, reference in zip(exact_laws(spec, 7), reference_laws(spec, 7), strict=True):
+        # Same trees in the same order, each with the same Fraction.
+        assert list(law.probs.items()) == list(reference.items())
+        assert all(type(p) is F for p in law.probs.values())
+        zero_weight_seen |= any(has_zero_weight_node(tree, spec) for tree in law.probs)
+    # (2,2)-ary and (3,4/3)-ary nodes reach their zero-weight degree, 3 and 2,
+    # by size 5, so later steps pass over nodes that take no label.
+    assert zero_weight_seen == isinstance(spec, DAryIncreasing)
+
+
+def test_growth_options_match_the_fraction_reference():
+    for spec in (PlaneOriented(3, F(1, 2)), DAryIncreasing(2, F(2)), DAryIncreasing(1, F(2))):
+        for tree in exact_distribution(spec, 5).probs:
+            assert growth_options(tree, spec) == reference_options(tree, spec)
+
+
 def test_exact_distribution_guard():
     with pytest.raises(EnumerationLimitError, match="limit 12"):
         exact_distribution(BucketRecursive(2), 13)
@@ -280,6 +349,9 @@ def test_strip_labels_validates_input():
         strip_labels(BucketTree(bucket((1, 2)), 2).shape(), 1)
     with pytest.raises(ValueError, match="outside"):
         strip_labels(single_bucket_tree(2), 2)
+    # Not increasing: the root loses label 5 while its child keeps label 3.
+    with pytest.raises(AssertionError, match="kept children while losing labels"):
+        strip_labels(BucketTree(bucket((1, 5), (bucket((3,)),)), 2), 3)
 
 
 def test_pushforward_matches_smaller_law():

@@ -14,12 +14,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from buckettrees import (BucketRecursive, BucketTree, DAryIncreasing,
+from buckettrees import (BucketNode, BucketRecursive, BucketTree, DAryIncreasing,
                          EncodingError, ExplicitDegreeWeights,
                          InvalidTreeError, PlaneOriented, SplitMix64,
                          WeightModel, bucket, count_descendants,
                          count_labellings, decode_tree, encode_tree,
-                         enumerate_shapes, insertion_load, node_profile,
+                         enumerate_shapes, growth_options, insertion_load, node_profile,
                          sample_tree, shape_bucket, single_bucket_tree,
                          subtree_of_label, tree_weight, weights_of)
 from buckettrees.trees import MAX_DECODE_DEPTH, encode_grown, weigh, weight_table
@@ -183,6 +183,39 @@ def test_decode_rejects_deep_chains():
         decode_tree(chain_encoding(MAX_DECODE_DEPTH + 1), 1)
     with pytest.raises(EncodingError):  # the JSON parser may give up first
         decode_tree(chain_encoding(500), 1)
+
+
+def test_deep_chains_hash_without_recursion_and_compare_to_the_decode_bound():
+    # The stored hash is read off the children's stored hashes, so a chain
+    # far deeper than the recursion limit hashes; == still recurses and is
+    # what holds MAX_DECODE_DEPTH down (it fails near depth 250 under the
+    # default limit of 1000).
+    def chain(depth: int) -> BucketNode:
+        node = BucketNode(1, (depth,), ())
+        for label in range(depth - 1, 0, -1):
+            node = BucketNode(1, (label,), (node,))
+        return node
+
+    deep = chain(5_000)
+    assert hash(deep) == hash((1, (1,), deep.children))
+    assert chain(MAX_DECODE_DEPTH) == chain(MAX_DECODE_DEPTH)
+
+
+def test_node_hash_is_the_hash_of_its_fields():
+    spec = PlaneOriented(2, Fraction(1))
+    trees = [decode_tree(chain_encoding(40), 1),
+             decode_tree(encode_tree(sample_tree(spec, 60, SplitMix64(3))), 2),
+             sample_tree(spec, 60, SplitMix64(4)),
+             sample_tree(DAryIncreasing(3, Fraction(4, 3)), 40, SplitMix64(5))]
+    trees += [grown for grown, _ in growth_options(sample_tree(spec, 12, SplitMix64(6)), spec)]
+    for tree in trees:
+        for node in tree.preorder():
+            assert hash(node) == hash((node.capacity, node.labels, node.children))
+    # Equal trees built apart hash alike, and the stored hash stays out of repr.
+    again = decode_tree(encode_tree(trees[2]), 2)
+    assert again == trees[2] and again.root is not trees[2].root
+    assert hash(again) == hash(trees[2])
+    assert "_hash" not in repr(trees[0])
 
 
 def test_encoding_is_canonical():
