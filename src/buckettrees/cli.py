@@ -28,9 +28,10 @@ import sys
 from collections import Counter
 from dataclasses import asdict
 
-from .enumeration import (EnumerationLimitError, check_ode_recurrence,
-                          closed_form_total_weight, enumerate_shapes, guard_growth,
-                          guard_labelled, guard_shapes, total_weights)
+from .enumeration import (DESCENDANTS_CEILING, EnumerationLimitError,
+                          check_ode_recurrence, closed_form_total_weight,
+                          enumerate_shapes, guard_growth, guard_labelled,
+                          guard_shapes, total_weights)
 from .evolve import exact_laws, pushforward_strip, sample_encodings
 from .rng import SplitMix64
 from .trees import encode_tree, weigh, weight_table
@@ -41,7 +42,8 @@ from .verify import (NotGrown, check_affine_ratio, check_balance,
 from .stats import check_beta_convergence, sampler_gof, second_order_diagnostic
 from .weights import (AffineDegreeWeights, BucketRecursive, DAryIncreasing,
                       ExplicitDegreeWeights, FamilySpec, InvalidWeightsError,
-                      PlaneOriented, WeightModel, to_fraction, weights_of)
+                      PlaneOriented, WeightModel, quoted, shown, to_fraction,
+                      weights_of)
 
 DEFAULT_SEED = 271828
 SCALING_A = SCALING_S = 2  # the joint rescaling of verify --check scaling
@@ -57,12 +59,6 @@ def f12(x: float) -> float:
 def rounded_fields(report) -> dict:
     """A report dataclass as a JSON object, its floats rounded by f12."""
     return {k: f12(v) if isinstance(v, float) else v for k, v in asdict(report).items()}
-
-
-def quoted(text: str) -> str:
-    """A refused command-line value as an error line shows it: at most its
-    first 24 characters."""
-    return repr(text) if len(text) <= 24 else f"{text[:24]!r}... ({len(text)} characters)"
 
 
 def past_digit_cap(text: str) -> bool:
@@ -161,7 +157,7 @@ def parse_degree_rule(text: str):
             return AffineDegreeWeights(1, value, 1)
         if name == "negbinom":
             return AffineDegreeWeights(1, value, -1)
-        raise InvalidWeightsError(f"unknown degree rule {name!r}")
+        raise InvalidWeightsError(f"unknown degree rule {quoted(name)}")
     return ExplicitDegreeWeights(tuple(to_fraction(c) for c in text.split(",")))
 
 
@@ -171,7 +167,7 @@ def parse_weights(psi_text: str | None, phi_text: str, b: int | None = None) -> 
     inferred = len(psi) + 1
     if b is not None and b != inferred:
         raise InvalidWeightsError(
-            f"--b {b} conflicts with {len(psi)} bucket weights (implies b={inferred})")
+            f"--b {shown(b)} conflicts with {len(psi)} bucket weights (implies b={inferred})")
     return WeightModel(inferred, psi, parse_degree_rule(phi_text))
 
 
@@ -361,11 +357,11 @@ def _verify_laws(model, spec, args, names) -> list[dict]:
             if totals is None:   # past exact_laws' own guards, which name the size
                 totals = total_weights(model, args.n, args.limit)
             table = weight_table(model, size)
-            for tree, prob in law.probs.items():
-                if prob != weigh(tree, table) / totals[size - 1]:
+            for tree, weight in law.weights.items():
+                if weight * totals[size - 1] != weigh(tree, table) * law.scale:
                     first_bad = {"n": size, "tree": encode_tree(tree).decode("ascii")}
                     break
-            if first_bad is None and law.total() != 1:
+            if first_bad is None and sum(law.weights.values()) != law.scale:
                 first_bad = {"n": size, "tree": None}
         if "preserve" in names and bad_j is None and smaller is not None:
             if pushforward_strip(law, smaller.size).probs != smaller.probs:
@@ -420,6 +416,10 @@ def cmd_descend(args: argparse.Namespace) -> int:
     if args.mode != "exact":
         # Direct mode grows a tree of size n, urn mode one of size j.
         guard_growth(args.n if args.mode == "direct" else args.j)
+    elif args.j > spec.b and args.n > DESCENDANTS_CEILING:
+        # For j <= b the law is one point, n + 1 - j, at any size.
+        raise EnumerationLimitError(f"refusing an exact descendants law past n = "
+                                    f"{DESCENDANTS_CEILING} (its terms grow by O(n log n) digits)")
     # Resolved in every mode, so a bad BUCKETTREES_SEED is refused even
     # where no draw reads it.
     seed = _parse_seed(args.seed)

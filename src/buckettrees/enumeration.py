@@ -38,6 +38,10 @@ LABELLED_CEILING = 2 * 10**5
 # label, a sampled tree peaks at about 760 bytes per label (106 MB of RSS at
 # 10^5 labels), so the largest tree stays under 1 GB.
 GROWTH_CEILING = 10**6
+# Refuse an exact descendants law (descend --mode exact, j > b) past this
+# size.  Its n - j + 1 terms each have O(n log n) digits: at (2,1)-PORT,
+# j = 6, n = 4,000 takes 1.5 s and prints 13 MB, n = 8,000 8 s and 53 MB.
+DESCENDANTS_CEILING = 4000
 
 
 class EnumerationLimitError(RuntimeError):

@@ -9,11 +9,11 @@ their sum is drawn.
 
 ``exact_laws`` computes the full law of the process at every size up to a
 given one by dynamic programming over labelled trees, so sampled and
-theoretical distributions can be compared without estimation error.  The
-DP runs in integers: one options kernel (``_option_table`` for the weights,
-``_grown_roots`` for the successors) serves it and ``growth_options``, each
-law is summed as numerators over one denominator, and a ``Fraction`` is
-built once per tree, when the law is yielded.
+theoretical distributions can be compared without estimation error.  A
+law is one integer weight per tree over one scale, and the DP never leaves
+integers: one options kernel (``_option_table`` for the weights,
+``_grown_roots`` for the successors) serves it and ``growth_options``, and
+a ``Fraction`` is built only when a law is read through its ``probs``.
 """
 
 from __future__ import annotations
@@ -235,27 +235,27 @@ def sample_counts(spec: FamilySpec, n: int, rngs: Iterable[SplitMix64]) -> Count
 
 # ── exact law of the process ──────────────────────────────────────────────
 
-def _integer_sum(values: list[Fraction]) -> tuple[list[int], int]:
-    """values as integer numerators over the lcm of their denominators."""
-    scale = math.lcm(*(value.denominator for value in values))
-    return [value.numerator * (scale // value.denominator) for value in values], scale
-
-
 @dataclass(frozen=True)
 class TreeDistribution:
-    """Probability law over labelled trees of one size."""
+    """Probability law over labelled trees of one size: tree t has probability
+    weights[t] / scale.  ``==`` compares representations, ``probs`` laws."""
 
     size: int
-    probs: Mapping[BucketTree, Fraction]
+    weights: Mapping[BucketTree, int]
+    scale: int
+
+    @property
+    def probs(self) -> dict[BucketTree, Fraction]:
+        """The law as one ``Fraction`` per tree, built on each read."""
+        return {tree: Fraction(weight, self.scale) for tree, weight in self.weights.items()}
 
     def total(self) -> Fraction:
-        nums, scale = _integer_sum(list(self.probs.values()))
-        return Fraction(sum(nums), scale)
+        return Fraction(sum(self.weights.values()), self.scale)
 
     def validate(self) -> None:
         if self.total() != 1:
             raise ValueError(f"probabilities sum to {self.total()}, not 1")
-        for tree in self.probs:
+        for tree in self.weights:
             tree.validate()
             if tree.size != self.size or not tree.is_labelled():
                 raise ValueError(f"bad support element {tree}")
@@ -266,29 +266,28 @@ def exact_laws(spec: FamilySpec, n: int, limit: int | None = None) -> Iterator[T
     the one before by one label; refuses a size above ``limit`` or one with
     more labelled trees than the ceiling before the first step.
 
-    A step runs in integers: the size-m law is read as numerators over one
-    denominator, each tree's successors come from ``_grown_roots`` with the
-    weights of ``_option_table`` for size m, and each tree's ``Fraction`` is
-    built once, when the size-(m+1) law is yielded.
+    A step stays in integers: each tree's successors come from
+    ``_grown_roots`` with the weights of ``_option_table`` for size m, a
+    successor's weight is the sum of its parents' weights times those, and
+    the size-(m+1) scale is the size-m scale times the table's.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _check_limit(n, limit)
     guard_labelled(n, spec.b)
     b = spec.b
-    probs = {single_bucket_tree(b): Fraction(1)}
-    yield TreeDistribution(1, probs)
+    weights, scale = {single_bucket_tree(b): 1}, 1
+    yield TreeDistribution(1, weights, scale)
     for size in range(2, n + 1):
-        slots, scale = _option_table(spec, size - 1)
-        nums, denominator = _integer_sum(list(probs.values()))
+        slots, step = _option_table(spec, size - 1)
         acc: dict[BucketNode, int] = {}
         get = acc.get
-        for tree, num in zip(probs, nums):
-            for root, weight in _grown_roots(tree.root, size, b, slots):
-                acc[root] = get(root, 0) + num * weight
-        denominator *= scale
-        probs = {BucketTree(root, b): Fraction(num, denominator) for root, num in acc.items()}
-        yield TreeDistribution(size, probs)
+        for tree, weight in weights.items():
+            for root, option in _grown_roots(tree.root, size, b, slots):
+                acc[root] = get(root, 0) + weight * option
+        scale *= step
+        weights = {BucketTree(root, b): weight for root, weight in acc.items()}
+        yield TreeDistribution(size, weights, scale)
 
 
 def exact_distribution(spec: FamilySpec, n: int, limit: int | None = None) -> TreeDistribution:
@@ -336,12 +335,11 @@ def strip_labels(tree: BucketTree, j: int) -> BucketTree:
 
 
 def pushforward_strip(dist: TreeDistribution, j: int) -> TreeDistribution:
-    """Image of a tree law under strip_labels(., j), summed in integers over
-    the lcm of the law's denominators."""
-    nums, scale = _integer_sum(list(dist.probs.values()))
+    """Image of a tree law under strip_labels(., j): the weights of the trees
+    that strip to the same tree added, on ``dist.scale``."""
     acc: dict[BucketTree, int] = {}
     get = acc.get
-    for tree, num in zip(dist.probs, nums):
+    for tree, weight in dist.weights.items():
         smaller = strip_labels(tree, j)
-        acc[smaller] = get(smaller, 0) + num
-    return TreeDistribution(j, {tree: Fraction(num, scale) for tree, num in acc.items()})
+        acc[smaller] = get(smaller, 0) + weight
+    return TreeDistribution(j, acc, dist.scale)

@@ -34,7 +34,7 @@ import numpy as np
 from .evolve import exact_distribution, sample_counts
 from .rng import SplitMix64
 from .trees import encode_tree
-from .weights import FamilySpec
+from .weights import FamilySpec, shown
 from .urn import urn_from, urn_moment_exact
 
 MIN_GOF_SAMPLES = 20
@@ -136,8 +136,8 @@ def sampler_gof(
     single unlucky run at the chosen level does not flag the sampler.
     """
     dist = exact_distribution(spec, n, limit)
-    # Bins are keyed by encoding: chi_square_gof pools them in repr order.
-    expected = {encode_tree(tree): float(p) for tree, p in dist.probs.items()}
+    # Bins keyed by encoding, pooled in repr order; int / int rounds as float(prob).
+    expected = {encode_tree(tree): weight / dist.scale for tree, weight in dist.weights.items()}
     reports = []
     for seed in seeds:
         # Each run draws its trees one after another from one stream.
@@ -168,9 +168,7 @@ def beta_moment(a: Fraction, b: Fraction, s: int) -> Fraction:
 def _check_urn_size(n: int) -> None:
     # numpy draws the counts as int64, and Y = 1 + (white draws) <= n must fit.
     if n >= 1 << 63:
-        text = str(n)   # a long size is shown the way cli.quoted shows a value
-        shown = text if len(text) <= 24 else f"{text[:24]!r}... ({len(text)} characters)"
-        raise ValueError(f"size {shown} is past the urn batch's range: numpy counts "
+        raise ValueError(f"size {shown(n)} is past the urn batch's range: numpy counts "
                          f"draws in 64-bit integers, so n must be below 2**63")
 
 

@@ -203,11 +203,12 @@ def insertion_load_law(spec: FamilySpec, j: int) -> dict[int, Fraction]:
 def descendants_law_from_trees(spec: FamilySpec, n: int, j: int) -> dict[int, Fraction]:
     """Descendant-count law read from the exact tree distribution."""
     _check_window(n, j)
-    law: dict[int, Fraction] = {}
-    for tree, p in exact_distribution(spec, n).probs.items():
+    dist = exact_distribution(spec, n)
+    law: dict[int, int] = {}
+    for tree, weight in dist.weights.items():
         y = count_descendants(tree, j)
-        law[y] = law.get(y, Fraction(0)) + p
-    return law
+        law[y] = law.get(y, 0) + weight
+    return {y: Fraction(weight, dist.scale) for y, weight in law.items()}
 
 
 def descendants_law_from_urn(spec: FamilySpec, n: int, j: int) -> dict[int, Fraction]:

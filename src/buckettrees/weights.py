@@ -28,13 +28,27 @@ class InvalidWeightsError(ValueError):
     """The weight data violates a model invariant."""
 
 
+def quoted(text: str) -> str:
+    """A refused value as an error line shows it: at most its first 24
+    characters."""
+    return repr(text) if len(text) <= 24 else f"{text[:24]!r}... ({len(text)} characters)"
+
+
+def shown(value: object) -> str:
+    """str(value) as an error line shows it: whole up to 24 characters, else
+    ``quoted``."""
+    text = str(value)
+    return text if len(text) <= 24 else quoted(text)
+
+
 def to_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, float):
         raise InvalidWeightsError(f"floats are not exact: {value!r}")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidWeightsError(f"not a rational: {value!r}") from exc
+        text = quoted(value) if isinstance(value, str) else repr(value)
+        raise InvalidWeightsError(f"not a rational: {text}") from exc
 
 
 def binom_frac(x: Fraction, k: int) -> Fraction:
@@ -156,7 +170,7 @@ class AffineDegreeWeights(DegreeWeights):
                 raise InvalidWeightsError("a negative rate makes weights alternate in sign")
         elif self.rate < 0 or (self.slope > 0 and (self.rate / self.slope).denominator != 1):
             raise InvalidWeightsError(
-                f"(1 + {self.slope} t)^{self.rate / self.slope} "
+                f"(1 + {shown(self.slope)} t)^{shown(self.rate / self.slope)} "
                 f"has sign-alternating coefficients")
 
     def coeff(self, k: int) -> Fraction:
@@ -319,11 +333,11 @@ class DAryIncreasing(FamilySpec):
         super().__post_init__()
         object.__setattr__(self, "d", to_fraction(self.d))
         if self.d <= 1:
-            raise InvalidWeightsError(f"d must exceed 1, got {self.d}")
+            raise InvalidWeightsError(f"d must exceed 1, got {shown(self.d)}")
         slots = (self.d - 1) * self.b
         if slots.denominator != 1:
             raise InvalidWeightsError(
-                f"(d-1)*b must be a positive integer, got {slots}")
+                f"(d-1)*b must be a positive integer, got {shown(slots)}")
         self._hold(self.d - 1, Fraction(1))
 
     def describe(self) -> dict:
@@ -341,7 +355,7 @@ class PlaneOriented(FamilySpec):
         super().__post_init__()
         object.__setattr__(self, "alpha", to_fraction(self.alpha))
         if self.alpha <= 0:
-            raise InvalidWeightsError(f"alpha must be positive, got {self.alpha}")
+            raise InvalidWeightsError(f"alpha must be positive, got {shown(self.alpha)}")
         self._hold(self.alpha + 1, Fraction(-1))
 
     def describe(self) -> dict:

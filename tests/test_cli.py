@@ -458,7 +458,7 @@ def test_verify_preserve_reports_the_smallest_failing_j(capsys, monkeypatch):
 
     def corrupted(dist, j):
         image = strip(dist, j)
-        return TreeDistribution(j, {}) if j in (2, 4) else image
+        return TreeDistribution(j, {}, image.scale) if j in (2, 4) else image
 
     monkeypatch.setattr(cli, "pushforward_strip", corrupted)
     rc, out, _ = run(capsys, "verify", "--family", "baport", "--b", "2",
@@ -844,6 +844,61 @@ def test_overlong_b_and_j_are_refused_in_one_short_line(capsys, argv, option, re
     assert captured.out == "" and len(errors) == 1, captured.err
     assert errors[0].endswith(f"argument {option}: {reason}")
     assert len(errors[0].encode()) < 200
+
+
+LONG_NINES, LONG_XS = "9" * 5000, "x" * 5000
+ENUMERATE = ["enumerate", "--n", "4"]
+
+
+# Each rational option refuses a 5,000-character value in one short line,
+# and a value of at most 24 characters whole, as it always has.
+@pytest.mark.parametrize("argv, reason", [
+    (["sample", "--family", "bdary", "--b", "2", "--d", LONG_XS, "--n", "3"],
+     "not a rational: 'xxxxxxxxxxxxxxxxxxxxxxxx'... (5000 characters)"),
+    (["sample", "--family", "bdary", "--b", "2", "--d", "x", "--n", "3"],
+     "not a rational: 'x'"),
+    (["sample", "--family", "baport", "--b", "2", "--alpha", "-" + LONG_NINES, "--n", "3"],
+     "alpha must be positive, got '-99999999999999999999999'... (5001 characters)"),
+    (["sample", "--family", "baport", "--b", "2", "--alpha", "-" + "9" * 23, "--n", "3"],
+     "alpha must be positive, got -" + "9" * 23),
+    (["sample", "--family", "bdary", "--b", "2", "--d", "3/" + LONG_NINES, "--n", "3"],
+     "d must exceed 1, got '1/3333333333333333333333'... (5002 characters)"),
+    (["sample", "--family", "bdary", "--b", "2", "--d", "3/9", "--n", "3"],
+     "d must exceed 1, got 1/3"),
+    (["sample", "--family", "bdary", "--b", "2", "--d", LONG_NINES + "/7", "--n", "3"],
+     "(d-1)*b must be a positive integer, got '199999999999999999999999'... "
+     "(5003 characters)"),
+    ([*ENUMERATE, "--phi", LONG_XS], "not a rational: 'xxxxxxxxxxxxxxxxxxxxxxxx'... "
+                                     "(5000 characters)"),
+    ([*ENUMERATE, "--phi", LONG_XS + ":1"],
+     "unknown degree rule 'xxxxxxxxxxxxxxxxxxxxxxxx'... (5000 characters)"),
+    ([*ENUMERATE, "--phi", "x:1"], "unknown degree rule 'x'"),
+    ([*ENUMERATE, "--phi", "binom:-" + LONG_NINES],
+     "(1 + 1 t)^'-99999999999999999999999'... (5001 characters) "
+     "has sign-alternating coefficients"),
+    ([*ENUMERATE, "--psi", LONG_XS, "--phi", "1,1,1"],
+     "not a rational: 'xxxxxxxxxxxxxxxxxxxxxxxx'... (5000 characters)"),
+    ([*ENUMERATE, "--psi", "1", "--phi", "1,1,1", "--b", "9" * 4000],
+     "--b '999999999999999999999999'... (4000 characters) conflicts with 1 bucket "
+     "weights (implies b=2)"),
+])
+def test_overlong_rationals_are_refused_in_one_short_line(capsys, argv, reason):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (2, "", f"error: {reason}\n")
+    assert len(err.encode()) < 200
+
+
+# With j > b the exact descendants law has n - j + 1 terms of O(n log n)
+# digits each, so its size is capped, and a refused size computes nothing.
+@pytest.mark.parametrize("n", [enumeration.DESCENDANTS_CEILING + 1, 10**30])
+def test_descend_exact_refuses_a_size_above_its_ceiling(capsys, n):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "descend", "--family", "baport", "--b", "2", "--alpha", "1",
+                       "--n", str(n), "--j", "6", "--mode", "exact")
+    assert (rc, out) == (2, "")
+    assert err == (f"error: refusing an exact descendants law past n = "
+                   f"{enumeration.DESCENDANTS_CEILING} (its terms grow by O(n log n) digits)\n")
+    assert time.perf_counter() - start < 1
 
 
 # Options a check does not read are still validated: each value must be

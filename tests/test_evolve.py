@@ -214,11 +214,34 @@ def test_exact_distribution_support_is_valid_trees(spec):
 def test_tree_distribution_validate_rejects_bad_laws():
     law = exact_distribution(BucketRecursive(2), 3)
     with pytest.raises(ValueError, match="bad support"):
-        TreeDistribution(4, law.probs).validate()
+        TreeDistribution(4, law.weights, law.scale).validate()
     with pytest.raises(ValueError, match="bad support"):
-        TreeDistribution(1, {single_bucket_tree(2).shape(): F(1)}).validate()
+        TreeDistribution(1, {single_bucket_tree(2).shape(): 1}, 1).validate()
     with pytest.raises(ValueError, match="sum"):
-        TreeDistribution(1, {single_bucket_tree(2): F(1, 2)}).validate()
+        TreeDistribution(1, {single_bucket_tree(2): 1}, 2).validate()
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=repr)
+def test_exact_laws_are_integer_weights_over_one_scale(spec):
+    for law in exact_laws(spec, 7):
+        assert all(type(weight) is int for weight in law.weights.values())
+        assert sum(law.weights.values()) == law.scale
+        probs = law.probs
+        assert probs == {tree: F(weight, law.scale) for tree, weight in law.weights.items()}
+        # Integer true division is correctly rounded, as float(Fraction) is.
+        assert all(weight / law.scale == float(probs[tree])
+                   for tree, weight in law.weights.items())
+        for j in range(1, law.size + 1):
+            image = pushforward_strip(law, j)
+            assert image.scale == law.scale
+            assert sum(image.weights.values()) == law.scale
+
+
+def test_tree_distributions_compare_as_laws_through_probs():
+    tree = single_bucket_tree(2)
+    one, two = TreeDistribution(1, {tree: 1}, 1), TreeDistribution(1, {tree: 2}, 2)
+    assert one != two
+    assert one.probs == two.probs == {tree: 1}
 
 
 def test_exact_laws_are_every_smaller_law():
