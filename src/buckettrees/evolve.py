@@ -27,7 +27,7 @@ from itertools import starmap
 from typing import Iterable, Iterator, Mapping
 
 from .enumeration import _check_limit, guard_labelled
-from .rng import SplitMix64
+from .rng import SplitMix64, accept_below
 from .trees import (BucketNode, BucketTree, InvalidTreeError, encode_grown,
                     single_bucket_tree)
 from .weights import FamilySpec
@@ -113,6 +113,13 @@ def _grow_each(spec: FamilySpec, n: int,
     O(n log n).  The family's integer weights, the Fenwick template and its
     top bit are worked out once for the batch, and n < 1 is refused here,
     before any stream is read.
+
+    The node pick (below the total weight) and the slot pick (below the
+    number of gaps) pop their words off the stream's block under the draw
+    protocol of ``rng``, against one threshold for the batch's largest
+    bound, so each tree draws the words of one ``randbelow`` call per pick.
+    A pick with one outcome, a total of 1 or a saturated node with no
+    children, draws no word.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -131,16 +138,26 @@ def _grow_each(spec: FamilySpec, n: int,
     # stops there, and a new leaf needs no update.
     template = [leaf * (index & -index) for index in range(n + 1)]
     top = 1 << (n.bit_length() - 1)
+    # No bound exceeds the last total or n, the most gaps a node can have,
+    # so a word below fast needs no rejection test.
+    fast = accept_below(max(join * (n - 1) + split, n))
 
     def grow(rng: SplitMix64) -> tuple[list[list[int]], list[list[int]]]:
-        randbelow = rng.randbelow
+        block, finish = rng.block, rng.finish
+        words: list[int] = []
         labels: list[list[int]] = [[1]]
         children: list[list[int]] = [[]]
         fenwick = template.copy()
         total = leaf
         for size in range(1, n):
+            # A uniform pick below total; a total of 1 draws no word.
+            pick = 0
+            if total > 1:
+                if not words:
+                    words = block()
+                pick = words.pop()
+                pick = pick % total if pick < fast else finish(pick, total)
             # Fenwick descent: the first node whose cumulative weight exceeds pick.
-            pick = randbelow(total)
             node = 0
             step = top
             while step:
@@ -155,7 +172,15 @@ def _grow_each(spec: FamilySpec, n: int,
                 delta = join
             else:
                 kids = children[node]
-                kids.insert(randbelow(len(kids) + 1), len(labels))
+                if kids:
+                    # A uniform slot among the len(kids) + 1 gaps.
+                    if not words:
+                        words = block()
+                    slot = words.pop()
+                    gaps = len(kids) + 1
+                    kids.insert(slot % gaps if slot < fast else finish(slot, gaps), len(labels))
+                else:
+                    kids.append(len(labels))
                 labels.append([size + 1])
                 children.append([])
                 total += leaf
@@ -253,6 +278,10 @@ class TreeDistribution:
         return Fraction(sum(self.weights.values()), self.scale)
 
     def validate(self) -> None:
+        if self.scale <= 0:
+            raise ValueError(f"scale must be positive, got {self.scale}")
+        if any(weight < 0 for weight in self.weights.values()):
+            raise ValueError("weights must be non-negative")
         if self.total() != 1:
             raise ValueError(f"probabilities sum to {self.total()}, not 1")
         for tree in self.weights:
@@ -305,13 +334,19 @@ def strip_labels(tree: BucketTree, j: int) -> BucketTree:
 
     Growing to size n and keeping labels 1..j reproduces the size-j law:
     labels above j only ever occupy buckets that vanish entirely or sit at
-    the tail of a surviving bucket, so removal never orphans a child.  The
-    walk stops at a bucket that loses labels: every child of it must vanish.
+    the tail of a surviving bucket, so removal never orphans a child.
     """
     if not tree.is_labelled():
         raise InvalidTreeError("strip_labels requires a labelled tree")
     if not 1 <= j <= tree.size:
         raise ValueError(f"j={j} outside 1..{tree.size}")
+    return _strip(tree, j)
+
+
+def _strip(tree: BucketTree, j: int) -> BucketTree:
+    """``strip_labels`` of a labelled tree of size at least j >= 1, unchecked.
+    The walk stops at a bucket that loses labels: every child of it must
+    vanish."""
 
     def keep(node: BucketNode) -> BucketNode | None:
         labels, kids = node.labels, node.children
@@ -336,10 +371,14 @@ def strip_labels(tree: BucketTree, j: int) -> BucketTree:
 
 def pushforward_strip(dist: TreeDistribution, j: int) -> TreeDistribution:
     """Image of a tree law under strip_labels(., j): the weights of the trees
-    that strip to the same tree added, on ``dist.scale``."""
+    that strip to the same tree added, on ``dist.scale``.  j is checked
+    against ``dist.size`` once, and no tree's size is walked: the law's
+    trees are labelled trees of that size, as ``validate`` requires."""
+    if not 1 <= j <= dist.size:
+        raise ValueError(f"j={j} outside 1..{dist.size}")
     acc: dict[BucketTree, int] = {}
     get = acc.get
     for tree, weight in dist.weights.items():
-        smaller = strip_labels(tree, j)
+        smaller = _strip(tree, j)
         acc[smaller] = get(smaller, 0) + weight
     return TreeDistribution(j, acc, dist.scale)

@@ -13,6 +13,17 @@ lanes of one Python int, each mixing round runs once over the whole int
 the words are read back through an explicit little-endian ``struct``
 format.  The words, their order and the counter are those of mixing one
 word at a time.
+
+Bounded draws share one protocol.  A draw below a bound pops its first word
+from the stream's current block (``SplitMix64.block``) and accepts it as
+``word % bound`` when it lies below ``accept_below(largest)`` = 2**64 minus
+the largest bound of the batch: rejection keeps a word below the exact
+limit 2**64 - (2**64 % bound), which is above 2**64 - bound, so such a word
+is never rejected and needs no test.  Any other word goes to
+``SplitMix64.finish``, the one rejection loop, which also concatenates
+words for a bound past 64 bits.  ``randbelow`` is that protocol for a
+single bound, so a hot loop that pops the block itself draws the same
+words and leaves the same counter.  A bound of 1 draws no word.
 """
 
 from __future__ import annotations
@@ -28,6 +39,12 @@ _MAX_BLOCK = 256    # each refill doubles the block up to this many words
 
 # Block size -> (lane ones, lane mask, lane steps, unpack); built at first use.
 _LANES: dict[int, tuple] = {}
+
+
+def accept_below(largest: int) -> int:
+    """Every word below this is accepted, untested, by a draw against any
+    bound up to ``largest``; past 64 bits no word is."""
+    return _SPAN - largest
 
 
 def _mix(z: int) -> int:
@@ -55,7 +72,12 @@ class SplitMix64:
     """Seedable stream of 64-bit words; output n is a hash of seed + n deltas."""
 
     def __init__(self, seed: int) -> None:
-        self._seed = seed & _MASK
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ValueError(f"seed must be an int, got {type(seed).__name__}")
+        if not 0 <= seed < _SPAN:
+            shown = seed if seed.bit_length() <= 80 else f"an int of {seed.bit_length()} bits"
+            raise ValueError(f"seed must be in [0, 2**64), got {shown}")
+        self._seed = seed
         self._base = self._seed   # the counter before the buffer's first word
         self._block = 0           # words mixed by the last refill
         self._words: list[int] = []   # unread words of the block, next one last
@@ -85,34 +107,39 @@ class SplitMix64:
     def u64(self) -> int:
         return (self._words or self._refill()).pop()
 
-    def randbelow(self, bound: int) -> int:
-        """Uniform integer in [0, bound), unbiased via rejection.
+    def block(self) -> list[int]:
+        """The unread words of the current block, next word last, mixing the
+        next block first if none is left.  Popping a word off the list draws
+        it.  The list is replaced only once it is empty, so a loop may keep it
+        and call ``block`` again whenever it finds it empty."""
+        return self._words or self._refill()
 
-        Arbitrary-precision bounds are supported by concatenating words.
-        """
+    def finish(self, word: int, bound: int) -> int:
+        """The uniform integer in [0, bound) of a draw whose first word, already
+        popped, is ``word``: a bound past 64 bits reads the next words below
+        it, most significant first, and a value at or above the largest
+        multiple of bound in the words' span is rejected and drawn afresh."""
+        count = (bound.bit_length() + 63) >> 6
+        span = 1 << (count << 6)
+        limit = span - span % bound
+        while True:
+            for _ in range(count - 1):
+                word = word << 64 | self.u64()
+            if word < limit:
+                return word % bound
+            word = self.u64()
+
+    def randbelow(self, bound: int) -> int:
+        """Uniform integer in [0, bound), unbiased via rejection; a bound past
+        64 bits concatenates words, and a bound of 1 draws none."""
         if bound <= 0:
             raise ValueError("bound must be positive")
         if bound == 1:
             return 0
-        if bound.bit_length() <= 64:
-            # One word per try: the loop below with count == 1, u64 inlined.
-            limit = _SPAN - _SPAN % bound
-            words = self._words
-            while True:
-                if not words:
-                    words = self._refill()
-                z = words.pop()
-                if z < limit:
-                    return z % bound
-        count = (bound.bit_length() + 63) // 64
-        span = 1 << (64 * count)
-        limit = span - span % bound
-        while True:
-            x = 0
-            for _ in range(count):
-                x = (x << 64) | self.u64()
-            if x < limit:
-                return x % bound
+        word = (self._words or self._refill()).pop()
+        if word < _SPAN - bound:
+            return word % bound
+        return self.finish(word, bound)
 
     def bernoulli(self, numerator: int, denominator: int) -> bool:
         """Exact coin flip with success probability numerator / denominator.

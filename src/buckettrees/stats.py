@@ -329,9 +329,9 @@ def second_order_diagnostic(
     removes that shift so only the fluctuation is scored.  Residuals are
     studentized by sqrt(beta_hat (1 - beta_hat)), and the verdict is their
     skewness and excess kurtosis within SKEW_BOUND and KURT_BOUND.  The
-    variance shape is reported only: the slope of the squared raw residual
-    regressed on beta_hat (1 - beta_hat), and whether it is positive
-    (``variance_shape_ok``), play no part in ``passed``.
+    variance shape is reported only: the least-squares slope of the squared
+    raw residual on beta_hat (1 - beta_hat), in closed form, and whether it
+    is positive (``variance_shape_ok``), play no part in ``passed``.
 
     Meaningful only where the mixing law keeps beta away from 0 and 1: near
     an endpoint the conditional count is Poisson-like at any fixed n and no
@@ -369,7 +369,11 @@ def second_order_diagnostic(
     shape = beta_hat * (1.0 - beta_hat)
     standardized = values / np.sqrt(shape)
     skewness, excess_kurtosis = skew_kurtosis(standardized)
-    slope = float(np.polyfit(shape, values * values, 1)[0])
+    # Least-squares slope in closed form: centred cross-sum over centred
+    # sum of squares (np.polyfit would load LAPACK for one regression).
+    centred = shape - shape.mean()
+    squares = values * values
+    slope = float(centred @ (squares - squares.mean()) / (centred @ centred))
     passed = abs(skewness) < SKEW_BOUND and abs(excess_kurtosis) < KURT_BOUND
     return SecondOrderReport(n, horizon, trajectories, skewness, excess_kurtosis,
                              slope, slope > 0, passed)

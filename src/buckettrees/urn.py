@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .evolve import _grown_label, exact_distribution
-from .rng import SplitMix64
+from .rng import SplitMix64, accept_below
 from .trees import count_descendants
 from .weights import FamilySpec, binom_frac
 
@@ -75,18 +75,38 @@ def urn_from(spec: FamilySpec, j: int, load: int) -> UrnState:
 
 
 def urn_run(state: UrnState, draws: int, rng: SplitMix64) -> int:
-    """Number of white draws among ``draws`` exact draws."""
+    """Number of white draws among ``draws`` exact draws.
+
+    Draw i is white with probability (white + k) / (total + i), k white so
+    far.  Scaled by q, the lcm of the two denominators, that is a coin of
+    integer numerator and denominator, reduced by their gcd as
+    ``SplitMix64.bernoulli`` reduces them, so the run draws the words of one
+    ``bernoulli`` call per draw.  Each coin pops its word off the stream's
+    block under the draw protocol of ``rng``: a word below the threshold of
+    the run's largest bound is taken modulo the bound untested.  An urn with
+    no white or no black balls is decided, and draws no word.
+    """
     if draws < 0:
         raise ValueError(f"draws must be >= 0, got {draws}")
-    # Draw i is white with probability (white + k) / (total + i), k white so
-    # far; scaled by q, an integer coin.
     q = math.lcm(state.white.denominator, state.black.denominator)
     white0, total0 = int(state.white * q), int(state.total * q)
-    white = 0
-    for i in range(draws):
-        if rng.bernoulli(white0 + q * white, total0 + q * i):
-            white += 1
-    return white
+    if white0 == 0 or white0 == total0:
+        return 0 if white0 == 0 else draws
+    # No reduced bound exceeds the last draw's unreduced one.
+    fast = accept_below(total0 + q * (draws - 1))
+    block, finish, gcd = rng.block, rng.finish, math.gcd
+    words: list[int] = []
+    numerator, denominator = white0, total0
+    for _ in range(draws):
+        g = gcd(numerator, denominator)
+        bound = denominator // g
+        if not words:
+            words = block()
+        word = words.pop()
+        if (word % bound if word < fast else finish(word, bound)) < numerator // g:
+            numerator += q
+        denominator += q
+    return (numerator - white0) // q
 
 
 def urn_distribution_exact(state: UrnState, draws: int) -> dict[int, Fraction]:

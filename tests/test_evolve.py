@@ -221,6 +221,24 @@ def test_tree_distribution_validate_rejects_bad_laws():
         TreeDistribution(1, {single_bucket_tree(2): 1}, 2).validate()
 
 
+def test_tree_distribution_validate_rejects_a_scale_of_zero():
+    with pytest.raises(ValueError, match="scale must be positive"):
+        TreeDistribution(1, {single_bucket_tree(2): 0}, 0).validate()
+
+
+def test_tree_distribution_validate_rejects_negative_weights():
+    # The weights sum to the scale, so only their sign is wrong.
+    with pytest.raises(ValueError, match="scale must be positive"):
+        TreeDistribution(1, {single_bucket_tree(2): -1}, -1).validate()
+    law = exact_distribution(BucketRecursive(2), 4)
+    first, second, *rest = law.weights
+    weights = {first: law.weights[first] + law.weights[second] + 1, second: -1,
+               **{tree: law.weights[tree] for tree in rest}}
+    assert sum(weights.values()) == law.scale
+    with pytest.raises(ValueError, match="non-negative"):
+        TreeDistribution(4, weights, law.scale).validate()
+
+
 @pytest.mark.parametrize("spec", SPECS, ids=repr)
 def test_exact_laws_are_integer_weights_over_one_scale(spec):
     for law in exact_laws(spec, 7):
@@ -384,6 +402,27 @@ def test_pushforward_matches_smaller_law():
         dist = exact_distribution(spec, 6)
         for j in range(1, 7):
             assert pushforward_strip(dist, j).probs == exact_distribution(spec, j).probs
+
+
+def test_pushforward_strip_checks_j_once_and_walks_no_size(monkeypatch):
+    law = exact_distribution(PlaneOriented(2, F(1)), 6)
+    for j in (0, 7):
+        with pytest.raises(ValueError, match=f"j={j} outside 1..6"):
+            pushforward_strip(law, j)
+    expected = {j: pushforward_strip(law, j).probs for j in range(1, 7)}
+    walks = []
+    size = BucketTree.size
+
+    def counted(tree):
+        walks.append(tree)
+        return size.fget(tree)
+
+    monkeypatch.setattr(BucketTree, "size", property(counted))
+    for j in range(1, 7):
+        assert pushforward_strip(law, j).probs == expected[j]
+    assert walks == []
+    strip_labels(next(iter(law.weights)), 3)
+    assert len(walks) == 1
 
 
 @settings(max_examples=20, deadline=None)

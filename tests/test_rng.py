@@ -1,8 +1,10 @@
-"""The integer stream: randbelow's one-word path and the rational coin.
+"""The integer stream: its seeds, the bounded-draw protocol and the coin.
 
 ``reference_randbelow`` is the general word-concatenation loop of
 ``SplitMix64.randbelow``, kept here as it stood before the one-word path
-was added: every bound must give the same value from the same words.
+was added: every bound must give the same value from the same words, and
+so must a draw that pops its first word itself and hands the rest to
+``finish``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from buckettrees import SplitMix64
-from buckettrees.rng import _GOLDEN, _MASK, _mix
+from buckettrees.rng import _GOLDEN, _MASK, _SPAN, _mix, accept_below
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -47,6 +49,58 @@ def test_randbelow_matches_the_word_loop(bound):
             assert value == reference_randbelow(ref, bound)
             assert 0 <= value < bound
             assert fast._counter == ref._counter
+
+
+@pytest.mark.parametrize("bound", BOUNDS[1:])
+def test_a_popped_word_finishes_as_randbelow(bound):
+    # The protocol of the hot loops: pop the first word off the block, take
+    # it modulo the bound below the threshold, else hand it to finish.
+    fast = accept_below(bound)
+    for seed in range(300):
+        rng, ref = SplitMix64(seed), SplitMix64(seed)
+        for _ in range(4):
+            word = rng.block().pop()
+            value = word % bound if word < fast else rng.finish(word, bound)
+            assert value == reference_randbelow(ref, bound)
+            assert rng._counter == ref._counter
+
+
+@pytest.mark.parametrize("bound", [3, 5, 2**63 + 1, 2**64 - 1, 2**64 + 1, 10**36 + 7])
+def test_words_at_and_past_the_threshold_are_tested(bound):
+    # Every word below 2**64 - bound is below the exact limit; the words
+    # from there up are those the rejection test must see.  2**64 - 1 is
+    # refused by each of these bounds, none a power of two.
+    threshold = accept_below(bound)
+    for word in {max(threshold - 1, 0), max(threshold, 0), _SPAN - 2, _SPAN - 1}:
+        for seed in range(20):
+            rng, ref = SplitMix64(seed), SplitMix64(seed)
+            for stream in (rng, ref):
+                stream.block()[-1] = word
+            assert rng.randbelow(bound) == reference_randbelow(ref, bound)
+            assert rng._counter == ref._counter
+
+
+def test_the_block_is_replaced_only_when_empty():
+    rng, ref = SplitMix64(8), ScalarStream(8)
+    block = rng.block()
+    assert rng.block() is block
+    drawn = []
+    for _ in range(BLOCK_EDGES[2]):
+        if not block:
+            block = rng.block()
+        drawn.append(block.pop())
+        assert rng._counter == (8 + len(drawn) * _GOLDEN) & _MASK
+    assert drawn == [ref.u64() for _ in drawn]
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**64), 2**64, 2**70, "huge", "-huge", True, False,
+                                  "1", 1.0, None, Fraction(3)])
+def test_seeds_outside_the_counter_are_refused(seed):
+    # A 5,001-digit seed is built here: str() of one fails past 4,300 digits.
+    seed = {"huge": 10**5000, "-huge": -(10**5000)}.get(seed, seed)
+    with pytest.raises(ValueError, match="seed must be") as refusal:
+        SplitMix64(seed)
+    assert "\n" not in str(refusal.value) and len(str(refusal.value)) < 100
 
 
 @pytest.mark.parametrize("bound", [0, -1, -(2**64)])

@@ -259,6 +259,29 @@ def test_second_order_smoke():
     assert "heuristic" in report.note
 
 
+def test_second_order_slope_is_the_least_squares_fit(monkeypatch):
+    # The closed-form slope against np.polyfit on the same residuals,
+    # rebuilt here from the urn batch the diagnostic drew.
+    spec, j, load, n, horizon = BucketRecursive(2), 4, 2, 300, 3000
+    batches = []
+    real_batch = stats._urn_batch
+
+    def recorded(*args, **kwargs):
+        batches.append(real_batch(*args, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(stats, "_urn_batch", recorded)
+    report = second_order_diagnostic(spec, j, load, n, trajectories=2000, horizon=horizon,
+                                     seed=17)
+    (counts_star, counts_n), = batches
+    state = urn_from(spec, j, load)
+    beta_hat = ((state.white.numerator + state.white.denominator * counts_star)
+                / (state.total + horizon - j).numerator)
+    values = (counts_n - (n - j) * beta_hat) / math.sqrt(n - j)
+    fitted = np.polyfit(beta_hat * (1.0 - beta_hat), values * values, 1)[0]
+    assert report.variance_slope == pytest.approx(fitted, rel=1e-12)
+
+
 def test_second_order_deterministic():
     args = dict(j=4, load=2, n=200, trajectories=500, horizon=4000, seed=9)
     a = second_order_diagnostic(BucketRecursive(2), **args)
