@@ -34,7 +34,7 @@ from .enumeration import (DESCENDANTS_CEILING, EnumerationLimitError,
                           guard_shapes, total_weights)
 from .evolve import exact_laws, pushforward_strip, sample_encodings
 from .rng import SplitMix64
-from .trees import encode_tree, weigh, weight_table
+from .trees import encode_tree, weigh_parts, weight_table
 from .urn import (descendants_direct, descendants_law_from_urn,
                   descendants_via_urn)
 from .verify import (NotGrown, check_affine_ratio, check_balance,
@@ -340,13 +340,28 @@ def _verify_ode(model, spec, args) -> dict:
             "failure_kind": report.failure_kind, "failing_index": report.failing_index}
 
 
+def _same_law(first, second) -> bool:
+    """Whether two laws give every tree the same probability: the same
+    trees, each weight over its own scale cross-multiplied in integers."""
+    weights, other = first.weights, second.weights
+    if weights.keys() != other.keys():
+        return False
+    scale, other_scale = first.scale, second.scale
+    return all(weight * other_scale == other[tree] * scale
+               for tree, weight in weights.items())
+
+
 def _verify_laws(model, spec, args, names) -> list[dict]:
     """The growth checks in names, from one walk up the exact laws that
-    holds two consecutive laws at a time.
+    holds two consecutive laws at a time.  Both compare laws in integers,
+    cross-multiplied, and build no ``Fraction`` per tree.
 
     equivalence holds each size-n law against the model's weights over
-    T_n, the totals read off the recurrence.  preserve holds the image of
-    each law under strip_j against the law of size j = n - 1: strip_j of
+    T_n, the totals read off the recurrence: a tree of weight w on the
+    law's scale passes when w * T_n == (num / den) * scale, for (num, den)
+    its ``weigh_parts``, multiplied out by den and T_n's denominator.
+    preserve holds the image of each law under strip_j against the law of
+    size j = n - 1, tree by tree over the two scales: strip_j of
     strip_{j+1} is strip_j, so that covers every j <= n, and walking up,
     the first failure is the smallest j.
     """
@@ -357,14 +372,17 @@ def _verify_laws(model, spec, args, names) -> list[dict]:
             if totals is None:   # past exact_laws' own guards, which name the size
                 totals = total_weights(model, args.n, args.limit)
             table = weight_table(model, size)
+            total = totals[size - 1]
+            left, right = total.numerator, law.scale * total.denominator
             for tree, weight in law.weights.items():
-                if weight * totals[size - 1] != weigh(tree, table) * law.scale:
+                num, den = weigh_parts(tree, table)
+                if weight * left * den != num * right:
                     first_bad = {"n": size, "tree": encode_tree(tree).decode("ascii")}
                     break
             if first_bad is None and sum(law.weights.values()) != law.scale:
                 first_bad = {"n": size, "tree": None}
         if "preserve" in names and bad_j is None and smaller is not None:
-            if pushforward_strip(law, smaller.size).probs != smaller.probs:
+            if not _same_law(pushforward_strip(law, smaller.size), smaller):
                 bad_j = smaller.size
         smaller = law
     results = {

@@ -110,7 +110,12 @@ def chi_square_gof(observed: Mapping, expected: Mapping,
 def chi_square_tail(x: float, dof: int) -> float:
     """P(X >= x), X chi-square with integer ``dof``: with y = x/2, the sum over
     k < dof//2 of e^-y y^(k+h) / Gamma(k+h+1), h = 0 for even dof and 1/2 for
-    odd, plus erfc(sqrt y) for odd.  Positive terms formed in log space."""
+    odd, plus erfc(sqrt y) for odd.  Positive terms formed in log space.
+    A dof that is not an int of at least 1 is refused with ValueError."""
+    if isinstance(dof, bool) or not isinstance(dof, int):
+        raise ValueError(f"dof must be an int, got {type(dof).__name__}")
+    if dof < 1:
+        raise ValueError(f"dof must be at least 1, got {shown(dof)}")
     if x <= 0:
         return 1.0
     y = x / 2

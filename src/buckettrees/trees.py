@@ -227,10 +227,10 @@ def weight_table(model: "WeightModel", degree: int) -> WeightTable:
     return model.b, [w.numerator for w in weights], [w.denominator for w in weights]
 
 
-def weigh(tree: BucketTree, table: WeightTable) -> Fraction:
-    """``tree_weight`` read from a table that covers the tree's degrees; the
-    node weights are multiplied as integers, numerators and denominators
-    apart."""
+def weigh_parts(tree: BucketTree, table: WeightTable) -> tuple[int, int]:
+    """The weight of a tree read from a table that covers its degrees, as
+    (numerator, denominator) integers: the node weights' numerators and
+    denominators multiplied apart, unreduced, and (0, 1) at a zero factor."""
     b, nums, dens = table
     if tree.max_bucket != b:
         raise InvalidTreeError(f"tree built for b={tree.max_bucket} but model has b={b}")
@@ -243,10 +243,17 @@ def weigh(tree: BucketTree, table: WeightTable) -> Fraction:
         i = c - 1 if c < b else b - 1 + len(kids)
         num *= nums[i]
         if not num:
-            return Fraction(0)
+            return 0, 1
         den *= dens[i]
         stack.extend(kids)
-    return Fraction(num, den)
+    return num, den
+
+
+def weigh(tree: BucketTree, table: WeightTable) -> Fraction:
+    """``tree_weight`` read from a table that covers the tree's degrees: the
+    ``Fraction`` view of ``weigh_parts``, the integer kernel that checks
+    comparing laws cross-multiply."""
+    return Fraction(*weigh_parts(tree, table))
 
 
 def tree_weight(tree: BucketTree, model: "WeightModel") -> Fraction:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .enumeration import enumerate_shapes, total_weights
-from .trees import BucketTree, node_profile, weigh, weight_table
+from .trees import BucketTree, node_profile, weigh, weigh_parts, weight_table
 from .weights import (AffineDegreeWeights, BucketRecursive, DAryIncreasing,
                       FamilySpec, PlaneOriented, RationalLike, WeightModel,
                       to_fraction)
@@ -79,7 +79,7 @@ def check_balance(model: WeightModel, n: int, limit: int | None = None) -> Balan
     shapes = enumerate_shapes(model.b, n, limit)
     table = weight_table(model, n)
     for shape in shapes:
-        if weigh(shape, table) == 0:
+        if weigh_parts(shape, table)[0] == 0:
             continue
         values[shape] = balance_value(shape, model)
     distinct = set(values.values())

@@ -36,9 +36,25 @@ def quoted(text: str) -> str:
 
 def shown(value: object) -> str:
     """str(value) as an error line shows it: whole up to 24 characters, else
-    ``quoted``."""
-    text = str(value)
+    ``quoted``.  A number with more digits than str() writes (4,300 by
+    default) is named by its length in bits, as ``SplitMix64`` names a seed."""
+    try:
+        text = str(value)
+    except ValueError:
+        if isinstance(value, Fraction):
+            return (f"a fraction of {value.numerator.bit_length()} over "
+                    f"{value.denominator.bit_length()} bits")
+        return f"an int of {value.bit_length()} bits"
     return text if len(text) <= 24 else quoted(text)
+
+
+def _check_capacity(b: object, name: str) -> None:
+    """Refuse a bucket capacity that is not an int of at least 1 (a bool
+    included), in one line."""
+    if isinstance(b, bool) or not isinstance(b, int):
+        raise InvalidWeightsError(f"{name} must be an int, got {type(b).__name__}")
+    if b < 1:
+        raise InvalidWeightsError(f"{name} must be >= 1, got {shown(b)}")
 
 
 def to_fraction(value: RationalLike) -> Fraction:
@@ -220,8 +236,7 @@ class WeightModel:
     phi: DegreeWeights
 
     def __post_init__(self) -> None:
-        if self.b < 1:
-            raise InvalidWeightsError(f"bucket capacity must be >= 1, got {self.b}")
+        _check_capacity(self.b, "bucket capacity")
         psi = tuple(to_fraction(p) for p in self.psi)
         object.__setattr__(self, "psi", psi)
         if len(psi) != self.b - 1:
@@ -284,8 +299,7 @@ class FamilySpec(abc.ABC):
     c2: Fraction
 
     def __post_init__(self) -> None:
-        if self.b < 1:
-            raise InvalidWeightsError(f"b must be >= 1, got {self.b}")
+        _check_capacity(self.b, "b")
 
     def _hold(self, c1: Fraction, c2: Fraction) -> None:
         # Plain attributes, not dataclass fields: they follow from the

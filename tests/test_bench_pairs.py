@@ -3,6 +3,7 @@ stops at the first run whose outputs failed their checks."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -11,6 +12,14 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).parents[1]
+
+
+def _tool():
+    """tools/bench_pairs.py as a module (tools/ is not a package)."""
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("pairs, message", [
@@ -77,3 +86,32 @@ def test_passing_runs_are_summarised(tmp_path):
     report = json.loads(out.read_text())
     assert "failed_run" not in report
     assert report["workloads"]["exact"]["summary"]["run_s"]["pairs"] == 2
+
+
+def _pairs(parent: list[float], change: list[float]) -> list[dict]:
+    return [{side: {"metrics": {"run_s": {"value": value}}}
+             for side, value in (("parent", p), ("change", c))}
+            for p, c in zip(parent, change)]
+
+
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+
+
+@pytest.mark.parametrize("change, met", [
+    # Lower in every pair, and the median gap (0.10) is past the IQR (0.035).
+    ([p - 0.10 for p in PARENT], True),
+    # Lower in 9 of 10 pairs still meets the rule.
+    ([p - 0.10 for p in PARENT[:9]] + [PARENT[9] + 0.01], True),
+    # Lower in 8 of 10 pairs does not, however large the gap.
+    ([p - 0.10 for p in PARENT[:8]] + [p + 0.01 for p in PARENT[8:]], False),
+    # A tie counts for neither side: 9 lower and one tie is 9 of 10.
+    ([p - 0.10 for p in PARENT[:9]] + [PARENT[9]], True),
+    ([p - 0.10 for p in PARENT[:8]] + PARENT[8:], False),
+    # Lower in every pair, but by less than the parent's own spread.
+    ([p - 0.01 for p in PARENT], False),
+])
+def test_summary_records_the_claim_rule(change, met):
+    row = _tool().summary(_pairs(PARENT, change))["run_s"]
+    assert row["pairs"] == 10
+    assert row["parent"]["q3"] - row["parent"]["q1"] == pytest.approx(0.035)
+    assert row["meets_claim_rule"] is met

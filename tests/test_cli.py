@@ -492,6 +492,58 @@ def test_verify_equivalence_fails_on_a_mutated_growth_law(capsys, monkeypatch):
     assert rc == 0 and json.loads(out)["checks"][0]["passed"] is True
 
 
+@pytest.mark.parametrize("family, entry, size, node", [
+    # phi_2 of (2,1)-PORT: the first tree with a degree-2 node has size 4.
+    (["baport", "--b", "2", "--alpha", "1"], 3, 4, (2, 2)),
+    # psi_2 of BucketRecursive(3): the one size-2 tree is a capacity-2 bucket.
+    (["bucket-recursive", "--b", "3"], 1, 2, (2, 0)),
+])
+def test_verify_equivalence_fails_on_a_mutated_weight(capsys, monkeypatch, family,
+                                                      entry, size, node):
+    # One entry of the weight table has its numerator doubled, so the trees
+    # that hold such a node weigh twice what the growth law gives them.
+    parts = cli.weigh_parts
+
+    def doubled(tree, table):
+        b, nums, dens = table
+        if entry < len(nums):   # a size-m table covers degrees up to m
+            nums = [*nums[:entry], 2 * nums[entry], *nums[entry + 1:]]
+        return parts(tree, (b, nums, dens))
+
+    monkeypatch.setattr(cli, "weigh_parts", doubled)
+    rc, out, _ = run(capsys, "verify", "--family", *family, "--n", "5",
+                     "--check", "equivalence")
+    check = json.loads(out)["checks"][0]
+    assert rc == 1 and check["passed"] is False
+    mismatch = check["first_mismatch"]
+    assert mismatch["n"] == size
+    # The named tree holds a node of the doubled kind: (capacity, degree).
+    tree = trees.decode_tree(mismatch["tree"].encode("ascii"), int(family[2]))
+    assert tree.size == size
+    assert node in {(v.capacity, len(v.children)) for v in tree.preorder()}
+
+
+def test_verify_preserve_fails_on_one_extra_weight(capsys, monkeypatch):
+    # The image keeps its trees and scale, but one weight gains 1 at j = 3
+    # and j = 5; the report names the smaller.
+    strip = cli.pushforward_strip
+
+    def bumped(dist, j):
+        image = strip(dist, j)
+        if j not in (3, 5):
+            return image
+        weights = dict(image.weights)
+        tree = next(iter(weights))
+        weights[tree] += 1
+        return TreeDistribution(j, weights, image.scale)
+
+    monkeypatch.setattr(cli, "pushforward_strip", bumped)
+    rc, out, _ = run(capsys, "verify", "--family", "baport", "--b", "2",
+                     "--alpha", "1", "--n", "6", "--check", "preserve")
+    assert rc == 1
+    assert json.loads(out)["checks"][0]["first_failing_j"] == 3
+
+
 def _laws_alive(capsys, monkeypatch, check):
     """How many earlier laws are still held as each law arrives."""
     laws = cli.exact_laws

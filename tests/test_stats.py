@@ -95,6 +95,19 @@ def test_chi_square_tail_matches_scipy():
             assert chi_square_tail(x, dof) == pytest.approx(chi2.sf(x, dof), rel=1e-10)
 
 
+@pytest.mark.parametrize("dof, message", [
+    (0, "dof must be at least 1, got 0"),
+    (-3, "dof must be at least 1, got -3"),
+    (2.0, "dof must be an int, got float"),
+    (True, "dof must be an int, got bool"),
+    ("3", "dof must be an int, got str"),
+])
+def test_chi_square_tail_refuses_a_bad_dof(dof, message):
+    with pytest.raises(ValueError) as info:
+        chi_square_tail(1.0, dof)
+    assert str(info.value) == message
+
+
 def test_skew_kurtosis_by_hand():
     # Bernoulli(1/4) data: skewness 2/sqrt(3), excess kurtosis -2/3.
     skew, kurt = skew_kurtosis(np.array([0.0, 0.0, 0.0, 1.0]))
@@ -312,3 +325,16 @@ def test_second_order_refuses_where_int64_would_wrap():
     assert math.isfinite(report.skewness) and math.isfinite(report.excess_kurtosis)
     with pytest.raises(ValueError, match=f"horizon {horizon + 1} is past the second-order"):
         second_order_diagnostic(spec, j, load, 1000, MIN_GOF_SAMPLES, horizon + 1, 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda size: check_beta_convergence(BucketRecursive(2), 4, 2, [size], 100, 1),
+    lambda size: second_order_diagnostic(BucketRecursive(2), 4, 2, 1000, 100, size, 1),
+], ids=["beta", "second-order"])
+def test_urn_size_past_the_digit_cap_is_refused_by_its_bits(call):
+    # str() of a 5,001-digit int fails under the interpreter's default cap,
+    # so the refusal names the size by its length in bits instead.
+    with pytest.raises(ValueError) as info:
+        call(10**5000)
+    assert str(info.value) == ("size an int of 16610 bits is past the urn batch's range: "
+                               "numpy counts draws in 64-bit integers, so n must be below 2**63")

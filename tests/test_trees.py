@@ -22,7 +22,8 @@ from buckettrees import (BucketNode, BucketRecursive, BucketTree, DAryIncreasing
                          enumerate_shapes, growth_options, insertion_load, node_profile,
                          sample_tree, shape_bucket, single_bucket_tree,
                          subtree_of_label, tree_weight, weights_of)
-from buckettrees.trees import MAX_DECODE_DEPTH, encode_grown, weigh, weight_table
+from buckettrees.trees import (MAX_DECODE_DEPTH, encode_grown, weigh, weigh_parts,
+                               weight_table)
 
 
 def oracle_labellings(tree: BucketTree) -> int:
@@ -333,6 +334,27 @@ def test_tree_weight_table_matches_per_node_product(model):
             expected = per_node_weight(shape, model)
             assert weigh(shape, table) == expected
             assert tree_weight(shape, model) == expected
+
+
+# The six families of the root-degree marginal in the roadmap.
+MARGINAL_FAMILIES = [BucketRecursive(2), BucketRecursive(3), PlaneOriented(2, Fraction(1)),
+                     PlaneOriented(3, Fraction(1, 2)), DAryIncreasing(2, Fraction(2)),
+                     DAryIncreasing(3, Fraction(4, 3))]
+
+
+@pytest.mark.parametrize("spec", MARGINAL_FAMILIES, ids=repr)
+def test_weigh_is_the_fraction_of_weigh_parts(spec):
+    model = weights_of(spec)
+    zeros = 0
+    for n in range(1, 8):
+        table = weight_table(model, n)
+        for shape in enumerate_shapes(spec.b, n):
+            num, den = weigh_parts(shape, table)
+            assert den > 0
+            assert weigh(shape, table) == Fraction(num, den)
+            zeros += num == 0
+    # A d-ary family gives its over-branched shapes weight 0; the others none.
+    assert (zeros > 0) == isinstance(spec, DAryIncreasing)
 
 
 def test_node_profile_identities():

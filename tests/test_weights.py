@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from buckettrees import (AffineDegreeWeights, BucketRecursive, DAryIncreasing,
                          ExplicitDegreeWeights, InvalidWeightsError,
                          PlaneOriented, WeightModel, to_fraction, weights_of)
-from buckettrees.weights import MAX_MODEL_B, binom_frac
+from buckettrees.weights import MAX_MODEL_B, binom_frac, shown
 
 F = Fraction
 
@@ -278,6 +278,34 @@ def test_weights_of_refuses_a_capacity_above_the_bound():
     assert model.b == MAX_MODEL_B and model.psi[2] == 2   # psi_3 = T_3 = 2
     with pytest.raises(InvalidWeightsError, match="above 1000"):
         weights_of(BucketRecursive(MAX_MODEL_B + 1))
+
+
+@pytest.mark.parametrize("value, text", [
+    (10**20, "100000000000000000000"),
+    (-(10**30), "'-10000000000000000000000'... (32 characters)"),
+    (F(1, 3), "1/3"),
+    (10**5000, "an int of 16610 bits"),
+    (-(10**5000), "an int of 16610 bits"),
+    (F(10**5000, 3), "a fraction of 16610 over 2 bits"),
+], ids=["20-digits", "31-digits", "fraction", "5001-digits", "negative-5001-digits",
+        "fraction-5001-digits"])
+def test_shown(value, text):
+    assert shown(value) == text
+
+
+@pytest.mark.parametrize("build", [
+    lambda b: BucketRecursive(b),
+    lambda b: DAryIncreasing(b, F(2)),
+    lambda b: PlaneOriented(b, F(1)),
+    lambda b: WeightModel(b, (F(1),), AffineDegreeWeights(F(1), F(1), F(-1))),
+], ids=["recursive", "dary", "port", "model"])
+@pytest.mark.parametrize("b, kind", [(2.5, "float"), (2.0, "float"), (True, "bool"),
+                                     ("2", "str"), (F(2), "Fraction")])
+def test_a_capacity_that_is_not_an_int_is_refused(build, b, kind):
+    with pytest.raises(InvalidWeightsError) as info:
+        build(b)
+    [line] = str(info.value).splitlines()
+    assert line.endswith(f"must be an int, got {kind}")
 
 
 def test_family_rejects_bad_parameters():

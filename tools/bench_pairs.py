@@ -9,11 +9,12 @@ Every side of a pair runs ``python3 perfbench/run.py --workload W --seed N
 ``run_seconds`` of the change's BENCHMARK.json; pair i runs the parent
 first when i is odd and the change first when it is even.  The file keeps
 each run's last stdout line (the result) as printed, and a summary per
-workload: for each end-to-end metric, the median and quartiles of each side
-and the number of pairs in which the change read lower (ties count for
-neither side).  It also records the commit of each checkout.  --pairs is
-checked in full before the first run, and --out is rewritten after every
-pair, so an interrupted run keeps the pairs it finished.  A run whose
+workload: for each end-to-end metric, the median and quartiles of each side,
+the number of pairs in which the change read lower (ties count for neither
+side), and ``meets_claim_rule``, whether those support a claimed gain.  It
+also records the commit of each checkout.  --pairs is checked in full
+before the first run, and --out is rewritten after every pair, so an
+interrupted run keeps the pairs it finished.  A run whose
 result reads ``correct: false`` or ``failed > 0`` stops the comparison: --out
 is written with the pairs before it and that result under ``failed_run``,
 and the script exits 1 with one line naming the workload, pair and side.
@@ -48,6 +49,16 @@ def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
+def meets_claim_rule(row: dict) -> bool:
+    """Whether a summary row supports a claimed gain on a lower-is-better
+    metric: the change read lower in at least nine tenths of the pairs, and
+    its median sits below the parent's by more than the parent's
+    interquartile range."""
+    parent, change = row["parent"], row["change"]
+    return (10 * row["change_lower"] >= 9 * row["pairs"]
+            and parent["median"] - change["median"] > parent["q3"] - parent["q1"])
+
+
 def summary(pairs: list[dict]) -> dict:
     out = {}
     for metric in pairs[0]["parent"]["metrics"]:
@@ -60,6 +71,7 @@ def summary(pairs: list[dict]) -> dict:
             row[side] = {"median": median, "q1": q1, "q3": q3}
         row["change_lower"] = sum(c < p for p, c in zip(sides["parent"], sides["change"]))
         row["pairs"] = len(pairs)
+        row["meets_claim_rule"] = meets_claim_rule(row)
         out[metric] = row
     return out
 
