@@ -37,14 +37,17 @@ def quoted(text: str) -> str:
 def shown(value: object) -> str:
     """str(value) as an error line shows it: whole up to 24 characters, else
     ``quoted``.  A number with more digits than str() writes (4,300 by
-    default) is named by its length in bits, as ``SplitMix64`` names a seed."""
+    default) is named by its sign and length in bits, as ``SplitMix64`` names
+    a seed."""
     try:
         text = str(value)
     except ValueError:
         if isinstance(value, Fraction):
-            return (f"a fraction of {value.numerator.bit_length()} over "
+            size = (f"fraction of {value.numerator.bit_length()} over "
                     f"{value.denominator.bit_length()} bits")
-        return f"an int of {value.bit_length()} bits"
+            return f"a negative {size}" if value < 0 else f"a {size}"
+        size = f"int of {value.bit_length()} bits"
+        return f"a negative {size}" if value < 0 else f"an {size}"
     return text if len(text) <= 24 else quoted(text)
 
 

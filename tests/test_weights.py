@@ -285,10 +285,11 @@ def test_weights_of_refuses_a_capacity_above_the_bound():
     (-(10**30), "'-10000000000000000000000'... (32 characters)"),
     (F(1, 3), "1/3"),
     (10**5000, "an int of 16610 bits"),
-    (-(10**5000), "an int of 16610 bits"),
+    (-(10**5000), "a negative int of 16610 bits"),
     (F(10**5000, 3), "a fraction of 16610 over 2 bits"),
+    (F(-(10**5000), 3), "a negative fraction of 16610 over 2 bits"),
 ], ids=["20-digits", "31-digits", "fraction", "5001-digits", "negative-5001-digits",
-        "fraction-5001-digits"])
+        "fraction-5001-digits", "negative-fraction-5001-digits"])
 def test_shown(value, text):
     assert shown(value) == text
 
