@@ -28,10 +28,9 @@ import sys
 from collections import Counter
 from dataclasses import asdict
 
-from .enumeration import (DESCENDANTS_CEILING, EnumerationLimitError,
-                          check_ode_recurrence, closed_form_total_weight,
-                          enumerate_shapes, guard_growth, guard_labelled,
-                          guard_shapes, total_weights)
+from .enumeration import (EnumerationLimitError, check_limit, check_ode_recurrence,
+                          closed_form_total_weight, enumerate_shapes,
+                          guard_labelled, guard_shapes, total_weights)
 from .evolve import exact_laws, pushforward_strip, sample_encodings
 from .rng import SplitMix64
 from .trees import encode_tree, weigh_parts, weight_table
@@ -239,6 +238,7 @@ def spawn_seeds(seed: int, count: int) -> list[int]:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     model, spec = build_model(args)
     guard_shapes(args.n, model.b)
+    check_limit(args.n, args.limit)
     rows = []
     for n, total in enumerate(total_weights(model, args.n, args.limit), start=1):
         row = {"n": n, "total": str(total)}
@@ -276,7 +276,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     spec = build_spec(args)
-    guard_growth(args.n)
     # Tree i grows from its own stream, so output depends on (seed, count) only.
     master = SplitMix64(_parse_seed(args.seed))
     encodings = sample_encodings(spec, args.n, (master.spawn(i) for i in range(args.count)))
@@ -414,6 +413,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         guard_labelled(args.n, spec.b)
     if spec is None and growth and args.check != "all":
         raise InvalidWeightsError(f"--check {args.check} needs --family")
+    # The largest size any requested check reads; classify reads none.
+    if names != ["classify"]:
+        check_limit(max(args.n, 3) + 1 if "ratio" in names else args.n, args.limit)
     results = [VERIFY_CHECKS[name](model, spec, args) for name in names
                if name in VERIFY_CHECKS]
     if spec is None:
@@ -431,13 +433,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_descend(args: argparse.Namespace) -> int:
     spec = build_spec(args)
-    if args.mode != "exact":
-        # Direct mode grows a tree of size n, urn mode one of size j.
-        guard_growth(args.n if args.mode == "direct" else args.j)
-    elif args.j > spec.b and args.n > DESCENDANTS_CEILING:
-        # For j <= b the law is one point, n + 1 - j, at any size.
-        raise EnumerationLimitError(f"refusing an exact descendants law past n = "
-                                    f"{DESCENDANTS_CEILING} (its terms grow by O(n log n) digits)")
     # Resolved in every mode, so a bad BUCKETTREES_SEED is refused even
     # where no draw reads it.
     seed = _parse_seed(args.seed)

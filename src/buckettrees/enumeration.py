@@ -42,13 +42,19 @@ GROWTH_CEILING = 10**6
 # size.  Its n - j + 1 terms each have O(n log n) digits: at (2,1)-PORT,
 # j = 6, n = 4,000 takes 1.5 s and prints 13 MB, n = 8,000 8 s and 53 MB.
 DESCENDANTS_CEILING = 4000
+# Refuse a descendants urn run of more draws than this (descend --mode urn
+# draws n - j per item).  urn_run takes about 0.5-0.65 s per 10^6 draws, so
+# one item costs about as much as one direct item at GROWTH_CEILING (8 s).
+URN_DRAW_CEILING = 10**7
 
 
 class EnumerationLimitError(RuntimeError):
     """The requested size exceeds the configured enumeration guard."""
 
 
-def _check_limit(n: int, limit: int | None) -> None:
+def check_limit(n: int, limit: int | None) -> None:
+    """Refuse a size above ``limit`` (``DEFAULT_SIZE_LIMIT`` when None),
+    naming the limit that allows it."""
     bound = DEFAULT_SIZE_LIMIT if limit is None else limit
     if n > bound:
         raise EnumerationLimitError(
@@ -64,7 +70,7 @@ def enumerate_shapes(b: int, n: int, limit: int | None = None) -> list[BucketTre
     shape of size n + 1)."""
     if b < 1 or n < 1:
         raise ValueError(f"b and n must be >= 1, got b={b}, n={n}")
-    _check_limit(n, limit)
+    check_limit(n, limit)
     guard_shapes(n, b)
     shapes: list[list[BucketNode]] = [[]]
     forests: list[list[tuple[BucketNode, ...]]] = [[()]]
@@ -183,7 +189,7 @@ def total_weights(model: WeightModel, n_max: int, limit: int | None = None) -> l
     """
     b = model.b
     for n, count in zip(range(1, n_max + 1), shape_counts(b)):
-        _check_limit(n, limit)
+        check_limit(n, limit)
         if count > SHAPE_CEILING:
             guard_shapes(n, b)
     totals = list(model.psi[:n_max])

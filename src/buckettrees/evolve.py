@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import starmap
 from typing import Iterable, Iterator, Mapping
 
-from .enumeration import _check_limit, guard_labelled
+from .enumeration import check_limit, guard_growth, guard_labelled
 from .rng import SplitMix64, accept_below
 from .trees import (BucketNode, BucketTree, InvalidTreeError, encode_grown,
                     single_bucket_tree)
@@ -111,8 +111,9 @@ def _grow_each(spec: FamilySpec, n: int,
     when it joins a bucket, -c2 when it starts a child) and may add a leaf,
     whose weight c1 + c2 its slot already holds, so growth to size n costs
     O(n log n).  The family's integer weights, the Fenwick template and its
-    top bit are worked out once for the batch, and n < 1 is refused here,
-    before any stream is read.
+    top bit are worked out once for the batch.  n < 1 and a size past
+    ``GROWTH_CEILING`` (``guard_growth``) are refused here, before any stream
+    is read, so every growth path, the CLI's included, refuses as one.
 
     The node pick (below the total weight) and the slot pick (below the
     number of gaps) pop their words off the stream's block under the draw
@@ -123,6 +124,7 @@ def _grow_each(spec: FamilySpec, n: int,
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    guard_growth(n)
     b = spec.b
     # (c1, c2) times their common denominator: the integer join and split weights.
     c1, c2 = spec.c1, spec.c2
@@ -238,7 +240,7 @@ def sample_tree(spec: FamilySpec, n: int, rng: SplitMix64) -> BucketTree:
 
 def sample_encodings(spec: FamilySpec, n: int, rngs: Iterable[SplitMix64]) -> Iterator[bytes]:
     """``sample_encoding`` of each stream of rngs in turn, lazily; the growth
-    set-up runs once, and n < 1 is refused before any stream is read."""
+    set-up runs once, and n is checked before any stream is read."""
     return starmap(encode_grown, _grow_each(spec, n, rngs))
 
 
@@ -302,7 +304,7 @@ def exact_laws(spec: FamilySpec, n: int, limit: int | None = None) -> Iterator[T
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    _check_limit(n, limit)
+    check_limit(n, limit)
     guard_labelled(n, spec.b)
     b = spec.b
     weights, scale = {single_bucket_tree(b): 1}, 1

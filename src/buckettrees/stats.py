@@ -31,6 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .enumeration import EnumerationLimitError
 from .evolve import exact_distribution, sample_counts
 from .rng import SplitMix64
 from .trees import encode_tree
@@ -38,6 +39,13 @@ from .weights import FamilySpec, shown
 from .urn import urn_from, urn_moment_exact
 
 MIN_GOF_SAMPLES = 20
+# Refuse more gof samples per run than this: each grows a tree, about 7 us
+# at n = 5, so a run costs about as much as the largest grown tree (8 s).
+GOF_SAMPLE_CEILING = 10**6
+# Refuse a beta or second-order batch of more samples or trajectories than
+# this: numpy holds about 70 bytes per draw (101 MB of RSS at 10^6), so the
+# largest batch stays under 1 GB, as the largest grown tree does.
+BATCH_CEILING = 10**7
 MIN_EXPECTED = 5.0  # chi_square_gof pools bins until each expects this many
 # Pass band of check_beta_convergence: this many standard errors plus the
 # exact finite-n bias.
@@ -45,6 +53,11 @@ SE_MULTIPLIER = 4.0
 # Normality bounds of second_order_diagnostic on |skewness| and |excess kurtosis|.
 SKEW_BOUND = 0.1
 KURT_BOUND = 0.2
+
+
+def _check_ceiling(count: int, ceiling: int, what: str) -> None:
+    if count > ceiling:
+        raise EnumerationLimitError(f"refusing more than {ceiling} {what}, got {shown(count)}")
 
 
 # ── goodness of fit ───────────────────────────────────────────────────────
@@ -139,7 +152,10 @@ def sampler_gof(
 
     The combined verdict fails only when at least two seeds fail, so a
     single unlucky run at the chosen level does not flag the sampler.
+    More than ``GOF_SAMPLE_CEILING`` samples per run are refused before the
+    law is built.
     """
+    _check_ceiling(samples, GOF_SAMPLE_CEILING, "samples per run")
     dist = exact_distribution(spec, n, limit)
     # Bins keyed by encoding, pooled in repr order; int / int rounds as float(prob).
     expected = {encode_tree(tree): weight / dist.scale for tree, weight in dist.weights.items()}
@@ -253,6 +269,7 @@ def check_beta_convergence(
     state = urn_from(spec, j, load)
     if samples < MIN_GOF_SAMPLES:
         raise ValueError(f"need at least {MIN_GOF_SAMPLES} samples, got {samples}")
+    _check_ceiling(samples, BATCH_CEILING, "samples")
 
     m1 = beta_moment(state.white, state.black, 1)
     m2 = beta_moment(state.white, state.black, 2)
@@ -356,6 +373,7 @@ def second_order_diagnostic(
                          f"2**63")
     if trajectories < MIN_GOF_SAMPLES:
         raise ValueError(f"need at least {MIN_GOF_SAMPLES} trajectories, got {trajectories}")
+    _check_ceiling(trajectories, BATCH_CEILING, "trajectories")
     if state.black == 0:
         # Deterministic urn: every draw is white, the centered values vanish.
         return SecondOrderReport(n, horizon, trajectories, 0.0, 0.0, 0.0, True,

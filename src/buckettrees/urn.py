@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+from .enumeration import DESCENDANTS_CEILING, URN_DRAW_CEILING, EnumerationLimitError
 from .evolve import _grown_label, exact_distribution
 from .rng import SplitMix64, accept_below
 from .trees import count_descendants
@@ -192,11 +193,16 @@ def descendants_via_urn(spec: FamilySpec, n: int, j: int, rng: SplitMix64) -> De
     The growth draws the words of the first j - 1 steps of
     ``descendants_direct``, so both routes give j the same load on one
     stream.  For j <= b the bucket of j is still the root bucket, the urn
-    has no black balls, and the count is the deterministic n + 1 - j.
+    has no black balls, and the count is the deterministic n + 1 - j, at
+    any n.  Otherwise more than ``URN_DRAW_CEILING`` draws (n - j) are
+    refused, and the growth to j refuses a j past the growth ceiling.
     """
     _check_window(n, j)
     if j <= spec.b:
         return DescendantSample(n, j, j, n + 1 - j)
+    if n - j > URN_DRAW_CEILING:
+        raise EnumerationLimitError(f"refusing an urn run of more than {URN_DRAW_CEILING} "
+                                    f"draws (n - j; about 0.6 s per 10^6 draws)")
     load, _ = _grown_label(spec, j, j, rng)
     return DescendantSample(n, j, load, 1 + urn_run(urn_from(spec, j, load), n - j, rng))
 
@@ -232,8 +238,13 @@ def descendants_law_from_trees(spec: FamilySpec, n: int, j: int) -> dict[int, Fr
 
 
 def descendants_law_from_urn(spec: FamilySpec, n: int, j: int) -> dict[int, Fraction]:
-    """Descendant-count law via the urn, mixing over the insertion load."""
+    """Descendant-count law via the urn, mixing over the insertion load.  For
+    j > b a size past ``DESCENDANTS_CEILING`` is refused: the law's terms have
+    O(n log n) digits.  For j <= b it is one point, n + 1 - j, at any n."""
     _check_window(n, j)
+    if j > spec.b and n > DESCENDANTS_CEILING:
+        raise EnumerationLimitError(f"refusing an exact descendants law past n = "
+                                    f"{DESCENDANTS_CEILING} (its terms grow by O(n log n) digits)")
     law: dict[int, Fraction] = {}
     for load, p_load in insertion_load_law(spec, j).items():
         for k, p in urn_distribution_exact(urn_from(spec, j, load), n - j).items():

@@ -162,7 +162,11 @@ def classify_family(model: WeightModel) -> FamilySpec | NotGrown:
     at every degree, so its ratio line is fixed by gamma_0 and gamma_1; an
     explicit list is checked through its last entry (the model constructor
     keeps that at degree 2 or more).  Returns the family with exact
-    parameters, or NotGrown with a reason.
+    parameters, or NotGrown with a reason.  The line checks settle d and
+    alpha: a falling line ends at the support bound (a list is checked
+    through k = bound, where gamma = 0; an affine rule's bound is its integer
+    rate/slope), and a rising one has alpha > 0 (on the line beta_1 > 0 is
+    alpha > 0, and at b = 1 alpha = gamma_0/slope).
     """
     b = model.b
     for k in range(1, b):
@@ -195,14 +199,6 @@ def classify_family(model: WeightModel) -> FamilySpec | NotGrown:
     if slope == 0:
         return BucketRecursive(b)
     if slope < 0:
-        # The line hits zero at the support bound: finite maximal degree.
-        max_degree = g0 / (g0 - g1)
-        if max_degree.denominator != 1 or bound is None or max_degree != bound:
-            return NotGrown(
-                f"degree weights end at {bound} but the ratio line ends at {max_degree}")
-        d = 1 + Fraction(int(max_degree) - 1, b)
-        return DAryIncreasing(b, d)
-    alpha = (g0 + slope) / (b * slope) - 1
-    if alpha <= 0:
-        return NotGrown(f"recovered alpha = {alpha} is not positive")
-    return PlaneOriented(b, alpha)
+        # The line hits zero at the support bound, the maximal degree.
+        return DAryIncreasing(b, 1 + Fraction(bound - 1, b))
+    return PlaneOriented(b, (g0 + slope) / (b * slope) - 1)

@@ -1280,3 +1280,111 @@ def test_stats_second_order_smoke(capsys):
     payload = json.loads(out)
     assert payload["passed"] is True
     assert "skewness" in payload
+
+
+# ── refusals the kernels own ──────────────────────────────────────────────
+
+def test_build_spec_refuses_a_family_it_does_not_know():
+    args = argparse.Namespace(family="ordered", b=2, d=None, alpha=None)
+    with pytest.raises(cli.InvalidWeightsError, match="unknown family"):
+        cli.build_spec(args)
+
+
+def test_cli_leaves_the_growth_and_descendants_ceilings_to_the_kernels():
+    assert not hasattr(cli, "guard_growth") and not hasattr(cli, "DESCENDANTS_CEILING")
+
+
+# Urn mode runs n - j draws per item, so a huge n is refused at once.
+@pytest.mark.parametrize("n", [7 + enumeration.URN_DRAW_CEILING + 1, 10**15, 10**30])
+def test_descend_urn_refuses_more_draws_than_its_ceiling(capsys, n):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "descend", "--family", "baport", "--b", "2", "--alpha", "1",
+                       "--n", str(n), "--j", "7", "--mode", "urn", "--count", "1")
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (2, "")
+    assert err == (f"error: refusing an urn run of more than {enumeration.URN_DRAW_CEILING} "
+                   f"draws (n - j; about 0.6 s per 10^6 draws)\n")
+
+
+STATS_COUNTS = {
+    "gof": (["--samples"], stats.GOF_SAMPLE_CEILING, "samples per run"),
+    "beta": (["--samples"], stats.BATCH_CEILING, "samples"),
+    "second-order": (["--trajectories"], stats.BATCH_CEILING, "trajectories"),
+}
+
+
+@pytest.mark.parametrize("check", sorted(STATS_COUNTS))
+@pytest.mark.parametrize("past", [1, 10**14, 10**30])
+def test_stats_refuses_counts_past_their_ceiling_in_one_line(capsys, check, past):
+    (option,), ceiling, what = STATS_COUNTS[check]
+    count = ceiling + 1 if past == 1 else past
+    rc, out, err = run(capsys, "stats", "--check", check, "--family", "bucket-recursive",
+                       "--b", "2", option, str(count))
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: refusing more than {ceiling} {what}, got ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# The refusal of a size past --limit names a limit that admits the whole
+# command: the largest size any requested check reads.
+@pytest.mark.parametrize("argv, size", [
+    (["enumerate", "--family", "bdary", "--b", "2", "--d", "2", "--n", "15"], 15),
+    (["verify", "--family", "bucket-recursive", "--b", "2", "--n", "13",
+      "--check", "balance"], 13),
+    (["verify", "--family", "bucket-recursive", "--b", "2", "--n", "13", "--check", "ode"], 13),
+    (["verify", "--family", "bucket-recursive", "--b", "2", "--n", "13",
+      "--check", "ratio"], 14),
+    (["verify", "--psi", "1", "--phi", "exp:1", "--n", "12", "--check", "all"], 13),
+])
+def test_the_limit_a_refusal_names_admits_the_command(capsys, argv, size):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err == (f"error: size {size} exceeds the enumeration limit 12; "
+                   f"a limit of {size} (--limit {size} on the command line) allows it\n")
+    # A raw model may fail a check (exit 1); no size is refused.
+    rc, out, err = run(capsys, *argv, "--limit", str(size))
+    assert rc in (0, 1) and err == "" and out
+
+
+def test_the_limit_is_checked_before_any_check_runs(capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("balance ran before the limit was checked")
+
+    monkeypatch.setattr(cli, "check_balance", unreachable)
+    rc, _, err = run(capsys, "verify", "--psi", "1", "--phi", "exp:1", "--n", "12")
+    assert rc == 2 and "a limit of 13" in err
+
+
+def test_classify_alone_reads_no_size(capsys):
+    rc, out, _ = run(capsys, "verify", "--family", "bucket-recursive", "--b", "2",
+                     "--n", "13", "--check", "classify")
+    assert rc == 0 and json.loads(out)["passed"] is True
+
+
+def test_enumerate_exits_1_when_a_total_misses_its_closed_form(capsys, monkeypatch):
+    closed = cli.closed_form_total_weight
+    monkeypatch.setattr(cli, "closed_form_total_weight",
+                        lambda spec, n: closed(spec, n) + (n == 3))
+    rc, out, _ = run(capsys, "enumerate", "--family", "bucket-recursive", "--b", "2", "--n", "4")
+    assert rc == 1
+    assert [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]] == ["1", "1", "0", "1"]
+
+
+def test_equivalence_names_no_tree_when_a_law_drops_one(capsys, monkeypatch):
+    # Every tree left keeps its weight, so only the law's total can fail.
+    laws = cli.exact_laws
+
+    def dropping(spec, n, limit):
+        for law in laws(spec, n, limit):
+            if law.size == 4:
+                weights = dict(law.weights)
+                weights.pop(next(iter(weights)))
+                law = TreeDistribution(law.size, weights, law.scale)
+            yield law
+
+    monkeypatch.setattr(cli, "exact_laws", dropping)
+    rc, out, _ = run(capsys, "verify", "--family", "baport", "--b", "2", "--alpha", "1",
+                     "--n", "5", "--check", "equivalence")
+    check = json.loads(out)["checks"][0]
+    assert rc == 1 and check["passed"] is False
+    assert check["first_mismatch"] == {"n": 4, "tree": None}

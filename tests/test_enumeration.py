@@ -39,6 +39,18 @@ def test_shape_counts_b2():
     assert [shape_count(2, n) for n in range(1, 7)] == [1, 1, 1, 2, 4, 9]
 
 
+@pytest.mark.parametrize("b, n", [(0, 3), (2, 0), (-1, -1)])
+def test_shape_count_refuses_sizes_and_capacities_below_one(b, n):
+    with pytest.raises(ValueError, match=f"b and n must be >= 1, got b={b}, n={n}"):
+        shape_count(b, n)
+
+
+@pytest.mark.parametrize("counts", [enumeration.shape_counts, labelled_counts])
+def test_tree_counts_refuse_a_capacity_below_one(counts):
+    with pytest.raises(ValueError, match="b must be >= 1, got b=0"):
+        next(counts(0))
+
+
 def test_shape_count_matches_enumeration():
     for b in range(1, 5):
         for n in range(1, 10):

@@ -22,6 +22,7 @@ from buckettrees import (BucketNode, BucketRecursive, BucketTree, DAryIncreasing
                          sample_counts, sample_encoding, sample_encodings,
                          sample_tree, sampler_gof, single_bucket_tree,
                          strip_labels, total_weight, tree_weight, weights_of)
+from buckettrees import descendants_direct, descendants_via_urn, enumeration
 from buckettrees.enumeration import EnumerationLimitError
 
 F = Fraction
@@ -154,6 +155,37 @@ def test_batches_refuse_size_zero_before_any_draw(batch):
     with pytest.raises(ValueError, match="n must be >= 1"):
         batch(PlaneOriented(2, F(1)), 0, streams())
     assert rng._counter == 5
+
+
+GROWTH_REFUSAL = (f"refusing to grow a tree of more than {enumeration.GROWTH_CEILING} "
+                  f"labels (about 760 bytes of memory per label)")
+
+
+# Every library path that grows a tree refuses a size past the ceiling
+# with the CLI's own line, before any stream is read.
+@pytest.mark.parametrize("grow", [
+    lambda n, rng: sample_tree(PlaneOriented(2, F(1)), n, rng),
+    lambda n, rng: sample_encoding(PlaneOriented(2, F(1)), n, rng),
+    lambda n, rng: sample_encodings(PlaneOriented(2, F(1)), n, iter([rng])),
+    lambda n, rng: sample_counts(PlaneOriented(2, F(1)), n, iter([rng])),
+    lambda n, rng: descendants_direct(PlaneOriented(2, F(1)), n, 6, rng),
+    lambda n, rng: descendants_via_urn(PlaneOriented(2, F(1)), n, n, rng),
+], ids=["sample_tree", "sample_encoding", "sample_encodings", "sample_counts",
+        "descendants_direct", "descendants_via_urn"])
+@pytest.mark.parametrize("n", [enumeration.GROWTH_CEILING + 1, 10**30])
+def test_growth_past_the_ceiling_is_refused_as_the_cli_refuses_it(grow, n):
+    rng = SplitMix64(5)
+    start = time.perf_counter()
+    with pytest.raises(EnumerationLimitError) as info:
+        grow(n, rng)
+    assert time.perf_counter() - start < 1
+    assert str(info.value) == GROWTH_REFUSAL
+    assert rng._counter == 5
+
+
+def test_growth_options_refuse_a_tree_of_another_capacity():
+    with pytest.raises(InvalidTreeError, match="tree has b=3, family has b=2"):
+        growth_options(single_bucket_tree(3), PlaneOriented(2, F(1)))
 
 
 def test_sampler_gof_counts_each_run_from_one_stream():

@@ -202,6 +202,13 @@ def test_spawn_ignores_the_parent_buffer(drawn):
         assert a._counter == b._counter
 
 
+def test_spawn_refuses_a_negative_index():
+    rng = SplitMix64(77)
+    with pytest.raises(ValueError, match="spawn index must be non-negative"):
+        rng.spawn(-1)
+    assert rng._counter == 77
+
+
 def test_lane_constants_are_built_at_first_use():
     code = ("import buckettrees.rng as rng; assert not rng._LANES; "
             "rng.SplitMix64(1).u64(); assert list(rng._LANES) == [16]")

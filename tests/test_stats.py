@@ -19,6 +19,7 @@ from buckettrees import (BucketRecursive, DAryIncreasing, PlaneOriented,
                          sampler_gof, second_order_diagnostic,
                          urn_distribution_exact, urn_from)
 from buckettrees import stats
+from buckettrees.enumeration import EnumerationLimitError
 from buckettrees.stats import (MIN_GOF_SAMPLES, _urn_batch, chi_square_tail,
                                skew_kurtosis)
 
@@ -66,6 +67,12 @@ def test_chi_square_single_group_passes_vacuously(monkeypatch):
     assert report.dof == 0
     assert report.passed
     assert report.p_value == 1.0
+
+
+def test_chi_square_pools_every_bin_when_none_reaches_the_minimum(monkeypatch):
+    monkeypatch.setattr(stats, "MIN_EXPECTED", 500.0)
+    report = chi_square_gof({"a": 60, "b": 40}, {"a": 0.5, "b": 0.5})
+    assert (report.bins, report.dof, report.p_value, report.passed) == (1, 0, 1.0, True)
 
 
 def test_chi_square_input_validation():
@@ -338,3 +345,28 @@ def test_urn_size_past_the_digit_cap_is_refused_by_its_bits(call):
         call(10**5000)
     assert str(info.value) == ("size an int of 16610 bits is past the urn batch's range: "
                                "numpy counts draws in 64-bit integers, so n must be below 2**63")
+
+
+# Each count is refused before numpy or itertools.repeat sees it (and before
+# gof builds its law), so no size here allocates anything.
+@pytest.mark.parametrize("call, ceiling, what", [
+    (lambda k: sampler_gof(DAryIncreasing(2, F(2)), 5, k, [1, 2, 3]),
+     stats.GOF_SAMPLE_CEILING, "samples per run"),
+    (lambda k: check_beta_convergence(PlaneOriented(2, F(1)), 4, 2, [2000], k, 1),
+     stats.BATCH_CEILING, "samples"),
+    (lambda k: second_order_diagnostic(BucketRecursive(2), 4, 2, 1000, k, 2500, 1),
+     stats.BATCH_CEILING, "trajectories"),
+], ids=["gof", "beta", "second-order"])
+@pytest.mark.parametrize("past", [1, 10**14, 10**30])
+def test_stats_counts_past_their_ceiling_are_refused(monkeypatch, call, ceiling, what, past):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a refused count reached a draw")
+
+    monkeypatch.setattr(stats, "_urn_batch", no_draws)
+    monkeypatch.setattr(stats, "sample_counts", no_draws)
+    monkeypatch.setattr(stats, "exact_distribution", no_draws)
+    count = ceiling + 1 if past == 1 else past
+    with pytest.raises(EnumerationLimitError) as info:
+        call(count)
+    assert str(info.value).startswith(f"refusing more than {ceiling} {what}, got ")
+

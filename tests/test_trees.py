@@ -129,6 +129,11 @@ def test_validate_rejects_mixed_labelled_and_shape():
         mixed.validate()
 
 
+def test_validate_rejects_a_capacity_other_than_the_label_count():
+    with pytest.raises(InvalidTreeError, match="capacity must equal the number of labels"):
+        BucketTree(BucketNode(2, (1,), ()), 2).validate()
+
+
 def test_validate_rejects_bad_capacity_bound():
     with pytest.raises(InvalidTreeError, match=">= 1"):
         BucketTree(bucket((1,)), 0).validate()
@@ -158,6 +163,18 @@ def test_decode_rejects_garbage():
         decode_tree(b'{"labels":[2,1],"children":[]}', 2)  # invalid tree
     with pytest.raises(EncodingError):
         decode_tree(b"[" * 3000 + b"]" * 3000, 2)  # deeper than the JSON parser recurses
+
+
+@pytest.mark.parametrize("data, message", [
+    (b'{"children":[5],"labels":[1]}', "expected object, got int"),
+    (b'[{"children":[],"labels":[1]}]', "expected object, got list"),
+    (b'{"children":{},"labels":[1]}', "children must be a list"),
+    (b'{"children":"","capacity":1}', "children must be a list"),
+])
+def test_decode_rejects_a_node_or_children_of_the_wrong_type(data, message):
+    with pytest.raises(EncodingError) as info:
+        decode_tree(data, 2)
+    assert str(info.value) == message
 
 
 def test_decode_rejects_json_booleans():

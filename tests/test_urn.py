@@ -2,20 +2,24 @@
 
 from __future__ import annotations
 
+import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from buckettrees import (BucketRecursive, DAryIncreasing, FamilySpec, PlaneOriented,
-                         SplitMix64, UrnState, binomial_moment,
+from buckettrees import (BucketRecursive, DAryIncreasing, DescendantSample, FamilySpec,
+                         PlaneOriented, SplitMix64, UrnState, binomial_moment,
                          chi_square_gof, count_descendants, descendants_direct,
                          descendants_law_from_trees, descendants_law_from_urn,
                          descendants_via_urn, exact_distribution,
                          insertion_load, insertion_load_law, sample_tree,
                          urn_distribution_exact, urn_from, urn_moment_exact,
                          urn_run)
+from buckettrees import urn
+from buckettrees.enumeration import (DESCENDANTS_CEILING, URN_DRAW_CEILING,
+                                     EnumerationLimitError)
 
 F = Fraction
 
@@ -326,3 +330,61 @@ def test_window_validation():
         descendants_law_from_trees(spec, 3, 4)
     with pytest.raises(ValueError, match="1 <= j <= n"):
         descendants_via_urn(spec, 3, 0, SplitMix64(0))
+
+
+# ── ceilings and refusals ─────────────────────────────────────────────────
+
+def test_exact_descendants_law_refuses_past_its_ceiling_for_j_above_b():
+    start = time.perf_counter()
+    with pytest.raises(EnumerationLimitError) as info:
+        descendants_law_from_urn(PlaneOriented(2, F(1)), DESCENDANTS_CEILING + 1, 6)
+    assert time.perf_counter() - start < 1
+    assert str(info.value) == (f"refusing an exact descendants law past n = "
+                               f"{DESCENDANTS_CEILING} (its terms grow by O(n log n) digits)")
+
+
+# For j <= b the count is n + 1 - j at any size, with no tree grown and no draw.
+@pytest.mark.parametrize("n", [DESCENDANTS_CEILING + 1, URN_DRAW_CEILING + 3, 10**30])
+def test_descendants_of_a_root_label_answer_at_once_at_any_size(n):
+    spec = BucketRecursive(2)
+    start = time.perf_counter()
+    assert descendants_law_from_urn(spec, n, 2) == {n - 1: 1}
+    rng = SplitMix64(3)
+    assert descendants_via_urn(spec, n, 2, rng) == DescendantSample(n, 2, 2, n - 1)
+    assert time.perf_counter() - start < 1
+    assert rng._counter == 3
+
+
+@pytest.mark.parametrize("n", [6 + URN_DRAW_CEILING + 1, 10**15, 10**30])
+def test_urn_runs_past_the_draw_ceiling_are_refused_before_any_draw(n):
+    rng = SplitMix64(3)
+    start = time.perf_counter()
+    with pytest.raises(EnumerationLimitError) as info:
+        descendants_via_urn(PlaneOriented(2, F(1)), n, 6, rng)
+    assert time.perf_counter() - start < 1
+    assert str(info.value) == (f"refusing an urn run of more than {URN_DRAW_CEILING} draws "
+                               f"(n - j; about 0.6 s per 10^6 draws)")
+    assert rng._counter == 3
+
+
+def test_urn_runs_at_the_draw_ceiling_are_accepted(monkeypatch):
+    # A lowered ceiling keeps the accepted run short.
+    monkeypatch.setattr(urn, "URN_DRAW_CEILING", 50)
+    spec = PlaneOriented(2, F(1))
+    assert 1 <= descendants_via_urn(spec, 56, 6, SplitMix64(3)).descendants <= 51
+    with pytest.raises(EnumerationLimitError, match="more than 50 draws"):
+        descendants_via_urn(spec, 57, 6, SplitMix64(3))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: urn_run(UrnState(F(1), F(1)), -1, SplitMix64(0)), "draws must be >= 0, got -1"),
+    (lambda: urn_distribution_exact(UrnState(F(1), F(1)), -1), "draws must be >= 0, got -1"),
+    (lambda: urn_moment_exact(UrnState(F(1), F(1)), 3, 0), "s must be >= 1, got 0"),
+    (lambda: urn_moment_exact(UrnState(F(1), F(1)), -1, 1), "draws must be >= 0, got -1"),
+    (lambda: insertion_load_law(BucketRecursive(2), 0), "j must be >= 1, got 0"),
+], ids=["urn_run", "urn_distribution_exact", "urn_moment_exact-s", "urn_moment_exact-draws",
+        "insertion_load_law"])
+def test_urn_calls_refuse_negative_counts(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -5,15 +5,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from buckettrees import (AffineDegreeWeights, BucketRecursive, BucketTree,
                          DAryIncreasing, ExplicitDegreeWeights, NotGrown,
                          PlaneOriented, UndefinedRatioError, WeightModel,
                          balance_value, check_affine_ratio, check_balance,
                          check_scaling, classify_family, count_labellings,
-                         enumerate_shapes, shape_bucket, total_weight,
-                         tree_weight, weights_of)
+                         enumerate_shapes, shape_bucket, single_bucket_tree,
+                         total_weight, tree_weight, weights_of)
+from buckettrees.weights import FamilySpec
 
 F = Fraction
 
@@ -81,6 +82,13 @@ def test_balance_value_raises_on_zero_denominator():
         balance_value(wide, model)
 
 
+def test_balance_value_raises_on_a_zero_bucket_weight():
+    model = WeightModel(2, (F(0),), AffineDegreeWeights(F(1), F(3), F(-1)))
+    with pytest.raises(UndefinedRatioError) as info:
+        balance_value(single_bucket_tree(2), model)
+    assert str(info.value) == "psi_1 = 0 but a capacity-1 bucket is present"
+
+
 # ── affine ratios ─────────────────────────────────────────────────────────
 
 def test_affine_ratio_recovers_family_constants():
@@ -94,6 +102,13 @@ def test_affine_ratio_rejects_bucket_ordered():
     report = check_affine_ratio(bucket_ordered_model(2), 6)
     assert not report.passed
     assert report.first_failing_n == 3
+
+
+def test_affine_ratio_refuses_a_zero_total():
+    model = WeightModel(2, (F(0),), AffineDegreeWeights(F(1), F(3), F(-1)))
+    with pytest.raises(ValueError) as info:
+        check_affine_ratio(model, 3)
+    assert str(info.value) == "T_1 = 0: ratios are undefined for this model"
 
 
 def test_affine_ratio_needs_three_points():
@@ -247,3 +262,54 @@ def test_classify_accepts_explicit_binary_weights():
     # (1, 2, 1) is the d = 2 family given as a plain list.
     model = WeightModel(1, (), ExplicitDegreeWeights((F(1), F(2), F(1))))
     assert classify_family(model) == DAryIncreasing(1, F(2))
+
+
+# The reasons classify_family can give; the line checks settle d and alpha,
+# so no other reason is left.
+CLASSIFY_REASONS = ("capacity-", "gap in the degree weights", "leave the affine line",
+                    "off the line fixed by the degree weights")
+
+
+@st.composite
+def rescaled_and_perturbed(draw):
+    """A family, its canonical model jointly rescaled, and that model with at
+    most one bucket weight rescaled, its degree rule written as a (possibly
+    truncated) list with one entry rescaled, or its rule's rate moved."""
+    b = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["recursive", "dary", "port"]))
+    if kind == "recursive":
+        spec = BucketRecursive(b)
+    elif kind == "dary":
+        spec = DAryIncreasing(b, 1 + F(draw(st.integers(1, 4)), b))
+    else:
+        spec = PlaneOriented(b, draw(POSITIVE))
+    model = weights_of(spec).scaled(draw(POSITIVE), draw(POSITIVE))
+    how = draw(st.sampled_from(["none", "psi", "list", "rate"]))
+    if how == "psi" and b > 1:
+        psi = list(model.psi)
+        psi[draw(st.integers(0, b - 2))] *= draw(POSITIVE)
+        model = WeightModel(b, tuple(psi), model.phi)
+    elif how == "list":
+        phi = model.phi_coefficients(draw(st.integers(2, 8)))
+        while phi[-1] == 0:
+            phi.pop()
+        phi[draw(st.integers(0, len(phi) - 1))] *= draw(POSITIVE)
+        model = WeightModel(b, model.psi, ExplicitDegreeWeights(tuple(phi)))
+    elif how == "rate" and model.phi.slope <= 0:
+        rule = model.phi
+        rate = rule.rate * draw(POSITIVE)
+        model = WeightModel(b, model.psi, AffineDegreeWeights(rule.scale, rate, rule.slope))
+    return spec, how, model
+
+
+@settings(max_examples=300, deadline=None)
+@given(rescaled_and_perturbed())
+def test_classify_returns_a_family_or_not_grown_and_never_raises(case):
+    spec, how, model = case
+    result = classify_family(model)
+    if how == "none":
+        assert result == spec
+    elif isinstance(result, NotGrown):
+        assert any(reason in result.reason for reason in CLASSIFY_REASONS), result.reason
+    else:
+        assert isinstance(result, FamilySpec)

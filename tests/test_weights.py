@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from buckettrees import (AffineDegreeWeights, BucketRecursive, DAryIncreasing,
-                         ExplicitDegreeWeights, InvalidWeightsError,
+                         DegreeWeights, ExplicitDegreeWeights, InvalidWeightsError,
                          PlaneOriented, WeightModel, to_fraction, weights_of)
 from buckettrees.weights import MAX_MODEL_B, binom_frac, shown
 
@@ -101,6 +101,17 @@ def test_explicit_weights_strip_trailing_zeros():
     assert w.coeff(5) == 0
 
 
+@pytest.mark.parametrize("coefficients, message", [
+    ((), "at least one degree weight is required"),
+    ((F(0), F(0)), "the degree-0 weight must be positive"),
+    ((F(1), F(-1), F(1)), "degree weights must be non-negative"),
+])
+def test_explicit_weights_refuse_an_empty_or_negative_list(coefficients, message):
+    with pytest.raises(InvalidWeightsError) as info:
+        ExplicitDegreeWeights(coefficients)
+    assert str(info.value) == message
+
+
 def test_compose_on_identity_recovers_coefficients():
     identity = [F(0), F(1)]
     cases = [
@@ -189,6 +200,28 @@ def test_model_rejects_negative_psi():
 def test_model_rejects_zero_phi0():
     with pytest.raises(InvalidWeightsError, match="degree-0"):
         WeightModel(1, (), ExplicitDegreeWeights((F(0), F(1))))
+
+
+class Identity(DegreeWeights):
+    """phi_k = k: a caller's own rule, which no package constructor checks."""
+
+    def coeff(self, k):
+        return F(k)
+
+    def scaled(self, factor, stretch):
+        return self
+
+    def support_bound(self):
+        return None
+
+    def describe(self):
+        return {"kind": "identity"}
+
+
+def test_model_rejects_a_rule_of_its_own_with_zero_phi0():
+    with pytest.raises(InvalidWeightsError) as info:
+        WeightModel(1, (), Identity())
+    assert str(info.value) == "the degree-0 weight must be positive"
 
 
 def test_model_rejects_chain_only_weights():
