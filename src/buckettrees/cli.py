@@ -28,7 +28,7 @@ import sys
 from collections import Counter
 from dataclasses import asdict
 
-from .enumeration import (EnumerationLimitError, check_limit, check_ode_recurrence,
+from .enumeration import (check_limit, check_ode_recurrence,
                           closed_form_total_weight, enumerate_shapes,
                           guard_labelled, guard_shapes, total_weights)
 from .evolve import exact_laws, pushforward_strip, sample_encodings
@@ -237,8 +237,6 @@ def spawn_seeds(seed: int, count: int) -> list[int]:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     model, spec = build_model(args)
-    guard_shapes(args.n, model.b)
-    check_limit(args.n, args.limit)
     rows = []
     for n, total in enumerate(total_weights(model, args.n, args.limit), start=1):
         row = {"n": n, "total": str(total)}
@@ -406,16 +404,17 @@ GROWTH_CHECKS = ("equivalence", "preserve")  # growth is defined per family
 
 def cmd_verify(args: argparse.Namespace) -> int:
     model, spec = build_model(args)
-    guard_shapes(args.n, model.b)
     names = [*VERIFY_CHECKS, *GROWTH_CHECKS] if args.check == "all" else [args.check]
     growth = [name for name in names if name in GROWTH_CHECKS]
-    if spec is not None and growth:
-        guard_labelled(args.n, spec.b)
     if spec is None and growth and args.check != "all":
         raise InvalidWeightsError(f"--check {args.check} needs --family")
     # The largest size any requested check reads; classify reads none.
     if names != ["classify"]:
-        check_limit(max(args.n, 3) + 1 if "ratio" in names else args.n, args.limit)
+        size = max(args.n, 3) + 1 if "ratio" in names else args.n
+        guard_shapes(size, model.b)
+        if spec is not None and growth:
+            guard_labelled(args.n, spec.b)
+        check_limit(size, args.limit)
     results = [VERIFY_CHECKS[name](model, spec, args) for name in names
                if name in VERIFY_CHECKS]
     if spec is None:
@@ -559,7 +558,7 @@ def main(argv: list[str] | None = None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except (ValueError, EnumerationLimitError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

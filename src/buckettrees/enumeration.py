@@ -42,19 +42,27 @@ GROWTH_CEILING = 10**6
 # size.  Its n - j + 1 terms each have O(n log n) digits: at (2,1)-PORT,
 # j = 6, n = 4,000 takes 1.5 s and prints 13 MB, n = 8,000 8 s and 53 MB.
 DESCENDANTS_CEILING = 4000
+# Below it, also refuse one where n**3 * bits**2 passes this, bits the length
+# of kappa = c2/c1 (numerator plus denominator): a term has O(n * bits)
+# digits, and reducing it costs their square.  On a 2-core VM, kappa =
+# -7/(2**9999 + 8) at n = 53 took 28 s; the bound admits (2,1)-PORT (3 bits)
+# up to the size ceiling and (1,1/997)-PORT (20 bits) at n = 1,500 (0.5 s),
+# and at the bound 70 bits (n = 673) took 2.3 s, 6 bits (n = 3,467) 1.2 s.
+DESCENDANTS_WORK_CEILING = 15 * 10**11
 # Refuse a descendants urn run of more draws than this (descend --mode urn
 # draws n - j per item).  urn_run takes about 0.5-0.65 s per 10^6 draws, so
 # one item costs about as much as one direct item at GROWTH_CEILING (8 s).
 URN_DRAW_CEILING = 10**7
 
 
-class EnumerationLimitError(RuntimeError):
+class EnumerationLimitError(ValueError):
     """The requested size exceeds the configured enumeration guard."""
 
 
 def check_limit(n: int, limit: int | None) -> None:
     """Refuse a size above ``limit`` (``DEFAULT_SIZE_LIMIT`` when None),
-    naming the limit that allows it."""
+    naming the limit that allows it: a kernel checks its largest size, after
+    the ceiling that no limit lifts."""
     bound = DEFAULT_SIZE_LIMIT if limit is None else limit
     if n > bound:
         raise EnumerationLimitError(
@@ -67,11 +75,12 @@ def enumerate_shapes(b: int, n: int, limit: int | None = None) -> list[BucketTre
 
     Built upward by the recurrence ``shape_counts`` counts with, forests
     only up to size n - b (at b = 1 a forest of size n would hold every
-    shape of size n + 1)."""
+    shape of size n + 1).  A size with more shapes than the ceiling is
+    refused first, then one above ``limit``."""
     if b < 1 or n < 1:
         raise ValueError(f"b and n must be >= 1, got b={b}, n={n}")
-    check_limit(n, limit)
     guard_shapes(n, b)
+    check_limit(n, limit)
     shapes: list[list[BucketNode]] = [[]]
     forests: list[list[tuple[BucketNode, ...]]] = [[()]]
     for s in range(1, n + 1):
@@ -184,14 +193,12 @@ def total_weights(model: WeightModel, n_max: int, limit: int | None = None) -> l
     F = phi(T) the equation (1 + slope*T) F' = rate*F*T', so f_0 = scale
     and m f_m = sum_{i=1..m} (rate*i - slope*(m - i)) u_i f_{m-i}: one O(m)
     sum.  An explicit list of degree D keeps the powers T^k one coefficient
-    ahead of the last, O(D*m).  Sizes are refused as ``total_weight``
-    refuses them, the first refused size named.
+    ahead of the last, O(D*m).  n_max is refused as ``total_weight``
+    refuses it: past the shape ceiling first, then above ``limit``.
     """
     b = model.b
-    for n, count in zip(range(1, n_max + 1), shape_counts(b)):
-        check_limit(n, limit)
-        if count > SHAPE_CEILING:
-            guard_shapes(n, b)
+    guard_shapes(n_max, b)
+    check_limit(n_max, limit)
     totals = list(model.psi[:n_max])
     u = [Fraction(0)] + [t / math.factorial(i) for i, t in enumerate(totals, start=1)]
     for m, f_m in zip(range(n_max - b + 1), _composed(model.phi, u)):

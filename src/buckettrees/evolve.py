@@ -294,8 +294,8 @@ class TreeDistribution:
 
 def exact_laws(spec: FamilySpec, n: int, limit: int | None = None) -> Iterator[TreeDistribution]:
     """Laws of the sizes 1, ..., n under the growth process, each grown from
-    the one before by one label; refuses a size above ``limit`` or one with
-    more labelled trees than the ceiling before the first step.
+    the one before by one label.  Before the first step it refuses an n
+    with more labelled trees than the ceiling, then one above ``limit``.
 
     A step stays in integers: each tree's successors come from
     ``_grown_roots`` with the weights of ``_option_table`` for size m, a
@@ -304,8 +304,8 @@ def exact_laws(spec: FamilySpec, n: int, limit: int | None = None) -> Iterator[T
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    check_limit(n, limit)
     guard_labelled(n, spec.b)
+    check_limit(n, limit)
     b = spec.b
     weights, scale = {single_bucket_tree(b): 1}, 1
     yield TreeDistribution(1, weights, scale)

@@ -37,7 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .enumeration import DESCENDANTS_CEILING, URN_DRAW_CEILING, EnumerationLimitError
+from .enumeration import (DESCENDANTS_CEILING, DESCENDANTS_WORK_CEILING, URN_DRAW_CEILING,
+                          EnumerationLimitError)
 from .evolve import _grown_label, exact_distribution
 from .rng import SplitMix64, accept_below
 from .trees import count_descendants
@@ -237,14 +238,31 @@ def descendants_law_from_trees(spec: FamilySpec, n: int, j: int) -> dict[int, Fr
     return {y: Fraction(weight, dist.scale) for y, weight in law.items()}
 
 
+def _cube_root(x: int) -> int:
+    """The largest m >= 0 with m**3 <= x, for x >= 0."""
+    m = round(x ** (1 / 3))
+    return m - 1 if m**3 > x else m
+
+
 def descendants_law_from_urn(spec: FamilySpec, n: int, j: int) -> dict[int, Fraction]:
     """Descendant-count law via the urn, mixing over the insertion load.  For
-    j > b a size past ``DESCENDANTS_CEILING`` is refused: the law's terms have
-    O(n log n) digits.  For j <= b it is one point, n + 1 - j, at any n."""
+    j > b the law's terms have O(n log n + n * bits) digits, bits the length
+    of kappa = c2/c1, so a size past ``DESCENDANTS_CEILING`` is refused, and
+    then one where n**3 * bits**2 passes ``DESCENDANTS_WORK_CEILING``, naming
+    the largest n admitted.  For j <= b it is one point, n + 1 - j, at any n."""
     _check_window(n, j)
-    if j > spec.b and n > DESCENDANTS_CEILING:
-        raise EnumerationLimitError(f"refusing an exact descendants law past n = "
-                                    f"{DESCENDANTS_CEILING} (its terms grow by O(n log n) digits)")
+    if j > spec.b:
+        if n > DESCENDANTS_CEILING:
+            raise EnumerationLimitError(
+                f"refusing an exact descendants law past n = {DESCENDANTS_CEILING} "
+                f"(its terms grow by O(n log n) digits)")
+        kappa = spec.kappa()
+        bits = kappa.numerator.bit_length() + kappa.denominator.bit_length()
+        largest = _cube_root(DESCENDANTS_WORK_CEILING // bits**2)
+        if n > largest:
+            raise EnumerationLimitError(
+                f"refusing an exact descendants law past n = {largest} when kappa = c2/c1 "
+                f"has {bits} bits (its terms grow by O(n * bits) digits)")
     law: dict[int, Fraction] = {}
     for load, p_load in insertion_load_law(spec, j).items():
         for k, p in urn_distribution_exact(urn_from(spec, j, load), n - j).items():

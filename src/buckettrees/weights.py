@@ -231,7 +231,9 @@ class WeightModel:
 
     Invariants: phi_0 > 0, all weights non-negative, and some phi_k with
     k >= 2 is positive (otherwise no tree could branch and every tree would
-    be a chain of buckets).
+    be a chain of buckets).  A rule with infinitely many positive weights
+    must be an ``AffineDegreeWeights``: the totals and the classifier read
+    any other rule only through its last nonzero weight.
     """
 
     b: int
@@ -253,6 +255,9 @@ class WeightModel:
             raise InvalidWeightsError(
                 "degenerate model: no degree weight phi_k with k >= 2 is positive, "
                 "so all trees are label chains")
+        if self.phi.support_bound() is None and not isinstance(self.phi, AffineDegreeWeights):
+            raise InvalidWeightsError(
+                "a degree rule of unbounded support must be an AffineDegreeWeights")
 
     def psi_extended(self, k: int) -> Fraction:
         """psi_k for 1 <= k <= b, with psi_b := phi_0."""

@@ -25,7 +25,8 @@ from hypothesis import given, settings, strategies as st
 
 import buckettrees
 from buckettrees import (BucketRecursive, BucketTree, DAryIncreasing,
-                         EnumerationLimitError, SplitMix64, TreeDistribution, bucket,
+                         EnumerationLimitError, PlaneOriented, SplitMix64,
+                         TreeDistribution, bucket,
                          encode_tree, sample_tree)
 from buckettrees import cli, enumeration, evolve, stats, trees
 from buckettrees.cli import build_parser, guard_labelled, main
@@ -953,6 +954,20 @@ def test_descend_exact_refuses_a_size_above_its_ceiling(capsys, n):
     assert time.perf_counter() - start < 1
 
 
+# Below the size ceiling, the law is also refused where n**3 times the square
+# of kappa's length in bits passes the work ceiling; the refusal names the
+# largest n admitted.
+def test_descend_exact_refuses_a_size_past_its_work_for_kappa(capsys):
+    alpha = f"{2**9999 + 1}/7"
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "descend", "--family", "baport", "--b", "2", "--alpha", alpha,
+                       "--n", "25", "--j", "6", "--mode", "exact")
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (2, "")
+    assert err == ("error: refusing an exact descendants law past n = 24 when kappa = c2/c1 "
+                   "has 10003 bits (its terms grow by O(n * bits) digits)\n")
+
+
 # Options a check does not read are still validated: each value must be
 # refused by the parser, never ignored.
 @pytest.mark.parametrize("check, option, value", [
@@ -1359,6 +1374,58 @@ def test_classify_alone_reads_no_size(capsys):
     rc, out, _ = run(capsys, "verify", "--family", "bucket-recursive", "--b", "2",
                      "--n", "13", "--check", "classify")
     assert rc == 0 and json.loads(out)["passed"] is True
+
+
+def test_classify_alone_is_never_refused_for_size(capsys):
+    # Size 15 at b = 1 has 2,674,440 shapes, past the shape ceiling.
+    rc, out, err = run(capsys, "verify", *PORT_B1, "--n", "30", "--check", "classify")
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["checks"] == [{"check": "classify", "passed": True,
+                                          "family": PlaneOriented(1, 1).describe()}]
+
+
+SHAPES_PAST_THE_CEILING = ("error: refusing n = 15 at b = 1: size 15 has 2674440 shapes, "
+                           "more than 1000000\n")
+
+
+# A ceiling is named before the limit, at the largest size the command reads.
+@pytest.mark.parametrize("argv, line", [
+    (["verify", "--family", "bucket-recursive", "--b", "1", "--n", "14", "--limit", "15",
+      "--check", "ratio"], SHAPES_PAST_THE_CEILING),
+    (["verify", "--family", "bucket-recursive", "--b", "1", "--n", "15", "--check", "ratio"],
+     SHAPES_PAST_THE_CEILING.replace("n = 15", "n = 16")),
+    (["enumerate", "--family", "bucket-recursive", "--b", "1", "--n", "15"],
+     SHAPES_PAST_THE_CEILING),
+    (["stats", "--check", "gof", "--family", "bucket-recursive", "--b", "2", "--n", "20"],
+     "error: refusing n = 20 at b = 2: size 10 has 650121 labelled trees, more than 200000\n"),
+])
+def test_a_size_past_a_ceiling_names_the_ceiling_before_the_limit(capsys, argv, line):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (2, "", line)
+
+
+def test_enumerate_leaves_its_size_checks_to_the_recurrence(capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("enumerate checked a size of its own")
+
+    monkeypatch.setattr(cli, "guard_shapes", unreachable)
+    monkeypatch.setattr(cli, "check_limit", unreachable)
+    rc, out, err = run(capsys, "enumerate", "--family", "bucket-recursive", "--b", "2",
+                       "--n", "13")
+    assert (rc, out) == (2, "")
+    assert err == ("error: size 13 exceeds the enumeration limit 12; "
+                   "a limit of 13 (--limit 13 on the command line) allows it\n")
+    rc, out, err = run(capsys, "enumerate", "--family", "bucket-recursive", "--b", "1",
+                       "--n", "15", "--limit", "15")
+    assert (rc, out, err) == (2, "", SHAPES_PAST_THE_CEILING)
+
+
+def test_a_ceiling_refusal_is_a_value_error_the_cli_reports_in_one_line(capsys):
+    assert issubclass(EnumerationLimitError, ValueError)
+    with pytest.raises(ValueError) as info:
+        evolve.exact_distribution(PlaneOriented(1, 1), 10)
+    rc, out, err = run(capsys, "verify", *PORT_B1, "--n", "10", "--check", "equivalence")
+    assert (rc, out, err) == (2, "", f"error: {info.value}\n")
 
 
 def test_enumerate_exits_1_when_a_total_misses_its_closed_form(capsys, monkeypatch):

@@ -12,9 +12,10 @@ import pytest
 from buckettrees import (AffineDegreeWeights, BucketNode, BucketRecursive,
                          BucketTree, DAryIncreasing, EnumerationLimitError,
                          ExplicitDegreeWeights, PlaneOriented, WeightModel,
-                         check_ode_recurrence, closed_form_total_weight,
+                         check_affine_ratio, check_ode_recurrence, closed_form_total_weight,
                          count_labellings, enumerate_shapes, exact_distribution,
-                         shape_count, total_weight, total_weights, weights_of)
+                         sampler_gof, shape_count, total_weight, total_weights,
+                         weights_of)
 from buckettrees import enumeration
 from buckettrees.enumeration import labelled_counts
 
@@ -225,20 +226,74 @@ def test_recurrence_totals_equal_enumerated_totals(model):
 
 @pytest.mark.parametrize("n_max, limit, message", [
     (13, None, "size 13 exceeds the enumeration limit 12"),
-    (9, 7, "size 8 exceeds the enumeration limit 7"),
+    (9, 7, "size 9 exceeds the enumeration limit 7"),
 ])
 def test_recurrence_refuses_the_size_enumeration_would(n_max, limit, message):
+    # Both name the largest size they read, which that limit admits.
     model = weights_of(BucketRecursive(2))
     with pytest.raises(EnumerationLimitError, match=message):
         total_weights(model, n_max, limit)
     with pytest.raises(EnumerationLimitError, match=message):
-        [total_weight(model, n, limit) for n in range(1, n_max + 1)]
+        total_weight(model, n_max, limit)
 
 
 def test_recurrence_refuses_the_first_size_over_the_shape_ceiling(monkeypatch):
     monkeypatch.setattr(enumeration, "SHAPE_CEILING", 1000)
-    with pytest.raises(EnumerationLimitError, match="refusing n = 12 at b = 2: size 12 "):
+    with pytest.raises(EnumerationLimitError, match="refusing n = 14 at b = 2: size 12 "):
         total_weights(weights_of(BucketRecursive(2)), 14, limit=14)
+
+
+def test_recurrence_checks_its_size_once(monkeypatch):
+    calls = []
+    guard, check = enumeration.guard_shapes, enumeration.check_limit
+    monkeypatch.setattr(enumeration, "guard_shapes",
+                        lambda n, b: calls.append(("shapes", n, b)) or guard(n, b))
+    monkeypatch.setattr(enumeration, "check_limit",
+                        lambda n, limit: calls.append(("limit", n, limit)) or check(n, limit))
+    total_weights(weights_of(BucketRecursive(2)), 10, 11)
+    assert calls == [("shapes", 10, 2), ("limit", 10, 11)]
+
+
+# Each exact kernel checks the largest size it reads, ceiling first, so the
+# limit a refusal names admits the call.  The sizes keep each retry cheap:
+# at b = 6, size 13 has 47,293 labelled trees.
+LIMITED_CALLS = {
+    "total_weights": lambda limit: total_weights(weights_of(BucketRecursive(2)), 13, limit),
+    "check_affine_ratio": lambda limit: check_affine_ratio(weights_of(BucketRecursive(2)),
+                                                           13, limit),
+    "check_ode_recurrence": lambda limit: check_ode_recurrence(weights_of(BucketRecursive(4)),
+                                                               13, limit),
+    "enumerate_shapes": lambda limit: enumerate_shapes(2, 13, limit),
+    "exact_distribution": lambda limit: exact_distribution(BucketRecursive(6), 13, limit),
+    "sampler_gof": lambda limit: sampler_gof(BucketRecursive(6), 13, 20, [1], 0.01, limit),
+}
+
+
+@pytest.mark.parametrize("name, size", [
+    ("total_weights", 13), ("check_affine_ratio", 14), ("check_ode_recurrence", 13),
+    ("enumerate_shapes", 13), ("exact_distribution", 13), ("sampler_gof", 13),
+])
+def test_the_limit_a_library_refusal_names_admits_the_call(name, size):
+    call = LIMITED_CALLS[name]
+    with pytest.raises(EnumerationLimitError) as info:
+        call(None)
+    assert str(info.value) == (f"size {size} exceeds the enumeration limit 12; a limit "
+                               f"of {size} (--limit {size} on the command line) allows it")
+    call(size)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: enumerate_shapes(1, 30),
+     "refusing n = 30 at b = 1: size 15 has 2674440 shapes, more than 1000000"),
+    (lambda: total_weights(weights_of(BucketRecursive(1)), 30),
+     "refusing n = 30 at b = 1: size 15 has 2674440 shapes, more than 1000000"),
+    (lambda: exact_distribution(PlaneOriented(2, F(1)), 20),
+     "refusing n = 20 at b = 2: size 10 has 650121 labelled trees, more than 200000"),
+])
+def test_a_size_past_the_limit_and_a_ceiling_names_the_ceiling(call, message):
+    with pytest.raises(EnumerationLimitError) as info:
+        call()
+    assert str(info.value) == message
 
 
 EXP = AffineDegreeWeights(F(1), F(1), F(0))

@@ -373,10 +373,14 @@ def test_growth_options_match_the_fraction_reference():
 
 
 def test_exact_distribution_guard():
+    # At b = 6, size 13 has 47,293 labelled trees, under the ceiling; at
+    # b = 2 it has 2,210,979,381, and the ceiling is named before the limit.
     with pytest.raises(EnumerationLimitError, match="limit 12"):
+        exact_distribution(BucketRecursive(6), 13)
+    with pytest.raises(EnumerationLimitError, match="limit 12"):
+        next(exact_laws(BucketRecursive(6), 13))
+    with pytest.raises(EnumerationLimitError, match="labelled trees"):
         exact_distribution(BucketRecursive(2), 13)
-    with pytest.raises(EnumerationLimitError, match="limit 12"):
-        next(exact_laws(BucketRecursive(2), 13))
     with pytest.raises(ValueError, match=">= 1"):
         exact_distribution(BucketRecursive(2), 0)
 

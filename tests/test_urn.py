@@ -343,6 +343,44 @@ def test_exact_descendants_law_refuses_past_its_ceiling_for_j_above_b():
                                f"{DESCENDANTS_CEILING} (its terms grow by O(n log n) digits)")
 
 
+# kappa = c2/c1 in bits, numerator plus denominator: (2,1)-PORT has -1/2.
+@pytest.mark.parametrize("spec, bits, largest", [
+    (PlaneOriented(2, F(1000003, 7)), 23, 1415),
+    (PlaneOriented(2, F(123456789012345678901, 7)), 70, 673),
+    (PlaneOriented(2, F(2**9999 + 1, 7)), 10003, 24),
+    (PlaneOriented(2, F(2**1999999 + 1, 7)), 2000003, 0),
+])
+def test_exact_descendants_law_refuses_past_its_work_for_kappa(spec, bits, largest):
+    start = time.perf_counter()
+    with pytest.raises(EnumerationLimitError) as info:
+        descendants_law_from_urn(spec, max(largest + 1, 6), 6)
+    assert time.perf_counter() - start < 1
+    assert str(info.value) == (f"refusing an exact descendants law past n = {largest} when "
+                               f"kappa = c2/c1 has {bits} bits (its terms grow by O(n * bits) "
+                               f"digits)")
+    assert largest**3 * bits**2 <= urn.DESCENDANTS_WORK_CEILING < (largest + 1)**3 * bits**2
+
+
+@pytest.mark.parametrize("spec, n", [
+    (PlaneOriented(2, F(1)), DESCENDANTS_CEILING),     # 3 bits
+    (BucketRecursive(2), DESCENDANTS_CEILING),         # kappa = 0: 1 bit
+    (PlaneOriented(1, F(1, 997)), 1500),               # 20 bits
+])
+def test_exact_descendants_law_admits_its_sizes_below_the_work_bound(monkeypatch, spec, n):
+    # Only the refusal is under test: the urn laws themselves are stubbed.
+    monkeypatch.setattr(urn, "urn_distribution_exact", lambda state, draws: {0: F(1)})
+    assert descendants_law_from_urn(spec, n, 6) == {1: 1}
+
+
+def test_the_largest_size_a_work_refusal_names_is_admitted(monkeypatch):
+    # A lowered bound keeps the admitted law small: 3 bits allow n = 20.
+    monkeypatch.setattr(urn, "DESCENDANTS_WORK_CEILING", 20**3 * 9)
+    spec = PlaneOriented(2, F(1))
+    with pytest.raises(EnumerationLimitError, match="past n = 20 when kappa = c2/c1 has 3 bits"):
+        descendants_law_from_urn(spec, 21, 6)
+    assert sum(descendants_law_from_urn(spec, 20, 6).values()) == 1
+
+
 # For j <= b the count is n + 1 - j at any size, with no tree grown and no draw.
 @pytest.mark.parametrize("n", [DESCENDANTS_CEILING + 1, URN_DRAW_CEILING + 3, 10**30])
 def test_descendants_of_a_root_label_answer_at_once_at_any_size(n):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import given, strategies as st
 
 from buckettrees import (AffineDegreeWeights, BucketRecursive, DAryIncreasing,
                          DegreeWeights, ExplicitDegreeWeights, InvalidWeightsError,
-                         PlaneOriented, WeightModel, to_fraction, weights_of)
+                         PlaneOriented, WeightModel, classify_family, to_fraction,
+                         total_weights, weights_of)
 from buckettrees.weights import MAX_MODEL_B, binom_frac, shown
 
 F = Fraction
@@ -222,6 +224,63 @@ def test_model_rejects_a_rule_of_its_own_with_zero_phi0():
     with pytest.raises(InvalidWeightsError) as info:
         WeightModel(1, (), Identity())
     assert str(info.value) == "the degree-0 weight must be positive"
+
+
+class Exp(DegreeWeights):
+    """phi_k = 1/k!: a caller's own rule of unbounded support."""
+
+    def coeff(self, k):
+        return F(1, math.factorial(k))
+
+    def scaled(self, factor, stretch):
+        return self
+
+    def support_bound(self):
+        return None
+
+    def describe(self):
+        return {"kind": "exp"}
+
+
+def test_model_refuses_a_rule_of_its_own_of_unbounded_support():
+    # The totals and the classifier read such a rule only through its last
+    # nonzero weight, which it does not have.
+    with pytest.raises(InvalidWeightsError) as info:
+        WeightModel(1, (), Exp())
+    assert str(info.value) == ("a degree rule of unbounded support must be "
+                               "an AffineDegreeWeights")
+    assert WeightModel(1, (), AffineDegreeWeights(1, 1, 0)).phi.support_bound() is None
+
+
+class Listed(DegreeWeights):
+    """A caller's own rule with finitely many positive weights."""
+
+    def __init__(self, coefficients):
+        self.coefficients = tuple(map(F, coefficients))
+
+    def coeff(self, k):
+        return self.coefficients[k] if k < len(self.coefficients) else F(0)
+
+    def scaled(self, factor, stretch):
+        return Listed(factor * stretch**k * c for k, c in enumerate(self.coefficients))
+
+    def support_bound(self):
+        return len(self.coefficients) - 1
+
+    def describe(self):
+        return {"kind": "listed"}
+
+
+@pytest.mark.parametrize("b, psi, phi", [
+    (1, (), (1, 2, 1)),                  # the (1,2)-ary family
+    (2, (1,), (2, 3, 1)),                # BucketRecursive(2) truncated after degree 2
+    (2, (F(1, 2),), (1, 0, 5, 0, 7)),    # a gap in the degree weights
+])
+def test_a_finite_rule_of_its_own_reads_as_its_explicit_twin(b, psi, phi):
+    own = WeightModel(b, psi, Listed(phi))
+    twin = WeightModel(b, psi, ExplicitDegreeWeights(phi))
+    assert total_weights(own, 9, limit=9) == total_weights(twin, 9, limit=9)
+    assert classify_family(own) == classify_family(twin)
 
 
 def test_model_rejects_chain_only_weights():
