@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from .trees import BucketNode, BucketTree, count_labellings, weigh, weight_table
-from .weights import AffineDegreeWeights, DegreeWeights, FamilySpec, WeightModel
+from .weights import AffineDegreeWeights, DegreeWeights, FamilySpec, WeightModel, _check_int
 
 DEFAULT_SIZE_LIMIT = 12
 SHAPE_CEILING = 10**6  # refuse enumeration when size n has more shapes than this
@@ -62,8 +62,9 @@ class EnumerationLimitError(ValueError):
 def check_limit(n: int, limit: int | None) -> None:
     """Refuse a size above ``limit`` (``DEFAULT_SIZE_LIMIT`` when None),
     naming the limit that allows it: a kernel checks its largest size, after
-    the ceiling that no limit lifts."""
+    the ceiling that no limit lifts.  A limit below 1 is refused first."""
     bound = DEFAULT_SIZE_LIMIT if limit is None else limit
+    _check_int(bound, "limit", 1)
     if n > bound:
         raise EnumerationLimitError(
             f"size {n} exceeds the enumeration limit {bound}; "
@@ -77,8 +78,8 @@ def enumerate_shapes(b: int, n: int, limit: int | None = None) -> list[BucketTre
     only up to size n - b (at b = 1 a forest of size n would hold every
     shape of size n + 1).  A size with more shapes than the ceiling is
     refused first, then one above ``limit``."""
-    if b < 1 or n < 1:
-        raise ValueError(f"b and n must be >= 1, got b={b}, n={n}")
+    _check_int(b, "b", 1)
+    _check_int(n, "n", 1)
     guard_shapes(n, b)
     check_limit(n, limit)
     shapes: list[list[BucketNode]] = [[]]
@@ -96,8 +97,7 @@ def _tree_counts(b: int, ways: Callable[[int, int], int]) -> Iterator[int]:
     # Below size b a tree is one bucket, else a full bucket over an ordered
     # forest of size m - b; a forest of size m splits off a first tree of
     # size k, which it can do in ways(m, k) ways.
-    if b < 1:
-        raise ValueError(f"b must be >= 1, got b={b}")
+    _check_int(b, "b", 1)
     trees = [0]
     forests = [1]
     for m in itertools.count(1):
@@ -147,8 +147,8 @@ def guard_growth(n: int) -> None:
 
 def shape_count(b: int, n: int) -> int:
     """Number of shapes of size n, as ``len(enumerate_shapes(b, n))``."""
-    if b < 1 or n < 1:
-        raise ValueError(f"b and n must be >= 1, got b={b}, n={n}")
+    _check_int(b, "b", 1)
+    _check_int(n, "n", 1)
     return next(itertools.islice(shape_counts(b), n - 1, None))
 
 
@@ -194,8 +194,9 @@ def total_weights(model: WeightModel, n_max: int, limit: int | None = None) -> l
     and m f_m = sum_{i=1..m} (rate*i - slope*(m - i)) u_i f_{m-i}: one O(m)
     sum.  An explicit list of degree D keeps the powers T^k one coefficient
     ahead of the last, O(D*m).  n_max is refused as ``total_weight``
-    refuses it: past the shape ceiling first, then above ``limit``.
+    refuses it: below 1, past the shape ceiling, then above ``limit``.
     """
+    _check_int(n_max, "n_max", 1)
     b = model.b
     guard_shapes(n_max, b)
     check_limit(n_max, limit)
@@ -209,8 +210,7 @@ def total_weights(model: WeightModel, n_max: int, limit: int | None = None) -> l
 
 def closed_form_total_weight(spec: FamilySpec, n: int) -> Fraction:
     """T_n of a family's canonical model: prod_{k<n} (c1*k + c2)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_int(n, "n", 1)
     return math.prod((spec.connectivity(k) for k in range(1, n)), start=Fraction(1))
 
 

@@ -30,7 +30,7 @@ from .enumeration import check_limit, guard_growth, guard_labelled
 from .rng import SplitMix64, accept_below
 from .trees import (BucketNode, BucketTree, InvalidTreeError, encode_grown,
                     single_bucket_tree)
-from .weights import FamilySpec
+from .weights import FamilySpec, _check_int
 
 
 def _option_table(spec: FamilySpec, size: int) -> tuple[list[tuple[int, ...]], int]:
@@ -122,8 +122,7 @@ def _grow_each(spec: FamilySpec, n: int,
     A pick with one outcome, a total of 1 or a saturated node with no
     children, draws no word.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_int(n, "n", 1)
     guard_growth(n)
     b = spec.b
     # (c1, c2) times their common denominator: the integer join and split weights.
@@ -302,8 +301,7 @@ def exact_laws(spec: FamilySpec, n: int, limit: int | None = None) -> Iterator[T
     successor's weight is the sum of its parents' weights times those, and
     the size-(m+1) scale is the size-m scale times the table's.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_int(n, "n", 1)
     guard_labelled(n, spec.b)
     check_limit(n, limit)
     b = spec.b
@@ -340,6 +338,7 @@ def strip_labels(tree: BucketTree, j: int) -> BucketTree:
     """
     if not tree.is_labelled():
         raise InvalidTreeError("strip_labels requires a labelled tree")
+    _check_int(j, "j")
     if not 1 <= j <= tree.size:
         raise ValueError(f"j={j} outside 1..{tree.size}")
     return _strip(tree, j)
@@ -376,6 +375,7 @@ def pushforward_strip(dist: TreeDistribution, j: int) -> TreeDistribution:
     that strip to the same tree added, on ``dist.scale``.  j is checked
     against ``dist.size`` once, and no tree's size is walked: the law's
     trees are labelled trees of that size, as ``validate`` requires."""
+    _check_int(j, "j")
     if not 1 <= j <= dist.size:
         raise ValueError(f"j={j} outside 1..{dist.size}")
     acc: dict[BucketTree, int] = {}

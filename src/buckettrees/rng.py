@@ -31,6 +31,8 @@ from __future__ import annotations
 import math
 import struct
 
+from .weights import _check_int, shown
+
 _SPAN = 1 << 64
 _MASK = _SPAN - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -72,11 +74,9 @@ class SplitMix64:
     """Seedable stream of 64-bit words; output n is a hash of seed + n deltas."""
 
     def __init__(self, seed: int) -> None:
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ValueError(f"seed must be an int, got {type(seed).__name__}")
+        _check_int(seed, "seed")
         if not 0 <= seed < _SPAN:
-            shown = seed if seed.bit_length() <= 80 else f"an int of {seed.bit_length()} bits"
-            raise ValueError(f"seed must be in [0, 2**64), got {shown}")
+            raise ValueError(f"seed must be in [0, 2**64), got {shown(seed)}")
         self._seed = seed
         self._base = self._seed   # the counter before the buffer's first word
         self._block = 0           # words mixed by the last refill
@@ -132,8 +132,7 @@ class SplitMix64:
     def randbelow(self, bound: int) -> int:
         """Uniform integer in [0, bound), unbiased via rejection; a bound past
         64 bits concatenates words, and a bound of 1 draws none."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        _check_int(bound, "bound", 1)
         if bound == 1:
             return 0
         word = (self._words or self._refill()).pop()
@@ -147,6 +146,8 @@ class SplitMix64:
         The fraction is reduced first, so equal probabilities draw the same
         words whatever their spelling.
         """
+        _check_int(numerator, "numerator")
+        _check_int(denominator, "denominator")
         if denominator <= 0 or not 0 <= numerator <= denominator:
             raise ValueError(f"probability out of range: {numerator}/{denominator}")
         g = math.gcd(numerator, denominator)
@@ -154,6 +155,5 @@ class SplitMix64:
 
     def spawn(self, index: int) -> SplitMix64:
         """Independent child stream, reproducible from (seed, index)."""
-        if index < 0:
-            raise ValueError("spawn index must be non-negative")
+        _check_int(index, "spawn index", 0)
         return SplitMix64(_mix((self._seed + (index + 1) * _GOLDEN) & _MASK))

@@ -35,7 +35,7 @@ from .enumeration import EnumerationLimitError
 from .evolve import exact_distribution, sample_counts
 from .rng import SplitMix64
 from .trees import encode_tree
-from .weights import FamilySpec, shown
+from .weights import FamilySpec, _check_int, shown
 from .urn import urn_from, urn_moment_exact
 
 MIN_GOF_SAMPLES = 20
@@ -56,6 +56,7 @@ KURT_BOUND = 0.2
 
 
 def _check_ceiling(count: int, ceiling: int, what: str) -> None:
+    _check_int(count, what)
     if count > ceiling:
         raise EnumerationLimitError(f"refusing more than {ceiling} {what}, got {shown(count)}")
 
@@ -123,12 +124,8 @@ def chi_square_gof(observed: Mapping, expected: Mapping,
 def chi_square_tail(x: float, dof: int) -> float:
     """P(X >= x), X chi-square with integer ``dof``: with y = x/2, the sum over
     k < dof//2 of e^-y y^(k+h) / Gamma(k+h+1), h = 0 for even dof and 1/2 for
-    odd, plus erfc(sqrt y) for odd.  Positive terms formed in log space.
-    A dof that is not an int of at least 1 is refused with ValueError."""
-    if isinstance(dof, bool) or not isinstance(dof, int):
-        raise ValueError(f"dof must be an int, got {type(dof).__name__}")
-    if dof < 1:
-        raise ValueError(f"dof must be at least 1, got {shown(dof)}")
+    odd, plus erfc(sqrt y) for odd.  Positive terms formed in log space."""
+    _check_int(dof, "dof", 1)
     if x <= 0:
         return 1.0
     y = x / 2
@@ -151,11 +148,12 @@ def sampler_gof(
     """Chi-square of the tree sampler against the exact law, one run per seed.
 
     The combined verdict fails only when at least two seeds fail, so a
-    single unlucky run at the chosen level does not flag the sampler.
-    More than ``GOF_SAMPLE_CEILING`` samples per run are refused before the
-    law is built.
+    single unlucky run at the chosen level does not flag the sampler.  Fewer
+    than two seeds (a verdict that cannot fail) and more than
+    ``GOF_SAMPLE_CEILING`` samples per run are refused before the law is built.
     """
     _check_ceiling(samples, GOF_SAMPLE_CEILING, "samples per run")
+    _check_int(len(seeds), "len(seeds)", 2)
     dist = exact_distribution(spec, n, limit)
     # Bins keyed by encoding, pooled in repr order; int / int rounds as float(prob).
     expected = {encode_tree(tree): weight / dist.scale for tree, weight in dist.weights.items()}
@@ -172,10 +170,9 @@ def sampler_gof(
 
 def beta_moment(a: Fraction, b: Fraction, s: int) -> Fraction:
     """s-th moment of a Beta(a, b) variable; b = 0 degenerates to mass at 1."""
+    _check_int(s, "s", 1)
     a = Fraction(a)
     b = Fraction(b)
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
     if a <= 0 or b < 0:
         raise ValueError(f"parameters out of range: a={a}, b={b}")
     if b == 0:
@@ -261,15 +258,18 @@ def check_beta_convergence(
     computable in closed form from the urn moments; the check passes when
     both moments of every cell fall inside their bands.
     """
+    _check_int(j, "j")
+    for n in n_grid:
+        _check_int(n, "n")
     if not n_grid or any(n <= j for n in n_grid):
         raise ValueError("every n in the grid must exceed j")
     if any(a >= b for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be strictly increasing")
     _check_urn_size(n_grid[-1])
     state = urn_from(spec, j, load)
+    _check_ceiling(samples, BATCH_CEILING, "samples")
     if samples < MIN_GOF_SAMPLES:
         raise ValueError(f"need at least {MIN_GOF_SAMPLES} samples, got {samples}")
-    _check_ceiling(samples, BATCH_CEILING, "samples")
 
     m1 = beta_moment(state.white, state.black, 1)
     m2 = beta_moment(state.white, state.black, 2)
@@ -361,6 +361,8 @@ def second_order_diagnostic(
     at both endpoints (for instance load 2 at j = 4 under b = 2 growth).
     """
     state = urn_from(spec, j, load)
+    _check_int(n, "n")
+    _check_int(horizon, "horizon")
     if not j < n < horizon:
         raise ValueError(f"need j < n < horizon, got {j}, {n}, {horizon}")
     _check_urn_size(horizon)
@@ -371,9 +373,10 @@ def second_order_diagnostic(
                          f"scales the {horizon - j} draws by the white count's denominator in "
                          f"64-bit integers, so its numerator plus that product must be below "
                          f"2**63")
+    _check_ceiling(trajectories, BATCH_CEILING, "trajectories")
     if trajectories < MIN_GOF_SAMPLES:
         raise ValueError(f"need at least {MIN_GOF_SAMPLES} trajectories, got {trajectories}")
-    _check_ceiling(trajectories, BATCH_CEILING, "trajectories")
+    _check_int(seed, "seed", 0)
     if state.black == 0:
         # Deterministic urn: every draw is white, the centered values vanish.
         return SecondOrderReport(n, horizon, trajectories, 0.0, 0.0, 0.0, True,

@@ -16,10 +16,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Sequence
 
-if TYPE_CHECKING:
-    from .weights import WeightModel
+from .weights import WeightModel, _check_int
 
 
 # Nesting bound of decode_tree: BucketNode's == recurses and fails at depth 250
@@ -106,8 +105,7 @@ class BucketTree:
     def validate(self) -> None:
         """Raise InvalidTreeError unless all structural invariants hold."""
         b = self.max_bucket
-        if b < 1:
-            raise InvalidTreeError(f"bucket capacity bound must be >= 1, got {b}")
+        _check_int(b, "bucket capacity bound", 1, InvalidTreeError)
         labelled_any = False
         shape_any = False
         all_labels: list[int] = []
@@ -219,7 +217,7 @@ def decode_tree(data: bytes, max_bucket: int) -> BucketTree:
 WeightTable = tuple[int, list[int], list[int]]
 
 
-def weight_table(model: "WeightModel", degree: int) -> WeightTable:
+def weight_table(model: WeightModel, degree: int) -> WeightTable:
     """The node weights of trees with at most ``degree`` children per node,
     read from the model once: (b, numerators, denominators), where entry
     c - 1 is psi_c (c < b) and entry b - 1 + k is phi_k (k <= degree)."""
@@ -256,7 +254,7 @@ def weigh(tree: BucketTree, table: WeightTable) -> Fraction:
     return Fraction(*weigh_parts(tree, table))
 
 
-def tree_weight(tree: BucketTree, model: "WeightModel") -> Fraction:
+def tree_weight(tree: BucketTree, model: WeightModel) -> Fraction:
     """Product over nodes: saturated buckets contribute the degree weight
     for their child count, unsaturated leaves the bucket weight for their
     capacity."""

@@ -42,7 +42,7 @@ from .enumeration import (DESCENDANTS_CEILING, DESCENDANTS_WORK_CEILING, URN_DRA
 from .evolve import _grown_label, exact_distribution
 from .rng import SplitMix64, accept_below
 from .trees import count_descendants
-from .weights import FamilySpec, binom_frac
+from .weights import FamilySpec, _check_int, binom_frac
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,8 @@ class UrnState:
 
 def urn_from(spec: FamilySpec, j: int, load: int) -> UrnState:
     """Initial urn for the descendants of label j, given j's insertion load."""
-    if j < 1:
-        raise ValueError(f"j must be >= 1, got {j}")
+    _check_int(j, "j", 1)
+    _check_int(load, "load")
     if not 1 <= load <= min(j, spec.b):
         raise ValueError(f"load {load} impossible for j={j}, b={spec.b}")
     if load < j <= spec.b:
@@ -88,8 +88,7 @@ def urn_run(state: UrnState, draws: int, rng: SplitMix64) -> int:
     the run's largest bound is taken modulo the bound untested.  An urn with
     no white or no black balls is decided, and draws no word.
     """
-    if draws < 0:
-        raise ValueError(f"draws must be >= 0, got {draws}")
+    _check_int(draws, "draws", 0)
     q = math.lcm(state.white.denominator, state.black.denominator)
     white0, total0 = int(state.white * q), int(state.total * q)
     if white0 == 0 or white0 == total0:
@@ -123,8 +122,7 @@ def urn_distribution_exact(state: UrnState, draws: int) -> dict[int, Fraction]:
     p_0 reduces two big integers against each other.  With no black balls
     every draw is white.
     """
-    if draws < 0:
-        raise ValueError(f"draws must be >= 0, got {draws}")
+    _check_int(draws, "draws", 0)
     if state.black == 0:
         return {draws: Fraction(1)}
     m = draws
@@ -148,10 +146,8 @@ def urn_moment_exact(state: UrnState, draws: int, s: int) -> Fraction:
     binom(W_0 + s - 1, s) * prod_{i<s} T_{draws+i}/T_i; one draw multiplies
     the moment by T_{m+s}/T_m, and the product over a run telescopes.
     """
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    if draws < 0:
-        raise ValueError(f"draws must be >= 0, got {draws}")
+    _check_int(s, "s", 1)
+    _check_int(draws, "draws", 0)
     value = binom_frac(state.white + s - 1, s)
     for i in range(s):
         value *= (state.total + draws + i) / (state.total + i)
@@ -160,6 +156,7 @@ def urn_moment_exact(state: UrnState, draws: int, s: int) -> Fraction:
 
 def binomial_moment(state: UrnState, law: Mapping[int, Fraction], s: int) -> Fraction:
     """E binom(W + s - 1, s) over an explicit law of the white-draw count."""
+    _check_int(s, "s", 1)
     return sum((binom_frac(state.white + k + s - 1, s) * p for k, p in law.items()),
                Fraction(0))
 
@@ -177,6 +174,8 @@ class DescendantSample:
 
 
 def _check_window(n: int, j: int) -> None:
+    _check_int(n, "n")
+    _check_int(j, "j")
     if not 1 <= j <= n:
         raise ValueError(f"need 1 <= j <= n, got j={j}, n={n}")
 
@@ -213,8 +212,7 @@ def descendants_via_urn(spec: FamilySpec, n: int, j: int, rng: SplitMix64) -> De
 def insertion_load_law(spec: FamilySpec, j: int) -> dict[int, Fraction]:
     """Law of the load of j's bucket at the moment j arrives, by the
     expected-count recurrence of the module docstring: O(j*b) steps."""
-    if j < 1:
-        raise ValueError(f"j must be >= 1, got {j}")
+    _check_int(j, "j", 1)
     if j <= spec.b:
         return {j: Fraction(1)}
     weights = [spec.attachment_weight(k, 0) for k in range(1, spec.b)]

@@ -30,7 +30,7 @@ from .enumeration import enumerate_shapes, total_weights
 from .trees import BucketTree, node_profile, weigh, weigh_parts, weight_table
 from .weights import (AffineDegreeWeights, BucketRecursive, DAryIncreasing,
                       FamilySpec, PlaneOriented, RationalLike, WeightModel,
-                      to_fraction)
+                      _check_int, to_fraction)
 
 
 class UndefinedRatioError(ValueError):
@@ -101,8 +101,7 @@ def check_affine_ratio(model: WeightModel, n_max: int, limit: int | None = None)
     When the check passes, c1 >= 0 and c2 > -c1 follow (ratios of positive
     totals are positive and nondecreasing steps keep the line valid).
     """
-    if n_max < 3:
-        raise ValueError(f"n_max must be >= 3 to fit and test, got {n_max}")
+    _check_int(n_max, "n_max", 3)
     totals = total_weights(model, n_max + 1, limit)
     for n, t in enumerate(totals, start=1):
         if t == 0:
@@ -138,11 +137,12 @@ def check_scaling(
     by a^b s^{k-1}, so a size-n tree by a^n / s.  Rescaling only half of
     the weights breaks this.
     """
+    shapes = enumerate_shapes(model.b, n, limit)   # refuses n before the tables
     scaled = model.scaled(a, s)
     factor = to_fraction(a) ** n / to_fraction(s)
     base_table = weight_table(model, n)
     scaled_table = weight_table(scaled, n)
-    for shape in enumerate_shapes(model.b, n, limit):
+    for shape in shapes:
         if weigh(shape, scaled_table) != factor * weigh(shape, base_table):
             return ScalingReport(False, n, shape)
     return ScalingReport(True, n, None)

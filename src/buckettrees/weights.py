@@ -37,8 +37,7 @@ def quoted(text: str) -> str:
 def shown(value: object) -> str:
     """str(value) as an error line shows it: whole up to 24 characters, else
     ``quoted``.  A number with more digits than str() writes (4,300 by
-    default) is named by its sign and length in bits, as ``SplitMix64`` names
-    a seed."""
+    default) is named by its sign and length in bits."""
     try:
         text = str(value)
     except ValueError:
@@ -51,13 +50,14 @@ def shown(value: object) -> str:
     return text if len(text) <= 24 else quoted(text)
 
 
-def _check_capacity(b: object, name: str) -> None:
-    """Refuse a bucket capacity that is not an int of at least 1 (a bool
-    included), in one line."""
-    if isinstance(b, bool) or not isinstance(b, int):
-        raise InvalidWeightsError(f"{name} must be an int, got {type(b).__name__}")
-    if b < 1:
-        raise InvalidWeightsError(f"{name} must be >= 1, got {shown(b)}")
+def _check_int(value: object, name: str, floor: int | None = None,
+               error: type[ValueError] = ValueError) -> None:
+    """Refuse, with ``error`` and in one line, a non-int (a bool included) or an
+    int below ``floor``: the one check of every kernel's sizes, counts and indices."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{name} must be an int, got {type(value).__name__}")
+    if floor is not None and value < floor:
+        raise error(f"{name} must be >= {floor}, got {shown(value)}")
 
 
 def to_fraction(value: RationalLike) -> Fraction:
@@ -241,7 +241,7 @@ class WeightModel:
     phi: DegreeWeights
 
     def __post_init__(self) -> None:
-        _check_capacity(self.b, "bucket capacity")
+        _check_int(self.b, "bucket capacity", 1, InvalidWeightsError)
         psi = tuple(to_fraction(p) for p in self.psi)
         object.__setattr__(self, "psi", psi)
         if len(psi) != self.b - 1:
@@ -307,7 +307,7 @@ class FamilySpec(abc.ABC):
     c2: Fraction
 
     def __post_init__(self) -> None:
-        _check_capacity(self.b, "b")
+        _check_int(self.b, "b", 1, InvalidWeightsError)
 
     def _hold(self, c1: Fraction, c2: Fraction) -> None:
         # Plain attributes, not dataclass fields: they follow from the

@@ -40,16 +40,22 @@ def test_shape_counts_b2():
     assert [shape_count(2, n) for n in range(1, 7)] == [1, 1, 1, 2, 4, 9]
 
 
-@pytest.mark.parametrize("b, n", [(0, 3), (2, 0), (-1, -1)])
-def test_shape_count_refuses_sizes_and_capacities_below_one(b, n):
-    with pytest.raises(ValueError, match=f"b and n must be >= 1, got b={b}, n={n}"):
+@pytest.mark.parametrize("b, n, message", [
+    (0, 3, "b must be >= 1, got 0"),
+    (2, 0, "n must be >= 1, got 0"),
+    (-1, -1, "b must be >= 1, got -1"),
+])
+def test_shape_count_refuses_sizes_and_capacities_below_one(b, n, message):
+    with pytest.raises(ValueError) as info:
         shape_count(b, n)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("counts", [enumeration.shape_counts, labelled_counts])
 def test_tree_counts_refuse_a_capacity_below_one(counts):
-    with pytest.raises(ValueError, match="b must be >= 1, got b=0"):
+    with pytest.raises(ValueError) as info:
         next(counts(0))
+    assert str(info.value) == "b must be >= 1, got 0"
 
 
 def test_shape_count_matches_enumeration():
@@ -265,7 +271,8 @@ LIMITED_CALLS = {
                                                                13, limit),
     "enumerate_shapes": lambda limit: enumerate_shapes(2, 13, limit),
     "exact_distribution": lambda limit: exact_distribution(BucketRecursive(6), 13, limit),
-    "sampler_gof": lambda limit: sampler_gof(BucketRecursive(6), 13, 20, [1], 0.01, limit),
+    "sampler_gof": lambda limit: sampler_gof(BucketRecursive(6), 13, 20, [1, 2, 3], 0.01,
+                                             limit),
 }
 
 

@@ -103,8 +103,8 @@ def test_chi_square_tail_matches_scipy():
 
 
 @pytest.mark.parametrize("dof, message", [
-    (0, "dof must be at least 1, got 0"),
-    (-3, "dof must be at least 1, got -3"),
+    (0, "dof must be >= 1, got 0"),
+    (-3, "dof must be >= 1, got -3"),
     (2.0, "dof must be an int, got float"),
     (True, "dof must be an int, got bool"),
     ("3", "dof must be an int, got str"),
@@ -137,6 +137,15 @@ def test_sampler_gof_passes_for_families():
     assert ok
     assert len(reports) == 3
     assert all(r.samples == 600 for r in reports)
+
+
+@pytest.mark.parametrize("seeds", [[], [1]])
+def test_sampler_gof_refuses_fewer_than_two_seeds_before_the_law(seeds, monkeypatch):
+    # One seed, or none, gives a verdict that cannot fail.
+    monkeypatch.setattr(stats, "exact_distribution", None)   # never reached
+    with pytest.raises(ValueError) as info:
+        sampler_gof(BucketRecursive(2), 4, 100, seeds)
+    assert str(info.value) == f"len(seeds) must be >= 2, got {len(seeds)}"
 
 
 def test_sampler_gof_detects_wrong_law():
