@@ -25,13 +25,13 @@ from .verify import (AffineRatioReport, BalanceReport, NotGrown,
                      classify_family)
 from .stats import (BetaCell, BetaConvergenceReport, GofReport,
                     SecondOrderReport, beta_moment, check_beta_convergence,
-                    chi_square_gof, sampler_gof, second_order_diagnostic)
+                    chi_square_gof, sampled_fit, sampler_gof, second_order_diagnostic)
 from .weights import (AffineDegreeWeights, BucketRecursive, DAryIncreasing,
                       DegreeWeights, ExplicitDegreeWeights, FamilySpec,
                       InvalidWeightsError, PlaneOriented, WeightModel,
                       to_fraction, weights_of)
 
-__version__ = "0.22.0"
+__version__ = "0.23.0"
 
 __all__ = [
     "BucketNode", "BucketTree", "bucket", "shape_bucket", "single_bucket_tree",
@@ -57,7 +57,7 @@ __all__ = [
     "descendants_direct", "descendants_via_urn",
     "insertion_load_law", "descendants_law_from_trees",
     "descendants_law_from_urn",
-    "chi_square_gof", "GofReport", "sampler_gof", "beta_moment",
+    "chi_square_gof", "GofReport", "sampled_fit", "sampler_gof", "beta_moment",
     "check_beta_convergence", "BetaCell", "BetaConvergenceReport",
     "second_order_diagnostic", "SecondOrderReport",
     "SplitMix64",

@@ -27,12 +27,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .enumeration import EnumerationLimitError
-from .evolve import exact_distribution, sample_counts
+from .evolve import exact_laws, sample_counts
 from .rng import SplitMix64
 from .trees import encode_tree
 from .weights import FamilySpec, _check_int, shown
@@ -55,10 +55,12 @@ SKEW_BOUND = 0.1
 KURT_BOUND = 0.2
 
 
-def _check_ceiling(count: int, ceiling: int, what: str) -> None:
+def _check_count(count: int, ceiling: int, what: str) -> None:
     _check_int(count, what)
     if count > ceiling:
         raise EnumerationLimitError(f"refusing more than {ceiling} {what}, got {shown(count)}")
+    if count < MIN_GOF_SAMPLES:
+        raise ValueError(f"need at least {MIN_GOF_SAMPLES} {what}, got {shown(count)}")
 
 
 # ── goodness of fit ───────────────────────────────────────────────────────
@@ -137,6 +139,26 @@ def chi_square_tail(x: float, dof: int) -> float:
     return math.fsum(terms)
 
 
+def sampled_fit(
+    law: Callable[[], Mapping],
+    draw: Callable[[SplitMix64, int], Mapping],
+    samples: int,
+    seeds: Sequence[int],
+    level: float = 0.01,
+) -> tuple[list[GofReport], bool]:
+    """Chi-square of ``draw(SplitMix64(s), samples)``, one run's counts, against
+    the exact law ``law()`` (value -> probability), one run per seed s.  The
+    fit fails when two or more runs reject, so one unlucky run does not flag
+    the sampler.  The count and the seeds (two at least, or the verdict
+    could not fail) are refused before ``law`` or ``draw`` is called."""
+    _check_count(samples, GOF_SAMPLE_CEILING, "samples per run")
+    _check_int(len(seeds), "len(seeds)", 2)
+    rngs = [SplitMix64(seed) for seed in seeds]
+    expected = law()
+    reports = [chi_square_gof(draw(rng, samples), expected, level) for rng in rngs]
+    return reports, sum(not r.passed for r in reports) < 2
+
+
 def sampler_gof(
     spec: FamilySpec,
     n: int,
@@ -145,25 +167,22 @@ def sampler_gof(
     level: float = 0.01,
     limit: int | None = None,
 ) -> tuple[list[GofReport], bool]:
-    """Chi-square of the tree sampler against the exact law, one run per seed.
+    """``sampled_fit`` of the grown tree's encoding, each run growing its
+    trees one after another from one stream.  n is refused first, past its
+    ceiling or ``limit``, then the count and the seeds, all before the law
+    is built."""
+    laws = exact_laws(spec, n, limit)
+    dist = next(laws)   # n's checks run here
 
-    The combined verdict fails only when at least two seeds fail, so a
-    single unlucky run at the chosen level does not flag the sampler.  Fewer
-    than two seeds (a verdict that cannot fail) and more than
-    ``GOF_SAMPLE_CEILING`` samples per run are refused before the law is built.
-    """
-    _check_ceiling(samples, GOF_SAMPLE_CEILING, "samples per run")
-    _check_int(len(seeds), "len(seeds)", 2)
-    dist = exact_distribution(spec, n, limit)
-    # Bins keyed by encoding, pooled in repr order; int / int rounds as float(prob).
-    expected = {encode_tree(tree): weight / dist.scale for tree, weight in dist.weights.items()}
-    reports = []
-    for seed in seeds:
-        # Each run draws its trees one after another from one stream.
-        counts = sample_counts(spec, n, repeat(SplitMix64(seed), samples))
-        reports.append(chi_square_gof(counts, expected, level))
-    failures = sum(1 for r in reports if not r.passed)
-    return reports, failures < 2
+    def expected() -> dict[bytes, float]:
+        last = dist
+        for last in laws:
+            pass
+        # Bins keyed by encoding, pooled in repr order; int / int rounds as float(prob).
+        return {encode_tree(tree): weight / last.scale for tree, weight in last.weights.items()}
+
+    return sampled_fit(expected, lambda rng, k: sample_counts(spec, n, repeat(rng, k)),
+                       samples, seeds, level)
 
 
 # ── beta limit of the descendants statistic ───────────────────────────────
@@ -267,9 +286,7 @@ def check_beta_convergence(
         raise ValueError("n_grid must be strictly increasing")
     _check_urn_size(n_grid[-1])
     state = urn_from(spec, j, load)
-    _check_ceiling(samples, BATCH_CEILING, "samples")
-    if samples < MIN_GOF_SAMPLES:
-        raise ValueError(f"need at least {MIN_GOF_SAMPLES} samples, got {samples}")
+    _check_count(samples, BATCH_CEILING, "samples")
 
     m1 = beta_moment(state.white, state.black, 1)
     m2 = beta_moment(state.white, state.black, 2)
@@ -373,10 +390,8 @@ def second_order_diagnostic(
                          f"scales the {horizon - j} draws by the white count's denominator in "
                          f"64-bit integers, so its numerator plus that product must be below "
                          f"2**63")
-    _check_ceiling(trajectories, BATCH_CEILING, "trajectories")
-    if trajectories < MIN_GOF_SAMPLES:
-        raise ValueError(f"need at least {MIN_GOF_SAMPLES} trajectories, got {trajectories}")
-    _check_int(seed, "seed", 0)
+    _check_count(trajectories, BATCH_CEILING, "trajectories")
+    SplitMix64(seed)   # refuses a seed outside [0, 2**64), as check_beta_convergence does
     if state.black == 0:
         # Deterministic urn: every draw is white, the centered values vanish.
         return SecondOrderReport(n, horizon, trajectories, 0.0, 0.0, 0.0, True,

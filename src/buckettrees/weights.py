@@ -261,13 +261,15 @@ class WeightModel:
 
     def psi_extended(self, k: int) -> Fraction:
         """psi_k for 1 <= k <= b, with psi_b := phi_0."""
+        _check_int(k, "k")
         if not 1 <= k <= self.b:
-            raise ValueError(f"k={k} outside 1..{self.b}")
+            raise ValueError(f"k={shown(k)} outside 1..{self.b}")
         if k == self.b:
             return self.phi.coeff(0)
         return self.psi[k - 1]
 
     def phi_coefficients(self, through: int) -> list[Fraction]:
+        _check_int(through, "through", 0)
         return [self.phi.coeff(k) for k in range(through + 1)]
 
     def scaled(self, a: RationalLike, s: RationalLike) -> "WeightModel":

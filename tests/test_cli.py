@@ -1398,6 +1398,10 @@ SHAPES_PAST_THE_CEILING = ("error: refusing n = 15 at b = 1: size 15 has 2674440
      SHAPES_PAST_THE_CEILING),
     (["stats", "--check", "gof", "--family", "bucket-recursive", "--b", "2", "--n", "20"],
      "error: refusing n = 20 at b = 2: size 10 has 650121 labelled trees, more than 200000\n"),
+    # n is refused before a sample count below the floor.
+    (["stats", "--check", "gof", "--family", "bucket-recursive", "--b", "2", "--n", "20",
+      "--samples", "5"],
+     "error: refusing n = 20 at b = 2: size 10 has 650121 labelled trees, more than 200000\n"),
 ])
 def test_a_size_past_a_ceiling_names_the_ceiling_before_the_limit(capsys, argv, line):
     rc, out, err = run(capsys, *argv)

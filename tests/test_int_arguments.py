@@ -117,6 +117,8 @@ CALLS = {
     "BucketTree.validate.max_bucket": lambda v: BucketTree(TREE.root, v).validate(),
     "BucketRecursive.b": BucketRecursive,
     "WeightModel.b": lambda v: WeightModel(v, (F(1),), ExplicitDegreeWeights((1, 1, 1))),
+    "WeightModel.psi_extended.k": lambda v: MODEL.psi_extended(v),
+    "WeightModel.phi_coefficients.through": lambda v: MODEL.phi_coefficients(v),
 }
 
 NOT_INTS = [True, False, 2.0, 2.5, F(2), "2"]
@@ -169,3 +171,9 @@ def test_the_refusal_names_the_argument_and_the_type():
     with pytest.raises(ValueError) as info:
         pushforward_strip(LAW, 2.0)
     assert str(info.value) == "j must be an int, got float"
+    with pytest.raises(ValueError) as info:
+        MODEL.psi_extended(True)
+    assert str(info.value) == "k must be an int, got bool"
+    with pytest.raises(ValueError) as info:
+        MODEL.phi_coefficients(-3)
+    assert str(info.value) == "through must be >= 0, got -3"

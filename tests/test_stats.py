@@ -9,15 +9,16 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 import pytest
 
 from buckettrees import (BucketRecursive, DAryIncreasing, PlaneOriented,
-                         SplitMix64, beta_moment, chi_square_gof,
-                         check_beta_convergence, exact_distribution,
-                         sampler_gof, second_order_diagnostic,
-                         urn_distribution_exact, urn_from)
+                         beta_moment, chi_square_gof,
+                         check_beta_convergence, encode_tree, exact_distribution,
+                         exact_laws, sample_counts, sampled_fit, sampler_gof,
+                         second_order_diagnostic, urn_distribution_exact, urn_from)
 from buckettrees import stats
 from buckettrees.enumeration import EnumerationLimitError
 from buckettrees.stats import (MIN_GOF_SAMPLES, _urn_batch, chi_square_tail,
@@ -139,10 +140,24 @@ def test_sampler_gof_passes_for_families():
     assert all(r.samples == 600 for r in reports)
 
 
+def patch_out_draws(monkeypatch):
+    """Make urn batches, grown trees and sampler_gof's law past its size checks raise."""
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a refused count reached a draw")
+
+    def checked_laws(*args):
+        yield next(exact_laws(*args))   # the size checks, then the one-label law
+        no_draws()
+
+    monkeypatch.setattr(stats, "_urn_batch", no_draws)
+    monkeypatch.setattr(stats, "sample_counts", no_draws)
+    monkeypatch.setattr(stats, "exact_laws", checked_laws)
+
+
 @pytest.mark.parametrize("seeds", [[], [1]])
 def test_sampler_gof_refuses_fewer_than_two_seeds_before_the_law(seeds, monkeypatch):
     # One seed, or none, gives a verdict that cannot fail.
-    monkeypatch.setattr(stats, "exact_distribution", None)   # never reached
+    patch_out_draws(monkeypatch)
     with pytest.raises(ValueError) as info:
         sampler_gof(BucketRecursive(2), 4, 100, seeds)
     assert str(info.value) == f"len(seeds) must be >= 2, got {len(seeds)}"
@@ -151,18 +166,12 @@ def test_sampler_gof_refuses_fewer_than_two_seeds_before_the_law(seeds, monkeypa
 def test_sampler_gof_detects_wrong_law():
     # Score binary-family samples against the recursive law at the shared
     # support: the mismatch is gross, all seeds must fail.
-    spec_wrong = DAryIncreasing(1, F(3))
-    dist = exact_distribution(spec_wrong, 5)
-    from collections import Counter
-    from buckettrees import encode_tree, sample_tree
-    expected = {encode_tree(t): float(p) for t, p in dist.probs.items()}
-    reports = []
-    for seed in (4, 5):
-        rng = SplitMix64(seed)
-        counts = Counter(encode_tree(sample_tree(PlaneOriented(1, F(1)), 5, rng))
-                         for _ in range(800))
-        reports.append(chi_square_gof(counts, expected))
-    assert not any(r.passed for r in reports)
+    reports, passed = sampled_fit(
+        lambda: {encode_tree(t): float(p)
+                 for t, p in exact_distribution(DAryIncreasing(1, F(3)), 5).probs.items()},
+        lambda rng, k: sample_counts(PlaneOriented(1, F(1)), 5, repeat(rng, k)),
+        800, (4, 5))
+    assert not passed and not any(r.passed for r in reports)
 
 
 # ── beta limit ────────────────────────────────────────────────────────────
@@ -258,8 +267,6 @@ def test_beta_convergence_validation():
         check_beta_convergence(spec, 4, 3, [50], 100, 0)
     with pytest.raises(ValueError, match="deterministically"):
         check_beta_convergence(spec, 2, 1, [50], 100, 0)
-    with pytest.raises(ValueError, match=str(MIN_GOF_SAMPLES)):
-        check_beta_convergence(spec, 4, 1, [50], MIN_GOF_SAMPLES - 1, 0)
 
 
 def test_beta_convergence_targets_the_right_limit():
@@ -326,8 +333,8 @@ def test_second_order_validation():
         second_order_diagnostic(spec, 2, 1, 100, 100, 1000, 1)
     with pytest.raises(ValueError, match="j < n < horizon"):
         second_order_diagnostic(spec, 4, 2, 100, 10, 50, 0)
-    with pytest.raises(ValueError, match=str(MIN_GOF_SAMPLES)):
-        second_order_diagnostic(spec, 4, 2, 100, MIN_GOF_SAMPLES - 1, 1000, 0)
+    with pytest.raises(ValueError, match=r"^seed must be in \[0, 2\*\*64\), got 11805916"):
+        second_order_diagnostic(spec, 4, 2, 100, 100, 1000, 2**70)
 
 
 def test_second_order_refuses_where_int64_would_wrap():
@@ -357,8 +364,8 @@ def test_urn_size_past_the_digit_cap_is_refused_by_its_bits(call):
 
 
 # Each count is refused before numpy or itertools.repeat sees it (and before
-# gof builds its law), so no size here allocates anything.
-@pytest.mark.parametrize("call, ceiling, what", [
+# gof builds its law), so no count here allocates anything.
+COUNTED_CALLS = pytest.mark.parametrize("call, ceiling, what", [
     (lambda k: sampler_gof(DAryIncreasing(2, F(2)), 5, k, [1, 2, 3]),
      stats.GOF_SAMPLE_CEILING, "samples per run"),
     (lambda k: check_beta_convergence(PlaneOriented(2, F(1)), 4, 2, [2000], k, 1),
@@ -366,16 +373,22 @@ def test_urn_size_past_the_digit_cap_is_refused_by_its_bits(call):
     (lambda k: second_order_diagnostic(BucketRecursive(2), 4, 2, 1000, k, 2500, 1),
      stats.BATCH_CEILING, "trajectories"),
 ], ids=["gof", "beta", "second-order"])
+
+
+@COUNTED_CALLS
 @pytest.mark.parametrize("past", [1, 10**14, 10**30])
 def test_stats_counts_past_their_ceiling_are_refused(monkeypatch, call, ceiling, what, past):
-    def no_draws(*args, **kwargs):
-        raise AssertionError("a refused count reached a draw")
-
-    monkeypatch.setattr(stats, "_urn_batch", no_draws)
-    monkeypatch.setattr(stats, "sample_counts", no_draws)
-    monkeypatch.setattr(stats, "exact_distribution", no_draws)
+    patch_out_draws(monkeypatch)
     count = ceiling + 1 if past == 1 else past
     with pytest.raises(EnumerationLimitError) as info:
         call(count)
     assert str(info.value).startswith(f"refusing more than {ceiling} {what}, got ")
 
+
+@COUNTED_CALLS
+@pytest.mark.parametrize("count", [5, 0, -5])
+def test_stats_counts_below_the_floor_are_refused(monkeypatch, call, ceiling, what, count):
+    patch_out_draws(monkeypatch)
+    with pytest.raises(ValueError) as info:
+        call(count)
+    assert str(info.value) == f"need at least {MIN_GOF_SAMPLES} {what}, got {count}"

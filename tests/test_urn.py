@@ -11,11 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from buckettrees import (BucketRecursive, DAryIncreasing, DescendantSample, FamilySpec,
                          PlaneOriented, SplitMix64, UrnState, binomial_moment,
-                         chi_square_gof, count_descendants, descendants_direct,
+                         count_descendants, descendants_direct,
                          descendants_law_from_trees, descendants_law_from_urn,
                          descendants_via_urn, exact_distribution,
                          insertion_load, insertion_load_law, sample_tree,
-                         urn_distribution_exact, urn_from, urn_moment_exact,
+                         sampled_fit, urn_distribution_exact, urn_from, urn_moment_exact,
                          urn_run)
 from buckettrees import urn
 from buckettrees.enumeration import (DESCENDANTS_CEILING, URN_DRAW_CEILING,
@@ -231,14 +231,13 @@ def test_insertion_load_law_matches_the_tree_law(spec):
 def test_insertion_load_law_fits_the_sampler_at_j_100(spec):
     law = insertion_load_law(spec, 100)
     assert sum(law.values()) == 1 and all(p > 0 for p in law.values())
-    expected = {load: float(p) for load, p in law.items()}
-    reports = []
-    for seed in (101, 202, 303):
-        rng = SplitMix64(seed)
-        counts = Counter(insertion_load(sample_tree(spec, 100, rng), 100) for _ in range(500))
-        reports.append(chi_square_gof(counts, expected))
-    # sampler_gof's rule: the fit fails when two of the three runs reject.
-    assert sum(not r.passed for r in reports) < 2, [r.p_value for r in reports]
+    # Each run grows its trees one after another from one stream.
+    reports, passed = sampled_fit(
+        lambda: {load: float(p) for load, p in law.items()},
+        lambda rng, k: Counter(insertion_load(sample_tree(spec, 100, rng), 100)
+                               for _ in range(k)),
+        500, (101, 202, 303))
+    assert passed, [r.p_value for r in reports]
 
 
 def test_both_routes_agree_small_grid():
@@ -280,31 +279,27 @@ def test_descendants_direct_matches_tree_reading(spec, n, j):
 URN_FIT_SPECS = [BucketRecursive(2), PlaneOriented(2, F(1)), DAryIncreasing(2, F(2))]
 
 
-def urn_fit_reports(spec):
+def urn_fit(spec):
     n, j = 60, 6
-    expected = {y: float(p) for y, p in descendants_law_from_urn(spec, n, j).items()}
-    reports = []
-    for seed in (1, 2, 3):
-        master = SplitMix64(seed)
-        counts = Counter(descendants_direct(spec, n, j, master.spawn(i)).descendants
-                         for i in range(1000))
-        reports.append(chi_square_gof(counts, expected, 0.01))
-    return reports
+    return sampled_fit(
+        lambda: {y: float(p) for y, p in descendants_law_from_urn(spec, n, j).items()},
+        lambda master, k: Counter(descendants_direct(spec, n, j, master.spawn(i)).descendants
+                                  for i in range(k)),
+        1000, (1, 2, 3))
 
 
 @pytest.mark.parametrize("spec", URN_FIT_SPECS, ids=["recursive-b2", "port-b2-a1", "dary-b2-d2"])
 def test_sampled_descendants_fit_the_exact_urn_law(spec):
-    reports = urn_fit_reports(spec)
-    # sampler_gof's rule: the fit fails when two of the three runs reject.
-    assert sum(not r.passed for r in reports) < 2, [r.p_value for r in reports]
+    reports, passed = urn_fit(spec)
+    assert passed, [r.p_value for r in reports]
 
 
 def test_urn_fit_rejects_a_shifted_kappa(monkeypatch):
     # A kappa off by 1/2 moves the law's white balls and nothing the sampler reads.
     kappa = FamilySpec.kappa
     monkeypatch.setattr(FamilySpec, "kappa", lambda self: kappa(self) + F(1, 2))
-    reports = urn_fit_reports(PlaneOriented(2, F(1)))
-    assert sum(not r.passed for r in reports) >= 2, [r.p_value for r in reports]
+    reports, passed = urn_fit(PlaneOriented(2, F(1)))
+    assert not passed, [r.p_value for r in reports]
 
 
 def test_descendants_via_urn_degenerate_branch():
