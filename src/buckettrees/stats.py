@@ -24,9 +24,10 @@ check is a shape diagnostic rather than an exact test.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -139,18 +140,12 @@ def chi_square_tail(x: float, dof: int) -> float:
     return math.fsum(terms)
 
 
-def sampled_fit(
-    law: Callable[[], Mapping],
-    draw: Callable[[SplitMix64, int], Mapping],
-    samples: int,
-    seeds: Sequence[int],
-    level: float = 0.01,
-) -> tuple[list[GofReport], bool]:
-    """Chi-square of ``draw(SplitMix64(s), samples)``, one run's counts, against
-    the exact law ``law()`` (value -> probability), one run per seed s.  The
-    fit fails when two or more runs reject, so one unlucky run does not flag
-    the sampler.  The count and the seeds (two at least, or the verdict
-    could not fail) are refused before ``law`` or ``draw`` is called."""
+def sampled_fit(law: Callable[[], Mapping], draw: Callable[[SplitMix64, int], Mapping],
+                samples: int, seeds: Sequence[int],
+                level: float = 0.01) -> tuple[list[GofReport], bool]:
+    """One chi-square of ``draw(SplitMix64(s), samples)`` against ``law()``
+    per seed s; the fit fails when two or more runs reject.  The count and
+    the seeds are refused before ``law`` or ``draw`` is called."""
     _check_count(samples, GOF_SAMPLE_CEILING, "samples per run")
     _check_int(len(seeds), "len(seeds)", 2)
     rngs = [SplitMix64(seed) for seed in seeds]
@@ -168,20 +163,14 @@ def sampler_gof(
     limit: int | None = None,
 ) -> tuple[list[GofReport], bool]:
     """``sampled_fit`` of the grown tree's encoding, each run growing its
-    trees one after another from one stream.  n is refused first, past its
-    ceiling or ``limit``, then the count and the seeds, all before the law
-    is built."""
+    trees one after another from one stream.  n is refused before the count."""
     laws = exact_laws(spec, n, limit)
-    dist = next(laws)   # n's checks run here
-
-    def expected() -> dict[bytes, float]:
-        last = dist
-        for last in laws:
-            pass
-        # Bins keyed by encoding, pooled in repr order; int / int rounds as float(prob).
-        return {encode_tree(tree): weight / last.scale for tree, weight in last.weights.items()}
-
-    return sampled_fit(expected, lambda rng, k: sample_counts(spec, n, repeat(rng, k)),
+    laws = chain([next(laws)], laws)   # n's checks run here
+    # Bins keyed by encoding, pooled in repr order; int / int rounds as float(prob).
+    return sampled_fit(lambda: {encode_tree(tree): weight / last.scale
+                                for last in deque(laws, maxlen=1)
+                                for tree, weight in last.weights.items()},
+                       lambda rng, k: sample_counts(spec, n, repeat(rng, k)),
                        samples, seeds, level)
 
 

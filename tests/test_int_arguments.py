@@ -158,22 +158,15 @@ def test_an_int_argument_returns_or_refuses_with_a_value_error(name, value):
     check_returned(result)
 
 
-def test_the_refusal_names_the_argument_and_the_type():
+@pytest.mark.parametrize("call, refusal", [
+    (lambda: sample_tree(PORT, 2.0, rng()), "n must be an int, got float"),
+    (lambda: total_weights(MODEL, -1), "n_max must be >= 1, got -1"),
+    (lambda: check_ode_recurrence(MODEL, -5), "n_max must be >= 1, got -5"),
+    (lambda: pushforward_strip(LAW, 2.0), "j must be an int, got float"),
+    (lambda: MODEL.psi_extended(True), "k must be an int, got bool"),
+    (lambda: MODEL.phi_coefficients(-3), "through must be >= 0, got -3"),
+])
+def test_the_refusal_names_the_argument_and_the_type(call, refusal):
     with pytest.raises(ValueError) as info:
-        sample_tree(PORT, 2.0, rng())
-    assert str(info.value) == "n must be an int, got float"
-    with pytest.raises(ValueError) as info:
-        total_weights(MODEL, -1)
-    assert str(info.value) == "n_max must be >= 1, got -1"
-    with pytest.raises(ValueError) as info:
-        check_ode_recurrence(MODEL, -5)
-    assert str(info.value) == "n_max must be >= 1, got -5"
-    with pytest.raises(ValueError) as info:
-        pushforward_strip(LAW, 2.0)
-    assert str(info.value) == "j must be an int, got float"
-    with pytest.raises(ValueError) as info:
-        MODEL.psi_extended(True)
-    assert str(info.value) == "k must be an int, got bool"
-    with pytest.raises(ValueError) as info:
-        MODEL.phi_coefficients(-3)
-    assert str(info.value) == "through must be >= 0, got -3"
+        call()
+    assert str(info.value) == refusal

@@ -8,6 +8,7 @@ the first ones tried.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import repeat
 
@@ -23,6 +24,7 @@ from buckettrees import stats
 from buckettrees.enumeration import EnumerationLimitError
 from buckettrees.stats import (MIN_GOF_SAMPLES, _urn_batch, chi_square_tail,
                                skew_kurtosis)
+from buckettrees.weights import shown
 
 F = Fraction
 
@@ -197,10 +199,7 @@ def test_urn_batch_matches_exact_law():
         state = urn_from(spec, j, load)
         law = urn_distribution_exact(state, draws)
         expected = {float(k): float(p) for k, p in law.items()}
-        observed: dict[float, int] = {}
-        for c in counts:
-            observed[float(c)] = observed.get(float(c), 0) + 1
-        return chi_square_gof(observed, expected, level=0.001).passed
+        return chi_square_gof(Counter(map(float, counts)), expected, level=0.001).passed
 
     spec = BucketRecursive(2)
     counts, snap = _urn_batch(spec, 4, 1, draws=3, size=4000, seed=123)
@@ -364,8 +363,9 @@ def test_urn_size_past_the_digit_cap_is_refused_by_its_bits(call):
 
 
 # Each count is refused before numpy or itertools.repeat sees it (and before
-# gof builds its law), so no count here allocates anything.
-COUNTED_CALLS = pytest.mark.parametrize("call, ceiling, what", [
+# gof builds its law), so no count here allocates anything.  None stands for
+# one past the call's ceiling.
+@pytest.mark.parametrize("call, ceiling, what", [
     (lambda k: sampler_gof(DAryIncreasing(2, F(2)), 5, k, [1, 2, 3]),
      stats.GOF_SAMPLE_CEILING, "samples per run"),
     (lambda k: check_beta_convergence(PlaneOriented(2, F(1)), 4, 2, [2000], k, 1),
@@ -373,22 +373,12 @@ COUNTED_CALLS = pytest.mark.parametrize("call, ceiling, what", [
     (lambda k: second_order_diagnostic(BucketRecursive(2), 4, 2, 1000, k, 2500, 1),
      stats.BATCH_CEILING, "trajectories"),
 ], ids=["gof", "beta", "second-order"])
-
-
-@COUNTED_CALLS
-@pytest.mark.parametrize("past", [1, 10**14, 10**30])
-def test_stats_counts_past_their_ceiling_are_refused(monkeypatch, call, ceiling, what, past):
+@pytest.mark.parametrize("count", [None, 10**14, 10**30, MIN_GOF_SAMPLES - 1, 5, 0, -5])
+def test_stats_counts_past_their_ceiling_are_refused(monkeypatch, call, ceiling, what, count):
     patch_out_draws(monkeypatch)
-    count = ceiling + 1 if past == 1 else past
-    with pytest.raises(EnumerationLimitError) as info:
+    count = ceiling + 1 if count is None else count
+    with pytest.raises(EnumerationLimitError if count > ceiling else ValueError) as info:
         call(count)
-    assert str(info.value).startswith(f"refusing more than {ceiling} {what}, got ")
-
-
-@COUNTED_CALLS
-@pytest.mark.parametrize("count", [5, 0, -5])
-def test_stats_counts_below_the_floor_are_refused(monkeypatch, call, ceiling, what, count):
-    patch_out_draws(monkeypatch)
-    with pytest.raises(ValueError) as info:
-        call(count)
-    assert str(info.value) == f"need at least {MIN_GOF_SAMPLES} {what}, got {count}"
+    bound = (f"refusing more than {ceiling}" if count > ceiling
+             else f"need at least {MIN_GOF_SAMPLES}")
+    assert str(info.value) == f"{bound} {what}, got {shown(count)}"
