@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import gc
 import json
 import math
@@ -482,15 +481,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 # ── parser ────────────────────────────────────────────────────────────────
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="buckettrees",
-        description="Bucket increasing trees: enumeration, growth, checks, urns.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    # Full option names only, so an unknown --a is refused, not read as --alpha.
-    add_command = functools.partial(sub.add_parser, allow_abbrev=False)
-
-    p = add_command("enumerate", help="weighted totals T_n, optional shape dump")
+def enumerate_options(p: argparse.ArgumentParser) -> None:
     add_model_args(p)
     p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -498,7 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=positive_int, help="raise the per-size enumeration guard")
     p.set_defaults(func=cmd_enumerate)
 
-    p = add_command("sample", help="draw labelled trees from the growth process")
+
+def sample_options(p: argparse.ArgumentParser) -> None:
     add_family_args(p)
     p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--count", type=positive_int, default=1)
@@ -506,14 +498,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aggregate", action="store_true", help="frequency CSV instead of lines")
     p.set_defaults(func=cmd_sample)
 
-    p = add_command("verify", help="structure checks; exit 0 iff all pass")
+
+def verify_options(p: argparse.ArgumentParser) -> None:
     add_model_args(p)
     p.add_argument("--check", default="all", choices=[*VERIFY_CHECKS, *GROWTH_CHECKS, "all"])
     p.add_argument("--n", type=positive_int, default=6)
     p.add_argument("--limit", type=positive_int)
     p.set_defaults(func=cmd_verify)
 
-    p = add_command("descend", help="descendant counts of label j at size n")
+
+def descend_options(p: argparse.ArgumentParser) -> None:
     add_family_args(p)
     p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--j", type=integer, required=True)
@@ -522,7 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=seed_value)
     p.set_defaults(func=cmd_descend)
 
-    p = add_command("stats", help="simulation-based checks of the limit laws")
+
+def stats_options(p: argparse.ArgumentParser) -> None:
     add_family_args(p)
     p.add_argument("--check", required=True, choices=["gof", "beta", "second-order"])
     p.add_argument("--n", type=positive_int, default=5)
@@ -537,6 +532,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=positive_int)
     p.set_defaults(func=cmd_stats)
 
+
+# Each command's help line and the function that adds its options and func.
+COMMANDS = {
+    "enumerate": ("weighted totals T_n, optional shape dump", enumerate_options),
+    "sample": ("draw labelled trees from the growth process", sample_options),
+    "verify": ("structure checks; exit 0 iff all pass", verify_options),
+    "descend": ("descendant counts of label j at size n", descend_options),
+    "stats": ("simulation-based checks of the limit laws", stats_options),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser, with every command's subparser, or with command's
+    alone when it names one.  Either way the top-level usage line lists
+    every command."""
+    parser = argparse.ArgumentParser(
+        prog="buckettrees",
+        description="Bucket increasing trees: enumeration, growth, checks, urns.")
+    # Fixed only for one command: it would also rename the command in
+    # argparse's "invalid choice" and "required" errors.
+    metavar = "{" + ",".join(COMMANDS) + "}" if command else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in [command] if command else COMMANDS:
+        help_text, add_options = COMMANDS[name]
+        # Full option names only, so an unknown --a is refused, not read as --alpha.
+        add_options(sub.add_parser(name, help=help_text, allow_abbrev=False))
     return parser
 
 
@@ -550,7 +571,11 @@ def main(argv: list[str] | None = None) -> int:
     # until exit, so no collection, at exit included, need walk it again.
     if not gc.get_freeze_count():
         gc.freeze()
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # Build the named command's subparser only; -h, an unknown command and
+    # a missing one get them all.
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     # An exact value may have more digits than str(int) allows by default
     # (4,300); lift that cap for the command and restore it however it ends.

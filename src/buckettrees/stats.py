@@ -68,6 +68,8 @@ def _check_count(count: int, ceiling: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class GofReport:
+    """One Pearson chi-square fit over the pooled bins, and its verdict at level."""
+
     statistic: float
     dof: int
     p_value: float
@@ -229,6 +231,8 @@ def _urn_batch(
 
 @dataclass(frozen=True)
 class BetaCell:
+    """The two moments of Y/n at one n, each error against its pass band."""
+
     n: int
     mean: float
     target: float
@@ -242,6 +246,8 @@ class BetaCell:
 
 @dataclass(frozen=True)
 class BetaConvergenceReport:
+    """The Beta check's cells over the n grid; passed when every cell is."""
+
     j: int
     load: int
     samples: int
@@ -318,6 +324,8 @@ def check_beta_convergence(
 
 @dataclass(frozen=True)
 class SecondOrderReport:
+    """Shape of the studentized fluctuations at n, and the variance slope beside it."""
+
     n: int
     horizon: int
     trajectories: int

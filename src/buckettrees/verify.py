@@ -63,6 +63,8 @@ def balance_value(tree: BucketTree, model: WeightModel) -> Fraction:
 
 @dataclass(frozen=True)
 class BalanceReport:
+    """Balance sums of the positive-weight size-n shapes; passed when they share one."""
+
     size: int
     values: dict[BucketTree, Fraction]
     constant: Fraction | None
@@ -89,6 +91,8 @@ def check_balance(model: WeightModel, n: int, limit: int | None = None) -> Balan
 
 @dataclass(frozen=True)
 class AffineRatioReport:
+    """The line c1 n + c2 through the total ratios, and the first n it misses."""
+
     passed: bool
     c1: Fraction
     c2: Fraction
@@ -118,6 +122,8 @@ def check_affine_ratio(model: WeightModel, n_max: int, limit: int | None = None)
 
 @dataclass(frozen=True)
 class ScalingReport:
+    """Whether rescaling scaled every size-n weight by a^n / s, else the first shape."""
+
     passed: bool
     size: int
     first_mismatch: BucketTree | None

@@ -1099,6 +1099,83 @@ def test_cli_exits_cleanly_on_any_argv(argv):
             json.loads(doc, parse_constant=_reject_constant)
 
 
+
+# ── one subparser per run ─────────────────────────────────────────────────
+
+SAMPLE_ARGV = ["sample", "--family", "baport", "--b", "2", "--alpha", "1", "--n", "5",
+               "--count", "2", "--seed", "1"]
+TOP_USAGE = "usage: buckettrees [-h] {enumerate,sample,verify,descend,stats} ...\n"
+INVALID_CHOICE = ("buckettrees: error: argument command: invalid choice: {!r} (choose from "
+                  "'enumerate', 'sample', 'verify', 'descend', 'stats')\n")
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _record_builds(monkeypatch) -> list[list[str]]:
+    """The subcommands of each parser main builds from here on."""
+    built, real = [], cli.build_parser
+
+    def recording(*args):
+        parser = real(*args)
+        built.append(list(_subcommands(parser)))
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    return built
+
+
+@pytest.mark.parametrize("name", cli.COMMANDS)
+def test_one_command_parser_has_the_same_help_and_usage(name, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    alone = build_parser(name)
+    assert list(_subcommands(alone)) == [name]
+    assert alone.format_usage() == build_parser().format_usage() == TOP_USAGE
+    assert _subcommands(alone)[name].format_help() == SUBCOMMANDS[name].format_help()
+
+
+def test_main_builds_only_the_named_subparser(capsys, monkeypatch):
+    built = _record_builds(monkeypatch)
+    rc, out, err = run(capsys, *SAMPLE_ARGV)
+    assert (rc, err, len(out.splitlines())) == (0, "", 2)
+    assert built == [["sample"]]
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    rc, expected, _ = run(capsys, *SAMPLE_ARGV)
+    built = _record_builds(monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["buckettrees", *SAMPLE_ARGV])
+    assert main() == rc == 0
+    assert capsys.readouterr().out == expected
+    assert built == [["sample"]]
+
+
+@pytest.mark.parametrize("argv, stderr, parsers", [
+    ([], TOP_USAGE + "buckettrees: error: the following arguments are required: command\n",
+     list(cli.COMMANDS)),
+    (["bogus"], TOP_USAGE + INVALID_CHOICE.format("bogus"), list(cli.COMMANDS)),
+    (["sampl"], TOP_USAGE + INVALID_CHOICE.format("sampl"), list(cli.COMMANDS)),
+    (["--bogus", "sample"],
+     "usage: buckettrees sample [-h] [--family {bucket-recursive,bdary,baport}]\n"
+     "                          [--b B] [--d D] [--alpha ALPHA] --n N\n"
+     "                          [--count COUNT] [--seed SEED] [--aggregate]\n"
+     "buckettrees sample: error: the following arguments are required: --n\n",
+     list(cli.COMMANDS)),
+    ([*SAMPLE_ARGV, "--bogus", "1"],
+     TOP_USAGE + "buckettrees: error: unrecognized arguments: --bogus 1\n", ["sample"]),
+])
+def test_parser_errors_print_as_with_every_subparser(capsys, monkeypatch, argv, stderr,
+                                                      parsers):
+    monkeypatch.setenv("COLUMNS", "80")
+    built = _record_builds(monkeypatch)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exit_info.value.code, captured.out, captured.err) == (2, "", stderr)
+    assert built == [parsers]
+
 # ── sample ────────────────────────────────────────────────────────────────
 
 def test_sample_reruns_are_bit_identical(capsys):

@@ -3,8 +3,8 @@
 Each argument below is fed small ints, bools, floats, a ``Fraction`` and a
 string, the other arguments held at valid values.  A call either returns or
 refuses with a ``ValueError`` (every package error is one), never a
-``TypeError``; what it returns is well formed: a tree validates, and a law or
-sample carries int sizes.
+``TypeError``; it returns only on an int of at least 0, and what it returns is
+well formed: a tree validates, and a law or sample carries int sizes.
 """
 
 from __future__ import annotations
@@ -155,6 +155,7 @@ def test_an_int_argument_returns_or_refuses_with_a_value_error(name, value):
     except ValueError as refusal:
         assert "\n" not in str(refusal)
         return
+    assert type(value) is int and value >= 0, f"{name} accepted {value!r}"
     check_returned(result)
 
 
