@@ -1030,9 +1030,13 @@ ALWAYS = {"--samples", "--trajectories", "--horizon", "--count"}
 FAMILY_PARAMETER = {"bucket-recursive": [], "bdary": ["--d"], "baport": ["--alpha"]}
 MODEL_FLAGS = {"--family", "--b", "--d", "--alpha", "--psi", "--phi"}
 
-_subparsers = next(a for a in build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction))
-SUBCOMMANDS = _subparsers.choices
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+SUBCOMMANDS = _subcommands(build_parser())
 
 
 def _value(action: argparse.Action, valid: bool):
@@ -1107,11 +1111,6 @@ SAMPLE_ARGV = ["sample", "--family", "baport", "--b", "2", "--alpha", "1", "--n"
 TOP_USAGE = "usage: buckettrees [-h] {enumerate,sample,verify,descend,stats} ...\n"
 INVALID_CHOICE = ("buckettrees: error: argument command: invalid choice: {!r} (choose from "
                   "'enumerate', 'sample', 'verify', 'descend', 'stats')\n")
-
-
-def _subcommands(parser: argparse.ArgumentParser) -> dict:
-    return next(a for a in parser._actions
-                if isinstance(a, argparse._SubParsersAction)).choices
 
 
 def _record_builds(monkeypatch) -> list[list[str]]:
