@@ -18,7 +18,6 @@ a ``Fraction`` is built only when a law is read through its ``probs``.
 
 from __future__ import annotations
 
-import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -30,7 +29,7 @@ from .enumeration import check_limit, guard_growth, guard_labelled
 from .rng import SplitMix64, accept_below
 from .trees import (BucketNode, BucketTree, InvalidTreeError, encode_grown,
                     single_bucket_tree)
-from .weights import FamilySpec, _check_int
+from .weights import FamilySpec, _check_int, _common_scale
 
 
 def _option_table(spec: FamilySpec, size: int) -> tuple[list[tuple[int, ...]], int]:
@@ -48,10 +47,9 @@ def _option_table(spec: FamilySpec, size: int) -> tuple[list[tuple[int, ...]], i
     kinds = [(spec.attachment_weight(c, 0) / normalizer, 1) for c in range(1, b)]
     kinds += [(spec.attachment_weight(b, k) / normalizer / (k + 1), k + 1)
               for k in range(size - b + 1)]
-    scale = math.lcm(*(p.denominator for p, _ in kinds if p > 0))
-    slots = [(p.numerator * (scale // p.denominator),) * count if p > 0 else ()
-             for p, count in kinds]
-    return slots, scale
+    # A nonpositive probability clears to 0: no slot, and nothing added to the scale.
+    scale, weights = _common_scale([max(p, 0) for p, _ in kinds])
+    return [(w,) * count if w else () for w, (_, count) in zip(weights, kinds)], scale
 
 
 def _grown_roots(root: BucketNode, label: int, b: int,
@@ -126,10 +124,7 @@ def _grow_each(spec: FamilySpec, n: int,
     guard_growth(n)
     b = spec.b
     # (c1, c2) times their common denominator: the integer join and split weights.
-    c1, c2 = spec.c1, spec.c2
-    scale = math.lcm(c1.denominator, c2.denominator)
-    join = c1.numerator * (scale // c1.denominator)
-    split = c2.numerator * (scale // c2.denominator)
+    _, (join, split) = _common_scale((spec.c1, spec.c2))
     leaf = join + split
     if leaf < 0:
         raise AssertionError(f"negative leaf weight {leaf}")

@@ -42,7 +42,7 @@ from .enumeration import (DESCENDANTS_CEILING, DESCENDANTS_WORK_CEILING, URN_DRA
 from .evolve import _grown_label, exact_distribution
 from .rng import SplitMix64, accept_below
 from .trees import count_descendants
-from .weights import FamilySpec, _check_int, binom_frac
+from .weights import FamilySpec, _check_int, _common_scale, binom_frac
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,8 @@ def urn_run(state: UrnState, draws: int, rng: SplitMix64) -> int:
     no white or no black balls is decided, and draws no word.
     """
     _check_int(draws, "draws", 0)
-    q = math.lcm(state.white.denominator, state.black.denominator)
-    white0, total0 = int(state.white * q), int(state.total * q)
+    q, (white0, black0) = _common_scale((state.white, state.black))
+    total0 = white0 + black0
     if white0 == 0 or white0 == total0:
         return 0 if white0 == 0 else draws
     # No reduced bound exceeds the last draw's unreduced one.
@@ -126,8 +126,7 @@ def urn_distribution_exact(state: UrnState, draws: int) -> dict[int, Fraction]:
     if state.black == 0:
         return {draws: Fraction(1)}
     m = draws
-    q = math.lcm(state.white.denominator, state.black.denominator)
-    a, b = int(state.white * q), int(state.black * q)
+    q, (a, b) = _common_scale((state.white, state.black))
     p = Fraction(math.prod(b + q * i for i in range(m)),
                  math.prod(a + b + q * i for i in range(m)))
     law = {}

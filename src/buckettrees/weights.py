@@ -60,6 +60,13 @@ def _check_int(value: object, name: str, floor: int | None = None,
         raise error(f"{name} must be >= {floor}, got {shown(value)}")
 
 
+def _common_scale(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(scale, numerators): the lcm of the values' denominators, and each
+    value times it, an integer."""
+    scale = math.lcm(*(value.denominator for value in values))
+    return scale, [value.numerator * (scale // value.denominator) for value in values]
+
+
 def to_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, float):
         raise InvalidWeightsError(f"floats are not exact: {value!r}")
@@ -194,9 +201,7 @@ class AffineDegreeWeights(DegreeWeights):
 
     def coeff(self, k: int) -> Fraction:
         # scale * prod_{i<k} (alpha - beta*i) / (q^k k!) with alpha, beta integers.
-        q = math.lcm(self.rate.denominator, self.slope.denominator)
-        alpha = self.rate.numerator * (q // self.rate.denominator)
-        beta = self.slope.numerator * (q // self.slope.denominator)
+        q, (alpha, beta) = _common_scale((self.rate, self.slope))
         num = math.prod(alpha - beta * i for i in range(k))
         return Fraction(self.scale.numerator * num,
                         self.scale.denominator * q**k * math.factorial(k))
