@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .trees import BucketNode, BucketTree, count_labellings, weigh, weight_table
+from .trees import BucketNode, BucketTree, count_labellings, weigh_parts, weight_table
 from .weights import AffineDegreeWeights, DegreeWeights, FamilySpec, WeightModel, _check_int
 
 DEFAULT_SIZE_LIMIT = 12
@@ -158,9 +158,9 @@ def total_weight(model: WeightModel, n: int, limit: int | None = None) -> Fracti
     table = weight_table(model, n)
     total = Fraction(0)
     for shape in shapes:
-        w = weigh(shape, table)
-        if w:
-            total += w * count_labellings(shape)
+        num, den = weigh_parts(shape, table)
+        if num:
+            total += Fraction(num * count_labellings(shape), den)
     return total
 
 

@@ -247,19 +247,12 @@ def weigh_parts(tree: BucketTree, table: WeightTable) -> tuple[int, int]:
     return num, den
 
 
-def weigh(tree: BucketTree, table: WeightTable) -> Fraction:
-    """``tree_weight`` read from a table that covers the tree's degrees: the
-    ``Fraction`` view of ``weigh_parts``, the integer kernel that checks
-    comparing laws cross-multiply."""
-    return Fraction(*weigh_parts(tree, table))
-
-
 def tree_weight(tree: BucketTree, model: WeightModel) -> Fraction:
     """Product over nodes: saturated buckets contribute the degree weight
     for their child count, unsaturated leaves the bucket weight for their
     capacity."""
     degree = max(len(node.children) for node in tree.preorder())
-    return weigh(tree, weight_table(model, degree))
+    return Fraction(*weigh_parts(tree, weight_table(model, degree)))
 
 
 def count_labellings(tree: BucketTree) -> int:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .enumeration import enumerate_shapes, total_weights
-from .trees import BucketTree, node_profile, weigh, weigh_parts, weight_table
+from .trees import BucketTree, node_profile, weigh_parts, weight_table
 from .weights import (AffineDegreeWeights, BucketRecursive, DAryIncreasing,
                       FamilySpec, PlaneOriented, RationalLike, WeightModel,
                       _check_int, to_fraction)
@@ -149,7 +149,10 @@ def check_scaling(
     base_table = weight_table(model, n)
     scaled_table = weight_table(scaled, n)
     for shape in shapes:
-        if weigh(shape, scaled_table) != factor * weigh(shape, base_table):
+        # scaled == factor * base, cross-multiplied in integers.
+        num, den = weigh_parts(shape, scaled_table)
+        base_num, base_den = weigh_parts(shape, base_table)
+        if num * factor.denominator * base_den != factor.numerator * base_num * den:
             return ScalingReport(False, n, shape)
     return ScalingReport(True, n, None)
 

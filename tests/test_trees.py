@@ -22,7 +22,7 @@ from buckettrees import (BucketNode, BucketRecursive, BucketTree, DAryIncreasing
                          enumerate_shapes, growth_options, insertion_load, node_profile,
                          sample_tree, shape_bucket, single_bucket_tree,
                          subtree_of_label, tree_weight, weights_of)
-from buckettrees.trees import (MAX_DECODE_DEPTH, encode_grown, weigh, weigh_parts,
+from buckettrees.trees import (MAX_DECODE_DEPTH, encode_grown, weigh_parts,
                                weight_table)
 
 
@@ -316,7 +316,7 @@ def test_tree_weight_rejects_mismatched_bound():
     with pytest.raises(InvalidTreeError, match="b=3"):
         tree_weight(single_bucket_tree(3), model)
     with pytest.raises(InvalidTreeError, match="b=3"):
-        weigh(single_bucket_tree(3), weight_table(model, 1))
+        weigh_parts(single_bucket_tree(3), weight_table(model, 1))
 
 
 def per_node_weight(tree: BucketTree, model: WeightModel) -> Fraction:
@@ -349,7 +349,7 @@ def test_tree_weight_table_matches_per_node_product(model):
         table = weight_table(model, n)
         for shape in enumerate_shapes(model.b, n):
             expected = per_node_weight(shape, model)
-            assert weigh(shape, table) == expected
+            assert Fraction(*weigh_parts(shape, table)) == expected
             assert tree_weight(shape, model) == expected
 
 
@@ -360,7 +360,7 @@ MARGINAL_FAMILIES = [BucketRecursive(2), BucketRecursive(3), PlaneOriented(2, Fr
 
 
 @pytest.mark.parametrize("spec", MARGINAL_FAMILIES, ids=repr)
-def test_weigh_is_the_fraction_of_weigh_parts(spec):
+def test_tree_weight_is_the_fraction_of_weigh_parts(spec):
     model = weights_of(spec)
     zeros = 0
     for n in range(1, 8):
@@ -368,7 +368,7 @@ def test_weigh_is_the_fraction_of_weigh_parts(spec):
         for shape in enumerate_shapes(spec.b, n):
             num, den = weigh_parts(shape, table)
             assert den > 0
-            assert weigh(shape, table) == Fraction(num, den)
+            assert tree_weight(shape, model) == Fraction(num, den)
             zeros += num == 0
     # A d-ary family gives its over-branched shapes weight 0; the others none.
     assert (zeros > 0) == isinstance(spec, DAryIncreasing)
