@@ -361,12 +361,12 @@ def _verify_laws(model, spec, args, names) -> list[dict]:
     strip_{j+1} is strip_j, so that covers every j <= n, and walking up,
     the first failure is the smallest j.
     """
-    totals = first_bad = bad_j = smaller = None
+    # cmd_verify has run every guard that total_weights and exact_laws share.
+    totals = total_weights(model, args.n, args.limit) if "equivalence" in names else None
+    first_bad = bad_j = smaller = None
     for law in exact_laws(spec, args.n, args.limit):
         size = law.size
         if "equivalence" in names and first_bad is None:
-            if totals is None:   # past exact_laws' own guards, which name the size
-                totals = total_weights(model, args.n, args.limit)
             table = weight_table(model, size)
             total = totals[size - 1]
             left, right = total.numerator, law.scale * total.denominator

@@ -24,16 +24,15 @@ check is a shape diagnostic rather than an exact test.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .enumeration import EnumerationLimitError
-from .evolve import exact_laws, sample_counts
+from .evolve import exact_distribution, exact_laws, sample_counts
 from .rng import SplitMix64
 from .trees import encode_tree
 from .weights import FamilySpec, _check_int, shown
@@ -164,15 +163,17 @@ def sampler_gof(
     level: float = 0.01,
     limit: int | None = None,
 ) -> tuple[list[GofReport], bool]:
-    """``sampled_fit`` of the grown tree's encoding, each run growing its
-    trees one after another from one stream.  n is refused before the count."""
-    laws = exact_laws(spec, n, limit)
-    laws = chain([next(laws)], laws)   # n's checks run here
-    # Bins keyed by encoding, pooled in repr order; int / int rounds as float(prob).
-    return sampled_fit(lambda: {encode_tree(tree): weight / last.scale
-                                for last in deque(laws, maxlen=1)
-                                for tree, weight in last.weights.items()},
-                       lambda rng, k: sample_counts(spec, n, repeat(rng, k)),
+    """``sampled_fit`` of the grown tree's encoding against ``exact_distribution``,
+    each run growing its trees one after another from one stream.  n is
+    refused before the count, by the first step of ``exact_laws``."""
+    next(exact_laws(spec, n, limit))
+
+    def law() -> dict[bytes, float]:
+        dist = exact_distribution(spec, n, limit)
+        # Bins keyed by encoding, pooled in repr order; int / int rounds as float(prob).
+        return {encode_tree(tree): weight / dist.scale for tree, weight in dist.weights.items()}
+
+    return sampled_fit(law, lambda rng, k: sample_counts(spec, n, repeat(rng, k)),
                        samples, seeds, level)
 
 

@@ -17,7 +17,7 @@ import pytest
 from buckettrees import (BucketRecursive, DAryIncreasing, PlaneOriented,
                          beta_moment, chi_square_gof,
                          check_beta_convergence, encode_tree, exact_distribution,
-                         exact_laws, sample_counts, sampled_fit, sampler_gof,
+                         sample_counts, sampled_fit, sampler_gof,
                          second_order_diagnostic, urn_distribution_exact, urn_from)
 from buckettrees import stats
 from buckettrees.enumeration import EnumerationLimitError
@@ -142,17 +142,34 @@ def test_sampler_gof_passes_for_families():
 
 
 def patch_out_draws(monkeypatch):
-    """Make urn batches, grown trees and sampler_gof's law past its size checks raise."""
+    """Make urn batches, grown trees and sampler_gof's law raise."""
     def no_draws(*args, **kwargs):
         raise AssertionError("a refused count reached a draw")
 
-    def checked_laws(*args):
-        yield next(exact_laws(*args))   # the size checks, then the one-label law
-        no_draws()
-
     monkeypatch.setattr(stats, "_urn_batch", no_draws)
     monkeypatch.setattr(stats, "sample_counts", no_draws)
-    monkeypatch.setattr(stats, "exact_laws", checked_laws)
+    monkeypatch.setattr(stats, "exact_distribution", no_draws)
+
+
+def test_sampler_gof_builds_its_law_once_through_exact_distribution(monkeypatch):
+    # The benchmark tracer times the law through this name: a law built any
+    # other way would read as no DP work at all.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return exact_distribution(*args)
+
+    monkeypatch.setattr(stats, "exact_distribution", counted)
+    spec = BucketRecursive(2)
+    for samples, seeds in [(MIN_GOF_SAMPLES - 1, [1, 2, 3]), (100, [1])]:
+        with pytest.raises(ValueError):
+            sampler_gof(spec, 4, samples, seeds)
+    assert calls == []
+    for _ in range(2):
+        _, ok = sampler_gof(spec, 4, 100, [1, 2, 3], limit=6)
+        assert ok
+    assert calls == [(spec, 4, 6)] * 2
 
 
 @pytest.mark.parametrize("seeds", [[], [1]])
