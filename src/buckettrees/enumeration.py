@@ -27,7 +27,8 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from .trees import BucketNode, BucketTree, count_labellings, weigh_parts, weight_table
-from .weights import AffineDegreeWeights, DegreeWeights, FamilySpec, WeightModel, _check_int
+from .weights import (AffineDegreeWeights, DegreeWeights, FamilySpec, WeightModel, _check_int,
+                      shown)
 
 DEFAULT_SIZE_LIMIT = 12
 SHAPE_CEILING = 10**6  # refuse enumeration when size n has more shapes than this
@@ -124,7 +125,7 @@ def _guard(n: int, b: int, counts: Iterator[int], what: str, ceiling: int) -> No
     for size, count in zip(range(1, n + 1), counts):
         if count > ceiling:
             raise EnumerationLimitError(
-                f"refusing n = {n} at b = {b}: size {size} has {count} {what}, "
+                f"refusing n = {shown(n)} at b = {shown(b)}: size {size} has {count} {what}, "
                 f"more than {ceiling}")
 
 

@@ -29,7 +29,7 @@ from .enumeration import check_limit, guard_growth, guard_labelled
 from .rng import SplitMix64, accept_below
 from .trees import (BucketNode, BucketTree, InvalidTreeError, encode_grown,
                     single_bucket_tree)
-from .weights import FamilySpec, _check_int, _common_scale
+from .weights import FamilySpec, _check_int, _common_scale, shown
 
 
 def _option_table(spec: FamilySpec, size: int) -> tuple[list[tuple[int, ...]], int]:
@@ -335,7 +335,7 @@ def strip_labels(tree: BucketTree, j: int) -> BucketTree:
         raise InvalidTreeError("strip_labels requires a labelled tree")
     _check_int(j, "j")
     if not 1 <= j <= tree.size:
-        raise ValueError(f"j={j} outside 1..{tree.size}")
+        raise ValueError(f"j={shown(j)} outside 1..{tree.size}")
     return _strip(tree, j)
 
 
@@ -372,7 +372,7 @@ def pushforward_strip(dist: TreeDistribution, j: int) -> TreeDistribution:
     trees are labelled trees of that size, as ``validate`` requires."""
     _check_int(j, "j")
     if not 1 <= j <= dist.size:
-        raise ValueError(f"j={j} outside 1..{dist.size}")
+        raise ValueError(f"j={shown(j)} outside 1..{dist.size}")
     acc: dict[BucketTree, int] = {}
     get = acc.get
     for tree, weight in dist.weights.items():

@@ -149,7 +149,7 @@ class SplitMix64:
         _check_int(numerator, "numerator")
         _check_int(denominator, "denominator")
         if denominator <= 0 or not 0 <= numerator <= denominator:
-            raise ValueError(f"probability out of range: {numerator}/{denominator}")
+            raise ValueError(f"probability out of range: {shown(numerator)}/{shown(denominator)}")
         g = math.gcd(numerator, denominator)
         return self.randbelow(denominator // g) < numerator // g
 

@@ -296,19 +296,19 @@ def check_beta_convergence(
         # a zero-variance cell (no black mass) sits on its bias, not an ulp off.
         ys = (1 + counts).tolist()
         mean = Fraction(sum(ys), n * samples)
-        # Exact finite-n mean:  E Y = 1 + white * draws / total.
-        exact_mean = (1 + state.white * draws / state.total) / n
-        se = math.sqrt(float(var_beta) / samples)
-        tolerance = Fraction(SE_MULTIPLIER * se) + abs(exact_mean - m1)
-        error = abs(mean - m1)
-
-        emp2 = Fraction(sum(y * y for y in ys), n * n * samples)
         mom1 = urn_moment_exact(state, draws, 1)          # E W, W = white + S
         mom2 = urn_moment_exact(state, draws, 2)          # E binom(W+1, 2)
         a0 = state.white
         es = mom1 - a0                                     # E S
         es2 = 2 * mom2 - mom1 - 2 * a0 * mom1 + a0 * a0    # E S^2
+        # Exact finite-n moments of Y/n, Y = 1 + S.
+        exact_mean = (1 + es) / n
         exact_second = (1 + 2 * es + es2) / (Fraction(n) ** 2)
+        se = math.sqrt(float(var_beta) / samples)
+        tolerance = Fraction(SE_MULTIPLIER * se) + abs(exact_mean - m1)
+        error = abs(mean - m1)
+
+        emp2 = Fraction(sum(y * y for y in ys), n * n * samples)
         se2 = float(np.std(((1 + counts) / n) ** 2, ddof=1)) / math.sqrt(samples)
         second_tol = Fraction(SE_MULTIPLIER * se2) + abs(exact_second - m2)
         second_error = abs(emp2 - m2)
@@ -379,7 +379,7 @@ def second_order_diagnostic(
     _check_int(n, "n")
     _check_int(horizon, "horizon")
     if not j < n < horizon:
-        raise ValueError(f"need j < n < horizon, got {j}, {n}, {horizon}")
+        raise ValueError(f"need j < n < horizon, got {shown(j)}, {shown(n)}, {shown(horizon)}")
     _check_urn_size(horizon)
     # beta_hat below forms white.numerator + white.denominator * (white draws)
     # in numpy's int64, which wraps silently past 2**63.

@@ -42,7 +42,7 @@ from .enumeration import (DESCENDANTS_CEILING, DESCENDANTS_WORK_CEILING, URN_DRA
 from .evolve import _grown_label, exact_distribution
 from .rng import SplitMix64, accept_below
 from .trees import count_descendants
-from .weights import FamilySpec, _check_int, _common_scale, binom_frac
+from .weights import FamilySpec, _check_int, _common_scale, binom_frac, shown
 
 
 @dataclass(frozen=True)
@@ -70,9 +70,9 @@ def urn_from(spec: FamilySpec, j: int, load: int) -> UrnState:
     _check_int(j, "j", 1)
     _check_int(load, "load")
     if not 1 <= load <= min(j, spec.b):
-        raise ValueError(f"load {load} impossible for j={j}, b={spec.b}")
+        raise ValueError(f"load {shown(load)} impossible for j={shown(j)}, b={shown(spec.b)}")
     if load < j <= spec.b:
-        raise ValueError(f"for j <= b the load is deterministically j={j}")
+        raise ValueError(f"for j <= b the load is deterministically j={shown(j)}")
     return UrnState(load + spec.kappa(), Fraction(j - load))
 
 
@@ -176,7 +176,7 @@ def _check_window(n: int, j: int) -> None:
     _check_int(n, "n")
     _check_int(j, "j")
     if not 1 <= j <= n:
-        raise ValueError(f"need 1 <= j <= n, got j={j}, n={n}")
+        raise ValueError(f"need 1 <= j <= n, got j={shown(j)}, n={shown(n)}")
 
 
 def descendants_direct(spec: FamilySpec, n: int, j: int, rng: SplitMix64) -> DescendantSample:

@@ -941,6 +941,59 @@ def test_overlong_rationals_are_refused_in_one_short_line(capsys, argv, reason):
     assert len(err.encode()) < 200
 
 
+BDARY = ["--family", "bdary", "--b", "2", "--d", "2"]
+NINES = "9" * 4000
+NINES_HEAD = "'999999999999999999999999'... (4000 characters)"
+HUGE = 10**5000   # past the interpreter's default 4,300-digit cap of str()
+HUGE_BITS = "an int of 16610 bits"
+SMALL_TREE = sample_tree(BucketRecursive(2), 4, SplitMix64(1))
+
+
+# A kernel's refusal quotes an integer of more than 24 characters by its
+# head and length (the CLI lifts str()'s digit cap), one past the cap by its
+# bits, and one of at most 24 characters whole.  A list is a CLI argv.
+@pytest.mark.parametrize("call, reason", [
+    (["descend", *BDARY, "--n", "5", "--j", NINES, "--mode", "exact"],
+     f"need 1 <= j <= n, got j={NINES_HEAD}, n=5"),
+    (["descend", *BDARY, "--n", "5", "--j", "9" * 24, "--mode", "exact"],
+     f"need 1 <= j <= n, got j={'9' * 24}, n=5"),
+    (["stats", "--check", "beta", *BDARY, "--j", "4", "--load", NINES, "--n-grid", "100"],
+     f"load {NINES_HEAD} impossible for j=4, b=2"),
+    (["verify", *BDARY, "--n", NINES, "--limit", NINES],
+     "refusing n = '100000000000000000000000'... (4001 characters) at b = 2: "
+     "size 19 has 2356779 shapes, more than 1000000"),
+    (["stats", "--check", "second-order", *BDARY, "--j", "4", "--load", "2", "--n", NINES,
+      "--horizon", "2500"],
+     f"need j < n < horizon, got 4, {NINES_HEAD}, 2500"),
+    (lambda: buckettrees.descendants_direct(BucketRecursive(2), 5, HUGE, SplitMix64(1)),
+     f"need 1 <= j <= n, got j={HUGE_BITS}, n=5"),
+    (lambda: buckettrees.urn_from(BucketRecursive(2), 5, HUGE),
+     f"load {HUGE_BITS} impossible for j=5, b=2"),
+    (lambda: buckettrees.urn_from(BucketRecursive(2), 5, 9), "load 9 impossible for j=5, b=2"),
+    (lambda: buckettrees.urn_from(BucketRecursive(10**30), 10**29, 1),
+     "for j <= b the load is deterministically j='100000000000000000000000'... "
+     "(30 characters)"),
+    (lambda: buckettrees.strip_labels(SMALL_TREE, HUGE), f"j={HUGE_BITS} outside 1..4"),
+    (lambda: buckettrees.pushforward_strip(buckettrees.exact_distribution(
+        BucketRecursive(2), 3), -HUGE), "j=a negative int of 16610 bits outside 1..3"),
+    (lambda: buckettrees.enumerate_shapes(2, HUGE),
+     f"refusing n = {HUGE_BITS} at b = 2: size 19 has 2356779 shapes, more than 1000000"),
+    (lambda: buckettrees.second_order_diagnostic(BucketRecursive(2), 4, 2, HUGE, 100, 2500, 1),
+     f"need j < n < horizon, got 4, {HUGE_BITS}, 2500"),
+    (lambda: SplitMix64(1).bernoulli(HUGE, 3), f"probability out of range: {HUGE_BITS}/3"),
+    (lambda: SplitMix64(1).bernoulli(4, 3), "probability out of range: 4/3"),
+])
+def test_refused_integers_are_quoted_in_one_short_line(capsys, call, reason):
+    if isinstance(call, list):
+        rc, out, err = run(capsys, *call)
+        assert (rc, out, err) == (2, "", f"error: {reason}\n")
+    else:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == reason
+    assert len(reason.encode()) < 200
+
+
 # With j > b the exact descendants law has n - j + 1 terms of O(n log n)
 # digits each, so its size is capped, and a refused size computes nothing.
 @pytest.mark.parametrize("n", [enumeration.DESCENDANTS_CEILING + 1, 10**30])

@@ -13,7 +13,7 @@ from buckettrees import (AffineDegreeWeights, BucketRecursive, DAryIncreasing,
                          DegreeWeights, ExplicitDegreeWeights, InvalidWeightsError,
                          PlaneOriented, WeightModel, classify_family, to_fraction,
                          total_weights, weights_of)
-from buckettrees.weights import MAX_MODEL_B, binom_frac, shown
+from buckettrees.weights import MAX_MODEL_B, _common_scale, binom_frac, shown
 
 F = Fraction
 
@@ -23,6 +23,13 @@ def test_to_fraction_rejects_floats():
         to_fraction(0.5)
     assert to_fraction("3/2") == F(3, 2)
     assert to_fraction(7) == 7
+
+
+def test_common_scale_clears_onto_the_lcm_of_the_denominators():
+    # Denominators 6, 4, 1 (the zero) and 10: lcm 60.
+    assert _common_scale([F(5, 6), F(-3, 4), F(0), F(7, 10)]) == (60, [50, -45, 0, 42])
+    assert _common_scale([F(0), 3]) == (1, [0, 3])
+    assert _common_scale([]) == (1, [])
 
 
 def test_binom_frac():
