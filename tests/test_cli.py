@@ -946,7 +946,6 @@ NINES = "9" * 4000
 NINES_HEAD = "'999999999999999999999999'... (4000 characters)"
 HUGE = 10**5000   # past the interpreter's default 4,300-digit cap of str()
 HUGE_BITS = "an int of 16610 bits"
-SMALL_TREE = sample_tree(BucketRecursive(2), 4, SplitMix64(1))
 
 
 # A kernel's refusal quotes an integer of more than 24 characters by its
@@ -973,7 +972,8 @@ SMALL_TREE = sample_tree(BucketRecursive(2), 4, SplitMix64(1))
     (lambda: buckettrees.urn_from(BucketRecursive(10**30), 10**29, 1),
      "for j <= b the load is deterministically j='100000000000000000000000'... "
      "(30 characters)"),
-    (lambda: buckettrees.strip_labels(SMALL_TREE, HUGE), f"j={HUGE_BITS} outside 1..4"),
+    (lambda: buckettrees.strip_labels(sample_tree(BucketRecursive(2), 4, SplitMix64(1)), HUGE),
+     f"j={HUGE_BITS} outside 1..4"),
     (lambda: buckettrees.pushforward_strip(buckettrees.exact_distribution(
         BucketRecursive(2), 3), -HUGE), "j=a negative int of 16610 bits outside 1..3"),
     (lambda: buckettrees.enumerate_shapes(2, HUGE),
