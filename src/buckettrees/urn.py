@@ -90,9 +90,9 @@ def urn_run(state: UrnState, draws: int, rng: SplitMix64) -> int:
     """
     _check_int(draws, "draws", 0)
     q, (white0, black0) = _common_scale((state.white, state.black))
-    total0 = white0 + black0
-    if white0 == 0 or white0 == total0:
+    if white0 == 0 or black0 == 0:
         return 0 if white0 == 0 else draws
+    total0 = white0 + black0
     # No reduced bound exceeds the last draw's unreduced one.
     fast = accept_below(total0 + q * (draws - 1))
     block, finish, gcd = rng.block, rng.finish, math.gcd
