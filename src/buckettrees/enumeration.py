@@ -96,14 +96,17 @@ def enumerate_shapes(b: int, n: int, limit: int | None = None) -> list[BucketTre
 
 def _tree_counts(b: int, ways: Callable[[int, int], int]) -> Iterator[int]:
     # Below size b a tree is one bucket, else a full bucket over an ordered
-    # forest of size m - b; a forest of size m splits off a first tree of
-    # size k, which it can do in ways(m, k) ways.
+    # forest of size m - b; a forest of size s splits off a first tree of
+    # size k, which it can do in ways(s, k) ways.  A forest is counted only
+    # when a tree reads it, so the sizes below b cost nothing.
     _check_int(b, "b", 1)
     trees = [0]
     forests = [1]
     for m in itertools.count(1):
-        trees.append(1 if m < b else forests[m - b])
-        forests.append(sum(ways(m, k) * trees[k] * forests[m - k] for k in range(1, m + 1)))
+        s = m - b
+        if s > 0:
+            forests.append(sum(ways(s, k) * trees[k] * forests[s - k] for k in range(1, s + 1)))
+        trees.append(1 if s < 0 else forests[s])
         yield trees[m]
 
 

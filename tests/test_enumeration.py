@@ -71,6 +71,19 @@ def test_labelled_counts_sum_labellings_over_shapes():
             assert counts[n - 1] == sum(map(count_labellings, enumerate_shapes(b, n)))
 
 
+def test_tree_counts_form_no_forest_below_the_capacity():
+    # Sizes 1..b are one bucket each and size b + s reads the forest of size
+    # s alone, so a huge b costs the size guards nothing below it.
+    calls = []
+
+    def ways(m, k):
+        calls.append((m, k))
+        return math.comb(m, k)
+
+    assert list(itertools.islice(enumeration._tree_counts(1000, ways), 1002)) == [1] * 1001 + [3]
+    assert calls == [(1, 1), (2, 1), (2, 2)]
+
+
 def test_labelled_counts_are_plane_oriented_supports():
     # Every weight of a PORT is positive, so its law charges every labelled tree.
     assert list(itertools.islice(labelled_counts(1), 8)) == [1, 1, 3, 15, 105, 945, 10395, 135135]
