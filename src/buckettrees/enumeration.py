@@ -96,9 +96,8 @@ def enumerate_shapes(b: int, n: int, limit: int | None = None) -> list[BucketTre
 
 def _tree_counts(b: int, ways: Callable[[int, int], int]) -> Iterator[int]:
     # Below size b a tree is one bucket, else a full bucket over an ordered
-    # forest of size m - b; a forest of size s splits off a first tree of
-    # size k, which it can do in ways(s, k) ways.  A forest is counted only
-    # when a tree reads it, so the sizes below b cost nothing.
+    # forest of size s = m - b, counted only then; a forest of size s splits
+    # off a first tree of size k, which it can do in ways(s, k) ways.
     _check_int(b, "b", 1)
     trees = [0]
     forests = [1]

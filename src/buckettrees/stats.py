@@ -164,9 +164,8 @@ def sampler_gof(
     limit: int | None = None,
 ) -> tuple[list[GofReport], bool]:
     """``sampled_fit`` of the grown tree's encoding against ``exact_distribution``,
-    each run growing its trees one after another from one stream.  n is
-    refused before the count, by the first step of ``exact_laws``."""
-    next(exact_laws(spec, n, limit))
+    each run growing its trees one after another from one stream."""
+    next(exact_laws(spec, n, limit))   # refuses n before sampled_fit refuses the count
 
     def law() -> dict[bytes, float]:
         dist = exact_distribution(spec, n, limit)

@@ -92,12 +92,11 @@ def urn_run(state: UrnState, draws: int, rng: SplitMix64) -> int:
     q, (white0, black0) = _common_scale((state.white, state.black))
     if white0 == 0 or black0 == 0:
         return 0 if white0 == 0 else draws
-    total0 = white0 + black0
     # No reduced bound exceeds the last draw's unreduced one.
-    fast = accept_below(total0 + q * (draws - 1))
+    fast = accept_below(white0 + black0 + q * (draws - 1))
     block, finish, gcd = rng.block, rng.finish, math.gcd
     words: list[int] = []
-    numerator, denominator = white0, total0
+    numerator, denominator = white0, white0 + black0
     for _ in range(draws):
         g = gcd(numerator, denominator)
         bound = denominator // g

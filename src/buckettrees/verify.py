@@ -149,7 +149,6 @@ def check_scaling(
     base_table = weight_table(model, n)
     scaled_table = weight_table(scaled, n)
     for shape in shapes:
-        # scaled == factor * base, cross-multiplied in integers.
         num, den = weigh_parts(shape, scaled_table)
         base_num, base_den = weigh_parts(shape, base_table)
         if num * factor.denominator * base_den != factor.numerator * base_num * den:
