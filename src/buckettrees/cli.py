@@ -25,7 +25,6 @@ import os
 import signal
 import sys
 from collections import Counter
-from dataclasses import asdict
 
 from .enumeration import (check_limit, check_ode_recurrence,
                           closed_form_total_weight, enumerate_shapes,
@@ -55,8 +54,8 @@ def f12(x: float) -> float:
 
 
 def rounded_fields(report) -> dict:
-    """A report dataclass as a JSON object, its floats rounded by f12."""
-    return {k: f12(v) if isinstance(v, float) else v for k, v in asdict(report).items()}
+    """A report record as a JSON object in field order, its floats rounded by f12."""
+    return {k: f12(v) if isinstance(v, float) else v for k, v in report._asdict().items()}
 
 
 def past_digit_cap(text: str) -> bool:

@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .trees import BucketNode, BucketTree, count_labellings, weigh_parts, weight_table
 from .weights import (AffineDegreeWeights, DegreeWeights, FamilySpec, WeightModel, _check_int,
@@ -217,8 +216,7 @@ def closed_form_total_weight(spec: FamilySpec, n: int) -> Fraction:
     return math.prod((spec.connectivity(k) for k in range(1, n)), start=Fraction(1))
 
 
-@dataclass(frozen=True)
-class OdeCheckReport:
+class OdeCheckReport(NamedTuple):
     """Outcome of the coefficient-recurrence check.
 
     ``failure_kind`` is None on success, "initial" when some T_k with

@@ -24,10 +24,9 @@ check is a shape diagnostic rather than an exact test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,8 +64,7 @@ def _check_count(count: int, ceiling: int, what: str) -> None:
 
 # ── goodness of fit ───────────────────────────────────────────────────────
 
-@dataclass(frozen=True)
-class GofReport:
+class GofReport(NamedTuple):
     """One Pearson chi-square fit over the pooled bins, and its verdict at level."""
 
     statistic: float
@@ -229,8 +227,7 @@ def _urn_batch(
     return snap + gen.binomial(draws - snapshot_at, p), snap
 
 
-@dataclass(frozen=True)
-class BetaCell:
+class BetaCell(NamedTuple):
     """The two moments of Y/n at one n, each error against its pass band."""
 
     n: int
@@ -244,8 +241,7 @@ class BetaCell:
     second_ok: bool
 
 
-@dataclass(frozen=True)
-class BetaConvergenceReport:
+class BetaConvergenceReport(NamedTuple):
     """The Beta check's cells over the n grid; passed when every cell is."""
 
     j: int
@@ -322,8 +318,7 @@ def check_beta_convergence(
 
 # ── second-order fluctuations ─────────────────────────────────────────────
 
-@dataclass(frozen=True)
-class SecondOrderReport:
+class SecondOrderReport(NamedTuple):
     """Shape of the studentized fluctuations at n, and the variance slope beside it."""
 
     n: int
@@ -408,10 +403,11 @@ def second_order_diagnostic(
     standardized = values / np.sqrt(shape)
     skewness, excess_kurtosis = skew_kurtosis(standardized)
     # Least-squares slope in closed form: centred cross-sum over centred
-    # sum of squares (np.polyfit would load LAPACK for one regression).
+    # sum of squares (np.polyfit would load LAPACK for one regression), each
+    # an elementwise product summed, as `@` is a multithreaded BLAS call.
     centred = shape - shape.mean()
     squares = values * values
-    slope = float(centred @ (squares - squares.mean()) / (centred @ centred))
+    slope = float((centred * (squares - squares.mean())).sum() / (centred * centred).sum())
     passed = abs(skewness) < SKEW_BOUND and abs(excess_kurtosis) < KURT_BOUND
     return SecondOrderReport(n, horizon, trajectories, skewness, excess_kurtosis,
                              slope, slope > 0, passed)

@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .weights import WeightModel, _check_int
 
@@ -67,8 +67,7 @@ def shape_bucket(capacity: int, children: tuple[BucketNode, ...] = ()) -> Bucket
     return BucketNode(capacity, (), tuple(children))
 
 
-@dataclass(frozen=True, slots=True)
-class BucketTree:
+class BucketTree(NamedTuple):
     """A bucket tree together with its bucket-capacity bound ``b``."""
 
     root: BucketNode

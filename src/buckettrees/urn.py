@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .enumeration import (DESCENDANTS_CEILING, DESCENDANTS_WORK_CEILING, URN_DRAW_CEILING,
                           EnumerationLimitError)
@@ -161,8 +161,7 @@ def binomial_moment(state: UrnState, law: Mapping[int, Fraction], s: int) -> Fra
 
 # ── descendants of a label ────────────────────────────────────────────────
 
-@dataclass(frozen=True)
-class DescendantSample:
+class DescendantSample(NamedTuple):
     """One observation: label j's insertion load and descendant count at size n."""
 
     n: int

@@ -23,8 +23,8 @@ return d or alpha exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .enumeration import enumerate_shapes, total_weights
 from .trees import BucketTree, node_profile, weigh_parts, weight_table
@@ -61,8 +61,7 @@ def balance_value(tree: BucketTree, model: WeightModel) -> Fraction:
     return value
 
 
-@dataclass(frozen=True)
-class BalanceReport:
+class BalanceReport(NamedTuple):
     """Balance sums of the positive-weight size-n shapes; passed when they share one."""
 
     size: int
@@ -89,8 +88,7 @@ def check_balance(model: WeightModel, n: int, limit: int | None = None) -> Balan
     return BalanceReport(n, values, constant, len(distinct) <= 1)
 
 
-@dataclass(frozen=True)
-class AffineRatioReport:
+class AffineRatioReport(NamedTuple):
     """The line c1 n + c2 through the total ratios, and the first n it misses."""
 
     passed: bool
@@ -120,8 +118,7 @@ def check_affine_ratio(model: WeightModel, n_max: int, limit: int | None = None)
     return AffineRatioReport(True, c1, c2, None)
 
 
-@dataclass(frozen=True)
-class ScalingReport:
+class ScalingReport(NamedTuple):
     """Whether rescaling scaled every size-n weight by a^n / s, else the first shape."""
 
     passed: bool
@@ -156,8 +153,7 @@ def check_scaling(
     return ScalingReport(True, n, None)
 
 
-@dataclass(frozen=True)
-class NotGrown:
+class NotGrown(NamedTuple):
     """Evidence that no growth rule produces this model."""
 
     reason: str

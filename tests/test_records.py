@@ -1,0 +1,129 @@
+"""The package's result records: their contract as plain tuples, and which
+types stay dataclasses.
+
+Eleven records check nothing when built, so they are ``typing.NamedTuple``
+classes: field order, defaults and ``repr`` are those they had as frozen
+dataclasses, and assignment still raises.  A ``@dataclass`` class runs
+generated code for its methods when its module is imported, which every
+command pays before it starts, so only types whose constructors validate
+or derive a field, or that must take weak references, stay dataclasses.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+from fractions import Fraction
+
+import pytest
+
+import buckettrees
+from buckettrees import (AffineRatioReport, BalanceReport, BetaCell,
+                         BetaConvergenceReport, DescendantSample, GofReport,
+                         NotGrown, OdeCheckReport, ScalingReport,
+                         SecondOrderReport, single_bucket_tree)
+from buckettrees.cli import rounded_fields
+
+TREE = single_bucket_tree(2)
+TREE_REPR = "BucketTree(root=BucketNode(capacity=1, labels=(1,), children=()), max_bucket=2)"
+CELL = BetaCell(10, 0.5, 0.5, 0.0, 0.1, True, 0.0, 0.1, True)
+CELL_REPR = ("BetaCell(n=10, mean=0.5, target=0.5, error=0.0, tolerance=0.1, ok=True, "
+             "second_error=0.0, second_tolerance=0.1, second_ok=True)")
+NOTE = ("heuristic diagnostic: normality thresholds are conventions, and "
+        "the variance slope is reported only, not checked")
+
+# (record, its fields in their dataclass order, its repr as a dataclass)
+RECORDS = [
+    (OdeCheckReport(True, 5),
+     ("passed", "checked_through", "failure_kind", "failing_index"),
+     "OdeCheckReport(passed=True, checked_through=5, failure_kind=None, failing_index=None)"),
+    (GofReport(1.5, 3, 0.25, 0.01, True, 4, 100),
+     ("statistic", "dof", "p_value", "level", "passed", "bins", "samples"),
+     "GofReport(statistic=1.5, dof=3, p_value=0.25, level=0.01, passed=True, bins=4, "
+     "samples=100)"),
+    (CELL,
+     ("n", "mean", "target", "error", "tolerance", "ok", "second_error", "second_tolerance",
+      "second_ok"),
+     CELL_REPR),
+    (BetaConvergenceReport(4, 2, 100, (CELL,), True),
+     ("j", "load", "samples", "cells", "passed"),
+     f"BetaConvergenceReport(j=4, load=2, samples=100, cells=({CELL_REPR},), passed=True)"),
+    (SecondOrderReport(50, 2500, 100, 0.01, -0.02, 0.3, True, True),
+     ("n", "horizon", "trajectories", "skewness", "excess_kurtosis", "variance_slope",
+      "variance_shape_ok", "passed", "degenerate", "note"),
+     "SecondOrderReport(n=50, horizon=2500, trajectories=100, skewness=0.01, "
+     "excess_kurtosis=-0.02, variance_slope=0.3, variance_shape_ok=True, passed=True, "
+     f"degenerate=False, note='{NOTE}')"),
+    (DescendantSample(10, 4, 2, 3),
+     ("n", "j", "load", "descendants"),
+     "DescendantSample(n=10, j=4, load=2, descendants=3)"),
+    (BalanceReport(2, {TREE: Fraction(1, 2)}, Fraction(1, 2), True),
+     ("size", "values", "constant", "passed"),
+     f"BalanceReport(size=2, values={{{TREE_REPR}: Fraction(1, 2)}}, "
+     "constant=Fraction(1, 2), passed=True)"),
+    (AffineRatioReport(True, Fraction(1), Fraction(2), None),
+     ("passed", "c1", "c2", "first_failing_n"),
+     "AffineRatioReport(passed=True, c1=Fraction(1, 1), c2=Fraction(2, 1), "
+     "first_failing_n=None)"),
+    (ScalingReport(False, 3, TREE),
+     ("passed", "size", "first_mismatch"),
+     f"ScalingReport(passed=False, size=3, first_mismatch={TREE_REPR})"),
+    (NotGrown("psi_1 = 0"), ("reason",), "NotGrown(reason='psi_1 = 0')"),
+    (TREE, ("root", "max_bucket"), TREE_REPR),
+]
+
+# Constructors that validate or store a derived hash, which a tuple's
+# _make and _replace would bypass, and TreeDistribution, which callers
+# hold by weak reference.
+KEPT_DATACLASSES = {
+    "buckettrees.weights.ExplicitDegreeWeights", "buckettrees.weights.AffineDegreeWeights",
+    "buckettrees.weights.WeightModel", "buckettrees.weights.BucketRecursive",
+    "buckettrees.weights.DAryIncreasing", "buckettrees.weights.PlaneOriented",
+    "buckettrees.urn.UrnState", "buckettrees.trees.BucketNode",
+    "buckettrees.evolve.TreeDistribution",
+}
+
+
+@pytest.mark.parametrize("record, fields, text", RECORDS,
+                         ids=[type(r).__name__ for r, _, _ in RECORDS])
+def test_records_keep_their_dataclass_fields_and_repr(record, fields, text):
+    assert type(record)._fields == fields
+    assert repr(record) == text
+    assert record == tuple(record)
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], getattr(record, fields[0]))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+def test_second_order_report_keeps_its_defaults():
+    assert SecondOrderReport._field_defaults == {"degenerate": False, "note": NOTE}
+
+
+def test_rounded_fields_keeps_field_order_and_rounds_floats():
+    report = SecondOrderReport(50, 2500, 100, 0.1 + 0.2, -1 / 3, 2 / 3, True, False)
+    row = rounded_fields(report)
+    assert list(row) == list(SecondOrderReport._fields)
+    assert row == {"n": 50, "horizon": 2500, "trajectories": 100,
+                   "skewness": 0.3, "excess_kurtosis": -0.333333333333,
+                   "variance_slope": 0.666666666667, "variance_shape_ok": True,
+                   "passed": False, "degenerate": False, "note": NOTE}
+    assert list(rounded_fields(CELL)) == list(BetaCell._fields)
+
+
+def test_only_the_kept_types_are_dataclasses():
+    found = set()
+    for info in pkgutil.iter_modules(buckettrees.__path__, "buckettrees."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if (inspect.isclass(obj) and obj.__module__ == module.__name__
+                    and dataclasses.is_dataclass(obj)):
+                found.add(f"{module.__name__}.{name}")
+    new = sorted(found - KEPT_DATACLASSES)
+    assert not new, (
+        f"{new} are dataclasses: @dataclass execs 5-6 generated methods per class when "
+        f"its module is imported, about 0.6 ms that every command pays at start-up; "
+        f"make a record that checks nothing a typing.NamedTuple")
+    assert found == KEPT_DATACLASSES
