@@ -409,7 +409,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # The largest size any requested check reads; classify reads none.
     if names != ["classify"]:
         size = max(args.n, 3) + 1 if "ratio" in names else args.n
-        guard_shapes(size, model.b)
+        guard_shapes(args.n, model.b, size)
         if spec is not None and growth:
             guard_labelled(args.n, spec.b)
         check_limit(size, args.limit)

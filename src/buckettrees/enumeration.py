@@ -121,17 +121,22 @@ def labelled_counts(b: int) -> Iterator[int]:
     return _tree_counts(b, math.comb)
 
 
-def _guard(n: int, b: int, counts: Iterator[int], what: str, ceiling: int) -> None:
+def _guard(n: int, b: int, counts: Iterator[int], what: str, ceiling: int,
+           reads: int | None = None) -> None:
     # Counts never decrease with the size, so a huge n stops at the first excess.
-    for size, count in zip(range(1, n + 1), counts):
+    reads = n if reads is None else reads
+    for size, count in zip(range(1, reads + 1), counts):
         if count > ceiling:
+            read = "" if reads == n else f" (a check reads size {shown(reads)})"
             raise EnumerationLimitError(
-                f"refusing n = {shown(n)} at b = {shown(b)}: size {size} has {count} {what}, "
-                f"more than {ceiling}")
+                f"refusing n = {shown(n)} at b = {shown(b)}{read}: size {size} has {count} "
+                f"{what}, more than {ceiling}")
 
 
-def guard_shapes(n: int, b: int) -> None:
-    _guard(n, b, shape_counts(b), "shapes", SHAPE_CEILING)
+def guard_shapes(n: int, b: int, reads: int | None = None) -> None:
+    """Refuse n when a size up to ``reads`` (n when None), the largest a
+    check of n enumerates, has more shapes than the ceiling."""
+    _guard(n, b, shape_counts(b), "shapes", SHAPE_CEILING, reads)
 
 
 def guard_labelled(n: int, b: int) -> None:

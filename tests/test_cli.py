@@ -959,7 +959,8 @@ HUGE_BITS = "an int of 16610 bits"
     (["stats", "--check", "beta", *BDARY, "--j", "4", "--load", NINES, "--n-grid", "100"],
      f"load {NINES_HEAD} impossible for j=4, b=2"),
     (["verify", *BDARY, "--n", NINES, "--limit", NINES],
-     "refusing n = '100000000000000000000000'... (4001 characters) at b = 2: "
+     f"refusing n = {NINES_HEAD} at b = 2 (a check reads size "
+     "'100000000000000000000000'... (4001 characters)): "
      "size 19 has 2356779 shapes, more than 1000000"),
     (["stats", "--check", "second-order", *BDARY, "--j", "4", "--load", "2", "--n", NINES,
       "--horizon", "2500"],
@@ -1517,12 +1518,22 @@ SHAPES_PAST_THE_CEILING = ("error: refusing n = 15 at b = 1: size 15 has 2674440
                            "more than 1000000\n")
 
 
-# A ceiling is named before the limit, at the largest size the command reads.
+# A ceiling is named before the limit, at the largest size the command reads;
+# the refusal names the --n given, and that size when it is larger.
 @pytest.mark.parametrize("argv, line", [
     (["verify", "--family", "bucket-recursive", "--b", "1", "--n", "14", "--limit", "15",
-      "--check", "ratio"], SHAPES_PAST_THE_CEILING),
+      "--check", "ratio"],
+     SHAPES_PAST_THE_CEILING.replace("n = 15 at b = 1", "n = 14 at b = 1 (a check reads size 15)")),
     (["verify", "--family", "bucket-recursive", "--b", "1", "--n", "15", "--check", "ratio"],
-     SHAPES_PAST_THE_CEILING.replace("n = 15", "n = 16")),
+     SHAPES_PAST_THE_CEILING.replace("at b = 1", "at b = 1 (a check reads size 16)")),
+    (["verify", *BDARY, "--n", "30", "--limit", "40"],
+     "error: refusing n = 30 at b = 2 (a check reads size 31): size 19 has 2356779 shapes, "
+     "more than 1000000\n"),
+    (["verify", *BDARY, "--n", "30", "--limit", "40", "--check", "ratio"],
+     "error: refusing n = 30 at b = 2 (a check reads size 31): size 19 has 2356779 shapes, "
+     "more than 1000000\n"),
+    (["verify", *BDARY, "--n", "30", "--limit", "40", "--check", "balance"],
+     "error: refusing n = 30 at b = 2: size 19 has 2356779 shapes, more than 1000000\n"),
     (["enumerate", "--family", "bucket-recursive", "--b", "1", "--n", "15"],
      SHAPES_PAST_THE_CEILING),
     (["stats", "--check", "gof", "--family", "bucket-recursive", "--b", "2", "--n", "20"],
