@@ -34,8 +34,8 @@ from .rng import SplitMix64
 from .trees import encode_tree, weigh_parts, weight_table
 from .urn import (descendants_direct, descendants_law_from_urn,
                   descendants_via_urn)
-from .verify import (NotGrown, check_affine_ratio, check_balance,
-                     check_scaling, classify_family)
+from .verify import (NotGrown, UndefinedRatioError, check_affine_ratio,
+                     check_balance, check_scaling, classify_family)
 from .stats import check_beta_convergence, sampler_gof, second_order_diagnostic
 from .weights import (AffineDegreeWeights, BucketRecursive, DAryIncreasing,
                       ExplicitDegreeWeights, FamilySpec, InvalidWeightsError,
@@ -307,7 +307,12 @@ def _verify_balance(model, spec, args) -> dict:
 
 
 def _verify_ratio(model, spec, args) -> dict:
-    report = check_affine_ratio(model, max(args.n, 3), args.limit)
+    try:
+        report = check_affine_ratio(model, max(args.n, 3), args.limit)
+    except UndefinedRatioError as exc:
+        # A zero total fails this check only; the other checks still run.
+        return {"check": "ratio", "passed": False, "c1": None, "c2": None,
+                "first_failing_n": None, "reason": str(exc)}
     out = {"check": "ratio", "passed": report.passed,
            "c1": str(report.c1), "c2": str(report.c2),
            "first_failing_n": report.first_failing_n}

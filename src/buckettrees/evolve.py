@@ -32,6 +32,15 @@ from .trees import (BucketNode, BucketTree, InvalidTreeError, encode_grown,
 from .weights import FamilySpec, _check_int, _common_scale, shown
 
 
+# Growth up to this many labels scans the node weights for each pick, and
+# past it descends a Fenwick tree.  Measured: the scan's cost grows with the
+# index of the picked node, so it is 15-35% faster at 48-64 labels on
+# BucketRecursive(1), BucketRecursive(2), DAryIncreasing(2, 2) and
+# PlaneOriented(2, 1), even at 80, and slower on the first from about 96 and
+# on all but the last by 192.
+_SCAN_MAX_SIZE = 80
+
+
 def _option_table(spec: FamilySpec, size: int) -> tuple[list[tuple[int, ...]], int]:
     """The growth kernel of a size-``size`` tree in integers, read from the
     spec once: (slots, scale), where slots[c - 1] (c < b) holds the weight
@@ -39,12 +48,14 @@ def _option_table(spec: FamilySpec, size: int) -> tuple[list[tuple[int, ...]], i
     holds the weight of each of the k + 1 slots of a saturated node of
     degree k, for every degree a size-``size`` tree can have.  A weight over
     scale is the option's probability; a node of nonpositive attachment
-    weight gets no slot.
+    weight, or a load above ``size``, which no size-``size`` tree holds,
+    gets no slot.
     """
     b = spec.b
     normalizer = spec.connectivity(size)
     # (probability of one slot, number of slots) for each kind of node.
-    kinds = [(spec.attachment_weight(c, 0) / normalizer, 1) for c in range(1, b)]
+    kinds = [(spec.attachment_weight(c, 0) / normalizer if c <= size else 0, 1)
+             for c in range(1, b)]
     kinds += [(spec.attachment_weight(b, k) / normalizer / (k + 1), k + 1)
               for k in range(size - b + 1)]
     # A nonpositive probability clears to 0: no slot, and nothing added to the scale.
@@ -104,14 +115,18 @@ def _grow_each(spec: FamilySpec, n: int,
     children[i], which all exceed i.  A stream may appear more than once;
     its trees then follow each other in it.
 
-    A Fenwick tree over the nodes' scaled integer attachment weights finds
-    the target of each label in O(log n).  A label changes one weight (+c1
-    when it joins a bucket, -c2 when it starts a child) and may add a leaf,
-    whose weight c1 + c2 its slot already holds, so growth to size n costs
-    O(n log n).  The family's integer weights, the Fenwick template and its
-    top bit are worked out once for the batch.  n < 1 and a size past
-    ``GROWTH_CEILING`` (``guard_growth``) are refused here, before any stream
-    is read, so every growth path, the CLI's included, refuses as one.
+    The target of each label is the first node whose running sum of scaled
+    integer attachment weights exceeds a uniform pick below their total.  Up
+    to ``_SCAN_MAX_SIZE`` labels a plain scan over one weight per node finds
+    it; above, a Fenwick tree over the same weights finds it in O(log n),
+    so growth to size n costs O(n log n).  Both give the same node for the
+    same pick, so the trees and the words drawn do not depend on the
+    structure.  A label changes one weight (+c1 when it joins a bucket, -c2
+    when it starts a child) and may add a leaf, whose weight c1 + c2 its
+    slot already holds.  The family's integer weights and the template of
+    the pick structure are worked out once for the batch.  n < 1 and a size
+    past ``GROWTH_CEILING`` (``guard_growth``) are refused here, before any
+    stream is read, so every growth path, the CLI's included, refuses as one.
 
     The node pick (below the total weight) and the slot pick (below the
     number of gaps) pop their words off the stream's block under the draw
@@ -128,11 +143,13 @@ def _grow_each(spec: FamilySpec, n: int,
     leaf = join + split
     if leaf < 0:
         raise AssertionError(f"negative leaf weight {leaf}")
-    # 1-based, one slot per possible node (nodes never outnumber labels),
-    # each at the leaf weight from the start.  A slot not grown yet lies
-    # past the running total, which no pick reaches, so the descent never
-    # stops there, and a new leaf needs no update.
-    template = [leaf * (index & -index) for index in range(n + 1)]
+    # One slot per possible node (nodes never outnumber labels), each at the
+    # leaf weight from the start: 0-based weights for the scan, 1-based
+    # Fenwick sums for the descent.  A slot not grown yet lies past the
+    # running total, which no pick reaches, so no pick stops there, and a
+    # new leaf needs no update.
+    scan = n <= _SCAN_MAX_SIZE
+    template = [leaf] * n if scan else [leaf * (index & -index) for index in range(n + 1)]
     top = 1 << (n.bit_length() - 1)
     # No bound exceeds the last total or n, the most gaps a node can have,
     # so a word below fast needs no rejection test.
@@ -143,7 +160,7 @@ def _grow_each(spec: FamilySpec, n: int,
         words: list[int] = []
         labels: list[list[int]] = [[1]]
         children: list[list[int]] = [[]]
-        fenwick = template.copy()
+        weights = template.copy()
         total = leaf
         for size in range(1, n):
             # A uniform pick below total; a total of 1 draws no word.
@@ -153,15 +170,22 @@ def _grow_each(spec: FamilySpec, n: int,
                     words = block()
                 pick = words.pop()
                 pick = pick % total if pick < fast else finish(pick, total)
-            # Fenwick descent: the first node whose cumulative weight exceeds pick.
+            # The first node whose cumulative weight exceeds pick.
             node = 0
-            step = top
-            while step:
-                probe = node + step
-                if probe <= n and fenwick[probe] <= pick:
-                    node = probe
-                    pick -= fenwick[probe]
-                step >>= 1
+            if scan:
+                weight = weights[0]
+                while pick >= weight:
+                    pick -= weight
+                    node += 1
+                    weight = weights[node]
+            else:
+                step = top
+                while step:
+                    probe = node + step
+                    if probe <= n and weights[probe] <= pick:
+                        node = probe
+                        pick -= weights[probe]
+                    step >>= 1
             bucket = labels[node]
             if len(bucket) < b:
                 bucket.append(size + 1)
@@ -183,10 +207,13 @@ def _grow_each(spec: FamilySpec, n: int,
                 delta = -split
             if join * len(bucket) + split * (1 - len(children[node])) < 0:
                 raise AssertionError(f"negative attachment weight at node {node}")
-            index = node + 1
-            while index <= n:
-                fenwick[index] += delta
-                index += index & -index
+            if scan:
+                weights[node] += delta
+            else:
+                index = node + 1
+                while index <= n:
+                    weights[index] += delta
+                    index += index & -index
             total += delta
             if total != join * (size + 1) + split:
                 raise AssertionError("attachment weights must sum to the normalizer")

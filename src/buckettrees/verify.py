@@ -34,7 +34,8 @@ from .weights import (AffineDegreeWeights, BucketRecursive, DAryIncreasing,
 
 
 class UndefinedRatioError(ValueError):
-    """A weight ratio in the balance sum has a zero denominator."""
+    """A weight ratio in the balance sum, or a ratio of consecutive totals,
+    has a zero denominator."""
 
 
 def balance_value(tree: BucketTree, model: WeightModel) -> Fraction:
@@ -101,13 +102,14 @@ def check_affine_ratio(model: WeightModel, n_max: int, limit: int | None = None)
     """Fit c1, c2 from the first two total ratios, then verify through n_max.
 
     When the check passes, c1 >= 0 and c2 > -c1 follow (ratios of positive
-    totals are positive and nondecreasing steps keep the line valid).
+    totals are positive and nondecreasing steps keep the line valid).  A
+    zero total leaves the ratios undefined: ``UndefinedRatioError``.
     """
     _check_int(n_max, "n_max", 3)
     totals = total_weights(model, n_max + 1, limit)
     for n, t in enumerate(totals, start=1):
         if t == 0:
-            raise ValueError(f"T_{n} = 0: ratios are undefined for this model")
+            raise UndefinedRatioError(f"T_{n} = 0: ratios are undefined for this model")
     ratios = [totals[n] / totals[n - 1] for n in range(1, n_max + 1)]  # ratios[i] = T_{i+2}/T_{i+1}
     r1, r2 = ratios[0], ratios[1]
     c1 = r2 - r1

@@ -443,6 +443,35 @@ def test_verify_detects_broken_ratio(capsys):
     assert payload["checks"][0]["first_failing_n"] == 3
 
 
+@pytest.mark.parametrize("check", ["all", "ratio"])
+def test_verify_reports_an_undefined_ratio_as_a_failed_check(capsys, check):
+    # phi_1 = 0 empties size 3 (T_3 = 0), so no total ratio is defined: the
+    # ratio check fails with the reason, and under all the others still print.
+    rc, out, err = run(capsys, "verify", "--psi", "1", "--phi", "1,0,5,1", "--n", "5",
+                       "--check", check)
+    assert (rc, err) == (1, "")
+    payload = json.loads(out)
+    names = [entry["check"] for entry in payload["checks"]]
+    assert names == (["ratio"] if check == "ratio" else
+                     ["balance", "ratio", "ode", "scaling", "classify", "equivalence",
+                      "preserve"])
+    assert payload["checks"][names.index("ratio")] == {
+        "check": "ratio", "passed": False, "c1": None, "c2": None, "first_failing_n": None,
+        "reason": "T_3 = 0: ratios are undefined for this model"}
+
+
+def test_verify_ratio_still_exits_2_on_a_limit_refusal(capsys, monkeypatch):
+    # Only an undefined ratio is a failed check; any other refusal of the
+    # ratio check, a ValueError too, ends the command with exit 2.
+    def refused(*args):
+        raise EnumerationLimitError("size 6 exceeds the limit 5")
+
+    monkeypatch.setattr(cli, "check_affine_ratio", refused)
+    rc, out, err = run(capsys, "verify", "--psi", "1", "--phi", "1,0,5,1", "--n", "5",
+                       "--check", "all")
+    assert (rc, out, err) == (2, "", "error: size 6 exceeds the limit 5\n")
+
+
 def test_verify_all_checks_for_family(capsys):
     rc, out, _ = run(capsys, "verify", "--family", "baport", "--b", "2",
                      "--alpha", "1", "--n", "5", "--check", "all")

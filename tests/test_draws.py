@@ -4,7 +4,9 @@
 accept a word below the batch's threshold untested.  ``reference_grow`` and
 ``reference_urn_run`` are those loops as they stood before, one
 ``randbelow`` per pick and one ``bernoulli`` per coin: every tree, every
-count and every end counter must be the same.
+count and every end counter must be the same.  ``_grow_each`` scans the node
+weights up to ``_SCAN_MAX_SIZE`` labels and descends a Fenwick tree past
+it, so each growth comparison runs on both sides of that size.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import pytest
 
 from buckettrees import (BucketRecursive, DAryIncreasing, PlaneOriented, SplitMix64,
                          UrnState, urn_from, urn_run)
-from buckettrees.evolve import _grow, _grow_each
+from buckettrees.evolve import _SCAN_MAX_SIZE, _grow, _grow_each
 from buckettrees.rng import _GOLDEN, _MASK, _SPAN, accept_below
 
 F = Fraction
@@ -90,20 +92,21 @@ def inject(rng, words):
 
 @pytest.mark.parametrize("spec", FAMILIES, ids=repr)
 def test_growth_draws_the_reference_words(spec):
-    for n in (1, 2, 3, 5, 40, 200):
+    for n in (1, 2, 3, 5, 40, _SCAN_MAX_SIZE, _SCAN_MAX_SIZE + 1, 200):
         for seed in range(12):
             rng, ref = SplitMix64(seed), SplitMix64(seed)
             assert _grow(spec, n, rng) == reference_grow(spec, n, ref)
             assert rng._counter == ref._counter
 
 
+@pytest.mark.parametrize("n", [8, _SCAN_MAX_SIZE + 8])
 @pytest.mark.parametrize("spec", FAMILIES, ids=repr)
-def test_a_repeated_stream_grows_the_reference_trees_in_turn(spec):
+def test_a_repeated_stream_grows_the_reference_trees_in_turn(spec, n):
     # One stream for the whole batch, as sampler_gof draws: each tree starts
     # where the last one stopped, across block refills.
     rng, ref = SplitMix64(7), SplitMix64(7)
-    for grown in _grow_each(spec, 8, repeat(rng, 150)):
-        assert grown == reference_grow(spec, 8, ref)
+    for grown in _grow_each(spec, n, repeat(rng, 150)):
+        assert grown == reference_grow(spec, n, ref)
         assert rng._counter == ref._counter
 
 
@@ -133,12 +136,12 @@ def test_a_pick_with_one_outcome_draws_no_word():
         assert rng._counter == (seed + _GOLDEN) & _MASK
 
 
+@pytest.mark.parametrize("n", [30, _SCAN_MAX_SIZE + 30])
 @pytest.mark.parametrize("spec", FAMILIES, ids=repr)
-def test_growth_rejects_an_injected_word_past_the_limit(spec):
+def test_growth_rejects_an_injected_word_past_the_limit(spec, n):
     # The first 12 words mix 2**64 - 1 (rejected by every bound that is not
     # a power of two), its neighbours, and words at and just above the
     # batch's threshold; the rest of the stream is its own.
-    n = 30
     c1, c2 = spec.c1, spec.c2
     scale = math.lcm(c1.denominator, c2.denominator)
     largest = max(c1.numerator * (scale // c1.denominator) * (n - 1)

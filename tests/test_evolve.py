@@ -22,7 +22,7 @@ from buckettrees import (BucketNode, BucketRecursive, BucketTree, DAryIncreasing
                          sample_counts, sample_encoding, sample_encodings,
                          sample_tree, sampler_gof, single_bucket_tree,
                          strip_labels, total_weight, tree_weight, weights_of)
-from buckettrees import descendants_direct, descendants_via_urn, enumeration
+from buckettrees import descendants_direct, descendants_via_urn, enumeration, evolve
 from buckettrees.enumeration import EnumerationLimitError
 
 F = Fraction
@@ -370,6 +370,24 @@ def test_growth_options_match_the_fraction_reference():
     for spec in (PlaneOriented(3, F(1, 2)), DAryIncreasing(2, F(2)), DAryIncreasing(1, F(2))):
         for tree in exact_distribution(spec, 5).probs:
             assert growth_options(tree, spec) == reference_options(tree, spec)
+
+
+def test_option_table_weighs_no_load_above_the_size(monkeypatch):
+    # A size-3 tree has no bucket of load 4 to 999: those joins get no slot,
+    # and their weights are never formed.
+    spec = BucketRecursive(1000)
+    calls = []
+    weight = type(spec).attachment_weight
+
+    def counted(self, capacity, degree):
+        calls.append((capacity, degree))
+        return weight(self, capacity, degree)
+
+    monkeypatch.setattr(type(spec), "attachment_weight", counted)
+    slots, scale = evolve._option_table(spec, 3)
+    assert calls == [(1, 0), (2, 0), (3, 0)]
+    assert slots[:3] == [(1,), (2,), (3,)] and scale == 3
+    assert slots[3:] == [()] * 996
 
 
 def test_exact_distribution_guard():
