@@ -32,12 +32,10 @@ from .trees import (BucketNode, BucketTree, InvalidTreeError, encode_grown,
 from .weights import FamilySpec, _check_int, _common_scale, shown
 
 
-# Growth up to this many labels scans the node weights for each pick, and
-# past it descends a Fenwick tree.  Measured: the scan's cost grows with the
-# index of the picked node, so it is 15-35% faster at 48-64 labels on
-# BucketRecursive(1), BucketRecursive(2), DAryIncreasing(2, 2) and
-# PlaneOriented(2, 1), even at 80, and slower on the first from about 96 and
-# on all but the last by 192.
+# Trees of up to this many labels pick each target by scanning the node
+# weights, larger ones by descending a Fenwick tree.  The scan's cost grows
+# with the index of the picked node: on four families it was no slower than
+# the descent up to 80 labels, and slower on BucketRecursive(1) from 96.
 _SCAN_MAX_SIZE = 80
 
 

@@ -99,15 +99,15 @@ def test_growth_draws_the_reference_words(spec):
             assert rng._counter == ref._counter
 
 
-@pytest.mark.parametrize("n", [8, _SCAN_MAX_SIZE + 8])
 @pytest.mark.parametrize("spec", FAMILIES, ids=repr)
-def test_a_repeated_stream_grows_the_reference_trees_in_turn(spec, n):
+def test_a_repeated_stream_grows_the_reference_trees_in_turn(spec):
     # One stream for the whole batch, as sampler_gof draws: each tree starts
     # where the last one stopped, across block refills.
-    rng, ref = SplitMix64(7), SplitMix64(7)
-    for grown in _grow_each(spec, n, repeat(rng, 150)):
-        assert grown == reference_grow(spec, n, ref)
-        assert rng._counter == ref._counter
+    for n in (8, _SCAN_MAX_SIZE + 8):
+        rng, ref = SplitMix64(7), SplitMix64(7)
+        for grown in _grow_each(spec, n, repeat(rng, 150)):
+            assert grown == reference_grow(spec, n, ref)
+            assert rng._counter == ref._counter
 
 
 def test_the_wide_family_draws_past_64_bits():
@@ -136,25 +136,25 @@ def test_a_pick_with_one_outcome_draws_no_word():
         assert rng._counter == (seed + _GOLDEN) & _MASK
 
 
-@pytest.mark.parametrize("n", [30, _SCAN_MAX_SIZE + 30])
 @pytest.mark.parametrize("spec", FAMILIES, ids=repr)
-def test_growth_rejects_an_injected_word_past_the_limit(spec, n):
+def test_growth_rejects_an_injected_word_past_the_limit(spec):
     # The first 12 words mix 2**64 - 1 (rejected by every bound that is not
     # a power of two), its neighbours, and words at and just above the
     # batch's threshold; the rest of the stream is its own.
     c1, c2 = spec.c1, spec.c2
     scale = math.lcm(c1.denominator, c2.denominator)
-    largest = max(c1.numerator * (scale // c1.denominator) * (n - 1)
-                  + c2.numerator * (scale // c2.denominator), n)
-    fast = max(accept_below(largest), 0)
-    words = [_SPAN - 1, fast, fast + 1, _SPAN - 1, _SPAN - 2, fast, _SPAN - 1, _SPAN - 3,
-             fast + 2, _SPAN - 1, _SPAN - 1, fast]
-    for seed in range(12):
-        rng, ref = SplitMix64(seed), SplitMix64(seed)
-        inject(rng, words)
-        inject(ref, words)
-        assert _grow(spec, n, rng) == reference_grow(spec, n, ref)
-        assert rng._counter == ref._counter
+    for n in (30, _SCAN_MAX_SIZE + 30):
+        largest = max(c1.numerator * (scale // c1.denominator) * (n - 1)
+                      + c2.numerator * (scale // c2.denominator), n)
+        fast = max(accept_below(largest), 0)
+        words = [_SPAN - 1, fast, fast + 1, _SPAN - 1, _SPAN - 2, fast, _SPAN - 1, _SPAN - 3,
+                 fast + 2, _SPAN - 1, _SPAN - 1, fast]
+        for seed in range(12):
+            rng, ref = SplitMix64(seed), SplitMix64(seed)
+            inject(rng, words)
+            inject(ref, words)
+            assert _grow(spec, n, rng) == reference_grow(spec, n, ref)
+            assert rng._counter == ref._counter
 
 
 URN_STATES = [UrnState(F(1), F(2)), UrnState(F(3, 2), F(1)), UrnState(F(7, 3), F(4)),
