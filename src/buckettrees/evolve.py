@@ -3,9 +3,11 @@
 Label n+1 either fills an unsaturated bucket or starts a new child bucket
 under a saturated one.  The target node is chosen with probability
 proportional to its attachment weight; for a saturated target the
-insertion slot among the degree+1 gaps is uniform.  Sampling is exact:
-the rational weights are cleared to integers and a uniform integer below
-their sum is drawn.
+insertion slot among the degree+1 gaps is uniform.  Every kernel here reads
+the rule in one integer form: (c1, c2) cleared to an integer pair (join,
+split), so a node of load c and degree k weighs join*c + split*(1 - k) out
+of join*m + split at size m.  Sampling is exact: a uniform integer below
+that total is drawn.
 
 ``exact_laws`` computes the full law of the process at every size up to a
 given one by dynamic programming over labelled trees, so sampled and
@@ -18,6 +20,7 @@ a ``Fraction`` is built only when a law is read through its ``probs``.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -41,24 +44,28 @@ _SCAN_MAX_SIZE = 80
 
 def _option_table(spec: FamilySpec, size: int) -> tuple[list[tuple[int, ...]], int]:
     """The growth kernel of a size-``size`` tree in integers, read from the
-    spec once: (slots, scale), where slots[c - 1] (c < b) holds the weight
-    of the one join into an unsaturated bucket of load c and slots[b - 1 + k]
-    holds the weight of each of the k + 1 slots of a saturated node of
-    degree k, for every degree a size-``size`` tree can have.  A weight over
-    scale is the option's probability; a node of nonpositive attachment
-    weight, or a load above ``size``, which no size-``size`` tree holds,
-    gets no slot.
+    family's integer join and split weights once: (slots, scale), where
+    slots[c - 1] (c < b) holds the weight of the one join into an
+    unsaturated bucket of load c and slots[b - 1 + k] holds the weight of
+    each of the k + 1 slots of a saturated node of degree k, for every
+    degree a size-``size`` tree can have.  A weight over scale is the
+    option's probability, and no integer above 1 divides the scale and every
+    weight.  A node of nonpositive attachment weight, or a load above
+    ``size``, which no size-``size`` tree holds, gets no slot.
     """
     b = spec.b
-    normalizer = spec.connectivity(size)
-    # (probability of one slot, number of slots) for each kind of node.
-    kinds = [(spec.attachment_weight(c, 0) / normalizer if c <= size else 0, 1)
-             for c in range(1, b)]
-    kinds += [(spec.attachment_weight(b, k) / normalizer / (k + 1), k + 1)
+    _, (join, split) = _common_scale((spec.c1, spec.c2))
+    # Over the normalizer times gaps, which every slot count k + 1 divides,
+    # a load-c join weighs (join*c + split) * gaps and each slot of a degree-k
+    # saturated node (join*b + split*(1 - k)) * gaps / (k + 1).  A
+    # nonpositive weight clears to 0: no slot, and nothing added to the gcd.
+    gaps = math.lcm(*range(1, size - b + 2))
+    kinds = [(max(join * c + split, 0) * gaps if c <= size else 0, 1) for c in range(1, b)]
+    kinds += [(max(join * b + split * (1 - k), 0) * (gaps // (k + 1)), k + 1)
               for k in range(size - b + 1)]
-    # A nonpositive probability clears to 0: no slot, and nothing added to the scale.
-    scale, weights = _common_scale([max(p, 0) for p, _ in kinds])
-    return [(w,) * count if w else () for w, (_, count) in zip(weights, kinds)], scale
+    scale = (join * size + split) * gaps
+    common = math.gcd(scale, *(w for w, _ in kinds))
+    return [(w // common,) * count if w else () for w, count in kinds], scale // common
 
 
 def _grown_roots(root: BucketNode, label: int, b: int,

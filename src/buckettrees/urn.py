@@ -27,7 +27,10 @@ bucket with probability 1 - sum_k p_k(m).  The normaliser is deterministic,
 so the means evolve linearly: each step moves p_k(m) from load k to k + 1
 (a bucket reaching b leaves the count) and the new-bucket mass to load 1,
 starting from the root, E U_1(1) = 1.  Then P(K = k + 1) = p_k(j - 1) and
-K = 1 takes the rest.
+K = 1 takes the rest.  With (c1, c2) cleared to integers (join, split), the
+means times the product of the normalisers join*i + split of sizes i < m
+are integers, so the recurrence runs in integers and forms one Fraction
+per load it returns.
 """
 
 from __future__ import annotations
@@ -208,18 +211,24 @@ def descendants_via_urn(spec: FamilySpec, n: int, j: int, rng: SplitMix64) -> De
 
 def insertion_load_law(spec: FamilySpec, j: int) -> dict[int, Fraction]:
     """Law of the load of j's bucket at the moment j arrives, by the
-    expected-count recurrence of the module docstring: O(j*b) steps."""
+    expected-count recurrence of the module docstring: O(j*b) integer
+    steps, each count carried times the product of the normalisers so far."""
     _check_int(j, "j", 1)
     if j <= spec.b:
         return {j: Fraction(1)}
-    weights = [spec.attachment_weight(k, 0) for k in range(1, spec.b)]
-    expected = [Fraction(int(k == 1)) for k in range(1, spec.b)]   # size 1: the root
+    _, (join, split) = _common_scale((spec.c1, spec.c2))
+    weights = [join * k + split for k in range(1, spec.b)]
+    # E U_k(m) times total, the product of the normalisers of sizes 1..m-1.
+    counts = [int(k == 1) for k in range(1, spec.b)]   # size 1: the root
+    total = 1
     for m in range(1, j):
-        joins = [w * u / spec.connectivity(m) for w, u in zip(weights, expected)]
-        new_leaf = 1 - sum(joins, Fraction(0))
-        expected = [u - p + q for u, p, q in zip(expected, joins, [new_leaf, *joins])]
+        normalizer = join * m + split
+        joins = [w * u for w, u in zip(weights, counts)]
+        new_leaf = total * normalizer - sum(joins)
+        counts = [u * normalizer - p + q for u, p, q in zip(counts, joins, [new_leaf, *joins])]
+        total *= normalizer
     law = {1: new_leaf, **{k + 1: p for k, p in enumerate(joins, 1)}}
-    return {load: p for load, p in law.items() if p}
+    return {load: Fraction(p, total) for load, p in law.items() if p}
 
 
 def descendants_law_from_trees(spec: FamilySpec, n: int, j: int) -> dict[int, Fraction]:

@@ -15,15 +15,17 @@ from hypothesis import given, settings, strategies as st
 
 import buckettrees
 from buckettrees import (BucketNode, BucketRecursive, BucketTree, DAryIncreasing,
-                         InvalidTreeError, PlaneOriented, SplitMix64,
+                         FamilySpec, InvalidTreeError, PlaneOriented, SplitMix64,
                          TreeDistribution, bucket, chi_square_gof,
                          decode_tree, encode_tree, exact_distribution,
-                         exact_laws, growth_options, pushforward_strip,
-                         sample_counts, sample_encoding, sample_encodings,
-                         sample_tree, sampler_gof, single_bucket_tree,
-                         strip_labels, total_weight, tree_weight, weights_of)
+                         exact_laws, growth_options, insertion_load_law,
+                         pushforward_strip, sample_counts, sample_encoding,
+                         sample_encodings, sample_tree, sampler_gof,
+                         single_bucket_tree, strip_labels, total_weight,
+                         tree_weight, weights_of)
 from buckettrees import descendants_direct, descendants_via_urn, enumeration, evolve
 from buckettrees.enumeration import EnumerationLimitError
+from buckettrees.weights import _common_scale
 
 F = Fraction
 
@@ -372,22 +374,55 @@ def test_growth_options_match_the_fraction_reference():
             assert growth_options(tree, spec) == reference_options(tree, spec)
 
 
+def reference_option_table(spec, size):
+    """``_option_table`` in Fraction arithmetic: each option's probability
+    read from the spec's attachment weight over its connectivity, then
+    cleared to integers over the lcm of their denominators."""
+    normalizer = spec.connectivity(size)
+    kinds = [(spec.attachment_weight(c, 0) / normalizer if c <= size else 0, 1)
+             for c in range(1, spec.b)]
+    kinds += [(spec.attachment_weight(spec.b, k) / normalizer / (k + 1), k + 1)
+              for k in range(size - spec.b + 1)]
+    scale, weights = _common_scale([max(p, 0) for p, _ in kinds])
+    return [(w,) * count if w else () for w, (_, count) in zip(weights, kinds)], scale
+
+
+# b = 1, 2, 3 and 7 in each family; c1 = 2/b for the d-ary ones, whose
+# nodes reach their zero-weight degree, 3, by size 40.
+OPTION_TABLE_SPECS = [family(b) for b in (1, 2, 3, 7) for family in (
+    BucketRecursive, lambda b: PlaneOriented(b, F(1, 2)),
+    lambda b: DAryIncreasing(b, 1 + F(2, b)))]
+
+
+@pytest.mark.parametrize("spec", OPTION_TABLE_SPECS, ids=repr)
+def test_option_table_matches_the_fraction_reference(spec):
+    for size in range(1, 41):
+        assert evolve._option_table(spec, size) == reference_option_table(spec, size), size
+
+
 def test_option_table_weighs_no_load_above_the_size(monkeypatch):
-    # A size-3 tree has no bucket of load 4 to 999: those joins get no slot,
-    # and their weights are never formed.
+    # A size-3 tree has no bucket of load 4 to 999: those joins get no slot.
+    # The exact kernels read the family through its integer join and split
+    # weights alone, so no Fraction weight or normaliser is ever formed.
     spec = BucketRecursive(1000)
     calls = []
-    weight = type(spec).attachment_weight
 
-    def counted(self, capacity, degree):
-        calls.append((capacity, degree))
-        return weight(self, capacity, degree)
+    def counted(method):
+        def call(self, *args):
+            calls.append((method.__name__, args))
+            return method(self, *args)
+        return call
 
-    monkeypatch.setattr(type(spec), "attachment_weight", counted)
+    for name in ("attachment_weight", "connectivity"):
+        monkeypatch.setattr(FamilySpec, name, counted(getattr(FamilySpec, name)))
     slots, scale = evolve._option_table(spec, 3)
-    assert calls == [(1, 0), (2, 0), (3, 0)]
     assert slots[:3] == [(1,), (2,), (3,)] and scale == 3
     assert slots[3:] == [()] * 996
+    assert insertion_load_law(spec, 5) == {5: 1}
+    port = PlaneOriented(2, F(1))
+    assert insertion_load_law(port, 5) == {1: F(27, 35), 2: F(8, 35)}
+    assert [law.total() for law in exact_laws(port, 5)] == [1] * 5
+    assert calls == []
 
 
 def test_exact_distribution_guard():

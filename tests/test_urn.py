@@ -226,6 +226,30 @@ def test_insertion_load_law_matches_the_tree_law(spec):
         assert sum(law.values()) == 1
 
 
+def reference_load_law(spec, j):
+    """``insertion_load_law`` in Fraction arithmetic: the expected counts
+    themselves, each join probability an attachment weight over the
+    connectivity."""
+    if j <= spec.b:
+        return {j: F(1)}
+    weights = [spec.attachment_weight(k, 0) for k in range(1, spec.b)]
+    expected = [F(int(k == 1)) for k in range(1, spec.b)]
+    for m in range(1, j):
+        joins = [w * u / spec.connectivity(m) for w, u in zip(weights, expected)]
+        new_leaf = 1 - sum(joins, F(0))
+        expected = [u - p + q for u, p, q in zip(expected, joins, [new_leaf, *joins])]
+    law = {1: new_leaf, **{k + 1: p for k, p in enumerate(joins, 1)}}
+    return {load: p for load, p in law.items() if p}
+
+
+@pytest.mark.parametrize("spec", LOAD_LAW_SPECS + [BucketRecursive(10)], ids=repr)
+def test_insertion_load_law_matches_the_fraction_reference(spec):
+    for j in [*range(1, 61), 200]:
+        law = insertion_load_law(spec, j)
+        assert list(law.items()) == list(reference_load_law(spec, j).items()), j
+        assert all(type(p) is F for p in law.values())
+
+
 @pytest.mark.parametrize("spec", [BucketRecursive(3), PlaneOriented(2, F(1, 2))],
                          ids=["recursive-b3", "port-b2-a1/2"])
 def test_insertion_load_law_fits_the_sampler_at_j_100(spec):
