@@ -2,10 +2,10 @@
 
 Subcommands: enumerate (totals and shape dumps), sample (grow labelled
 trees), verify (structure checks), descend (the descendants statistic),
-stats (simulation-based checks).  enumerate and verify take a model either
-as a family (--family with its parameters) or as explicit weights
-(--psi/--phi); sample, descend and stats grow trees, so they take a family
-only.
+stats (checks of the limit laws: gof and second-order sample, beta is
+exact).  enumerate and verify take a model either as a family (--family
+with its parameters) or as explicit weights (--psi/--phi); sample, descend
+and stats grow trees, so they take a family only.
 
 Exit codes: 0 success / all checks passed, 1 a check failed, 2 usage or
 validation error.  Identical (command line, seed) pairs produce identical
@@ -25,6 +25,7 @@ import os
 import signal
 import sys
 from collections import Counter
+from fractions import Fraction
 
 from .enumeration import (check_limit, check_ode_recurrence,
                           closed_form_total_weight, enumerate_shapes,
@@ -54,8 +55,10 @@ def f12(x: float) -> float:
 
 
 def rounded_fields(report) -> dict:
-    """A report record as a JSON object in field order, its floats rounded by f12."""
-    return {k: f12(v) if isinstance(v, float) else v for k, v in report._asdict().items()}
+    """A report record as a JSON object in field order, its floats rounded
+    by f12 and its Fractions written as strings."""
+    return {k: f12(v) if isinstance(v, float) else str(v) if isinstance(v, Fraction) else v
+            for k, v in report._asdict().items()}
 
 
 def past_digit_cap(text: str) -> bool:
@@ -458,6 +461,8 @@ def cmd_descend(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     spec = build_spec(args)
+    # Resolved for every check, so a bad BUCKETTREES_SEED is refused even
+    # where, as in beta, no draw reads it.
     seed = _parse_seed(args.seed)
     if args.check == "gof":
         reports, ok = sampler_gof(spec, args.n, args.samples, spawn_seeds(seed, 3),
@@ -471,9 +476,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
                    "passed": ok})
         return 0 if ok else 1
     if args.check == "beta":
-        report = check_beta_convergence(spec, args.j, args.load, args.n_grid,
-                                        args.samples, seed)
-        body = {"samples": args.samples, "cells": [rounded_fields(c) for c in report.cells]}
+        report = check_beta_convergence(spec, args.j, args.load, args.n_grid)
+        body = {"cells": [rounded_fields(c) for c in report.cells]}
     else:
         report = second_order_diagnostic(spec, args.j, args.load, args.n,
                                          args.trajectories, args.horizon, seed)
@@ -527,7 +531,8 @@ def stats_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=positive_int, default=5)
     p.add_argument("--j", type=positive_int, default=4)
     p.add_argument("--load", type=positive_int, default=1, help="conditioned insertion load")
-    p.add_argument("--samples", type=positive_int, default=20000)
+    p.add_argument("--samples", type=positive_int, default=20000,
+                   help="samples per run (gof only)")
     p.add_argument("--n-grid", type=size_grid, default=[100, 400, 2000], dest="n_grid")
     p.add_argument("--trajectories", type=positive_int, default=10000)
     p.add_argument("--horizon", type=positive_int, default=100000)
@@ -543,7 +548,8 @@ COMMANDS = {
     "sample": ("draw labelled trees from the growth process", sample_options),
     "verify": ("structure checks; exit 0 iff all pass", verify_options),
     "descend": ("descendant counts of label j at size n", descend_options),
-    "stats": ("simulation-based checks of the limit laws", stats_options),
+    "stats": ("limit-law checks: sampled gof and second-order, exact beta",
+              stats_options),
 }
 
 

@@ -1,20 +1,22 @@
-"""Statistical checks of the limit behaviour.
+"""Checks of the limit behaviour: two sampled, one exact.
 
-This is the only module that touches floating point: everything upstream
-is exact, and the quantities compared here (means, chi-square statistics,
-skewness) are estimates by nature.  It needs only numpy: the chi-square
-p-value is a finite sum (exact for integer degrees of freedom), and
-skewness and kurtosis are ratios of central moments.  Urn batches are
-drawn by exchangeability (a Beta mixing probability, then binomial
-counts) with a counter-based generator (Philox), while the exact-lane
-samplers keep their own integer generator, so the two routes of every
-dual check stay independent.
+The sampled checks are the only floating point in the package: the
+quantities they compare (chi-square statistics, skewness) are estimates by
+nature.  They need only numpy: the chi-square p-value is a finite sum
+(exact for integer degrees of freedom), and skewness and kurtosis are
+ratios of central moments.  The second-order batch is drawn by
+exchangeability (a Beta mixing probability, then binomial counts) with a
+counter-based generator (Philox), while the exact-lane samplers keep their
+own integer generator, so the two routes of every dual check stay
+independent.
 
 Limit background, stated operationally: conditional on the insertion load
 K of label j's bucket, the descendants urn starts with K + kappa white and
 j - K black balls (``urn_from``; kappa = c2/c1), and the scaled descendant
 count Y/n converges to a Beta(K + kappa, j - K) variable, the limit of the
-urn's white fraction.
+urn's white fraction.  The Beta check draws nothing: it works out the
+finite-n moments of Y/n twice, from the urn and from de Finetti's Beta
+mixture of binomials, in rationals.
 At second order sqrt(n) (Y_n/n - beta) is asymptotically a centered
 Gaussian whose variance is proportional to beta (1 - beta); the
 proportionality constant is not pinned down here, so the second-order
@@ -41,14 +43,11 @@ MIN_GOF_SAMPLES = 20
 # Refuse more gof samples per run than this: each grows a tree, about 7 us
 # at n = 5, so a run costs about as much as the largest grown tree (8 s).
 GOF_SAMPLE_CEILING = 10**6
-# Refuse a beta or second-order batch of more samples or trajectories than
-# this: numpy holds about 70 bytes per draw (101 MB of RSS at 10^6), so the
-# largest batch stays under 1 GB, as the largest grown tree does.
+# Refuse a second-order batch of more trajectories than this: numpy holds
+# about 70 bytes per draw (101 MB of RSS at 10^6), so the largest batch
+# stays under 1 GB, as the largest grown tree does.
 BATCH_CEILING = 10**7
 MIN_EXPECTED = 5.0  # chi_square_gof pools bins until each expects this many
-# Pass band of check_beta_convergence: this many standard errors plus the
-# exact finite-n bias.
-SE_MULTIPLIER = 4.0
 # Normality bounds of second_order_diagnostic on |skewness| and |excess kurtosis|.
 SKEW_BOUND = 0.1
 KURT_BOUND = 0.2
@@ -191,58 +190,23 @@ def beta_moment(a: Fraction, b: Fraction, s: int) -> Fraction:
     return value
 
 
-def _check_urn_size(n: int) -> None:
-    # numpy draws the counts as int64, and Y = 1 + (white draws) <= n must fit.
-    if n >= 1 << 63:
-        raise ValueError(f"size {shown(n)} is past the urn batch's range: numpy counts "
-                         f"draws in 64-bit integers, so n must be below 2**63")
-
-
-def _urn_batch(
-    spec: FamilySpec,
-    j: int,
-    load: int,
-    draws: int,
-    size: int,
-    seed: int,
-    snapshot_at: int | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """White-draw counts of ``size`` urn trajectories after ``draws`` draws.
-
-    The urn's draws are exchangeable: given p ~ Beta(white, black) they
-    are i.i.d. Bernoulli(p), so each count is Binomial(draws, p), and a
-    snapshot count plus an independent Binomial(draws - snapshot_at, p) is
-    the final count.  With no black balls p = 1.  Returns (final counts,
-    counts at snapshot_at or None).
-    """
-    state = urn_from(spec, j, load)
-    gen = np.random.Generator(np.random.Philox(seed))
-    if state.black == 0:
-        p = np.ones(size)
-    else:
-        p = gen.beta(float(state.white), float(state.black), size)
-    if snapshot_at is None:
-        return gen.binomial(draws, p), None
-    snap = gen.binomial(snapshot_at, p)
-    return snap + gen.binomial(draws - snapshot_at, p), snap
-
-
 class BetaCell(NamedTuple):
-    """The two moments of Y/n at one n, each error against its pass band."""
+    """The first two moments of Y/n at one n, their Beta limits and the gaps
+    to them, as rationals; ok when the urn and the Beta mixture agree."""
 
     n: int
-    mean: float
-    target: float
-    error: float
-    tolerance: float
+    mean: Fraction
+    second_moment: Fraction
+    limit_mean: Fraction
+    limit_second_moment: Fraction
+    mean_gap: Fraction
+    second_gap: Fraction
     ok: bool
-    second_error: float
-    second_tolerance: float
-    second_ok: bool
 
 
 class BetaConvergenceReport(NamedTuple):
-    """The Beta check's cells over the n grid; passed when every cell is."""
+    """The Beta check's cells over the n grid; passed when every cell is.
+    ``samples`` is the number of urn draws the check made: always 0."""
 
     j: int
     load: int
@@ -256,17 +220,17 @@ def check_beta_convergence(
     j: int,
     load: int,
     n_grid: Sequence[int],
-    samples: int,
-    seed: int,
 ) -> BetaConvergenceReport:
-    """Compare conditional moments of Y/n with the urn's Beta(white, black) limit.
+    """Hold the exact moments of Y/n against the urn's Beta(white, black) limit.
 
     Conditioning on the insertion load is exact: the urn starts from the
     state that load determines (``urn_from``), white = load + kappa and
-    black = j - load.  The pass band around each limit moment is
-    SE_MULTIPLIER standard errors plus the exact finite-n bias, which is
-    computable in closed form from the urn moments; the check passes when
-    both moments of every cell fall inside their bands.
+    black = j - load.  With S the white draws among m = n - j, each cell
+    works out E S and E S(S - 1) by two closed forms: the urn's telescoped
+    moments (``urn_moment_exact``), and de Finetti's Beta mixture of
+    binomials, m E beta and m (m - 1) E beta^2 (``beta_moment``).  A cell
+    passes when both give the same rationals; it reports the moments of
+    Y/n, Y = 1 + S, their limits and the gaps, which vanish as n grows.
     """
     _check_int(j, "j")
     for n in n_grid:
@@ -275,48 +239,54 @@ def check_beta_convergence(
         raise ValueError("every n in the grid must exceed j")
     if any(a >= b for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be strictly increasing")
-    _check_urn_size(n_grid[-1])
     state = urn_from(spec, j, load)
-    _check_count(samples, BATCH_CEILING, "samples")
-
-    m1 = beta_moment(state.white, state.black, 1)
-    m2 = beta_moment(state.white, state.black, 2)
-    var_beta = m2 - m1 * m1
+    a0 = state.white
+    m1 = beta_moment(a0, state.black, 1)
+    m2 = beta_moment(a0, state.black, 2)
 
     cells = []
-    for idx, n in enumerate(n_grid):
-        draws = n - j
-        counts, _ = _urn_batch(spec, j, load, draws, samples, SplitMix64(seed).spawn(idx + 1).u64())
-        # Sample moments of Y/n are exact rationals of the integer counts, so
-        # a zero-variance cell (no black mass) sits on its bias, not an ulp off.
-        ys = (1 + counts).tolist()
-        mean = Fraction(sum(ys), n * samples)
-        mom1 = urn_moment_exact(state, draws, 1)          # E W, W = white + S
-        mom2 = urn_moment_exact(state, draws, 2)          # E binom(W+1, 2)
-        a0 = state.white
-        es = mom1 - a0                                     # E S
-        es2 = 2 * mom2 - mom1 - 2 * a0 * mom1 + a0 * a0    # E S^2
-        # Exact finite-n moments of Y/n, Y = 1 + S.
-        exact_mean = (1 + es) / n
-        exact_second = (1 + 2 * es + es2) / (Fraction(n) ** 2)
-        se = math.sqrt(float(var_beta) / samples)
-        tolerance = Fraction(SE_MULTIPLIER * se) + abs(exact_mean - m1)
-        error = abs(mean - m1)
+    for n in n_grid:
+        m = n - j
+        mom1 = urn_moment_exact(state, m, 1)          # E W, W = white + S
+        mom2 = urn_moment_exact(state, m, 2)          # E binom(W + 1, 2)
+        es = mom1 - a0
+        falling = 2 * mom2 - a0 * (a0 + 1) - 2 * (a0 + 1) * es   # E S(S - 1)
+        mean = (1 + es) / n
+        second = (1 + 3 * es + falling) / n**2
+        ok = es == m * m1 and falling == m * (m - 1) * m2
+        cells.append(BetaCell(n, mean, second, m1, m2, mean - m1, second - m2, ok))
 
-        emp2 = Fraction(sum(y * y for y in ys), n * n * samples)
-        se2 = float(np.std(((1 + counts) / n) ** 2, ddof=1)) / math.sqrt(samples)
-        second_tol = Fraction(SE_MULTIPLIER * se2) + abs(exact_second - m2)
-        second_error = abs(emp2 - m2)
-
-        cells.append(BetaCell(n, float(mean), float(m1), float(error), float(tolerance),
-                              error <= tolerance, float(second_error), float(second_tol),
-                              second_error <= second_tol))
-
-    passed = all(c.ok and c.second_ok for c in cells)
-    return BetaConvergenceReport(j, load, samples, tuple(cells), passed)
+    return BetaConvergenceReport(j, load, 0, tuple(cells), all(c.ok for c in cells))
 
 
 # ── second-order fluctuations ─────────────────────────────────────────────
+
+def _urn_batch(
+    spec: FamilySpec,
+    j: int,
+    load: int,
+    draws: int,
+    size: int,
+    seed: int,
+    snapshot_at: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """White-draw counts of ``size`` urn trajectories after ``draws`` draws.
+
+    The urn's draws are exchangeable: given p ~ Beta(white, black) they
+    are i.i.d. Bernoulli(p), so each count is Binomial(draws, p), and a
+    snapshot count plus an independent Binomial(draws - snapshot_at, p) is
+    the final count.  With no black balls p = 1.  Returns (final counts,
+    counts at snapshot_at).
+    """
+    state = urn_from(spec, j, load)
+    gen = np.random.Generator(np.random.Philox(seed))
+    if state.black == 0:
+        p = np.ones(size)
+    else:
+        p = gen.beta(float(state.white), float(state.black), size)
+    snap = gen.binomial(snapshot_at, p)
+    return snap + gen.binomial(draws - snapshot_at, p), snap
+
 
 class SecondOrderReport(NamedTuple):
     """Shape of the studentized fluctuations at n, and the variance slope beside it."""
@@ -374,7 +344,10 @@ def second_order_diagnostic(
     _check_int(horizon, "horizon")
     if not j < n < horizon:
         raise ValueError(f"need j < n < horizon, got {shown(j)}, {shown(n)}, {shown(horizon)}")
-    _check_urn_size(horizon)
+    # numpy draws the counts as int64, and the white draws <= horizon - j must fit.
+    if horizon >= 1 << 63:
+        raise ValueError(f"size {shown(horizon)} is past the urn batch's range: numpy counts "
+                         f"draws in 64-bit integers, so n must be below 2**63")
     # beta_hat below forms white.numerator + white.denominator * (white draws)
     # in numpy's int64, which wraps silently past 2**63.
     if state.white.numerator + state.white.denominator * (horizon - j) >= 1 << 63:
@@ -383,7 +356,7 @@ def second_order_diagnostic(
                          f"64-bit integers, so its numerator plus that product must be below "
                          f"2**63")
     _check_count(trajectories, BATCH_CEILING, "trajectories")
-    SplitMix64(seed)   # refuses a seed outside [0, 2**64), as check_beta_convergence does
+    SplitMix64(seed)   # refuses a seed outside [0, 2**64) before any draw
     if state.black == 0:
         # Deterministic urn: every draw is white, the centered values vanish.
         return SecondOrderReport(n, horizon, trajectories, 0.0, 0.0, 0.0, True,
@@ -391,7 +364,6 @@ def second_order_diagnostic(
 
     counts_star, counts_n = _urn_batch(
         spec, j, load, horizon - j, trajectories, seed, snapshot_at=n - j)
-    assert counts_n is not None
     # beta_hat = (white + k*) / (total + horizon - j).  White and total share
     # one denominator, so the ratio of numerators is one rounding of it.
     white, total = state.white, state.total + horizon - j

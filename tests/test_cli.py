@@ -763,7 +763,6 @@ def test_growth_sizes_and_counts_must_be_positive(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ("stats", "--check", "beta", "--samples", "1"),
     ("stats", "--check", "beta", "--samples", "0"),
     ("stats", "--check", "second-order", "--trajectories", "0"),
     ("stats", "--check", "second-order", "--trajectories", "2"),
@@ -781,8 +780,6 @@ def test_growth_sizes_and_counts_must_be_positive(capsys, argv):
     ("verify", "--n", "-3", "--check", "balance"),
     ("verify", "--n", "3", "--limit", "-1"),
     # Past numpy's int64, the urn batch's counts would overflow.
-    ("stats", "--check", "beta", "--j", "4", "--load", "2",
-     "--n-grid", "100000000000000000000000", "--samples", "100"),
     ("stats", "--check", "second-order", "--j", "4", "--load", "2", "--n", "1000",
      "--trajectories", "100", "--horizon", "100000000000000000000000"),
 ])
@@ -798,34 +795,45 @@ def test_stats_enumerate_verify_inputs_are_validated(capsys, argv):
     assert "error: " in captured.err.splitlines()[-1]
 
 
-@pytest.mark.parametrize("argv", [
-    ["stats", "--check", "beta", "--family", "baport", "--b", "2", "--alpha", "1",
-     "--j", "4", "--load", "2", "--n-grid", "100000000000000000000000", "--samples", "100"],
-    ["stats", "--check", "second-order", "--family", "bucket-recursive", "--b", "2",
-     "--j", "4", "--load", "2", "--n", "1000", "--trajectories", "100",
-     "--horizon", "100000000000000000000000"],
-])
-def test_stats_refuses_sizes_past_the_urn_batch_range(capsys, argv):
-    rc, out, err = run(capsys, *argv)
+def test_stats_refuses_sizes_past_the_urn_batch_range(capsys):
+    rc, out, err = run(capsys, "stats", "--check", "second-order", "--family",
+                       "bucket-recursive", "--b", "2", "--j", "4", "--load", "2", "--n", "1000",
+                       "--trajectories", "100", "--horizon", "100000000000000000000000")
     assert rc == 2 and out == ""
     assert err == ("error: size 100000000000000000000000 is past the urn batch's range: "
                    "numpy counts draws in 64-bit integers, so n must be below 2**63\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ["stats", "--check", "beta", "--family", "bucket-recursive", "--b", "2",
-     "--j", "4", "--load", "2", "--n-grid", "9" * 4000, "--samples", "100"],
-    ["stats", "--check", "second-order", "--family", "bucket-recursive", "--b", "2",
-     "--j", "4", "--load", "2", "--n", "1000", "--trajectories", "100",
-     "--horizon", "9" * 4000],
-])
-def test_stats_quotes_a_long_size_past_the_urn_batch_range(capsys, argv):
-    rc, out, err = run(capsys, *argv)
+def test_stats_quotes_a_long_size_past_the_urn_batch_range(capsys):
+    rc, out, err = run(capsys, "stats", "--check", "second-order", "--family",
+                       "bucket-recursive", "--b", "2", "--j", "4", "--load", "2", "--n", "1000",
+                       "--trajectories", "100", "--horizon", "9" * 4000)
     assert rc == 2 and out == ""
     assert err == ("error: size '999999999999999999999999'... (4000 characters) is past the "
                    "urn batch's range: numpy counts draws in 64-bit integers, so n must be "
                    "below 2**63\n")
     assert len(err.encode()) < 200
+
+
+# The Beta check draws nothing: it reads no sample count, and any size is
+# rational arithmetic, so each of these once-refused commands passes.
+@pytest.mark.parametrize("option, value", [
+    ("--samples", "1"),
+    ("--samples", str(10**30)),
+    ("--n-grid", "100000000000000000000000"),
+    ("--n-grid", "9" * 4000),
+])
+def test_stats_beta_takes_any_count_and_size(capsys, option, value):
+    rc, out, err = run(capsys, "stats", "--check", "beta", "--family", "baport", "--b", "2",
+                       "--alpha", "1", "--j", "4", "--load", "2", option, value)
+    assert (rc, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["passed"] is True and "samples" not in payload
+    for cell in payload["cells"]:
+        n = cell.pop("n")
+        assert cell.pop("ok") is True and type(n) is int
+        assert all(type(v) is str for v in cell.values())
+        assert Fraction(cell["mean_gap"]) == (1 - 4 * Fraction(3, 7)) / n
 
 
 def test_second_order_refuses_a_white_count_past_int64(capsys):
@@ -1370,6 +1378,10 @@ SEEDED_COMMANDS = {
     "stats": ["stats", "--check", "second-order", "--family", "bucket-recursive",
               "--b", "2", "--j", "4", "--load", "2", "--n", "100",
               "--trajectories", "20", "--horizon", "200"],
+    # Exact as well.
+    "stats-beta": ["stats", "--check", "beta", "--family", "baport", "--b", "2",
+                   "--alpha", "1", "--j", "4", "--load", "2", "--n-grid", "2000",
+                   "--samples", "5000"],
 }
 
 
@@ -1411,8 +1423,9 @@ def test_overlong_seed_is_refused_in_one_short_line(capsys, monkeypatch, command
     assert all(len(line) < 200 for line in err.splitlines()), err
 
 
-def test_descend_exact_output_does_not_depend_on_the_seed(capsys, monkeypatch):
-    argv = SEEDED_COMMANDS["descend-exact"]
+@pytest.mark.parametrize("command", ["descend-exact", "stats-beta"])
+def test_exact_output_does_not_depend_on_the_seed(capsys, monkeypatch, command):
+    argv = SEEDED_COMMANDS[command]
     rc, plain, _ = run(capsys, *argv)
     assert rc == 0
     assert run(capsys, *argv, "--seed", "7") == (0, plain, "")
@@ -1482,7 +1495,6 @@ def test_descend_urn_refuses_more_draws_than_its_ceiling(capsys, n):
 
 STATS_COUNTS = {
     "gof": (["--samples"], stats.GOF_SAMPLE_CEILING, "samples per run"),
-    "beta": (["--samples"], stats.BATCH_CEILING, "samples"),
     "second-order": (["--trajectories"], stats.BATCH_CEILING, "trajectories"),
 }
 

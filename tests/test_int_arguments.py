@@ -9,6 +9,7 @@ well formed: a tree validates, and a law or sample carries int sizes.
 
 from __future__ import annotations
 
+import inspect
 from fractions import Fraction as F
 
 import pytest
@@ -86,11 +87,9 @@ CALLS = {
     "sampler_gof.samples": lambda v: sampler_gof(SPEC, 4, v, [1, 2]),
     "sampler_gof.limit": lambda v: sampler_gof(SPEC, 4, 20, [1, 2], 0.01, v),
     "beta_moment.s": lambda v: beta_moment(F(1), F(2), v),
-    "check_beta_convergence.j": lambda v: check_beta_convergence(SPEC, v, 1, [10], 20, 0),
-    "check_beta_convergence.load": lambda v: check_beta_convergence(SPEC, 3, v, [10], 20, 0),
-    "check_beta_convergence.n_grid": lambda v: check_beta_convergence(SPEC, 3, 1, [v], 20, 0),
-    "check_beta_convergence.samples": lambda v: check_beta_convergence(SPEC, 3, 1, [10], v, 0),
-    "check_beta_convergence.seed": lambda v: check_beta_convergence(SPEC, 3, 1, [10], 20, v),
+    "check_beta_convergence.j": lambda v: check_beta_convergence(SPEC, v, 1, [10]),
+    "check_beta_convergence.load": lambda v: check_beta_convergence(SPEC, 3, v, [10]),
+    "check_beta_convergence.n_grid": lambda v: check_beta_convergence(SPEC, 3, 1, [v]),
     "second_order_diagnostic.j":
         lambda v: second_order_diagnostic(SPEC, v, 1, 10, 20, 30, 0),
     "second_order_diagnostic.load":
@@ -171,3 +170,8 @@ def test_the_refusal_names_the_argument_and_the_type(call, refusal):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == refusal
+
+
+def test_the_exact_beta_check_takes_no_count_and_no_seed():
+    assert list(inspect.signature(check_beta_convergence).parameters) == [
+        "spec", "j", "load", "n_grid"]

@@ -34,7 +34,7 @@ COMMANDS = list(commands())
 
 
 def test_readme_lists_its_commands():
-    assert len(COMMANDS) == 8
+    assert len(COMMANDS) == 9
     assert [code for _, code in COMMANDS].count(1) == 2
 
 

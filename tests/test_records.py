@@ -28,9 +28,11 @@ from buckettrees.cli import rounded_fields
 
 TREE = single_bucket_tree(2)
 TREE_REPR = "BucketTree(root=BucketNode(capacity=1, labels=(1,), children=()), max_bucket=2)"
-CELL = BetaCell(10, 0.5, 0.5, 0.0, 0.1, True, 0.0, 0.1, True)
-CELL_REPR = ("BetaCell(n=10, mean=0.5, target=0.5, error=0.0, tolerance=0.1, ok=True, "
-             "second_error=0.0, second_tolerance=0.1, second_ok=True)")
+CELL = BetaCell(10, Fraction(9, 10), Fraction(81, 100), Fraction(1), Fraction(1),
+                Fraction(-1, 10), Fraction(-19, 100), True)
+CELL_REPR = ("BetaCell(n=10, mean=Fraction(9, 10), second_moment=Fraction(81, 100), "
+             "limit_mean=Fraction(1, 1), limit_second_moment=Fraction(1, 1), "
+             "mean_gap=Fraction(-1, 10), second_gap=Fraction(-19, 100), ok=True)")
 NOTE = ("heuristic diagnostic: normality thresholds are conventions, and "
         "the variance slope is reported only, not checked")
 
@@ -44,12 +46,12 @@ RECORDS = [
      "GofReport(statistic=1.5, dof=3, p_value=0.25, level=0.01, passed=True, bins=4, "
      "samples=100)"),
     (CELL,
-     ("n", "mean", "target", "error", "tolerance", "ok", "second_error", "second_tolerance",
-      "second_ok"),
+     ("n", "mean", "second_moment", "limit_mean", "limit_second_moment", "mean_gap",
+      "second_gap", "ok"),
      CELL_REPR),
-    (BetaConvergenceReport(4, 2, 100, (CELL,), True),
+    (BetaConvergenceReport(2, 2, 0, (CELL,), True),
      ("j", "load", "samples", "cells", "passed"),
-     f"BetaConvergenceReport(j=4, load=2, samples=100, cells=({CELL_REPR},), passed=True)"),
+     f"BetaConvergenceReport(j=2, load=2, samples=0, cells=({CELL_REPR},), passed=True)"),
     (SecondOrderReport(50, 2500, 100, 0.01, -0.02, 0.3, True, True),
      ("n", "horizon", "trajectories", "skewness", "excess_kurtosis", "variance_slope",
       "variance_shape_ok", "passed", "degenerate", "note"),
@@ -110,6 +112,9 @@ def test_rounded_fields_keeps_field_order_and_rounds_floats():
                    "skewness": 0.3, "excess_kurtosis": -0.333333333333,
                    "variance_slope": 0.666666666667, "variance_shape_ok": True,
                    "passed": False, "degenerate": False, "note": NOTE}
+    assert rounded_fields(CELL) == {
+        "n": 10, "mean": "9/10", "second_moment": "81/100", "limit_mean": "1",
+        "limit_second_moment": "1", "mean_gap": "-1/10", "second_gap": "-19/100", "ok": True}
     assert list(rounded_fields(CELL)) == list(BetaCell._fields)
 
 

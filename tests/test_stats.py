@@ -1,4 +1,4 @@
-"""Floating-point checks: goodness of fit, beta convergence, fluctuations.
+"""The limit checks: goodness of fit, the exact Beta check, fluctuations.
 
 Every simulation here runs under a fixed seed, so outcomes are
 reproducible rather than flaky; the chosen seeds were not tuned, they are
@@ -14,7 +14,7 @@ from itertools import repeat
 import numpy as np
 import pytest
 
-from buckettrees import (BucketRecursive, DAryIncreasing, PlaneOriented,
+from buckettrees import (BucketRecursive, DAryIncreasing, FamilySpec, PlaneOriented,
                          beta_moment, chi_square_gof,
                          check_beta_convergence, encode_tree, exact_distribution,
                          sample_counts, sampled_fit, sampler_gof,
@@ -220,11 +220,6 @@ def test_urn_batch_matches_exact_law():
             observed[float(c)] = observed.get(float(c), 0) + 1
         return chi_square_gof(observed, expected, level=0.001).passed
 
-    spec = BucketRecursive(2)
-    counts, snap = _urn_batch(spec, 4, 1, draws=3, size=4000, seed=123)
-    assert snap is None
-    assert fits(spec, 4, 1, 3, counts)
-
     # Snapshot after 4 of 12 draws: both marginals follow the exact law.
     spec = PlaneOriented(2, F(1))
     counts, snap = _urn_batch(spec, 5, 2, draws=12, size=4000, seed=124, snapshot_at=4)
@@ -238,61 +233,111 @@ def test_urn_batch_matches_exact_law():
     assert (counts == 9).all() and (snap == 3).all()
 
 
-def test_beta_convergence_smoke():
-    report = check_beta_convergence(BucketRecursive(2), 4, 1, [40, 160, 640],
-                                    samples=3000, seed=11)
-    assert report.passed, report
-    assert all(c.ok and c.second_ok for c in report.cells)
+# Two moments of S, the white draws among m = n - j, by two closed forms:
+# the urn's telescoped moments and de Finetti's Beta mixture of binomials.
+BETA_FAMILIES = [BucketRecursive(2), BucketRecursive(3), PlaneOriented(2, F(1)),
+                 PlaneOriented(3, F(1, 2)), DAryIncreasing(2, F(2)), DAryIncreasing(3, F(4, 3))]
 
 
-def test_beta_convergence_degenerate_cell_passes():
-    # j = load = b: no black mass, Y = n + 1 - j on every trajectory, and the
-    # sample moments equal the exact finite-n moments.
-    report = check_beta_convergence(BucketRecursive(2), 2, 2, [10, 40, 160],
-                                    samples=500, seed=4)
-    assert report.passed, report
-    assert all(c.error == c.tolerance for c in report.cells)
+@pytest.mark.parametrize("spec", BETA_FAMILIES, ids=repr)
+def test_beta_routes_agree_at_every_load(spec):
+    j = 5
+    grid = [j + 1, 40, 2000, 10**23, 10**5000]   # past str()'s digit cap, as any size
+    for load in range(1, spec.b + 1):
+        report = check_beta_convergence(spec, j, load, grid)
+        assert report.passed and all(c.ok for c in report.cells), (spec, load)
+        assert (report.j, report.load, report.samples) == (j, load, 0)
+        # A third closed form: E Y_n = 1 + m mu with mu = (K + kappa)/(j + kappa),
+        # so the mean's gap to the limit mu is (1 - j mu)/n.
+        mu = (load + spec.kappa()) / (j + spec.kappa())
+        for n, cell in zip(grid, report.cells):
+            assert (cell.n, cell.limit_mean, cell.mean_gap) == (n, mu, (1 - j * mu) / n)
+            assert cell.mean == mu + cell.mean_gap
+            assert cell.second_moment == cell.limit_second_moment + cell.second_gap
+        # At small n, both moments summed over the exact law of S.
+        for n, cell in zip(grid[:2], report.cells):
+            law = urn_distribution_exact(urn_from(spec, j, load), n - j).items()
+            assert cell.mean == sum(p * (1 + k) for k, p in law) / n
+            assert cell.second_moment == sum(p * (1 + k) ** 2 for k, p in law) / n**2
 
 
-def test_beta_convergence_rejects_the_wrong_urn(monkeypatch):
-    # A load-1 request that runs load 2's urn must fail the verdict.
-    real_batch = stats._urn_batch
-
-    def wrong_load(spec, j, load, *args, **kwargs):
-        return real_batch(spec, j, 2, *args, **kwargs)
-
-    monkeypatch.setattr(stats, "_urn_batch", wrong_load)
-    report = check_beta_convergence(BucketRecursive(2), 4, 1, [40, 160, 640],
-                                    samples=3000, seed=11)
-    assert not report.passed
+def test_beta_mean_gap_on_the_benchmark_cell():
+    (cell,) = check_beta_convergence(PlaneOriented(2, F(1)), 4, 2, [2000]).cells
+    assert (cell.limit_mean, cell.mean_gap) == (F(3, 7), F(-1, 2800))
+    assert cell.limit_second_moment == F(5, 21)
 
 
-def test_beta_convergence_deterministic():
-    a = check_beta_convergence(BucketRecursive(2), 4, 2, [50, 200], samples=800, seed=3)
-    b = check_beta_convergence(BucketRecursive(2), 4, 2, [50, 200], samples=800, seed=3)
-    assert a == b
+def test_beta_cell_with_no_black_balls_passes():
+    # j = load = b: Y = n + 1 - j on every path, so the mean gap is (1 - j)/n.
+    report = check_beta_convergence(BucketRecursive(2), 2, 2, [10, 40, 160])
+    assert report.passed
+    assert [c.mean_gap for c in report.cells] == [F(-1, n) for n in (10, 40, 160)]
+    assert [c.second_moment for c in report.cells] == [F(n - 1, n) ** 2 for n in (10, 40, 160)]
+    assert all(c.limit_mean == c.limit_second_moment == 1 for c in report.cells)
+
+
+def wrong_load_urn(moments):
+    """The urn route's moments s in ``moments`` run on load 2's state,
+    whatever load was asked for."""
+    def mutate(monkeypatch):
+        real = stats.urn_moment_exact
+        wrong = urn_from(BucketRecursive(2), 4, 2)
+        monkeypatch.setattr(stats, "urn_moment_exact", lambda state, draws, s:
+                            real(wrong if s in moments else state, draws, s))
+    return mutate
+
+
+def shifted_beta(monkeypatch):
+    """beta_moment with its first parameter shifted by one half."""
+    real = stats.beta_moment
+    monkeypatch.setattr(stats, "beta_moment", lambda a, b, s: real(a + F(1, 2), b, s))
+
+
+@pytest.mark.parametrize("mutate", [wrong_load_urn({1, 2}), wrong_load_urn({2}), shifted_beta],
+                         ids=["wrong-load-urn", "wrong-load-second-moment", "shifted-beta"])
+@pytest.mark.parametrize("n", [5, 40, 2000, 10**23])
+def test_beta_check_fails_when_either_route_is_wrong(monkeypatch, mutate, n):
+    mutate(monkeypatch)
+    report = check_beta_convergence(BucketRecursive(2), 4, 1, [n])
+    assert not report.passed and not report.cells[0].ok
+
+
+def test_beta_check_does_not_see_a_wrong_kappa(monkeypatch):
+    # A documented blind spot: both routes start from urn_from, so a kappa
+    # off by one half moves the urn and its limit together and the check
+    # still passes.  Only the tree sees kappa (ROADMAP items 7 and 22).
+    real = FamilySpec.kappa
+    monkeypatch.setattr(FamilySpec, "kappa", lambda self: real(self) + F(1, 2))
+    report = check_beta_convergence(PlaneOriented(2, F(1)), 4, 2, [40, 2000])
+    assert report.passed
+    assert report.cells[0].limit_mean == F(1, 2)
+
+
+class NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"the Beta check read numpy.{name}")
+
+
+def test_beta_check_draws_nothing(monkeypatch):
+    patch_out_draws(monkeypatch)
+    monkeypatch.setattr(stats, "np", NoNumpy())
+    for spec in BETA_FAMILIES:
+        report = check_beta_convergence(spec, 4, 2, [50, 2000])
+        assert report.passed and report.samples == 0
 
 
 def test_beta_convergence_validation():
     spec = BucketRecursive(2)
     with pytest.raises(ValueError, match="exceed j"):
-        check_beta_convergence(spec, 4, 1, [4, 10], 100, 0)
+        check_beta_convergence(spec, 4, 1, [4, 10])
     with pytest.raises(ValueError, match="increasing"):
-        check_beta_convergence(spec, 4, 1, [100, 50], 100, 0)
+        check_beta_convergence(spec, 4, 1, [100, 50])
     with pytest.raises(ValueError, match="strictly increasing"):
-        check_beta_convergence(spec, 4, 1, [50, 50], 100, 0)
+        check_beta_convergence(spec, 4, 1, [50, 50])
     with pytest.raises(ValueError, match="impossible"):
-        check_beta_convergence(spec, 4, 3, [50], 100, 0)
+        check_beta_convergence(spec, 4, 3, [50])
     with pytest.raises(ValueError, match="deterministically"):
-        check_beta_convergence(spec, 2, 1, [50], 100, 0)
-
-
-def test_beta_convergence_targets_the_right_limit():
-    # For the preferential family kappa = -1/2 shifts the limit mean.
-    spec = PlaneOriented(2, F(1))
-    report = check_beta_convergence(spec, 4, 2, [600], samples=3000, seed=21)
-    assert report.cells[0].target == pytest.approx(float(F(3, 7)), abs=1e-12)
-    assert report.passed, report
+        check_beta_convergence(spec, 2, 1, [50])
 
 
 # ── second-order diagnostic ───────────────────────────────────────────────
@@ -368,15 +413,11 @@ def test_second_order_refuses_where_int64_would_wrap():
         second_order_diagnostic(spec, j, load, 1000, MIN_GOF_SAMPLES, horizon + 1, 3)
 
 
-@pytest.mark.parametrize("call", [
-    lambda size: check_beta_convergence(BucketRecursive(2), 4, 2, [size], 100, 1),
-    lambda size: second_order_diagnostic(BucketRecursive(2), 4, 2, 1000, 100, size, 1),
-], ids=["beta", "second-order"])
-def test_urn_size_past_the_digit_cap_is_refused_by_its_bits(call):
+def test_urn_size_past_the_digit_cap_is_refused_by_its_bits():
     # str() of a 5,001-digit int fails under the interpreter's default cap,
     # so the refusal names the size by its length in bits instead.
     with pytest.raises(ValueError) as info:
-        call(10**5000)
+        second_order_diagnostic(BucketRecursive(2), 4, 2, 1000, 100, 10**5000, 1)
     assert str(info.value) == ("size an int of 16610 bits is past the urn batch's range: "
                                "numpy counts draws in 64-bit integers, so n must be below 2**63")
 
@@ -387,11 +428,9 @@ def test_urn_size_past_the_digit_cap_is_refused_by_its_bits(call):
 @pytest.mark.parametrize("call, ceiling, what", [
     (lambda k: sampler_gof(DAryIncreasing(2, F(2)), 5, k, [1, 2, 3]),
      stats.GOF_SAMPLE_CEILING, "samples per run"),
-    (lambda k: check_beta_convergence(PlaneOriented(2, F(1)), 4, 2, [2000], k, 1),
-     stats.BATCH_CEILING, "samples"),
     (lambda k: second_order_diagnostic(BucketRecursive(2), 4, 2, 1000, k, 2500, 1),
      stats.BATCH_CEILING, "trajectories"),
-], ids=["gof", "beta", "second-order"])
+], ids=["gof", "second-order"])
 @pytest.mark.parametrize("count", [None, 10**14, 10**30, MIN_GOF_SAMPLES - 1, 5, 0, -5])
 def test_stats_counts_past_their_ceiling_are_refused(monkeypatch, call, ceiling, what, count):
     patch_out_draws(monkeypatch)
