@@ -242,7 +242,7 @@ BETA_FAMILIES = [BucketRecursive(2), BucketRecursive(3), PlaneOriented(2, F(1)),
 @pytest.mark.parametrize("spec", BETA_FAMILIES, ids=repr)
 def test_beta_routes_agree_at_every_load(spec):
     j = 5
-    grid = [j + 1, 40, 2000, 10**23, 10**5000]   # past str()'s digit cap, as any size
+    grid = [j + 1, 40, 2000, 10**23, 10**5000]   # the last is past str()'s digit cap
     for load in range(1, spec.b + 1):
         report = check_beta_convergence(spec, j, load, grid)
         assert report.passed and all(c.ok for c in report.cells), (spec, load)
