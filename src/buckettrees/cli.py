@@ -2,8 +2,8 @@
 
 Subcommands: enumerate (totals and shape dumps), sample (grow labelled
 trees), verify (structure checks), descend (the descendants statistic),
-stats (checks of the limit laws: gof and second-order sample, beta is
-exact).  enumerate and verify take a model either as a family (--family
+stats (checks of the limit laws: gof samples, beta and second-order read
+the urn's law).  enumerate and verify take a model either as a family (--family
 with its parameters) or as explicit weights (--psi/--phi); sample, descend
 and stats grow trees, so they take a family only.
 
@@ -479,8 +479,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         report = check_beta_convergence(spec, args.j, args.load, args.n_grid)
         body = {"cells": [rounded_fields(c) for c in report.cells]}
     else:
-        report = second_order_diagnostic(spec, args.j, args.load, args.n,
-                                         args.trajectories, args.horizon, seed)
+        report = second_order_diagnostic(spec, args.j, args.load, args.n, args.horizon)
         body = rounded_fields(report)
     emit_json({"command": "stats", "check": args.check, "family": spec.describe(),
                "j": args.j, "load": args.load, **body, "passed": report.passed})
@@ -548,7 +547,7 @@ COMMANDS = {
     "sample": ("draw labelled trees from the growth process", sample_options),
     "verify": ("structure checks; exit 0 iff all pass", verify_options),
     "descend": ("descendant counts of label j at size n", descend_options),
-    "stats": ("limit-law checks: sampled gof and second-order, exact beta",
+    "stats": ("limit-law checks: sampled gof, beta and second-order from the urn's law",
               stats_options),
 }
 
@@ -577,7 +576,7 @@ def main(argv: list[str] | None = None) -> int:
     The first call in a process freezes the garbage collector's view of the
     heap as it stands (``gc.freeze``); importing the package freezes nothing.
     """
-    # Everything alive now (interpreter, stdlib, numpy, this package) lives
+    # Everything alive now (interpreter, stdlib, this package) lives
     # until exit, so no collection, at exit included, need walk it again.
     if not gc.get_freeze_count():
         gc.freeze()

@@ -1,14 +1,9 @@
-"""Checks of the limit behaviour: two sampled, one exact.
+"""Checks of the limit behaviour: one sampled, two read off the urn's law.
 
-The sampled checks are the only floating point in the package: the
-quantities they compare (chi-square statistics, skewness) are estimates by
-nature.  They need only numpy: the chi-square p-value is a finite sum
-(exact for integer degrees of freedom), and skewness and kurtosis are
-ratios of central moments.  The second-order batch is drawn by
-exchangeability (a Beta mixing probability, then binomial counts) with a
-counter-based generator (Philox), while the exact-lane samplers keep their
-own integer generator, so the two routes of every dual check stay
-independent.
+The goodness-of-fit check is the only sampled one.  Its chi-square
+statistic is an estimate by nature, and its p-value is a finite sum (exact
+for integer degrees of freedom) in floating point; its trees come from the
+package's own integer generator.
 
 Limit background, stated operationally: conditional on the insertion load
 K of label j's bucket, the descendants urn starts with K + kappa white and
@@ -20,7 +15,9 @@ mixture of binomials, in rationals.
 At second order sqrt(n) (Y_n/n - beta) is asymptotically a centered
 Gaussian whose variance is proportional to beta (1 - beta); the
 proportionality constant is not pinned down here, so the second-order
-check is a shape diagnostic rather than an exact test.
+check is a shape diagnostic rather than an exact test.  It draws nothing
+either: its skewness, kurtosis and variance slope are values of the law,
+summed in floating point over the urn's white count at a distant horizon.
 """
 
 from __future__ import annotations
@@ -28,25 +25,23 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import repeat
-from typing import Callable, Mapping, NamedTuple, Sequence
-
-import numpy as np
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .enumeration import EnumerationLimitError
 from .evolve import exact_distribution, exact_laws, sample_counts
 from .rng import SplitMix64
 from .trees import encode_tree
-from .weights import FamilySpec, _check_int, shown
+from .weights import FamilySpec, _check_int, _common_scale, shown
 from .urn import urn_from, urn_moment_exact
 
 MIN_GOF_SAMPLES = 20
 # Refuse more gof samples per run than this: each grows a tree, about 7 us
 # at n = 5, so a run costs about as much as the largest grown tree (8 s).
 GOF_SAMPLE_CEILING = 10**6
-# Refuse a second-order batch of more trajectories than this: numpy holds
-# about 70 bytes per draw (101 MB of RSS at 10^6), so the largest batch
-# stays under 1 GB, as the largest grown tree does.
-BATCH_CEILING = 10**7
+# Refuse a second-order law over more draws (horizon - j) than this: its
+# sum takes about 1.5 us per draw, so the largest costs about as much as
+# the largest grown tree (8 s).
+HORIZON_CEILING = 5 * 10**6
 MIN_EXPECTED = 5.0  # chi_square_gof pools bins until each expects this many
 # Normality bounds of second_order_diagnostic on |skewness| and |excess kurtosis|.
 SKEW_BOUND = 0.1
@@ -261,35 +256,10 @@ def check_beta_convergence(
 
 # ── second-order fluctuations ─────────────────────────────────────────────
 
-def _urn_batch(
-    spec: FamilySpec,
-    j: int,
-    load: int,
-    draws: int,
-    size: int,
-    seed: int,
-    snapshot_at: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """White-draw counts of ``size`` urn trajectories after ``draws`` draws.
-
-    The urn's draws are exchangeable: given p ~ Beta(white, black) they
-    are i.i.d. Bernoulli(p), so each count is Binomial(draws, p), and a
-    snapshot count plus an independent Binomial(draws - snapshot_at, p) is
-    the final count.  With no black balls p = 1.  Returns (final counts,
-    counts at snapshot_at).
-    """
-    state = urn_from(spec, j, load)
-    gen = np.random.Generator(np.random.Philox(seed))
-    if state.black == 0:
-        p = np.ones(size)
-    else:
-        p = gen.beta(float(state.white), float(state.black), size)
-    snap = gen.binomial(snapshot_at, p)
-    return snap + gen.binomial(draws - snapshot_at, p), snap
-
-
 class SecondOrderReport(NamedTuple):
-    """Shape of the studentized fluctuations at n, and the variance slope beside it."""
+    """Shape of the studentized fluctuations at n, and the variance slope
+    beside it.  ``trajectories`` is the number of urn trajectories the check
+    drew: always 0."""
 
     n: int
     horizon: int
@@ -304,12 +274,35 @@ class SecondOrderReport(NamedTuple):
                  "the variance slope is reported only, not checked")
 
 
-def skew_kurtosis(values: np.ndarray) -> tuple[float, float]:
-    """Biased skewness m3/m2^1.5 and excess kurtosis m4/m2^2 - 3 (central m_k)."""
-    dev = values - values.mean()
-    sq = dev * dev
-    m2 = sq.mean()
-    return float((sq * dev).mean() / m2**1.5), float((sq * sq).mean() / m2**2 - 3)
+def _mixing_weights(white: int, black: int, q: int, draws: int) -> Iterator[tuple[int, float]]:
+    """(s, w) for each white count s among ``draws`` draws of the urn with
+    white/q white and black/q black balls, w proportional to P(S = s).
+
+    S is Beta-binomial, and P(s + 1)/P(s) = (draws - s)(white + q s) /
+    ((s + 1)(black + q (draws - s - 1))), one rounding of an integer ratio.
+    With at least one black ball (black >= q) that ratio is at least 1
+    exactly while s (white + black - 2q) <= draws (white - q) - black + q,
+    so the law has one mode.  The weights start at 1 there and shrink by
+    the ratio outward on each side, so a tail that underflows, such as
+    P(S = 0) = (black)_draws / (white + black)_draws, takes none of the
+    bulk with it; once a weight reaches 0 the rest of its side is skipped.
+    """
+    spread = white + black - 2 * q
+    mode = 0 if spread <= 0 else min(max(
+        (draws * (white - q) - black + q) // spread + 1, 0), draws)
+    yield mode, 1.0
+    weight = 1.0
+    for s in range(mode, draws):
+        weight *= (draws - s) * (white + q * s) / ((s + 1) * (black + q * (draws - s - 1)))
+        if not weight:
+            break
+        yield s + 1, weight
+    weight = 1.0
+    for s in range(mode, 0, -1):
+        weight *= s * (black + q * (draws - s)) / ((draws - s + 1) * (white + q * (s - 1)))
+        if not weight:
+            break
+        yield s - 1, weight
 
 
 def second_order_diagnostic(
@@ -317,22 +310,29 @@ def second_order_diagnostic(
     j: int,
     load: int,
     n: int,
-    trajectories: int,
     horizon: int,
-    seed: int,
 ) -> SecondOrderReport:
-    """Test the centered fluctuation of Y_n for Gaussian shape.
+    """Score the centered fluctuation of Y_n for Gaussian shape, in its law.
 
-    beta_hat is the almost-sure limit estimated at a distant horizon of the
-    same trajectory.  The residual (Y_n - 1 - m beta_hat) / sqrt(m), with m
-    = n - j reinforcement draws, matches sqrt(n) (Y_n/n - beta_hat) up to a
-    deterministic O(1/sqrt(n)) shift; centering by the conditional mean
-    removes that shift so only the fluctuation is scored.  Residuals are
-    studentized by sqrt(beta_hat (1 - beta_hat)), and the verdict is their
-    skewness and excess kurtosis within SKEW_BOUND and KURT_BOUND.  The
-    variance shape is reported only: the least-squares slope of the squared
-    raw residual on beta_hat (1 - beta_hat), in closed form, and whether it
-    is positive (``variance_shape_ok``), play no part in ``passed``.
+    beta_hat = (white + S) / (total + M) is the almost-sure limit estimated
+    at a distant horizon of the same trajectory, S the white draws among
+    M = horizon - j.  The residual R = (X - m beta_hat) / sqrt(m), X the
+    white draws among the first m = n - j, matches sqrt(n) (Y_n/n -
+    beta_hat) up to a deterministic O(1/sqrt(n)) shift; centering by the
+    conditional mean removes that shift so only the fluctuation is scored.
+    R is studentized by sqrt(h), h = beta_hat (1 - beta_hat), and the
+    verdict is the skewness and excess kurtosis of R / sqrt(h) within
+    SKEW_BOUND and KURT_BOUND.  The variance shape is reported only: the
+    least-squares slope Cov(h, R^2) / Var(h), and whether it is positive
+    (``variance_shape_ok``), play no part in ``passed``.
+
+    Each is a value of the law, not an estimate, and nothing is drawn.  S is
+    Beta-binomial (``_mixing_weights``), and given S = s the draws are
+    exchangeable, so X is Hypergeometric(M, s, m): its central moments 2-4
+    are closed forms in p = s/M, and shifted by E[X | s] - m beta_hat they
+    give the moments of R given s.  One pass over s mixes them, in floating
+    point, so the cost is O(horizon - j); more than ``HORIZON_CEILING`` draws
+    are refused.
 
     Meaningful only where the mixing law keeps beta away from 0 and 1: near
     an endpoint the conditional count is Poisson-like at any fixed n and no
@@ -344,42 +344,86 @@ def second_order_diagnostic(
     _check_int(horizon, "horizon")
     if not j < n < horizon:
         raise ValueError(f"need j < n < horizon, got {shown(j)}, {shown(n)}, {shown(horizon)}")
-    # numpy draws the counts as int64, and the white draws <= horizon - j must fit.
-    if horizon >= 1 << 63:
-        raise ValueError(f"size {shown(horizon)} is past the urn batch's range: numpy counts "
-                         f"draws in 64-bit integers, so n must be below 2**63")
-    # beta_hat below forms white.numerator + white.denominator * (white draws)
-    # in numpy's int64, which wraps silently past 2**63.
-    if state.white.numerator + state.white.denominator * (horizon - j) >= 1 << 63:
-        raise ValueError(f"horizon {horizon} is past the second-order range at j = {j}: numpy "
-                         f"scales the {horizon - j} draws by the white count's denominator in "
-                         f"64-bit integers, so its numerator plus that product must be below "
-                         f"2**63")
-    _check_count(trajectories, BATCH_CEILING, "trajectories")
-    SplitMix64(seed)   # refuses a seed outside [0, 2**64) before any draw
+    if horizon - j > HORIZON_CEILING:
+        raise EnumerationLimitError(f"refusing a second-order law over more than "
+                                    f"{HORIZON_CEILING} draws (horizon - j; about 1.5 s "
+                                    f"per 10^6 draws)")
     if state.black == 0:
         # Deterministic urn: every draw is white, the centered values vanish.
-        return SecondOrderReport(n, horizon, trajectories, 0.0, 0.0, 0.0, True,
-                                 True, degenerate=True)
+        return SecondOrderReport(n, horizon, 0, 0.0, 0.0, 0.0, True, True, degenerate=True)
 
-    counts_star, counts_n = _urn_batch(
-        spec, j, load, horizon - j, trajectories, seed, snapshot_at=n - j)
-    # beta_hat = (white + k*) / (total + horizon - j).  White and total share
-    # one denominator, so the ratio of numerators is one rounding of it.
-    white, total = state.white, state.total + horizon - j
-    beta_hat = (white.numerator + white.denominator * counts_star) / total.numerator
+    m, draws = n - j, horizon - j
+    q, (white, black) = _common_scale((state.white, state.black))
+    balls = white + black
+    total = balls + q * draws    # the balls at the horizon, times q
+    total_sq = total * total
+    # Given s, with p = s/M and M = draws: Var X = a2 p(1-p), the third
+    # central moment is that times (1 - 2p) a3, the fourth that times
+    # (k0 + k1 p(1-p)).
+    a2 = m * (draws - m) / (draws - 1)
+    if min(m, draws - m) == 1:
+        # One ball, drawn or left over, decides X: Bernoulli moments.  Every
+        # M < 4 is here, where the general forms divide by zero.
+        a3, k0, k1 = (1 if m == 1 else -1), 1, -3
+    else:
+        a3 = (draws - 2 * m) / (draws - 2)
+        pairs = (draws - 2) * (draws - 3)
+        k0 = (draws * (draws + 1) - 6 * m * (draws - m)) / pairs
+        k1 = 3 * (draws * draws * (m - 2) - draws * m * m + 6 * m * (draws - m)) / pairs
 
-    draws = float(n - j)
-    values = (counts_n - draws * beta_hat) / math.sqrt(draws)
-    shape = beta_hat * (1.0 - beta_hat)
-    standardized = values / np.sqrt(shape)
-    skewness, excess_kurtosis = skew_kurtosis(standardized)
-    # Least-squares slope in closed form: centred cross-sum over centred
-    # sum of squares (np.polyfit would load LAPACK for one regression), each
-    # an elementwise product summed, as `@` is a multithreaded BLAS call.
-    centred = shape - shape.mean()
-    squares = values * values
-    slope = float((centred * (squares - squares.mean())).sum() / (centred * centred).sum())
+    # In exact arithmetic h, Var z and Var h are positive and the shape is
+    # finite.  In floats that can fail where the law of beta_hat is within
+    # rounding of one point: seen only with j, b or kappa of 90 digits or more.
+    point_mass = ValueError(f"the second-order law at j = {shown(j)} is within "
+                            f"floating-point resolution of a point mass")
+    # Moments of z = R / sqrt(h), h and R^2 about their values at the mode,
+    # the first s, so that nothing cancels when the law is narrow.
+    w_sum = z1 = z2 = z3 = z4 = h1 = h2 = r1 = hr = 0.0
+    z0 = r0 = s0 = None
+    for s, w in _mixing_weights(white, black, q, draws):
+        p = s / draws
+        pq = p - p * p
+        c2 = a2 * pq
+        c3 = c2 * (1 - 2 * p) * a3
+        c4 = c2 * (k0 + k1 * pq)
+        # E[X | s] - m beta_hat and m h, each one rounding of an integer ratio.
+        shift = m * (s * balls - draws * white) / (draws * total)
+        scale = m * (white + q * s) * (black + q * (draws - s)) / total_sq
+        if not scale:
+            raise point_mass
+        sd = math.sqrt(scale)
+        u2 = c2 / scale
+        u3 = c3 / scale / sd
+        u4 = c4 / scale / scale
+        t = shift / sd
+        r = (c2 + shift * shift) / m
+        if s0 is None:
+            z0, r0, s0 = t, r, s
+        t -= z0
+        r -= r0
+        # h(s) - h(s0) = (beta_s - beta_s0)(1 - beta_s - beta_s0), also in integers.
+        h = q * (s - s0) * (black - white + q * (draws - s - s0)) / total_sq
+        w_sum += w
+        z1 += w * t
+        z2 += w * (u2 + t * t)
+        z3 += w * (u3 + t * (3 * u2 + t * t))
+        z4 += w * (u4 + t * (4 * u3 + t * (6 * u2 + t * t)))
+        h1 += w * h
+        h2 += w * h * h
+        r1 += w * r
+        hr += w * h * r
+    z1, z2, z3, z4, h1, h2, r1, hr = (x / w_sum for x in (z1, z2, z3, z4, h1, h2, r1, hr))
+    mu2 = z2 - z1 * z1
+    mu3 = z3 - z1 * (3 * z2 - 2 * z1 * z1)
+    mu4 = z4 - z1 * (4 * z3 - z1 * (6 * z2 - 3 * z1 * z1))
+    var_h = h2 - h1 * h1
+    if not (mu2 > 0 and var_h > 0):
+        raise point_mass
+    skewness = mu3 / mu2 / math.sqrt(mu2)
+    excess_kurtosis = mu4 / mu2 / mu2 - 3
+    slope = (hr - h1 * r1) / var_h
+    if not math.isfinite(abs(skewness) + abs(excess_kurtosis) + abs(slope)):
+        raise point_mass
     passed = abs(skewness) < SKEW_BOUND and abs(excess_kurtosis) < KURT_BOUND
-    return SecondOrderReport(n, horizon, trajectories, skewness, excess_kurtosis,
+    return SecondOrderReport(n, horizon, 0, skewness, excess_kurtosis,
                              slope, slope > 0, passed)

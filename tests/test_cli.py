@@ -108,6 +108,31 @@ print(first > 0, gc.get_freeze_count() == first, gc.isenabled())
     assert _run_script(script) == "True True True"
 
 
+def test_no_command_imports_numpy():
+    # numpy is a test reference only.  Importing the package, each benchmark
+    # workload's commands and the second-order check at the CLI defaults,
+    # all run through main in one fresh interpreter, leave it unloaded.
+    workloads = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    script = f"""
+import contextlib, importlib.util, io, sys
+import buckettrees
+import buckettrees.cli
+loaded = ["numpy" in sys.modules]
+spec = importlib.util.spec_from_file_location("workloads", {str(workloads)!r})
+workloads = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(workloads)
+argvs = [argv for name in workloads.WORKLOADS for argv in workloads.commands(name, 7, 0)]
+argvs.append(["stats", "--check", "second-order", "--family", "bucket-recursive", "--b", "2"])
+codes = []
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(buckettrees.cli.main(argv))
+loaded.append("numpy" in sys.modules)
+print(loaded, codes[:-1] == [0] * (len(argvs) - 1), codes[-1] in (0, 1))
+"""
+    assert _run_script(script) == "[False, False] True True"
+
+
 # ── enumerate ─────────────────────────────────────────────────────────────
 
 def test_enumerate_family_csv(capsys):
@@ -765,7 +790,6 @@ def test_growth_sizes_and_counts_must_be_positive(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ("stats", "--check", "beta", "--samples", "0"),
     ("stats", "--check", "second-order", "--trajectories", "0"),
-    ("stats", "--check", "second-order", "--trajectories", "2"),
     # For j <= b label j lands in the root bucket, so its load is j.
     ("stats", "--check", "second-order", "--j", "2", "--load", "1", "--n", "100",
      "--trajectories", "100", "--horizon", "1000", "--seed", "1"),
@@ -779,7 +803,7 @@ def test_growth_sizes_and_counts_must_be_positive(capsys, argv):
     ("enumerate", "--n", "3", "--limit", "0"),
     ("verify", "--n", "-3", "--check", "balance"),
     ("verify", "--n", "3", "--limit", "-1"),
-    # Past numpy's int64, the urn batch's counts would overflow.
+    # A horizon past the second-order ceiling.
     ("stats", "--check", "second-order", "--j", "4", "--load", "2", "--n", "1000",
      "--trajectories", "100", "--horizon", "100000000000000000000000"),
 ])
@@ -795,24 +819,37 @@ def test_stats_enumerate_verify_inputs_are_validated(capsys, argv):
     assert "error: " in captured.err.splitlines()[-1]
 
 
-def test_stats_refuses_sizes_past_the_urn_batch_range(capsys):
+# The second-order check sums its law over horizon - j draws, so a horizon
+# past the ceiling is refused at once, in one line that quotes no size.
+@pytest.mark.parametrize("horizon", [str(4 + stats.HORIZON_CEILING + 1),
+                                     "100000000000000000000000", "9" * 4000])
+def test_stats_refuses_a_horizon_past_the_second_order_ceiling(capsys, horizon):
+    start = time.perf_counter()
     rc, out, err = run(capsys, "stats", "--check", "second-order", "--family",
                        "bucket-recursive", "--b", "2", "--j", "4", "--load", "2", "--n", "1000",
-                       "--trajectories", "100", "--horizon", "100000000000000000000000")
-    assert rc == 2 and out == ""
-    assert err == ("error: size 100000000000000000000000 is past the urn batch's range: "
-                   "numpy counts draws in 64-bit integers, so n must be below 2**63\n")
+                       "--trajectories", "100", "--horizon", horizon)
+    assert time.perf_counter() - start < 1
+    assert (rc, out) == (2, "")
+    assert err == (f"error: refusing a second-order law over more than "
+                   f"{stats.HORIZON_CEILING} draws (horizon - j; about 1.5 s per 10^6 draws)\n")
 
 
-def test_stats_quotes_a_long_size_past_the_urn_batch_range(capsys):
-    rc, out, err = run(capsys, "stats", "--check", "second-order", "--family",
-                       "bucket-recursive", "--b", "2", "--j", "4", "--load", "2", "--n", "1000",
-                       "--trajectories", "100", "--horizon", "9" * 4000)
-    assert rc == 2 and out == ""
-    assert err == ("error: size '999999999999999999999999'... (4000 characters) is past the "
-                   "urn batch's range: numpy counts draws in 64-bit integers, so n must be "
-                   "below 2**63\n")
-    assert len(err.encode()) < 200
+# The second-order check draws nothing: it reads no trajectory count, and
+# its output is the same for every seed.
+@pytest.mark.parametrize("trajectories", ["1", "2", "19", "20000", str(10**30)])
+def test_stats_second_order_takes_any_trajectory_count(capsys, trajectories):
+    argv = ["stats", "--check", "second-order", "--family", "bucket-recursive", "--b", "2",
+            "--j", "4", "--load", "2", "--n", "1000", "--horizon", "2500"]
+    rc, expected, err = run(capsys, *argv, "--trajectories", "20000", "--seed", "1")
+    assert (rc, err) == (0, "")
+    for seed in ("1", "2", str(2**64 - 1)):
+        assert run(capsys, *argv, "--trajectories", trajectories, "--seed", seed) == (
+            0, expected, "")
+    payload = json.loads(expected)
+    assert payload["passed"] is True and payload["trajectories"] == 0
+    assert abs(payload["skewness"]) < 1e-12
+    assert payload["excess_kurtosis"] == pytest.approx(-0.0045389086437, rel=1e-9)
+    assert payload["variance_slope"] == pytest.approx(0.600572940753, rel=1e-9)
 
 
 # The Beta check draws nothing: it reads no sample count, and any size is
@@ -836,9 +873,10 @@ def test_stats_beta_takes_any_count_and_size(capsys, option, value):
         assert Fraction(cell["mean_gap"]) == (1 - 4 * Fraction(3, 7)) / n
 
 
-def test_second_order_refuses_a_white_count_past_int64(capsys):
+def test_second_order_takes_a_white_count_past_int64(capsys):
     # White = load + kappa has denominator 10^12 + 1 here: times 10^8 draws
-    # it passes 2^63, where numpy's int64 would wrap into nan.
+    # it passes 2^63, which numpy's int64 could not hold; the law sum runs
+    # in Python ints, so only the ceiling refuses that horizon.
     argv = ["stats", "--check", "second-order", "--family", "baport", "--b", "2",
             "--alpha", "1/1000000000000", "--j", "4", "--load", "2", "--n", "1000",
             "--trajectories", "2000"]
@@ -846,13 +884,10 @@ def test_second_order_refuses_a_white_count_past_int64(capsys):
         warnings.simplefilter("error")
         rc, out, err = run(capsys, *argv, "--horizon", "100000000")
         assert rc == 2 and out == ""
-        assert err == ("error: horizon 100000000 is past the second-order range at j = 4: "
-                       "numpy scales the 99999996 draws by the white count's denominator in "
-                       "64-bit integers, so its numerator plus that product must be below "
-                       "2**63\n")
-        rc, out, err = run(capsys, *argv, "--horizon", "2500")
-    assert rc in (0, 1) and err == ""
-    assert json.loads(out, parse_constant=_reject_constant)["check"] == "second-order"
+        assert err.startswith("error: refusing a second-order law over more than ")
+        rc, out, err = run(capsys, *argv, "--horizon", str(4 + stats.HORIZON_CEILING // 50))
+    assert (rc, err) == (0, "")
+    assert json.loads(out, parse_constant=_reject_constant)["passed"] is True
 
 
 GROWN = {
@@ -1016,7 +1051,7 @@ HUGE_BITS = "an int of 16610 bits"
         BucketRecursive(2), 3), -HUGE), "j=a negative int of 16610 bits outside 1..3"),
     (lambda: buckettrees.enumerate_shapes(2, HUGE),
      f"refusing n = {HUGE_BITS} at b = 2: size 19 has 2356779 shapes, more than 1000000"),
-    (lambda: buckettrees.second_order_diagnostic(BucketRecursive(2), 4, 2, HUGE, 100, 2500, 1),
+    (lambda: buckettrees.second_order_diagnostic(BucketRecursive(2), 4, 2, HUGE, 2500),
      f"need j < n < horizon, got 4, {HUGE_BITS}, 2500"),
     (lambda: SplitMix64(1).bernoulli(HUGE, 3), f"probability out of range: {HUGE_BITS}/3"),
     (lambda: SplitMix64(1).bernoulli(4, 3), "probability out of range: 4/3"),
@@ -1495,7 +1530,6 @@ def test_descend_urn_refuses_more_draws_than_its_ceiling(capsys, n):
 
 STATS_COUNTS = {
     "gof": (["--samples"], stats.GOF_SAMPLE_CEILING, "samples per run"),
-    "second-order": (["--trajectories"], stats.BATCH_CEILING, "trajectories"),
 }
 
 

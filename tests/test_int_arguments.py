@@ -90,18 +90,10 @@ CALLS = {
     "check_beta_convergence.j": lambda v: check_beta_convergence(SPEC, v, 1, [10]),
     "check_beta_convergence.load": lambda v: check_beta_convergence(SPEC, 3, v, [10]),
     "check_beta_convergence.n_grid": lambda v: check_beta_convergence(SPEC, 3, 1, [v]),
-    "second_order_diagnostic.j":
-        lambda v: second_order_diagnostic(SPEC, v, 1, 10, 20, 30, 0),
-    "second_order_diagnostic.load":
-        lambda v: second_order_diagnostic(SPEC, 3, v, 10, 20, 30, 0),
-    "second_order_diagnostic.n":
-        lambda v: second_order_diagnostic(SPEC, 3, 1, v, 20, 30, 0),
-    "second_order_diagnostic.trajectories":
-        lambda v: second_order_diagnostic(SPEC, 3, 1, 10, v, 30, 0),
-    "second_order_diagnostic.horizon":
-        lambda v: second_order_diagnostic(SPEC, 3, 1, 4, 20, v, 0),
-    "second_order_diagnostic.seed":
-        lambda v: second_order_diagnostic(SPEC, 3, 1, 10, 20, 30, v),
+    "second_order_diagnostic.j": lambda v: second_order_diagnostic(SPEC, v, 1, 10, 30),
+    "second_order_diagnostic.load": lambda v: second_order_diagnostic(SPEC, 3, v, 10, 30),
+    "second_order_diagnostic.n": lambda v: second_order_diagnostic(SPEC, 3, 1, v, 30),
+    "second_order_diagnostic.horizon": lambda v: second_order_diagnostic(SPEC, 3, 1, 4, v),
     "check_balance.n": lambda v: check_balance(MODEL, v),
     "check_balance.limit": lambda v: check_balance(MODEL, 4, v),
     "check_affine_ratio.n_max": lambda v: check_affine_ratio(MODEL, v),
@@ -175,3 +167,8 @@ def test_the_refusal_names_the_argument_and_the_type(call, refusal):
 def test_the_exact_beta_check_takes_no_count_and_no_seed():
     assert list(inspect.signature(check_beta_convergence).parameters) == [
         "spec", "j", "load", "n_grid"]
+
+
+def test_the_second_order_check_takes_no_count_and_no_seed():
+    assert list(inspect.signature(second_order_diagnostic).parameters) == [
+        "spec", "j", "load", "n", "horizon"]

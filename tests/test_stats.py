@@ -21,8 +21,7 @@ from buckettrees import (BucketRecursive, DAryIncreasing, FamilySpec, PlaneOrien
                          second_order_diagnostic, urn_distribution_exact, urn_from)
 from buckettrees import stats
 from buckettrees.enumeration import EnumerationLimitError
-from buckettrees.stats import (MIN_GOF_SAMPLES, _urn_batch, chi_square_tail,
-                               skew_kurtosis)
+from buckettrees.stats import KURT_BOUND, MIN_GOF_SAMPLES, SKEW_BOUND, chi_square_tail
 from buckettrees.weights import shown
 
 F = Fraction
@@ -117,6 +116,15 @@ def test_chi_square_tail_refuses_a_bad_dof(dof, message):
     assert str(info.value) == message
 
 
+def skew_kurtosis(values: np.ndarray) -> tuple[float, float]:
+    """Biased skewness m3/m2^1.5 and excess kurtosis m4/m2^2 - 3 (central m_k)
+    of a sample: the statistics the sampled reference below estimates."""
+    dev = values - values.mean()
+    sq = dev * dev
+    m2 = sq.mean()
+    return float((sq * dev).mean() / m2**1.5), float((sq * sq).mean() / m2**2 - 3)
+
+
 def test_skew_kurtosis_by_hand():
     # Bernoulli(1/4) data: skewness 2/sqrt(3), excess kurtosis -2/3.
     skew, kurt = skew_kurtosis(np.array([0.0, 0.0, 0.0, 1.0]))
@@ -142,11 +150,10 @@ def test_sampler_gof_passes_for_families():
 
 
 def patch_out_draws(monkeypatch):
-    """Make urn batches, grown trees and sampler_gof's law raise."""
+    """Make grown trees and sampler_gof's law raise."""
     def no_draws(*args, **kwargs):
         raise AssertionError("a refused count reached a draw")
 
-    monkeypatch.setattr(stats, "_urn_batch", no_draws)
     monkeypatch.setattr(stats, "sample_counts", no_draws)
     monkeypatch.setattr(stats, "exact_distribution", no_draws)
 
@@ -207,30 +214,6 @@ def test_beta_moment_validation():
         beta_moment(F(1), F(1), 0)
     with pytest.raises(ValueError, match="out of range"):
         beta_moment(F(0), F(1), 1)
-
-
-def test_urn_batch_matches_exact_law():
-    # Empirical white-draw counts against the exact Beta-binomial law.
-    def fits(spec, j, load, draws, counts):
-        state = urn_from(spec, j, load)
-        law = urn_distribution_exact(state, draws)
-        expected = {float(k): float(p) for k, p in law.items()}
-        observed: dict[float, int] = {}
-        for c in counts:
-            observed[float(c)] = observed.get(float(c), 0) + 1
-        return chi_square_gof(observed, expected, level=0.001).passed
-
-    # Snapshot after 4 of 12 draws: both marginals follow the exact law.
-    spec = PlaneOriented(2, F(1))
-    counts, snap = _urn_batch(spec, 5, 2, draws=12, size=4000, seed=124, snapshot_at=4)
-    assert (snap <= counts).all() and (counts - snap <= 12 - 4).all()
-    assert fits(spec, 5, 2, 4, snap)
-    assert fits(spec, 5, 2, 12, counts)
-
-    # load = j <= b: no black mass, so p = 1 and every draw is white.
-    counts, snap = _urn_batch(BucketRecursive(2), 2, 2, draws=9, size=50, seed=125,
-                              snapshot_at=3)
-    assert (counts == 9).all() and (snap == 3).all()
 
 
 # Two moments of S, the white draws among m = n - j, by two closed forms:
@@ -313,14 +296,8 @@ def test_beta_check_does_not_see_a_wrong_kappa(monkeypatch):
     assert report.cells[0].limit_mean == F(1, 2)
 
 
-class NoNumpy:
-    def __getattr__(self, name):
-        raise AssertionError(f"the Beta check read numpy.{name}")
-
-
 def test_beta_check_draws_nothing(monkeypatch):
     patch_out_draws(monkeypatch)
-    monkeypatch.setattr(stats, "np", NoNumpy())
     for spec in BETA_FAMILIES:
         report = check_beta_convergence(spec, 4, 2, [50, 2000])
         assert report.passed and report.samples == 0
@@ -342,47 +319,202 @@ def test_beta_convergence_validation():
 
 # ── second-order diagnostic ───────────────────────────────────────────────
 
-def test_second_order_degenerate_cell():
+def joint_law(spec, j, load, n, horizon):
+    """(P(X = x, S = s), z, h, R^2) over the joint law of the white draws X
+    among m = n - j and S among M = horizon - j: P(S = s) from
+    ``urn_distribution_exact``, P(X = x | S = s) hypergeometric by ``comb``."""
+    state = urn_from(spec, j, load)
+    m, draws = n - j, horizon - j
+    points = []
+    for s, p_s in urn_distribution_exact(state, draws).items():
+        beta_hat = (state.white + s) / (state.total + draws)
+        h = float(beta_hat * (1 - beta_hat))
+        for x in range(max(0, s - (draws - m)), min(s, m) + 1):
+            p_x = F(math.comb(s, x) * math.comb(draws - s, m - x), math.comb(draws, m))
+            residual = float(x - m * beta_hat)
+            points.append((float(p_s * p_x), residual / math.sqrt(m * h), h,
+                           residual * residual / m))
+    return points
+
+
+def law_by_brute_force(spec, j, load, n, horizon):
+    """Skewness and excess kurtosis of z and the slope Cov(h, R^2)/Var(h),
+    each moment an fsum over the joint law about its mean."""
+    points = joint_law(spec, j, load, n, horizon)
+
+    def mean(f):
+        return math.fsum(p * f(z, h, r) for p, z, h, r in points)
+
+    z_mean, h_mean, r_mean = mean(lambda z, h, r: z), mean(lambda z, h, r: h), mean(lambda z, h, r: r)
+    m2, m3, m4 = (mean(lambda z, h, r: (z - z_mean) ** k) for k in (2, 3, 4))
+    cov = mean(lambda z, h, r: (h - h_mean) * (r - r_mean))
+    var = mean(lambda z, h, r: (h - h_mean) ** 2)
+    return m3 / m2**1.5, m4 / m2**2 - 3, cov / var
+
+
+LAW_CELLS = [
+    (BucketRecursive(2), 4, 2, 40, 100),          # symmetric: skewness 0
+    (PlaneOriented(2, F(1)), 4, 1, 40, 100),      # skewed
+    (DAryIncreasing(2, F(2)), 4, 1, 30, 90),
+    (DAryIncreasing(2, F(2)), 4, 2, 30, 90),
+    (PlaneOriented(1, F(1)), 2, 1, 20, 70),       # white 1/2, black 1: the mode is s = 0
+    (PlaneOriented(2, F(1, 10**30)), 4, 2, 40, 100),   # a 31-digit denominator
+    (BucketRecursive(2), 4, 2, 5, 60),            # m = 1: Bernoulli moments
+    (PlaneOriented(2, F(1)), 4, 1, 40, 41),       # horizon = n + 1
+    (BucketRecursive(2), 4, 2, 5, 6),             # M = 2
+    (PlaneOriented(2, F(1)), 4, 1, 5, 7),         # M = 3, m = 1
+    (PlaneOriented(2, F(1)), 4, 1, 6, 7),         # M = 3, m = 2
+]
+
+
+@pytest.mark.parametrize("cell", LAW_CELLS, ids=lambda c: f"{c[0]!r}-{c[1:]}")
+def test_second_order_equals_the_sum_over_the_joint_law(cell):
+    report = second_order_diagnostic(*cell)
+    assert (report.n, report.horizon, report.trajectories) == (cell[3], cell[4], 0)
+    assert not report.degenerate
+    got = (report.skewness, report.excess_kurtosis, report.variance_slope)
+    for value, exact in zip(got, law_by_brute_force(*cell)):
+        assert value == pytest.approx(exact, rel=1e-12, abs=1e-14)
+    assert report.passed == (abs(report.skewness) < SKEW_BOUND
+                             and abs(report.excess_kurtosis) < KURT_BOUND)
+    assert report.variance_shape_ok == (report.variance_slope > 0)
+
+
+def test_second_order_survives_an_underflowing_end_term():
+    # White 1000, black 1: P(S = 0) = (1)_M / (1001)_M is below the
+    # smallest float at M = 400, so a pmf started from it would vanish.
+    spec, j, load, n, horizon = BucketRecursive(1000), 1001, 1000, 1011, 1401
+    p_zero = urn_distribution_exact(urn_from(spec, j, load), horizon - j)[0]
+    assert p_zero > 0 and float(p_zero) == 0.0
+    report = second_order_diagnostic(spec, j, load, n, horizon)
+    got = (report.skewness, report.excess_kurtosis, report.variance_slope)
+    for value, exact in zip(got, law_by_brute_force(spec, j, load, n, horizon)):
+        assert value == pytest.approx(exact, rel=1e-12, abs=1e-14)
+
+
+def test_second_order_slope_is_the_least_squares_fit():
+    # The slope against np.polyfit over the joint law's points, each
+    # residual weighted by the square root of its probability.
+    cell = (PlaneOriented(2, F(1)), 4, 1, 40, 100)
+    p, _, h, r = map(np.array, zip(*joint_law(*cell)))
+    fitted = np.polyfit(h, r, 1, w=np.sqrt(p))[0]
+    assert second_order_diagnostic(*cell).variance_slope == pytest.approx(fitted, rel=1e-9)
+
+
+def test_second_order_values_at_the_benchmark_cells():
+    report = second_order_diagnostic(BucketRecursive(2), 4, 2, 1000, 2500)
+    assert report.passed and abs(report.skewness) < 1e-12
+    assert report.excess_kurtosis == pytest.approx(-0.0045389086437, rel=1e-9)
+    assert report.variance_slope == pytest.approx(0.600572940753, rel=1e-9)
+    report = second_order_diagnostic(PlaneOriented(2, F(1)), 4, 1, 1000, 2500)
+    assert report.skewness == pytest.approx(0.1025908058729, rel=1e-9)
+    assert not report.passed
+
+
+# The route the diagnostic took before it read the law, kept as a sampled
+# reference: numpy draws each trajectory by exchangeability.
+def _urn_batch(
+    spec: FamilySpec,
+    j: int,
+    load: int,
+    draws: int,
+    size: int,
+    seed: int,
+    snapshot_at: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """White-draw counts of ``size`` urn trajectories after ``draws`` draws.
+
+    The urn's draws are exchangeable: given p ~ Beta(white, black) they
+    are i.i.d. Bernoulli(p), so each count is Binomial(draws, p), and a
+    snapshot count plus an independent Binomial(draws - snapshot_at, p) is
+    the final count.  With no black balls p = 1.  Returns (final counts,
+    counts at snapshot_at).
+    """
+    state = urn_from(spec, j, load)
+    gen = np.random.Generator(np.random.Philox(seed))
+    if state.black == 0:
+        p = np.ones(size)
+    else:
+        p = gen.beta(float(state.white), float(state.black), size)
+    snap = gen.binomial(snapshot_at, p)
+    return snap + gen.binomial(draws - snapshot_at, p), snap
+
+
+def sampled_shape(state, j, n, horizon, counts_star, counts_n):
+    """Sample skewness and excess kurtosis of z, and the least-squares slope
+    of R^2 on h, over a batch of trajectories."""
+    white, total = state.white, state.total + horizon - j
+    beta_hat = (white.numerator + white.denominator * counts_star) / total.numerator
+    residuals = (counts_n - (n - j) * beta_hat) / math.sqrt(n - j)
+    shape = beta_hat * (1.0 - beta_hat)
+    skewness, excess_kurtosis = skew_kurtosis(residuals / np.sqrt(shape))
+    centred = shape - shape.mean()
+    squares = residuals * residuals
+    slope = float((centred * (squares - squares.mean())).sum() / (centred * centred).sum())
+    return skewness, excess_kurtosis, slope
+
+
+@pytest.mark.parametrize("spec, j, load", [(BucketRecursive(2), 4, 2),
+                                           (PlaneOriented(2, F(1)), 4, 1)], ids=repr)
+def test_second_order_law_matches_the_sampled_reference(spec, j, load):
+    # 200,000 trajectories in 40 batches; the standard error of each
+    # statistic is the spread of its batch values over sqrt(40).
+    n, horizon, batches, size = 1000, 2500, 40, 5000
+    report = second_order_diagnostic(spec, j, load, n, horizon)
+    law = (report.skewness, report.excess_kurtosis, report.variance_slope)
+    state = urn_from(spec, j, load)
+    counts_star, counts_n = _urn_batch(spec, j, load, horizon - j, batches * size,
+                                       seed=20260819, snapshot_at=n - j)
+    whole = sampled_shape(state, j, n, horizon, counts_star, counts_n)
+    per_batch = np.array([sampled_shape(state, j, n, horizon, star, snap) for star, snap in
+                          zip(counts_star.reshape(batches, size), counts_n.reshape(batches, size))])
+    errors = per_batch.std(axis=0, ddof=1) / math.sqrt(batches)
+    for value, sampled, error in zip(law, whole, errors):
+        assert abs(sampled - value) < 4 * error, (value, sampled, error)
+
+
+def test_urn_batch_matches_exact_law():
+    # Empirical white-draw counts against the exact Beta-binomial law.
+    def fits(spec, j, load, draws, counts):
+        state = urn_from(spec, j, load)
+        law = urn_distribution_exact(state, draws)
+        expected = {float(k): float(p) for k, p in law.items()}
+        observed: dict[float, int] = {}
+        for c in counts:
+            observed[float(c)] = observed.get(float(c), 0) + 1
+        return chi_square_gof(observed, expected, level=0.001).passed
+
+    # Snapshot after 4 of 12 draws: both marginals follow the exact law.
+    spec = PlaneOriented(2, F(1))
+    counts, snap = _urn_batch(spec, 5, 2, draws=12, size=4000, seed=124, snapshot_at=4)
+    assert (snap <= counts).all() and (counts - snap <= 12 - 4).all()
+    assert fits(spec, 5, 2, 4, snap)
+    assert fits(spec, 5, 2, 12, counts)
+
+    # load = j <= b: no black mass, so p = 1 and every draw is white.
+    counts, snap = _urn_batch(BucketRecursive(2), 2, 2, draws=9, size=50, seed=125,
+                              snapshot_at=3)
+    assert (counts == 9).all() and (snap == 3).all()
+
+
+
+def test_second_order_degenerate_cell(monkeypatch):
     # j = 1: the urn starts with no black mass and never fluctuates.
-    report = second_order_diagnostic(BucketRecursive(2), 1, 1, 50, 100, 500, seed=0)
-    assert report.degenerate
-    assert report.passed
-    assert report.skewness == 0.0
+    patch_out_draws(monkeypatch)
+    report = second_order_diagnostic(BucketRecursive(2), 1, 1, 50, 500)
+    assert report.degenerate and report.passed
+    assert (report.trajectories, report.skewness, report.excess_kurtosis) == (0, 0.0, 0.0)
 
 
 def test_second_order_smoke():
-    report = second_order_diagnostic(BucketRecursive(2), 4, 2, n=300,
-                                     trajectories=4000, horizon=12000, seed=5)
+    report = second_order_diagnostic(BucketRecursive(2), 4, 2, n=300, horizon=12000)
     assert report.passed, report
     assert report.variance_shape_ok
     assert "heuristic" in report.note
 
 
-def test_second_order_slope_is_the_least_squares_fit(monkeypatch):
-    # The closed-form slope against np.polyfit on the same residuals,
-    # rebuilt here from the urn batch the diagnostic drew.
-    spec, j, load, n, horizon = BucketRecursive(2), 4, 2, 300, 3000
-    batches = []
-    real_batch = stats._urn_batch
-
-    def recorded(*args, **kwargs):
-        batches.append(real_batch(*args, **kwargs))
-        return batches[-1]
-
-    monkeypatch.setattr(stats, "_urn_batch", recorded)
-    report = second_order_diagnostic(spec, j, load, n, trajectories=2000, horizon=horizon,
-                                     seed=17)
-    (counts_star, counts_n), = batches
-    state = urn_from(spec, j, load)
-    beta_hat = ((state.white.numerator + state.white.denominator * counts_star)
-                / (state.total + horizon - j).numerator)
-    values = (counts_n - (n - j) * beta_hat) / math.sqrt(n - j)
-    fitted = np.polyfit(beta_hat * (1.0 - beta_hat), values * values, 1)[0]
-    assert report.variance_slope == pytest.approx(fitted, rel=1e-12)
-
-
 def test_second_order_deterministic():
-    args = dict(j=4, load=2, n=200, trajectories=500, horizon=4000, seed=9)
+    args = dict(j=4, load=2, n=200, horizon=4000)
     a = second_order_diagnostic(BucketRecursive(2), **args)
     b = second_order_diagnostic(BucketRecursive(2), **args)
     assert a == b
@@ -391,46 +523,62 @@ def test_second_order_deterministic():
 def test_second_order_validation():
     spec = BucketRecursive(2)
     with pytest.raises(ValueError, match="impossible"):
-        second_order_diagnostic(spec, 4, 3, 100, 10, 1000, 0)
+        second_order_diagnostic(spec, 4, 3, 100, 1000)
     with pytest.raises(ValueError, match="deterministically"):
-        second_order_diagnostic(spec, 2, 1, 100, 100, 1000, 1)
+        second_order_diagnostic(spec, 2, 1, 100, 1000)
     with pytest.raises(ValueError, match="j < n < horizon"):
-        second_order_diagnostic(spec, 4, 2, 100, 10, 50, 0)
-    with pytest.raises(ValueError, match=r"^seed must be in \[0, 2\*\*64\), got 11805916"):
-        second_order_diagnostic(spec, 4, 2, 100, 100, 1000, 2**70)
+        second_order_diagnostic(spec, 4, 2, 100, 50)
 
 
-def test_second_order_refuses_where_int64_would_wrap():
-    # beta_hat forms white.numerator + white.denominator * k in int64 for
-    # white draws k <= horizon - j: the largest horizon that fits runs, one
-    # more is refused before any draw.
-    spec, j, load = PlaneOriented(2, F(1, 10**12)), 4, 2
-    white = urn_from(spec, j, load).white
-    horizon = j + ((1 << 63) - 1 - white.numerator) // white.denominator
-    report = second_order_diagnostic(spec, j, load, 1000, MIN_GOF_SAMPLES, horizon, 3)
-    assert math.isfinite(report.skewness) and math.isfinite(report.excess_kurtosis)
-    with pytest.raises(ValueError, match=f"horizon {horizon + 1} is past the second-order"):
-        second_order_diagnostic(spec, j, load, 1000, MIN_GOF_SAMPLES, horizon + 1, 3)
+def test_second_order_sums_a_white_count_past_int64():
+    # White = 2 + kappa has a 31-digit denominator, so white.denominator
+    # times any number of draws is past 2**63: the sum runs in Python ints.
+    spec, j, load = PlaneOriented(2, F(1, 10**30)), 4, 2
+    assert urn_from(spec, j, load).white.denominator > 1 << 63
+    report = second_order_diagnostic(spec, j, load, 1000, 2500)
+    assert report.passed
+    assert math.isfinite(report.skewness) and math.isfinite(report.variance_slope)
 
 
-def test_urn_size_past_the_digit_cap_is_refused_by_its_bits():
-    # str() of a 5,001-digit int fails under the interpreter's default cap,
-    # so the refusal names the size by its length in bits instead.
+@pytest.mark.parametrize("horizon", [None, 10**30, 10**5000],
+                         ids=["one-past", "30-digits", "5001-digits"])
+def test_second_order_refuses_a_horizon_past_its_ceiling(monkeypatch, horizon):
+    # A refused horizon is named by the ceiling, not quoted, so one past
+    # str()'s digit cap is refused in the same words.
+    patch_out_draws(monkeypatch)
+    horizon = 4 + stats.HORIZON_CEILING + 1 if horizon is None else horizon
+    with pytest.raises(EnumerationLimitError) as info:
+        second_order_diagnostic(BucketRecursive(2), 4, 2, 1000, horizon)
+    assert str(info.value) == (f"refusing a second-order law over more than "
+                               f"{stats.HORIZON_CEILING} draws (horizon - j; about 1.5 s per "
+                               f"10^6 draws)")
+
+
+def test_second_order_takes_a_horizon_at_its_ceiling(monkeypatch):
+    monkeypatch.setattr(stats, "HORIZON_CEILING", 500)
+    assert second_order_diagnostic(BucketRecursive(2), 4, 2, 100, 504).horizon == 504
+    with pytest.raises(EnumerationLimitError):
+        second_order_diagnostic(BucketRecursive(2), 4, 2, 100, 505)
+
+
+def test_second_order_refuses_a_law_within_rounding_of_a_point():
+    # j = 10^300: beta_hat is about 2/j on all the mass, and Var z
+    # underflows.  The refusal is one line naming j by its length.
+    j = 10**300
     with pytest.raises(ValueError) as info:
-        second_order_diagnostic(BucketRecursive(2), 4, 2, 1000, 100, 10**5000, 1)
-    assert str(info.value) == ("size an int of 16610 bits is past the urn batch's range: "
-                               "numpy counts draws in 64-bit integers, so n must be below 2**63")
+        second_order_diagnostic(BucketRecursive(2), j, 2, j + 1000, j + 3000)
+    assert str(info.value) == ("the second-order law at j = '100000000000000000000000'... "
+                               "(301 characters) is within floating-point resolution of a "
+                               "point mass")
 
 
-# Each count is refused before numpy or itertools.repeat sees it (and before
-# gof builds its law), so no count here allocates anything.  None stands for
+# Each count is refused before itertools.repeat sees it (and before gof
+# builds its law), so no count here allocates anything.  None stands for
 # one past the call's ceiling.
 @pytest.mark.parametrize("call, ceiling, what", [
     (lambda k: sampler_gof(DAryIncreasing(2, F(2)), 5, k, [1, 2, 3]),
      stats.GOF_SAMPLE_CEILING, "samples per run"),
-    (lambda k: second_order_diagnostic(BucketRecursive(2), 4, 2, 1000, k, 2500, 1),
-     stats.BATCH_CEILING, "trajectories"),
-], ids=["gof", "second-order"])
+], ids=["gof"])
 @pytest.mark.parametrize("count", [None, 10**14, 10**30, MIN_GOF_SAMPLES - 1, 5, 0, -5])
 def test_stats_counts_past_their_ceiling_are_refused(monkeypatch, call, ceiling, what, count):
     patch_out_draws(monkeypatch)
