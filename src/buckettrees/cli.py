@@ -3,9 +3,9 @@
 Subcommands: enumerate (totals and shape dumps), sample (grow labelled
 trees), verify (structure checks), descend (the descendants statistic),
 stats (checks of the limit laws: gof samples, beta and second-order read
-the urn's law).  enumerate and verify take a model either as a family (--family
-with its parameters) or as explicit weights (--psi/--phi); sample, descend
-and stats grow trees, so they take a family only.
+the urn's law).  enumerate and verify take a model either as a family
+(--family with its parameters) or as explicit weights (--psi/--phi);
+sample, descend and stats grow trees, so they take a family only.
 
 Exit codes: 0 success / all checks passed, 1 a check failed, 2 usage or
 validation error.  Identical (command line, seed) pairs produce identical
@@ -576,8 +576,8 @@ def main(argv: list[str] | None = None) -> int:
     The first call in a process freezes the garbage collector's view of the
     heap as it stands (``gc.freeze``); importing the package freezes nothing.
     """
-    # Everything alive now (interpreter, stdlib, this package) lives
-    # until exit, so no collection, at exit included, need walk it again.
+    # Everything alive now (interpreter, stdlib, this package) lives until
+    # exit, so no collection, at exit included, need walk it again.
     if not gc.get_freeze_count():
         gc.freeze()
     if argv is None:
