@@ -533,7 +533,8 @@ def stats_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=positive_int, default=20000,
                    help="samples per run (gof only)")
     p.add_argument("--n-grid", type=size_grid, default=[100, 400, 2000], dest="n_grid")
-    p.add_argument("--trajectories", type=positive_int, default=10000)
+    p.add_argument("--trajectories", type=positive_int, default=10000,
+                   help="ignored: second-order reads the urn's law")
     p.add_argument("--horizon", type=positive_int, default=100000)
     p.add_argument("--level", type=probability, default=0.01)
     p.add_argument("--seed", type=seed_value)

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import starmap
 from typing import Iterable, Iterator, Mapping
@@ -32,7 +31,7 @@ from .enumeration import check_limit, guard_growth, guard_labelled
 from .rng import SplitMix64, accept_below
 from .trees import (BucketNode, BucketTree, InvalidTreeError, encode_grown,
                     single_bucket_tree)
-from .weights import FamilySpec, _check_int, _common_scale, shown
+from .weights import FamilySpec, Frozen, _check_int, _common_scale, shown
 
 
 # Trees of up to this many labels pick each target by scanning the node
@@ -288,14 +287,17 @@ def sample_counts(spec: FamilySpec, n: int, rngs: Iterable[SplitMix64]) -> Count
 
 # ── exact law of the process ──────────────────────────────────────────────
 
-@dataclass(frozen=True)
-class TreeDistribution:
+class TreeDistribution(Frozen):
     """Probability law over labelled trees of one size: tree t has probability
     weights[t] / scale.  ``==`` compares representations, ``probs`` laws."""
 
+    _fields = ("size", "weights", "scale")
     size: int
     weights: Mapping[BucketTree, int]
     scale: int
+
+    def __init__(self, size: int, weights: Mapping[BucketTree, int], scale: int) -> None:
+        self._set_fields(size, weights, scale)
 
     @property
     def probs(self) -> dict[BucketTree, Fraction]:

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
-from .weights import WeightModel, _check_int
+from .weights import Frozen, WeightModel, _check_int
 
 
 # Nesting bound of decode_tree: BucketNode's == recurses and fails at depth 250
@@ -34,23 +33,30 @@ class EncodingError(ValueError):
     """The byte string is not a canonical tree encoding."""
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class BucketNode:
+class BucketNode(Frozen):
     """One bucket and its ordered children.  The hash, that of (capacity,
     labels, children), is stored when the node is built, so it never recurses."""
 
+    __slots__ = ("capacity", "labels", "children", "_hash")
+    _fields = ("capacity", "labels", "children")
     capacity: int
-    labels: tuple[int, ...] = ()
-    children: tuple["BucketNode", ...] = ()
-    _hash: int = field(init=False, repr=False, compare=False)
+    labels: tuple[int, ...]
+    children: tuple[BucketNode, ...]
 
     def __init__(self, capacity: int, labels: tuple[int, ...] = (),
-                 children: tuple["BucketNode", ...] = ()) -> None:
+                 children: tuple[BucketNode, ...] = ()) -> None:
         put = object.__setattr__
         put(self, "capacity", capacity)
         put(self, "labels", labels)
         put(self, "children", children)
         put(self, "_hash", hash((capacity, labels, children)))
+
+    def __eq__(self, other: object) -> bool:
+        # Written out: the hottest comparison of the exact lane's dicts.
+        if other.__class__ is self.__class__:
+            return ((self.capacity, self.labels, self.children)
+                    == (other.capacity, other.labels, other.children))
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash

@@ -36,7 +36,6 @@ per load it returns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
@@ -45,23 +44,24 @@ from .enumeration import (DESCENDANTS_CEILING, DESCENDANTS_WORK_CEILING, URN_DRA
 from .evolve import _grown_label, exact_distribution
 from .rng import SplitMix64, accept_below
 from .trees import count_descendants
-from .weights import FamilySpec, _check_int, _common_scale, binom_frac, shown
+from .weights import (FamilySpec, Frozen, RationalLike, _check_int, _common_scale, binom_frac,
+                      shown)
 
 
-@dataclass(frozen=True)
-class UrnState:
+class UrnState(Frozen):
     """Two colours with rational ball counts; each draw adds one ball."""
 
+    _fields = ("white", "black")
     white: Fraction
     black: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "white", Fraction(self.white))
-        object.__setattr__(self, "black", Fraction(self.black))
-        if self.white < 0 or self.black < 0:
-            raise ValueError(f"ball counts must be non-negative: {self.white}, {self.black}")
-        if self.white + self.black <= 0:
+    def __init__(self, white: RationalLike, black: RationalLike) -> None:
+        white, black = Fraction(white), Fraction(black)
+        if white < 0 or black < 0:
+            raise ValueError(f"ball counts must be non-negative: {white}, {black}")
+        if white + black <= 0:
             raise ValueError("total ball count must be positive")
+        self._set_fields(white, black)
 
     @property
     def total(self) -> Fraction:

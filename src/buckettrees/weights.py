@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -98,6 +98,61 @@ def _mul_trunc(a: Sequence[Fraction], b: Sequence[Fraction], order: int) -> list
     return out
 
 
+# ── frozen values ─────────────────────────────────────────────────────────
+
+class Frozen:
+    """Base of the package's immutable, validated value types.
+
+    A subclass names its fields in ``_fields`` and sets them in its own
+    ``__init__`` with ``_set_fields``.  Two values are equal when they
+    are of one class and their field tuples are equal; a value hashes as its
+    field tuple, reprs as ``Name(field=value, ...)`` and pickles as a call of
+    its class on its fields.  Other attributes, such as a family's c1 and
+    c2, play no part in these.  Assigning or deleting any attribute raises
+    ``AttributeError``.  These are plain classes, not dataclasses, because
+    ``@dataclass`` imports ``inspect`` and execs generated methods for each
+    class, which every command paid at start-up.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "_fields" in vars(cls):
+            get = operator.attrgetter(*cls._fields)
+            if len(cls._fields) == 1:
+                one = get
+                get = lambda self: (one(self),)
+            cls._values = staticmethod(get)
+            cls.__match_args__ = cls._fields
+
+    def _set_fields(self, *values: object) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values(self)
+
+
 # ── degree-weight rules ───────────────────────────────────────────────────
 
 class DegreeWeights(abc.ABC):
@@ -137,17 +192,17 @@ class DegreeWeights(abc.ABC):
         return bound is not None and bound < 2
 
 
-@dataclass(frozen=True)
-class ExplicitDegreeWeights(DegreeWeights):
+class ExplicitDegreeWeights(Frozen, DegreeWeights):
     """Finite list of degree weights; all higher ones are zero."""
 
+    _fields = ("coefficients",)
     coefficients: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(to_fraction(c) for c in self.coefficients)
+    def __init__(self, coefficients: Sequence[RationalLike]) -> None:
+        coeffs = tuple(to_fraction(c) for c in coefficients)
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
+        self._set_fields(coeffs)
         if not coeffs:
             raise InvalidWeightsError("at least one degree weight is required")
         if any(c < 0 for c in coeffs):
@@ -171,8 +226,7 @@ class ExplicitDegreeWeights(DegreeWeights):
         return {"kind": "list", "coefficients": [str(c) for c in self.coefficients]}
 
 
-@dataclass(frozen=True)
-class AffineDegreeWeights(DegreeWeights):
+class AffineDegreeWeights(Frozen, DegreeWeights):
     """phi_0 = scale and (k+1) phi_{k+1} = (rate - slope*k) phi_k.
 
     Equivalently (1 + slope*t) phi'(t) = rate * phi(t): phi is
@@ -182,13 +236,13 @@ class AffineDegreeWeights(DegreeWeights):
     that degree).
     """
 
+    _fields = ("scale", "rate", "slope")
     scale: Fraction
     rate: Fraction
     slope: Fraction
 
-    def __post_init__(self) -> None:
-        for name in ("scale", "rate", "slope"):
-            object.__setattr__(self, name, to_fraction(getattr(self, name)))
+    def __init__(self, scale: RationalLike, rate: RationalLike, slope: RationalLike) -> None:
+        self._set_fields(to_fraction(scale), to_fraction(rate), to_fraction(slope))
         if self.scale <= 0:
             raise InvalidWeightsError("scale must be positive")
         if self.slope == 0:
@@ -230,8 +284,7 @@ class AffineDegreeWeights(DegreeWeights):
 
 # ── weight model ──────────────────────────────────────────────────────────
 
-@dataclass(frozen=True)
-class WeightModel:
+class WeightModel(Frozen):
     """Bucket weights psi_1..psi_{b-1} plus a degree-weight rule.
 
     Invariants: phi_0 > 0, all weights non-negative, and some phi_k with
@@ -241,28 +294,29 @@ class WeightModel:
     any other rule only through its last nonzero weight.
     """
 
+    _fields = ("b", "psi", "phi")
     b: int
     psi: tuple[Fraction, ...]
     phi: DegreeWeights
 
-    def __post_init__(self) -> None:
-        _check_int(self.b, "bucket capacity", 1, InvalidWeightsError)
-        psi = tuple(to_fraction(p) for p in self.psi)
-        object.__setattr__(self, "psi", psi)
-        if len(psi) != self.b - 1:
+    def __init__(self, b: int, psi: Sequence[RationalLike], phi: DegreeWeights) -> None:
+        _check_int(b, "bucket capacity", 1, InvalidWeightsError)
+        psi = tuple(to_fraction(p) for p in psi)
+        if len(psi) != b - 1:
             raise InvalidWeightsError(
-                f"expected {self.b - 1} bucket weights for b={self.b}, got {len(psi)}")
+                f"expected {b - 1} bucket weights for b={b}, got {len(psi)}")
         if any(p < 0 for p in psi):
             raise InvalidWeightsError("bucket weights must be non-negative")
-        if self.phi.coeff(0) <= 0:
+        if phi.coeff(0) <= 0:
             raise InvalidWeightsError("the degree-0 weight must be positive")
-        if self.phi.is_degenerate():
+        if phi.is_degenerate():
             raise InvalidWeightsError(
                 "degenerate model: no degree weight phi_k with k >= 2 is positive, "
                 "so all trees are label chains")
-        if self.phi.support_bound() is None and not isinstance(self.phi, AffineDegreeWeights):
+        if phi.support_bound() is None and not isinstance(phi, AffineDegreeWeights):
             raise InvalidWeightsError(
                 "a degree rule of unbounded support must be an AffineDegreeWeights")
+        self._set_fields(b, psi, phi)
 
     def psi_extended(self, k: int) -> Fraction:
         """psi_k for 1 <= k <= b, with psi_b := phi_0."""
@@ -313,12 +367,9 @@ class FamilySpec(abc.ABC):
     c1: Fraction
     c2: Fraction
 
-    def __post_init__(self) -> None:
-        _check_int(self.b, "b", 1, InvalidWeightsError)
-
     def _hold(self, c1: Fraction, c2: Fraction) -> None:
-        # Plain attributes, not dataclass fields: they follow from the
-        # parameters, so they play no part in ==, hash or repr.
+        # Attributes, not fields: they follow from the parameters, so they
+        # play no part in ==, hash or repr.
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "c2", c2)
 
@@ -337,55 +388,55 @@ class FamilySpec(abc.ABC):
         return self.c1 * capacity + self.c2 * (1 - degree)
 
 
-@dataclass(frozen=True)
-class BucketRecursive(FamilySpec):
+class BucketRecursive(Frozen, FamilySpec):
     """Uniform attachment: a node is chosen proportionally to its bucket load."""
 
-    b: int
+    _fields = ("b",)
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def __init__(self, b: int) -> None:
+        _check_int(b, "b", 1, InvalidWeightsError)
+        self._set_fields(b)
         self._hold(Fraction(1), Fraction(0))
 
     def describe(self) -> dict:
         return {"family": "bucket-recursive", "b": self.b}
 
 
-@dataclass(frozen=True)
-class DAryIncreasing(FamilySpec):
+class DAryIncreasing(Frozen, FamilySpec):
     """Bounded branching: saturated buckets accept at most b*(d-1)+1 children."""
 
-    b: int
+    _fields = ("b", "d")
     d: Fraction
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        object.__setattr__(self, "d", to_fraction(self.d))
-        if self.d <= 1:
-            raise InvalidWeightsError(f"d must exceed 1, got {shown(self.d)}")
-        slots = (self.d - 1) * self.b
+    def __init__(self, b: int, d: RationalLike) -> None:
+        _check_int(b, "b", 1, InvalidWeightsError)
+        d = to_fraction(d)
+        if d <= 1:
+            raise InvalidWeightsError(f"d must exceed 1, got {shown(d)}")
+        slots = (d - 1) * b
         if slots.denominator != 1:
             raise InvalidWeightsError(
                 f"(d-1)*b must be a positive integer, got {shown(slots)}")
-        self._hold(self.d - 1, Fraction(1))
+        self._set_fields(b, d)
+        self._hold(d - 1, Fraction(1))
 
     def describe(self) -> dict:
         return {"family": "dary", "b": self.b, "d": str(self.d)}
 
 
-@dataclass(frozen=True)
-class PlaneOriented(FamilySpec):
+class PlaneOriented(Frozen, FamilySpec):
     """Preferential attachment: weight grows with the current child count."""
 
-    b: int
+    _fields = ("b", "alpha")
     alpha: Fraction
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        object.__setattr__(self, "alpha", to_fraction(self.alpha))
-        if self.alpha <= 0:
-            raise InvalidWeightsError(f"alpha must be positive, got {shown(self.alpha)}")
-        self._hold(self.alpha + 1, Fraction(-1))
+    def __init__(self, b: int, alpha: RationalLike) -> None:
+        _check_int(b, "b", 1, InvalidWeightsError)
+        alpha = to_fraction(alpha)
+        if alpha <= 0:
+            raise InvalidWeightsError(f"alpha must be positive, got {shown(alpha)}")
+        self._set_fields(b, alpha)
+        self._hold(alpha + 1, Fraction(-1))
 
     def describe(self) -> dict:
         return {"family": "plane-oriented", "b": self.b, "alpha": str(self.alpha)}

@@ -108,16 +108,20 @@ print(first > 0, gc.get_freeze_count() == first, gc.isenabled())
     assert _run_script(script) == "True True True"
 
 
-def test_no_command_imports_numpy():
-    # numpy is a test reference only.  Importing the package, each benchmark
-    # workload's commands and the second-order check at the CLI defaults,
-    # all run through main in one fresh interpreter, leave it unloaded.
+def test_no_command_imports_numpy_dataclasses_or_inspect():
+    # numpy is a test reference only, and dataclasses (which imports inspect)
+    # would cost every command start-up time.  Importing the package, each
+    # benchmark workload's commands and the second-order check at the CLI
+    # defaults, all run through main in one fresh interpreter, leave all
+    # three unloaded.
     workloads = Path(__file__).parents[1] / "perfbench" / "workloads.py"
     script = f"""
 import contextlib, importlib.util, io, sys
 import buckettrees
 import buckettrees.cli
-loaded = ["numpy" in sys.modules]
+def loaded_any():
+    return any(name in sys.modules for name in ("numpy", "dataclasses", "inspect"))
+loaded = [loaded_any()]
 spec = importlib.util.spec_from_file_location("workloads", {str(workloads)!r})
 workloads = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(workloads)
@@ -127,7 +131,7 @@ codes = []
 for argv in argvs:
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(buckettrees.cli.main(argv))
-loaded.append("numpy" in sys.modules)
+loaded.append(loaded_any())
 print(loaded, codes[:-1] == [0] * (len(argvs) - 1), codes[-1] in (0, 1))
 """
     assert _run_script(script) == "[False, False] True True"

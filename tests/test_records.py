@@ -1,30 +1,37 @@
-"""The package's result records: their contract as plain tuples, and which
-types stay dataclasses.
+"""The package's result records and value types: their contract, and that
+no package type is a dataclass.
 
 Eleven records check nothing when built, so they are ``typing.NamedTuple``
 classes: field order, defaults and ``repr`` are those they had as frozen
-dataclasses, and assignment still raises.  A ``@dataclass`` class runs
-generated code for its methods when its module is imported, which every
-command pays before it starts, so only types whose constructors validate
-or derive a field, or that must take weak references, stay dataclasses.
+dataclasses, and assignment still raises.  The nine types whose
+constructors validate or derive a field, or that store a hash or take weak
+references, are ``weights.Frozen`` value types with the ``==``, hash,
+``repr`` and pickling they had as frozen dataclasses.  A ``@dataclass``
+class imports ``inspect`` and runs generated code for its methods when its
+module is imported, which every command would pay before it starts.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import importlib
 import inspect
+import pickle
 import pkgutil
 from fractions import Fraction
 
 import pytest
 
 import buckettrees
-from buckettrees import (AffineRatioReport, BalanceReport, BetaCell,
-                         BetaConvergenceReport, DescendantSample, GofReport,
-                         NotGrown, OdeCheckReport, ScalingReport,
-                         SecondOrderReport, single_bucket_tree)
+from buckettrees import (AffineDegreeWeights, AffineRatioReport, BalanceReport, BetaCell,
+                         BetaConvergenceReport, BucketRecursive, DAryIncreasing,
+                         DescendantSample, GofReport, NotGrown, OdeCheckReport,
+                         PlaneOriented, ScalingReport, SecondOrderReport, TreeDistribution,
+                         UrnState, WeightModel, exact_distribution, single_bucket_tree)
 from buckettrees.cli import rounded_fields
+from buckettrees.trees import bucket
+from buckettrees.weights import ExplicitDegreeWeights
 
 TREE = single_bucket_tree(2)
 TREE_REPR = "BucketTree(root=BucketNode(capacity=1, labels=(1,), children=()), max_bucket=2)"
@@ -76,16 +83,20 @@ RECORDS = [
     (TREE, ("root", "max_bucket"), TREE_REPR),
 ]
 
-# Constructors that validate or store a derived hash, which a tuple's
-# _make and _replace would bypass, and TreeDistribution, which callers
-# hold by weak reference.
-KEPT_DATACLASSES = {
-    "buckettrees.weights.ExplicitDegreeWeights", "buckettrees.weights.AffineDegreeWeights",
-    "buckettrees.weights.WeightModel", "buckettrees.weights.BucketRecursive",
-    "buckettrees.weights.DAryIncreasing", "buckettrees.weights.PlaneOriented",
-    "buckettrees.urn.UrnState", "buckettrees.trees.BucketNode",
-    "buckettrees.evolve.TreeDistribution",
-}
+# One instance of each value type: constructors that validate or store a
+# derived hash, which a tuple's _make and _replace would bypass, and
+# TreeDistribution, which callers hold by weak reference.
+VALUES = [
+    ExplicitDegreeWeights((1, 0, Fraction(1, 2), 0)),
+    AffineDegreeWeights(2, 3, Fraction(1, 3)),
+    WeightModel(2, (1,), AffineDegreeWeights(1, 2, 1)),
+    BucketRecursive(3),
+    DAryIncreasing(2, 2),
+    PlaneOriented(2, Fraction(1, 2)),
+    UrnState(Fraction(5, 2), 3),
+    bucket((1, 2), (bucket((3,)), bucket((4,)))),
+    exact_distribution(PlaneOriented(2, 1), 4),
+]
 
 
 @pytest.mark.parametrize("record, fields, text", RECORDS,
@@ -118,7 +129,7 @@ def test_rounded_fields_keeps_field_order_and_rounds_floats():
     assert list(rounded_fields(CELL)) == list(BetaCell._fields)
 
 
-def test_only_the_kept_types_are_dataclasses():
+def test_no_package_type_is_a_dataclass():
     found = set()
     for info in pkgutil.iter_modules(buckettrees.__path__, "buckettrees."):
         module = importlib.import_module(info.name)
@@ -126,9 +137,20 @@ def test_only_the_kept_types_are_dataclasses():
             if (inspect.isclass(obj) and obj.__module__ == module.__name__
                     and dataclasses.is_dataclass(obj)):
                 found.add(f"{module.__name__}.{name}")
-    new = sorted(found - KEPT_DATACLASSES)
-    assert not new, (
-        f"{new} are dataclasses: @dataclass execs 5-6 generated methods per class when "
-        f"its module is imported, about 0.6 ms that every command pays at start-up; "
-        f"make a record that checks nothing a typing.NamedTuple")
-    assert found == KEPT_DATACLASSES
+    assert not found, (
+        f"{sorted(found)} are dataclasses: @dataclass imports inspect and execs 5-6 "
+        f"generated methods per class when its module is imported, which every command "
+        f"pays at start-up; make a record that checks nothing a typing.NamedTuple and a "
+        f"validated value a weights.Frozen")
+
+
+@pytest.mark.parametrize("value", VALUES, ids=[type(v).__name__ for v in VALUES])
+def test_value_types_survive_pickle_and_deepcopy(value):
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert copied == value and copied is not value
+        assert repr(copied) == repr(value)
+        if isinstance(value, TreeDistribution):
+            with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+                hash(copied)   # its weights are a dict, as they were in a dataclass
+        else:
+            assert hash(copied) == hash(value)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -351,23 +350,23 @@ def test_attachment_weight():
 
 def test_family_constants_are_not_fields():
     # c1 and c2 follow from the parameters: equality, hashing, repr, the
-    # dataclass fields and the description see the parameters only.
+    # declared fields and the description see the parameters only.
     assert PlaneOriented(2, 1) == PlaneOriented(2, F(1))
     assert hash(PlaneOriented(2, 1)) == hash(PlaneOriented(2, F(1)))
     assert DAryIncreasing(2, 2) != DAryIncreasing(2, F(3, 2))
     assert repr(BucketRecursive(3)) == "BucketRecursive(b=3)"
     assert repr(DAryIncreasing(2, 2)) == "DAryIncreasing(b=2, d=Fraction(2, 1))"
     assert repr(PlaneOriented(2, F(1, 2))) == "PlaneOriented(b=2, alpha=Fraction(1, 2))"
-    assert [f.name for f in dataclasses.fields(BucketRecursive)] == ["b"]
-    assert [f.name for f in dataclasses.fields(DAryIncreasing)] == ["b", "d"]
-    assert [f.name for f in dataclasses.fields(PlaneOriented)] == ["b", "alpha"]
+    assert BucketRecursive._fields == ("b",)
+    assert DAryIncreasing._fields == ("b", "d")
+    assert PlaneOriented._fields == ("b", "alpha")
     assert BucketRecursive(3).describe() == {"family": "bucket-recursive", "b": 3}
     assert DAryIncreasing(2, 2).describe() == {"family": "dary", "b": 2, "d": "2"}
     assert PlaneOriented(2, F(1, 2)).describe() == {
         "family": "plane-oriented", "b": 2, "alpha": "1/2"}
     with pytest.raises(TypeError):
         BucketRecursive(2, c1=F(1))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="cannot assign to field 'c1'"):
         BucketRecursive(2).c1 = F(2)
 
 
