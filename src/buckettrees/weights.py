@@ -114,7 +114,7 @@ class Frozen:
     class, which every command paid at start-up.
     """
 
-    __slots__ = ()
+    __slots__ = ()   # so that a slotted subclass such as BucketNode has no __dict__
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
