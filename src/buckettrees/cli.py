@@ -571,6 +571,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+_frozen = False   # whether main has frozen the heap in this process
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command; returns its exit code.
 
@@ -578,9 +581,12 @@ def main(argv: list[str] | None = None) -> int:
     heap as it stands (``gc.freeze``); importing the package freezes nothing.
     """
     # Everything alive now (interpreter, stdlib, this package) lives until
-    # exit, so no collection, at exit included, need walk it again.
-    if not gc.get_freeze_count():
+    # exit, so no collection, at exit included, need walk it again.  A flag,
+    # not the freeze count: CPython 3.12 starts with objects already frozen.
+    global _frozen
+    if not _frozen:
         gc.freeze()
+        _frozen = True
     if argv is None:
         argv = sys.argv[1:]
     # Build the named command's subparser only; -h, an unknown command and

@@ -13,9 +13,9 @@ that total is drawn.
 given one by dynamic programming over labelled trees, so sampled and
 theoretical distributions can be compared without estimation error.  A
 law is one integer weight per tree over one scale, and the DP never leaves
-integers: one options kernel (``_option_table`` for the weights,
-``_grown_roots`` for the successors) serves it and ``growth_options``, and
-a ``Fraction`` is built only when a law is read through its ``probs``.
+integers: one options kernel (``_option_table``, ``_grown_roots``) serves
+it and ``growth_options``, one law step (``_carry``) serves it and the
+strip image, and a ``Fraction`` is built only when ``probs`` reads a law.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import operator
 from collections import Counter
 from fractions import Fraction
 from itertools import starmap
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 from .enumeration import check_limit, guard_growth, guard_labelled
 from .rng import SplitMix64, accept_below
@@ -309,15 +309,26 @@ class TreeDistribution(Frozen):
 
     def validate(self) -> None:
         if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+            raise ValueError(f"scale must be positive, got {shown(self.scale)}")
         if any(weight < 0 for weight in self.weights.values()):
             raise ValueError("weights must be non-negative")
         if self.total() != 1:
-            raise ValueError(f"probabilities sum to {self.total()}, not 1")
+            raise ValueError(f"probabilities sum to {shown(self.total())}, not 1")
         for tree in self.weights:
             tree.validate()
             if tree.size != self.size or not tree.is_labelled():
-                raise ValueError(f"bad support element {tree}")
+                raise ValueError(f"bad support element {shown(tree)}")
+
+
+def _carry(weights: Mapping[Hashable, int], moves: Callable) -> dict[Hashable, int]:
+    """The one law step of the tree side: weight times factor over each
+    (successor, factor) pair of moves(state), added by successor."""
+    acc: dict[Hashable, int] = {}
+    get = acc.get
+    for state, weight in weights.items():
+        for successor, factor in moves(state):
+            acc[successor] = get(successor, 0) + weight * factor
+    return acc
 
 
 def exact_laws(spec: FamilySpec, n: int, limit: int | None = None) -> Iterator[TreeDistribution]:
@@ -326,9 +337,9 @@ def exact_laws(spec: FamilySpec, n: int, limit: int | None = None) -> Iterator[T
     with more labelled trees than the ceiling, then one above ``limit``.
 
     A step stays in integers: each tree's successors come from
-    ``_grown_roots`` with the weights of ``_option_table`` for size m, a
-    successor's weight is the sum of its parents' weights times those, and
-    the size-(m+1) scale is the size-m scale times the table's.
+    ``_grown_roots`` with the weights of ``_option_table`` for size m,
+    ``_carry`` adds each parent's weight times those by successor, and the
+    size-(m+1) scale is the size-m scale times the table's.
     """
     _check_int(n, "n", 1)
     guard_labelled(n, spec.b)
@@ -338,13 +349,9 @@ def exact_laws(spec: FamilySpec, n: int, limit: int | None = None) -> Iterator[T
     yield TreeDistribution(1, weights, scale)
     for size in range(2, n + 1):
         slots, step = _option_table(spec, size - 1)
-        acc: dict[BucketNode, int] = {}
-        get = acc.get
-        for tree, weight in weights.items():
-            for root, option in _grown_roots(tree.root, size, b, slots):
-                acc[root] = get(root, 0) + weight * option
+        roots = _carry(weights, lambda tree: _grown_roots(tree.root, size, b, slots))
         scale *= step
-        weights = {BucketTree(root, b): weight for root, weight in acc.items()}
+        weights = {BucketTree(root, b): weight for root, weight in roots.items()}
         yield TreeDistribution(size, weights, scale)
 
 
@@ -407,9 +414,5 @@ def pushforward_strip(dist: TreeDistribution, j: int) -> TreeDistribution:
     _check_int(j, "j")
     if not 1 <= j <= dist.size:
         raise ValueError(f"j={shown(j)} outside 1..{dist.size}")
-    acc: dict[BucketTree, int] = {}
-    get = acc.get
-    for tree, weight in dist.weights.items():
-        smaller = _strip(tree, j)
-        acc[smaller] = get(smaller, 0) + weight
-    return TreeDistribution(j, acc, dist.scale)
+    return TreeDistribution(j, _carry(dist.weights, lambda tree: ((_strip(tree, j), 1),)),
+                            dist.scale)

@@ -176,7 +176,7 @@ def beta_moment(a: Fraction, b: Fraction, s: int) -> Fraction:
     a = Fraction(a)
     b = Fraction(b)
     if a <= 0 or b < 0:
-        raise ValueError(f"parameters out of range: a={a}, b={b}")
+        raise ValueError(f"parameters out of range: a={shown(a)}, b={shown(b)}")
     if b == 0:
         return Fraction(1)
     value = Fraction(1)

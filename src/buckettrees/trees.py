@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
-from .weights import Frozen, WeightModel, _check_int
+from .weights import Frozen, WeightModel, _check_int, shown
 
 
 # Nesting bound of decode_tree: BucketNode's == recurses and fails at depth 250
@@ -118,7 +118,7 @@ class BucketTree(NamedTuple):
         def walk(node: BucketNode, parent_max: int) -> None:
             nonlocal labelled_any, shape_any
             if not 1 <= node.capacity <= b:
-                raise InvalidTreeError(f"capacity {node.capacity} outside [1, {b}]")
+                raise InvalidTreeError(f"capacity {shown(node.capacity)} outside [1, {shown(b)}]")
             if node.children and node.capacity != b:
                 raise InvalidTreeError("only saturated buckets may have children")
             if node.labels:
@@ -126,7 +126,8 @@ class BucketTree(NamedTuple):
                 if len(node.labels) != node.capacity:
                     raise InvalidTreeError("capacity must equal the number of labels")
                 if any(x >= y for x, y in zip(node.labels, node.labels[1:])):
-                    raise InvalidTreeError(f"labels within a bucket must increase: {node.labels}")
+                    raise InvalidTreeError(
+                        f"labels within a bucket must increase: {shown(node.labels)}")
                 if node.labels[0] <= parent_max:
                     raise InvalidTreeError("child labels must exceed all parent labels")
                 all_labels.extend(node.labels)
@@ -141,7 +142,7 @@ class BucketTree(NamedTuple):
         if labelled_any and shape_any:
             raise InvalidTreeError("tree mixes labelled and shape-only buckets")
         if labelled_any and sorted(all_labels) != list(range(1, len(all_labels) + 1)):
-            raise InvalidTreeError(f"labels must be exactly 1..n, got {sorted(all_labels)}")
+            raise InvalidTreeError(f"labels must be exactly 1..n, got {shown(sorted(all_labels))}")
 
 
 def single_bucket_tree(max_bucket: int) -> BucketTree:
@@ -207,7 +208,8 @@ def decode_tree(data: bytes, max_bucket: int) -> BucketTree:
     """Inverse of encode_tree; validates the result, depth included."""
     try:
         obj = json.loads(data.decode("ascii"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    # ValueError: not ASCII, not JSON, or an int past str()'s digit limit.
+    except (ValueError, RecursionError) as exc:
         raise EncodingError(f"not a canonical encoding: {exc}") from exc
     tree = BucketTree(_node_from_obj(obj), max_bucket)
     try:

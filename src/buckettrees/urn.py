@@ -41,7 +41,7 @@ from typing import Mapping, NamedTuple
 
 from .enumeration import (DESCENDANTS_CEILING, DESCENDANTS_WORK_CEILING, URN_DRAW_CEILING,
                           EnumerationLimitError)
-from .evolve import _grown_label, exact_distribution
+from .evolve import _carry, _grown_label, exact_distribution
 from .rng import SplitMix64, accept_below
 from .trees import count_descendants
 from .weights import (FamilySpec, Frozen, RationalLike, _check_int, _common_scale, binom_frac,
@@ -58,7 +58,7 @@ class UrnState(Frozen):
     def __init__(self, white: RationalLike, black: RationalLike) -> None:
         white, black = Fraction(white), Fraction(black)
         if white < 0 or black < 0:
-            raise ValueError(f"ball counts must be non-negative: {white}, {black}")
+            raise ValueError(f"ball counts must be non-negative: {shown(white)}, {shown(black)}")
         if white + black <= 0:
             raise ValueError("total ball count must be positive")
         self._set_fields(white, black)
@@ -235,10 +235,7 @@ def descendants_law_from_trees(spec: FamilySpec, n: int, j: int) -> dict[int, Fr
     """Descendant-count law read from the exact tree distribution."""
     _check_window(n, j)
     dist = exact_distribution(spec, n)
-    law: dict[int, int] = {}
-    for tree, weight in dist.weights.items():
-        y = count_descendants(tree, j)
-        law[y] = law.get(y, 0) + weight
+    law = _carry(dist.weights, lambda tree: ((count_descendants(tree, j), 1),))
     return {y: Fraction(weight, dist.scale) for y, weight in law.items()}
 
 

@@ -37,7 +37,8 @@ def quoted(text: str) -> str:
 def shown(value: object) -> str:
     """str(value) as an error line shows it: whole up to 24 characters, else
     ``quoted``.  A number with more digits than str() writes (4,300 by
-    default) is named by its sign and length in bits."""
+    default) is named by its sign and length in bits, and any other value
+    that holds one by its type."""
     try:
         text = str(value)
     except ValueError:
@@ -45,6 +46,8 @@ def shown(value: object) -> str:
             size = (f"fraction of {value.numerator.bit_length()} over "
                     f"{value.denominator.bit_length()} bits")
             return f"a negative {size}" if value < 0 else f"a {size}"
+        if not isinstance(value, int):
+            return f"a {type(value).__name__} holding a number too long for str()"
         size = f"int of {value.bit_length()} bits"
         return f"a negative {size}" if value < 0 else f"an {size}"
     return text if len(text) <= 24 else quoted(text)

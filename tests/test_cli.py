@@ -83,27 +83,31 @@ print(codes, sorted(m for m, mod in sys.modules.items()
     assert _run_script(script) == "[0, 0] []"
 
 
+# The interpreter may start with objects frozen (CPython 3.12 does), so both
+# tests compare against the count it starts with.
 def test_imports_freeze_nothing():
     script = """
 import gc
+start = gc.get_freeze_count()
 import buckettrees
 counts = [gc.get_freeze_count()]
 import buckettrees.cli
 counts.append(gc.get_freeze_count())
-print(counts)
+print(counts == [start, start])
 """
-    assert _run_script(script) == "[0, 0]"
+    assert _run_script(script) == "True"
 
 
 def test_main_freezes_once_per_process():
     script = """
 import gc
+start = gc.get_freeze_count()
 from buckettrees.cli import main
 argv = ["enumerate", "--family", "bucket-recursive", "--b", "2", "--n", "3"]
 main(argv)
 first = gc.get_freeze_count()
 main(argv)
-print(first > 0, gc.get_freeze_count() == first, gc.isenabled())
+print(first > start, gc.get_freeze_count() == first, gc.isenabled())
 """
     assert _run_script(script) == "True True True"
 
@@ -891,6 +895,16 @@ def test_second_order_takes_a_white_count_past_int64(capsys):
     assert json.loads(out, parse_constant=_reject_constant)["passed"] is True
 
 
+def test_second_order_refuses_a_law_within_rounding_of_a_point(capsys):
+    # alpha = 10^-400 leaves a load-1 urn about 10^-400 white balls, so the
+    # variance given no white draw rounds to 0: exit 2, one line.
+    rc, out, err = run(capsys, "stats", "--check", "second-order", "--family", "baport",
+                       "--b", "2", "--alpha", "1/1" + "0" * 400, "--j", "4", "--load", "1",
+                       "--n", "100", "--horizon", "200")
+    assert (rc, out, err) == (2, "", "error: the second-order law at j = 4 is within "
+                                     "floating-point resolution of a point mass\n")
+
+
 GROWN = {
     "sample": ["sample", "--family", "bdary", "--b", "2", "--d", "2"],
     "descend-direct": ["descend", "--family", "bdary", "--b", "2", "--d", "2", "--j", "3",
@@ -1021,6 +1035,15 @@ HUGE = 10**5000   # past the interpreter's default 4,300-digit cap of str()
 HUGE_BITS = "an int of 16610 bits"
 
 
+def _digit_limit(digits: str) -> str:
+    """The interpreter's refusal to read an int of these digits."""
+    try:
+        int(digits)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("read past the digit limit")
+
+
 # A kernel's refusal quotes an integer of more than 24 characters by its
 # head and length (the CLI lifts str()'s digit cap), one past the cap by its
 # bits, and one of at most 24 characters whole.  A list is a CLI argv.
@@ -1056,6 +1079,25 @@ HUGE_BITS = "an int of 16610 bits"
      f"need j < n < horizon, got 4, {HUGE_BITS}, 2500"),
     (lambda: SplitMix64(1).bernoulli(HUGE, 3), f"probability out of range: {HUGE_BITS}/3"),
     (lambda: SplitMix64(1).bernoulli(4, 3), "probability out of range: 4/3"),
+    (lambda: buckettrees.UrnState(-HUGE, 1),
+     "ball counts must be non-negative: a negative fraction of 16610 over 1 bits, 1"),
+    (lambda: stats.beta_moment(Fraction(1), Fraction(-int(NINES)), 1),
+     f"parameters out of range: a=1, b='-99999999999999999999999'... (4001 characters)"),
+    (lambda: TreeDistribution(1, {}, -HUGE).validate(),
+     "scale must be positive, got a negative int of 16610 bits"),
+    (lambda: TreeDistribution(1, {buckettrees.single_bucket_tree(2): int(NINES)}, 1).validate(),
+     f"probabilities sum to {NINES_HEAD}, not 1"),
+    (lambda: TreeDistribution(2, {BucketTree(bucket((1,)), HUGE): 1}, 1).validate(),
+     "bad support element a BucketTree holding a number too long for str()"),
+    (lambda: buckettrees.decode_tree(b'{"capacity":%s,"children":[]}' % NINES.encode(), 2),
+     f"decoded tree is invalid: capacity {NINES_HEAD} outside [1, 2]"),
+    (lambda: buckettrees.decode_tree(b'{"children":[],"labels":[%s]}' % NINES.encode(), 2),
+     "decoded tree is invalid: labels must be exactly 1..n, got "
+     "'[99999999999999999999999'... (4002 characters)"),
+    (lambda: BucketTree(bucket((int(NINES), 1)), 2).validate(),
+     "labels within a bucket must increase: '(99999999999999999999999'... (4005 characters)"),
+    (lambda: buckettrees.decode_tree(b'{"capacity":%s,"children":[]}' % (b"9" * 5000), 2),
+     f"not a canonical encoding: {_digit_limit('9' * 5000)}"),
 ])
 def test_refused_integers_are_quoted_in_one_short_line(capsys, call, reason):
     if isinstance(call, list):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import importlib
+import json
 import pkgutil
 import time
 import weakref
@@ -24,8 +26,10 @@ from buckettrees import (BucketNode, BucketRecursive, BucketTree, DAryIncreasing
                          single_bucket_tree, strip_labels, total_weight,
                          tree_weight, weights_of)
 from buckettrees import descendants_direct, descendants_via_urn, enumeration, evolve
+from buckettrees.cli import main
 from buckettrees.enumeration import EnumerationLimitError
 from buckettrees.weights import _common_scale
+from test_exact_pins import FAMILIES, LAW_N6, VERIFY_ALL_N7
 
 F = Fraction
 
@@ -512,6 +516,52 @@ def test_pushforward_strip_checks_j_once_and_walks_no_size(monkeypatch):
     assert walks == []
     strip_labels(next(iter(law.weights)), 3)
     assert len(walks) == 1
+
+
+def _keeps_the_last(weights, moves):
+    """A faulty ``evolve._carry``: a successor keeps only its last contribution."""
+    acc = {}
+    for state, weight in weights.items():
+        for successor, factor in moves(state):
+            acc[successor] = weight * factor
+    return acc
+
+
+def _drops_the_factor(weights, moves):
+    """A faulty ``evolve._carry``: a contribution is the state's weight alone."""
+    acc = {}
+    for state, weight in weights.items():
+        for successor, _ in moves(state):
+            acc[successor] = acc.get(successor, 0) + weight
+    return acc
+
+
+# The DP and the preserve check add weights through one helper, so a fault
+# in it must still fail a growth check and move an answer that
+# tests/test_exact_pins.py pins, on every pinned family.  Dropping the factor
+# breaks each law past size 2, which equivalence sees.  Keeping only the last
+# contribution cannot break a law: a labelled tree has one parent (itself
+# without its largest label), reached by one option.  It breaks the strip
+# image, where many trees meet, and preserve sees that.
+@pytest.mark.parametrize("mutant, growth_checks, law_moves", [
+    (_drops_the_factor, {"equivalence": False, "preserve": False}, True),
+    (_keeps_the_last, {"equivalence": True, "preserve": False}, False),
+], ids=["drops-the-factor", "keeps-the-last"])
+def test_a_fault_in_the_law_step_fails_a_check_and_moves_a_pin(capsys, monkeypatch, mutant,
+                                                               growth_checks, law_moves):
+    monkeypatch.setattr(evolve, "_carry", mutant)
+    for family, spec in FAMILIES.items():
+        rc = main(f"verify --family {family} --n 7 --check all".split())
+        out = capsys.readouterr().out
+        checks = {check["check"]: check["passed"] for check in json.loads(out)["checks"]}
+        assert rc == 1
+        assert {name: checks[name] for name in growth_checks} == growth_checks
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() != VERIFY_ALL_N7[family]
+        pairs = sorted((encode_tree(tree), str(prob))
+                       for tree, prob in exact_distribution(spec, 6).probs.items())
+        digest = hashlib.sha256(b"".join(code + b" " + prob.encode("ascii") + b"\n"
+                                         for code, prob in pairs)).hexdigest()
+        assert ((len(pairs), digest) != LAW_N6[family]) == law_moves
 
 
 @settings(max_examples=20, deadline=None)

@@ -154,3 +154,21 @@ def test_value_types_survive_pickle_and_deepcopy(value):
                 hash(copied)   # its weights are a dict, as they were in a dataclass
         else:
             assert hash(copied) == hash(value)
+
+
+# A value type equals only a value of its own class: against any other its
+# == returns NotImplemented, and Python falls back to identity.
+@pytest.mark.parametrize("value, other", [
+    (BucketRecursive(2), DAryIncreasing(2, 2)),
+    (bucket((1,)), "x"),
+], ids=["Frozen", "BucketNode"])
+def test_value_types_differ_from_other_classes(value, other):
+    assert value.__eq__(other) is NotImplemented
+    assert value != other and other != value
+
+
+def test_value_type_fields_cannot_be_deleted():
+    family = BucketRecursive(2)
+    with pytest.raises(AttributeError, match="cannot delete field 'b'"):
+        del family.b
+    assert family.b == 2

@@ -555,6 +555,19 @@ def test_second_order_refuses_a_law_within_rounding_of_a_point():
                                "point mass")
 
 
+# alpha = 10^-k puts kappa = -1/(1 + alpha) within 10^-k of -1, so a load-1
+# urn starts with about 10^-k white balls.  At k = 400 the variance m h given
+# no white draw rounds to 0.  At k = 315 it does not, but the mass on a white
+# draw is a subnormal float, and so is Var z: the kurtosis, about 1 / Var z,
+# overflows.
+@pytest.mark.parametrize("digits", [400, 315], ids=["zero-variance", "infinite-kurtosis"])
+def test_second_order_refuses_a_white_count_law_within_rounding_of_a_point(digits):
+    with pytest.raises(ValueError) as info:
+        second_order_diagnostic(PlaneOriented(2, F(1, 10**digits)), 4, 1, 100, 200)
+    assert str(info.value) == ("the second-order law at j = 4 is within floating-point "
+                               "resolution of a point mass")
+
+
 # Each count is refused before itertools.repeat sees it (and before gof
 # builds its law), so no count here allocates anything.  None stands for
 # one past the call's ceiling.
