@@ -895,7 +895,7 @@ def test_second_order_takes_a_white_count_past_int64(capsys):
     assert json.loads(out, parse_constant=_reject_constant)["passed"] is True
 
 
-def test_second_order_refuses_a_law_within_rounding_of_a_point(capsys):
+def test_second_order_point_mass_exits_2_in_one_line(capsys):
     # alpha = 10^-400 leaves a load-1 urn about 10^-400 white balls, so the
     # variance given no white draw rounds to 0: exit 2, one line.
     rc, out, err = run(capsys, "stats", "--check", "second-order", "--family", "baport",
@@ -1046,7 +1046,8 @@ def _digit_limit(digits: str) -> str:
 
 # A kernel's refusal quotes an integer of more than 24 characters by its
 # head and length (the CLI lifts str()'s digit cap), one past the cap by its
-# bits, and one of at most 24 characters whole.  A list is a CLI argv.
+# bits, and one of at most 24 characters whole; a tuple, list or tree that
+# holds one past the cap is named by its type.  A list is a CLI argv.
 @pytest.mark.parametrize("call, reason", [
     (["descend", *BDARY, "--n", "5", "--j", NINES, "--mode", "exact"],
      f"need 1 <= j <= n, got j={NINES_HEAD}, n=5"),
@@ -1082,7 +1083,7 @@ def _digit_limit(digits: str) -> str:
     (lambda: buckettrees.UrnState(-HUGE, 1),
      "ball counts must be non-negative: a negative fraction of 16610 over 1 bits, 1"),
     (lambda: stats.beta_moment(Fraction(1), Fraction(-int(NINES)), 1),
-     f"parameters out of range: a=1, b='-99999999999999999999999'... (4001 characters)"),
+     "parameters out of range: a=1, b='-99999999999999999999999'... (4001 characters)"),
     (lambda: TreeDistribution(1, {}, -HUGE).validate(),
      "scale must be positive, got a negative int of 16610 bits"),
     (lambda: TreeDistribution(1, {buckettrees.single_bucket_tree(2): int(NINES)}, 1).validate(),
