@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import starmap
+from itertools import accumulate, islice, starmap
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
-from .enumeration import check_limit, guard_growth, guard_labelled
+from .enumeration import check_limit, guard_growth, guard_labelled, labelled_counts
 from .rng import SplitMix64, accept_below
 from .trees import (BucketNode, BucketTree, InvalidTreeError, encode_grown,
                     single_bucket_tree)
@@ -39,6 +40,11 @@ from .weights import FamilySpec, Frozen, _check_int, _common_scale, shown
 # with the index of the picked node: on four families it was no slower than
 # the descent up to 80 labels, and slower on BucketRecursive(1) from 96.
 _SCAN_MAX_SIZE = 80
+
+# sample_counts walks a per-batch transition memo while the sizes up to n
+# hold at most this many labelled trees in all, and grows each tree afresh
+# past it.
+_MEMO_MAX_STATES = 8000
 
 
 def _option_table(spec: FamilySpec, size: int) -> tuple[list[tuple[int, ...]], int]:
@@ -111,33 +117,15 @@ def growth_options(tree: BucketTree, spec: FamilySpec) -> list[tuple[BucketTree,
             for root, weight in _grown_roots(tree.root, size + 1, spec.b, slots)]
 
 
-def _grow_each(spec: FamilySpec, n: int,
-               rngs: Iterable[SplitMix64]) -> Iterator[tuple[list[list[int]], list[list[int]]]]:
-    """Grow one labelled tree of size n from a single label per stream of
-    ``rngs``, lazily, each as flat lists: node i (in creation order, the
-    root first) holds the bucket labels[i] and the child indices
-    children[i], which all exceed i.  A stream may appear more than once;
-    its trees then follow each other in it.
-
-    The target of each label is the first node whose running sum of scaled
-    integer attachment weights exceeds a uniform pick below their total.  Up
-    to ``_SCAN_MAX_SIZE`` labels a plain scan over one weight per node finds
-    it; above, a Fenwick tree over the same weights finds it in O(log n),
-    so growth to size n costs O(n log n).  Both give the same node for the
-    same pick, so the trees and the words drawn do not depend on the
-    structure.  A label changes one weight (+c1 when it joins a bucket, -c2
-    when it starts a child) and may add a leaf, whose weight c1 + c2 its
-    slot already holds.  The family's integer weights and the template of
-    the pick structure are worked out once for the batch.  n < 1 and a size
-    past ``GROWTH_CEILING`` (``guard_growth``) are refused here, before any
-    stream is read, so every growth path, the CLI's included, refuses as one.
-
-    The node pick (below the total weight) and the slot pick (below the
-    number of gaps) pop their words off the stream's block under the draw
-    protocol of ``rng``, against one threshold for the batch's largest
-    bound, so each tree draws the words of one ``randbelow`` call per pick.
-    A pick with one outcome, a total of 1 or a saturated node with no
-    children, draws no word.
+def _kernel(spec: FamilySpec, n: int) -> tuple[Callable[..., None], list[int], int]:
+    """The per-label step of ``_grow_each``, set up once for trees of size n:
+    (advance, template, fast).  advance(block, finish, labels, children,
+    weights, start) grows a tree of size start, held in flat lists with its
+    node weights laid out as in a copy of template, to size n in place.  It
+    pops each pick's words off the list that block() returns, calling block
+    again when that list is empty, and hands a word at or above fast to
+    finish(word, bound).  n is refused as ``_grow_each`` says, before any
+    stream is read.
     """
     _check_int(n, "n", 1)
     guard_growth(n)
@@ -159,14 +147,12 @@ def _grow_each(spec: FamilySpec, n: int,
     # so a word below fast needs no rejection test.
     fast = accept_below(max(join * (n - 1) + split, n))
 
-    def grow(rng: SplitMix64) -> tuple[list[list[int]], list[list[int]]]:
-        block, finish = rng.block, rng.finish
+    def advance(block: Callable[[], list[int]], finish: Callable[[int, int], int],
+                labels: list[list[int]], children: list[list[int]], weights: list[int],
+                start: int, stop: int) -> None:
         words: list[int] = []
-        labels: list[list[int]] = [[1]]
-        children: list[list[int]] = [[]]
-        weights = template.copy()
-        total = leaf
-        for size in range(1, n):
+        total = join * start + split
+        for size in range(start, stop):
             # A uniform pick below total; a total of 1 draws no word.
             pick = 0
             if total > 1:
@@ -221,6 +207,45 @@ def _grow_each(spec: FamilySpec, n: int,
             total += delta
             if total != join * (size + 1) + split:
                 raise AssertionError("attachment weights must sum to the normalizer")
+
+    return advance, template, fast
+
+
+def _grow_each(spec: FamilySpec, n: int,
+               rngs: Iterable[SplitMix64]) -> Iterator[tuple[list[list[int]], list[list[int]]]]:
+    """Grow one labelled tree of size n from a single label per stream of
+    ``rngs``, lazily, each as flat lists: node i (in creation order, the
+    root first) holds the bucket labels[i] and the child indices
+    children[i], which all exceed i.  A stream may appear more than once;
+    its trees then follow each other in it.
+
+    The target of each label is the first node whose running sum of scaled
+    integer attachment weights exceeds a uniform pick below their total.  Up
+    to ``_SCAN_MAX_SIZE`` labels a plain scan over one weight per node finds
+    it; above, a Fenwick tree over the same weights finds it in O(log n),
+    so growth to size n costs O(n log n).  Both give the same node for the
+    same pick, so the trees and the words drawn do not depend on the
+    structure.  A label changes one weight (+c1 when it joins a bucket, -c2
+    when it starts a child) and may add a leaf, whose weight c1 + c2 its
+    slot already holds.  The family's integer weights and the template of
+    the pick structure are worked out once for the batch (``_kernel``).
+    n < 1 and a size past ``GROWTH_CEILING`` (``guard_growth``) are refused
+    here, before any stream is read, so every growth path, the CLI's
+    included, refuses as one.
+
+    The node pick (below the total weight) and the slot pick (below the
+    number of gaps) pop their words off the stream's block under the draw
+    protocol of ``rng``, against one threshold for the batch's largest
+    bound, so each tree draws the words of one ``randbelow`` call per pick.
+    A pick with one outcome, a total of 1 or a saturated node with no
+    children, draws no word.
+    """
+    advance, template, _ = _kernel(spec, n)
+
+    def grow(rng: SplitMix64) -> tuple[list[list[int]], list[list[int]]]:
+        labels: list[list[int]] = [[1]]
+        children: list[list[int]] = [[]]
+        advance(rng.block, rng.finish, labels, children, template.copy(), 1, n)
         return labels, children
 
     return map(grow, rngs)
@@ -275,11 +300,119 @@ def sample_encoding(spec: FamilySpec, n: int, rng: SplitMix64) -> bytes:
     return next(sample_encodings(spec, n, (rng,)))
 
 
+class _State:
+    """A tree that a memo batch of ``sample_counts`` has reached: the flat
+    lists and node weights of ``_kernel``, cum[i], the weights of nodes
+    0..i added, and nexts[i], None until a pick first lands on node i, then
+    its successors by slot (one when the kernel draws no slot word there),
+    each None until a pick first lands on it."""
+
+    __slots__ = ("labels", "children", "weights", "cum", "nexts")
+
+    def __init__(self, labels: list[list[int]], children: list[list[int]],
+                 weights: list[int]) -> None:
+        self.labels, self.children, self.weights = labels, children, weights
+        self.cum = list(accumulate(weights[:len(labels)]))
+        self.nexts: list = [None] * len(labels)
+
+
+def _memo_fits(b: int, n: int) -> bool:
+    """Whether ``sample_counts`` walks a memo at size n: the kernel scans
+    node weights at n, and the sizes up to n hold at most
+    ``_MEMO_MAX_STATES`` labelled trees in all, which bounds the states a
+    memo can reach."""
+    return n <= _SCAN_MAX_SIZE and all(
+        held <= _MEMO_MAX_STATES for held in accumulate(islice(labelled_counts(b), n)))
+
+
+def _memo_each(spec: FamilySpec, n: int, rngs: Iterable[SplitMix64]) -> Iterator[_State]:
+    """The final state of each tree of ``_grow_each(spec, n, rngs)``, in
+    turn, grown through a transition memo that lives as long as the
+    iterator: the same trees from the same words, each distinct tree one
+    state.  n must be at most ``_SCAN_MAX_SIZE``.
+
+    A tree walks from the one-label root state by popping the words the
+    kernel pops: the node pick below the state's total, found by
+    ``bisect_right`` over its cumulative weights (the scan's node), then
+    the slot pick when the node has gaps.  A successor is built the first
+    time a pick lands on its node and slot, by the kernel's own step on a
+    copy of the state's lists, fed the picks already drawn as its words,
+    so the join/split rule and its checks run on every state built.
+    """
+    advance, template, fast = _kernel(spec, n)
+    b = spec.b
+    root = _State([[1]], [[]], template.copy())
+
+    def replayed(word: int, bound: int) -> int:
+        return word
+
+    def successor(state: _State, size: int, node: int, pick: int, slot: int | None) -> _State:
+        # The words the kernel pops, the node pick first, so it goes last;
+        # a total of 1 draws none.
+        words = [] if slot is None else [slot]
+        if state.cum[-1] > 1:
+            words.append(pick)
+        # A label changes only the lists of the node it lands on, and a new
+        # node gets lists of its own.
+        labels, children = state.labels.copy(), state.children.copy()
+        labels[node], children[node] = labels[node].copy(), children[node].copy()
+        weights = state.weights.copy()
+        advance(lambda: words, replayed, labels, children, weights, size, size + 1)
+        return _State(labels, children, weights)
+
+    def walk() -> Iterator[_State]:
+        for rng in rngs:
+            block, finish = rng.block, rng.finish
+            words: list[int] = []
+            state = root
+            for size in range(1, n):
+                cum = state.cum
+                total = cum[-1]
+                # A uniform pick below total; a total of 1 draws no word.
+                pick = 0
+                if total > 1:
+                    if not words:
+                        words = block()
+                    pick = words.pop()
+                    pick = pick % total if pick < fast else finish(pick, total)
+                node = bisect_right(cum, pick)
+                row = state.nexts[node]
+                if row is None:
+                    # The kernel draws a slot word at a saturated node with children.
+                    kids = state.children[node]
+                    row = state.nexts[node] = [None] * (
+                        len(kids) + 1 if len(state.labels[node]) == b and kids else 1)
+                slot = 0
+                gaps = len(row)
+                if gaps > 1:
+                    if not words:
+                        words = block()
+                    slot = words.pop()
+                    slot = slot % gaps if slot < fast else finish(slot, gaps)
+                following = row[slot]
+                if following is None:
+                    following = row[slot] = successor(state, size, node, pick,
+                                                      slot if gaps > 1 else None)
+                state = following
+            yield state
+
+    return walk()
+
+
 def sample_counts(spec: FamilySpec, n: int, rngs: Iterable[SplitMix64]) -> Counter[bytes]:
     """``Counter(sample_encodings(spec, n, rngs))``, encoding each distinct
-    tree once: trees are counted by their flat lists first, which are
-    canonical for a labelled tree (nodes in the order of their first
-    labels, children in slot order)."""
+    tree once: the same trees from the same words, keys in the order of
+    first appearance.
+
+    While ``_memo_fits``, the batch walks the transition memo of
+    ``_memo_each`` and counts final states by identity; it is dropped when
+    the batch ends.  Past it, each tree grows afresh (``_grow_each``) and is
+    counted by its flat lists, which are canonical for a labelled tree
+    (nodes in the order of their first labels, children in slot order)."""
+    _check_int(n, "n", 1)
+    if _memo_fits(spec.b, n):
+        return Counter({encode_grown(state.labels, state.children): count
+                        for state, count in Counter(_memo_each(spec, n, rngs)).items()})
     grown = Counter((tuple(map(tuple, labels)), tuple(map(tuple, children)))
                     for labels, children in _grow_each(spec, n, rngs))
     return Counter({encode_grown(*key): count for key, count in grown.items()})
@@ -316,8 +449,11 @@ class TreeDistribution(Frozen):
             raise ValueError(f"probabilities sum to {shown(self.total())}, not 1")
         for tree in self.weights:
             tree.validate()
-            if tree.size != self.size or not tree.is_labelled():
-                raise ValueError(f"bad support element {shown(tree)}")
+            if not tree.is_labelled():
+                raise ValueError("a support tree is not labelled")
+            if tree.size != self.size:
+                raise ValueError(f"a support tree has size {tree.size} in a law of size "
+                                 f"{shown(self.size)}")
 
 
 def _carry(weights: Mapping[Hashable, int], moves: Callable) -> dict[Hashable, int]:

@@ -43,9 +43,11 @@ def shown(value: object) -> str:
         text = str(value)
     except ValueError:
         if isinstance(value, Fraction):
-            size = (f"fraction of {value.numerator.bit_length()} over "
-                    f"{value.denominator.bit_length()} bits")
-            return f"a negative {size}" if value < 0 else f"a {size}"
+            if value.denominator != 1:
+                size = (f"fraction of {value.numerator.bit_length()} over "
+                        f"{value.denominator.bit_length()} bits")
+                return f"a negative {size}" if value < 0 else f"a {size}"
+            value = value.numerator   # an integral fraction is named as the int it is
         if not isinstance(value, int):
             return f"a {type(value).__name__} holding a number too long for str()"
         size = f"int of {value.bit_length()} bits"

@@ -1081,7 +1081,9 @@ def _digit_limit(digits: str) -> str:
     (lambda: SplitMix64(1).bernoulli(HUGE, 3), f"probability out of range: {HUGE_BITS}/3"),
     (lambda: SplitMix64(1).bernoulli(4, 3), "probability out of range: 4/3"),
     (lambda: buckettrees.UrnState(-HUGE, 1),
-     "ball counts must be non-negative: a negative fraction of 16610 over 1 bits, 1"),
+     "ball counts must be non-negative: a negative int of 16610 bits, 1"),
+    (lambda: buckettrees.UrnState(Fraction(-HUGE, 3), 1),
+     "ball counts must be non-negative: a negative fraction of 16610 over 2 bits, 1"),
     (lambda: stats.beta_moment(Fraction(1), Fraction(-int(NINES)), 1),
      "parameters out of range: a=1, b='-99999999999999999999999'... (4001 characters)"),
     (lambda: TreeDistribution(1, {}, -HUGE).validate(),
@@ -1089,7 +1091,9 @@ def _digit_limit(digits: str) -> str:
     (lambda: TreeDistribution(1, {buckettrees.single_bucket_tree(2): int(NINES)}, 1).validate(),
      f"probabilities sum to {NINES_HEAD}, not 1"),
     (lambda: TreeDistribution(2, {BucketTree(bucket((1,)), HUGE): 1}, 1).validate(),
-     "bad support element a BucketTree holding a number too long for str()"),
+     "a support tree has size 1 in a law of size 2"),
+    (lambda: TreeDistribution(HUGE, {BucketTree(bucket((1,)), 2): 1}, 1).validate(),
+     f"a support tree has size 1 in a law of size {HUGE_BITS}"),
     (lambda: buckettrees.decode_tree(b'{"capacity":%s,"children":[]}' % NINES.encode(), 2),
      f"decoded tree is invalid: capacity {NINES_HEAD} outside [1, 2]"),
     (lambda: buckettrees.decode_tree(b'{"children":[],"labels":[%s]}' % NINES.encode(), 2),
@@ -1097,6 +1101,8 @@ def _digit_limit(digits: str) -> str:
      "'[99999999999999999999999'... (4002 characters)"),
     (lambda: BucketTree(bucket((int(NINES), 1)), 2).validate(),
      "labels within a bucket must increase: '(99999999999999999999999'... (4005 characters)"),
+    (lambda: BucketTree(bucket((HUGE, 1)), 2).validate(),
+     "labels within a bucket must increase: a tuple holding a number too long for str()"),
     (lambda: buckettrees.decode_tree(b'{"capacity":%s,"children":[]}' % (b"9" * 5000), 2),
      f"not a canonical encoding: {_digit_limit('9' * 5000)}"),
 ])

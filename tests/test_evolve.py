@@ -250,11 +250,17 @@ def test_exact_distribution_support_is_valid_trees(spec):
 
 
 def test_tree_distribution_validate_rejects_bad_laws():
+    # A bad support tree is refused by what is wrong with it, in one line.
     law = exact_distribution(BucketRecursive(2), 3)
-    with pytest.raises(ValueError, match="bad support"):
+    with pytest.raises(ValueError) as info:
         TreeDistribution(4, law.weights, law.scale).validate()
-    with pytest.raises(ValueError, match="bad support"):
+    assert str(info.value) == "a support tree has size 3 in a law of size 4"
+    with pytest.raises(ValueError) as info:
+        TreeDistribution(2, {single_bucket_tree(2): 1}, 1).validate()
+    assert str(info.value) == "a support tree has size 1 in a law of size 2"
+    with pytest.raises(ValueError) as info:
         TreeDistribution(1, {single_bucket_tree(2).shape(): 1}, 1).validate()
+    assert str(info.value) == "a support tree is not labelled"
     with pytest.raises(ValueError, match="sum"):
         TreeDistribution(1, {single_bucket_tree(2): 1}, 2).validate()
 
