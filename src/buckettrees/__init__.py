@@ -31,7 +31,7 @@ from .weights import (AffineDegreeWeights, BucketRecursive, DAryIncreasing,
                       InvalidWeightsError, PlaneOriented, WeightModel,
                       to_fraction, weights_of)
 
-__version__ = "0.32.0"
+__version__ = "0.33.0"
 
 __all__ = [
     "BucketNode", "BucketTree", "bucket", "shape_bucket", "single_bucket_tree",

@@ -7,7 +7,9 @@ insertion slot among the degree+1 gaps is uniform.  Every kernel here reads
 the rule in one integer form: (c1, c2) cleared to an integer pair (join,
 split), so a node of load c and degree k weighs join*c + split*(1 - k) out
 of join*m + split at size m.  Sampling is exact: a uniform integer below
-that total is drawn.
+that total is drawn.  One per-label step (``_kernel``) grows every sampled
+tree; at small sizes ``sample_counts`` runs it once per distinct tree of
+a batch, through a transition memo.
 
 ``exact_laws`` computes the full law of the process at every size up to a
 given one by dynamic programming over labelled trees, so sampled and
@@ -43,7 +45,13 @@ _SCAN_MAX_SIZE = 80
 
 # sample_counts walks a per-batch transition memo while the sizes up to n
 # hold at most this many labelled trees in all, and grows each tree afresh
-# past it.
+# past it.  A new state costs a few labels of growth, so the memo pays where
+# trees repeat.  Against the per-tree kernel on one pinned CPU, batches of
+# 2,000 trees took 0.45x the time at n = 5 (b = 2), 0.75-0.9x where the
+# sizes hold 1,070 and 5,812 trees (b = 1 and 2), 1.1x at 5,322 and 5,357
+# (b = 4 and 3) and 1.15-1.2x at 11,465 and 59,837; batches of 20,000, the
+# CLI's default, took 0.45-0.8x at all of these.  Memory grows with the
+# states, so the budget stops short of the 11,465 of b = 1, n = 7.
 _MEMO_MAX_STATES = 8000
 
 
@@ -120,12 +128,12 @@ def growth_options(tree: BucketTree, spec: FamilySpec) -> list[tuple[BucketTree,
 def _kernel(spec: FamilySpec, n: int) -> tuple[Callable[..., None], list[int], int]:
     """The per-label step of ``_grow_each``, set up once for trees of size n:
     (advance, template, fast).  advance(block, finish, labels, children,
-    weights, start) grows a tree of size start, held in flat lists with its
-    node weights laid out as in a copy of template, to size n in place.  It
-    pops each pick's words off the list that block() returns, calling block
-    again when that list is empty, and hands a word at or above fast to
-    finish(word, bound).  n is refused as ``_grow_each`` says, before any
-    stream is read.
+    weights, start, stop) grows a tree of size start, held in flat lists
+    with its node weights laid out as in a copy of template, to size stop
+    (at most n) in place.  It pops each pick's words off the list that
+    block() returns, calling block again when that list is empty, and hands
+    a word at or above fast to finish(word, bound).  n is refused as
+    ``_grow_each`` says, before any stream is read.
     """
     _check_int(n, "n", 1)
     guard_growth(n)
@@ -239,6 +247,10 @@ def _grow_each(spec: FamilySpec, n: int,
     bound, so each tree draws the words of one ``randbelow`` call per pick.
     A pick with one outcome, a total of 1 or a saturated node with no
     children, draws no word.
+
+    Every sampler grows each of its trees here, except ``sample_counts`` at
+    small sizes, which runs the same step once per distinct tree of its
+    batch (``_memo_each``).
     """
     advance, template, _ = _kernel(spec, n)
 
@@ -334,10 +346,11 @@ def _memo_each(spec: FamilySpec, n: int, rngs: Iterable[SplitMix64]) -> Iterator
     A tree walks from the one-label root state by popping the words the
     kernel pops: the node pick below the state's total, found by
     ``bisect_right`` over its cumulative weights (the scan's node), then
-    the slot pick when the node has gaps.  A successor is built the first
-    time a pick lands on its node and slot, by the kernel's own step on a
-    copy of the state's lists, fed the picks already drawn as its words,
-    so the join/split rule and its checks run on every state built.
+    the slot pick when the node has more than one gap.  A successor is
+    built the first time a pick lands on its node and slot, by the
+    kernel's own step on a copy of the state's lists, fed the picks already
+    drawn as its words, so the join/split rule and its checks run on every
+    state built.
     """
     advance, template, fast = _kernel(spec, n)
     b = spec.b

@@ -35,8 +35,10 @@ from .weights import FamilySpec, _check_int, _common_scale, shown
 from .urn import urn_from, urn_moment_exact
 
 MIN_GOF_SAMPLES = 20
-# Refuse more gof samples per run than this: each grows a tree, about 7 us
-# at n = 5, so a run costs about as much as the largest grown tree (8 s).
+# Refuse more gof samples per run than this: each is a grown tree, about
+# 2 us at n = 5, where the batch walks its transition memo (5 us grown
+# afresh), and 10 us at n = 9, so a run at those sizes costs 2-10 s, about
+# as much as the largest grown tree (8 s).
 GOF_SAMPLE_CEILING = 10**6
 # Refuse a second-order law over more draws (horizon - j) than this: its
 # sum takes about 1.5 us per draw, so the largest costs about as much as

@@ -6,20 +6,27 @@ accept a word below the batch's threshold untested.  ``reference_grow`` and
 ``randbelow`` per pick and one ``bernoulli`` per coin: every tree, every
 count and every end counter must be the same.  ``_grow_each`` scans the node
 weights up to ``_SCAN_MAX_SIZE`` labels and descends a Fenwick tree past
-it, so each growth comparison runs on both sides of that size.
+it, so each growth comparison runs on both sides of that size.  The memo
+batches of ``sample_counts`` (``_memo_each``) pop the same words through a
+transition memo, and are held to the same reference at every size the
+memo takes.
 """
 
 from __future__ import annotations
 
+import gc
+import inspect
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import repeat
 
 import pytest
 
 from buckettrees import (BucketRecursive, DAryIncreasing, PlaneOriented, SplitMix64,
-                         UrnState, urn_from, urn_run)
-from buckettrees.evolve import _SCAN_MAX_SIZE, _grow, _grow_each
+                         UrnState, evolve, sample_counts, sample_encodings, urn_from, urn_run)
+from buckettrees.enumeration import labelled_counts
+from buckettrees.evolve import _MEMO_MAX_STATES, _SCAN_MAX_SIZE, _grow, _grow_each, _memo_each
 from buckettrees.rng import _GOLDEN, _MASK, _SPAN, accept_below
 
 F = Fraction
@@ -155,6 +162,90 @@ def test_growth_rejects_an_injected_word_past_the_limit(spec):
             inject(ref, words)
             assert _grow(spec, n, rng) == reference_grow(spec, n, ref)
             assert rng._counter == ref._counter
+
+
+def largest_memo_size(b):
+    """The largest n whose sizes 1..n hold at most ``_MEMO_MAX_STATES``
+    labelled trees in all."""
+    held = 0
+    for n, count in enumerate(labelled_counts(b)):
+        held += count
+        if held > _MEMO_MAX_STATES:
+            return n
+
+
+def memo_mismatch(memo_each, spec):
+    """The first (n, tree index) at which memo_each, on one stream repeated
+    across block refills, parts from ``reference_grow`` in the tree or in the
+    end counter, at every size up to the largest the memo takes; None when
+    it never does.  The first tree of each size starts on words at and past
+    the batch's threshold, so the walk's rejections run too."""
+    c1, c2 = spec.c1, spec.c2
+    scale = math.lcm(c1.denominator, c2.denominator)
+    for n in range(1, largest_memo_size(spec.b) + 1):
+        largest = max(c1.numerator * (scale // c1.denominator) * (n - 1)
+                      + c2.numerator * (scale // c2.denominator), n)
+        fast = max(accept_below(largest), 0)
+        words = [_SPAN - 1, fast, fast + 1, _SPAN - 2, _SPAN - 1, fast]
+        rng, ref = SplitMix64(n), SplitMix64(n)
+        inject(rng, words)
+        inject(ref, words)
+        for index, state in enumerate(memo_each(spec, n, repeat(rng, 200))):
+            if ((state.labels, state.children) != reference_grow(spec, n, ref)
+                    or rng._counter != ref._counter):
+                return n, index
+    return None
+
+
+@pytest.mark.parametrize("spec", FAMILIES, ids=repr)
+def test_memo_batches_grow_the_reference_trees_in_turn(spec):
+    assert memo_mismatch(_memo_each, spec) is None
+
+
+def memo_ignoring_the_slot():
+    """A faulty ``_memo_each`` with one successor per saturated node: it
+    still draws the slot word, but every slot leads to the successor built
+    for the first one drawn."""
+    source = inspect.getsource(_memo_each)
+    assert source.count("row[slot]") == 2
+    namespace = dict(vars(evolve))
+    exec(source.replace("row[slot]", "row[0]"), namespace)
+    return namespace["_memo_each"]
+
+
+@pytest.mark.parametrize("spec", FAMILIES, ids=repr)
+def test_a_memo_that_ignores_the_slot_fails_the_reference(spec):
+    assert memo_mismatch(memo_ignoring_the_slot(), spec) is not None
+
+
+# The memo runs at the largest size within its budget, holds no more states
+# than the budget, and is gone when the batch returns; one size past it the
+# batch grows each tree afresh and builds no state.
+@pytest.mark.parametrize("spec", [BucketRecursive(1), PlaneOriented(2, F(1)),
+                                  DAryIncreasing(3, F(4, 3))], ids=repr)
+def test_the_memo_keeps_within_its_budget_and_the_batch(monkeypatch, spec):
+    made = [0]
+
+    class Counted(evolve._State):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            made[0] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(evolve, "_State", Counted)
+    n = largest_memo_size(spec.b)
+    counts = sample_counts(spec, n, repeat(SplitMix64(3), 4000))
+    assert sum(counts.values()) == 4000
+    assert len(counts) < made[0] <= _MEMO_MAX_STATES
+    gc.collect()
+    assert not [item for item in gc.get_objects() if isinstance(item, Counted)]
+    made[0] = 0
+    rng, ref = SplitMix64(3), SplitMix64(3)
+    assert sample_counts(spec, n + 1, repeat(rng, 300)) \
+        == Counter(sample_encodings(spec, n + 1, repeat(ref, 300)))
+    assert rng._counter == ref._counter
+    assert made[0] == 0
 
 
 URN_STATES = [UrnState(F(1), F(2)), UrnState(F(3, 2), F(1)), UrnState(F(7, 3), F(4)),
