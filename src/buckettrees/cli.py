@@ -61,35 +61,26 @@ def rounded_fields(report) -> dict:
             for k, v in report._asdict().items()}
 
 
-def past_digit_cap(text: str) -> bool:
-    """Whether text is a decimal that int() refuses only for its length: past
-    its digit cap (4,300 by default), which ``main`` lifts after parsing."""
-    digits = text.strip().lstrip("+-").replace("_", "")
-    return digits.isdecimal() and 0 < sys.get_int_max_str_digits() < len(digits)
-
-
 def integer(text: str) -> int:
-    """argparse type for descend --j: an integer, whose range the command checks."""
+    """argparse type for descend --j: an integer, whose range the command
+    checks.  Every other integer option reads its value through it."""
     try:
         return int(text)
     except ValueError:
-        reason = "too many digits" if past_digit_cap(text) else "not an integer"
-        raise argparse.ArgumentTypeError(f"{reason}: {quoted(text)}") from None
+        raise argparse.ArgumentTypeError(f"not an integer: {quoted(text)}") from None
+
+
+def out_of_range(need: str, text: str, value: int) -> argparse.ArgumentTypeError:
+    """The refusal of an integer outside need: the value whole when its text
+    has at most 24 characters, else the text ``quoted``."""
+    return argparse.ArgumentTypeError(f"{need}, got {value if len(text) <= 24 else quoted(text)}")
 
 
 def positive_int(text: str) -> int:
     """argparse type for sizes, counts and --b: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        if not past_digit_cap(text):
-            raise argparse.ArgumentTypeError(f"not an integer: {quoted(text)}") from None
-        if text.strip().startswith("-"):
-            raise argparse.ArgumentTypeError(f"must be at least 1, got {quoted(text)}") from None
-        raise argparse.ArgumentTypeError(f"too large: {quoted(text)}") from None
+    value = integer(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be at least 1, got {value if len(text) <= 24 else quoted(text)}")
+        raise out_of_range("must be at least 1", text, value)
     return value
 
 
@@ -115,19 +106,9 @@ def probability(text: str) -> float:
 def seed_value(text: str) -> int:
     """argparse type for --seed: an integer in [0, 2**64).  The error line
     quotes at most the first 24 characters of a refused value."""
-    shown = quoted(text)
-    # 2**64 has 20 digits, so a decimal with more significant digits is out
-    # of range.  It is refused before int(), which past its digit cap (4,300
-    # by default) would call it no integer at all.
-    digits = text.strip().lstrip("+-").replace("_", "").lstrip("0")
-    if len(digits) > 20 and digits.isdecimal():
-        raise argparse.ArgumentTypeError(f"must lie in [0, 2**64), got {shown}")
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {shown}") from None
+    value = integer(text)
     if not 0 <= value < 1 << 64:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 2**64), got {value}")
+        raise out_of_range("must lie in [0, 2**64)", text, value)
     return value
 
 
@@ -577,6 +558,12 @@ _frozen = False   # whether main has frozen the heap in this process
 def main(argv: list[str] | None = None) -> int:
     """Run one command; returns its exit code.
 
+    The command, its options included, runs with the interpreter's digit cap
+    on int() and str() lifted (``sys.set_int_max_str_digits(0)``), so an
+    integer of any length reaches the check that owns its range, and an
+    exact value of any length prints in full.  The cap is restored however
+    the call ends: a return, a refusal, a parse error or --help.
+
     The first call in a process freezes the garbage collector's view of the
     heap as it stands (``gc.freeze``); importing the package freezes nothing.
     """
@@ -589,15 +576,14 @@ def main(argv: list[str] | None = None) -> int:
         _frozen = True
     if argv is None:
         argv = sys.argv[1:]
-    # Build the named command's subparser only; -h, an unknown command and
-    # a missing one get them all.
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    args = parser.parse_args(argv)
-    # An exact value may have more digits than str(int) allows by default
-    # (4,300); lift that cap for the command and restore it however it ends.
+    # Lifted before parsing, so no option reads a length rule of its own.
     cap = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
+        # Build the named command's subparser only; -h, an unknown command
+        # and a missing one get them all.
+        parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+        args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

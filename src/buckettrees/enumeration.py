@@ -67,8 +67,8 @@ def check_limit(n: int, limit: int | None) -> None:
     _check_int(bound, "limit", 1)
     if n > bound:
         raise EnumerationLimitError(
-            f"size {n} exceeds the enumeration limit {bound}; "
-            f"a limit of {n} (--limit {n} on the command line) allows it")
+            f"size {shown(n)} exceeds the enumeration limit {shown(bound)}; "
+            f"a limit of {shown(n)} (--limit {shown(n)} on the command line) allows it")
 
 
 def enumerate_shapes(b: int, n: int, limit: int | None = None) -> list[BucketTree]:

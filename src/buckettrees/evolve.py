@@ -116,7 +116,7 @@ def growth_options(tree: BucketTree, spec: FamilySpec) -> list[tuple[BucketTree,
     This is the ``Fraction`` view of the integer kernel ``exact_laws`` runs.
     """
     if tree.max_bucket != spec.b:
-        raise InvalidTreeError(f"tree has b={tree.max_bucket}, family has b={spec.b}")
+        raise InvalidTreeError(f"tree has b={shown(tree.max_bucket)}, family has b={shown(spec.b)}")
     if not tree.is_labelled():
         raise InvalidTreeError("growth needs a labelled tree")
     size = tree.size

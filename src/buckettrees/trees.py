@@ -238,7 +238,8 @@ def weigh_parts(tree: BucketTree, table: WeightTable) -> tuple[int, int]:
     denominators multiplied apart, unreduced, and (0, 1) at a zero factor."""
     b, nums, dens = table
     if tree.max_bucket != b:
-        raise InvalidTreeError(f"tree built for b={tree.max_bucket} but model has b={b}")
+        raise InvalidTreeError(
+            f"tree built for b={shown(tree.max_bucket)} but model has b={shown(b)}")
     num = den = 1
     stack = [tree.root]
     while stack:

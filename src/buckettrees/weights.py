@@ -309,7 +309,7 @@ class WeightModel(Frozen):
         psi = tuple(to_fraction(p) for p in psi)
         if len(psi) != b - 1:
             raise InvalidWeightsError(
-                f"expected {b - 1} bucket weights for b={b}, got {len(psi)}")
+                f"expected {shown(b - 1)} bucket weights for b={shown(b)}, got {len(psi)}")
         if any(p < 0 for p in psi):
             raise InvalidWeightsError("bucket weights must be non-negative")
         if phi.coeff(0) <= 0:
@@ -461,7 +461,8 @@ def weights_of(spec: FamilySpec) -> WeightModel:
     """
     if spec.b > MAX_MODEL_B:
         raise InvalidWeightsError(
-            f"b = {spec.b} is above {MAX_MODEL_B}, the largest capacity whose weights are built")
+            f"b = {shown(spec.b)} is above {MAX_MODEL_B}, "
+            "the largest capacity whose weights are built")
     totals = [Fraction(1)]
     for i in range(1, spec.b):
         totals.append(totals[-1] * spec.connectivity(i))

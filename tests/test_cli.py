@@ -11,6 +11,8 @@ import json
 import math
 import os
 import re
+import runpy
+import signal
 import subprocess
 import sys
 import time
@@ -46,6 +48,36 @@ def test_version_matches_pyproject():
     text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
     declared = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE).group(1)
     assert buckettrees.__version__ == declared
+
+
+def run_as_module() -> None:
+    """``python -m buckettrees.cli``: the module run again, as __main__."""
+    with warnings.catch_warnings():
+        # runpy warns that the package has imported the module already.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        runpy.run_module("buckettrees.cli", run_name="__main__")
+
+
+# The console script: main's exit code through SystemExit, with SIGPIPE at
+# its default so that output into a closed pipe ends the process quietly.
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+@pytest.mark.parametrize("start", [cli.entrypoint, run_as_module], ids=["script", "module"])
+@pytest.mark.parametrize("argv, code", [
+    (["enumerate", "--phi", "1,0,1", "--n", "3"], 0),
+    (["verify", "--phi", "1,0,1", "--n", "3", "--check", "ratio"], 1),
+    (["enumerate", "--phi", "1,0,x", "--n", "3"], 2),
+])
+def test_entrypoint_exits_with_the_code_of_main(capsys, monkeypatch, start, argv, code):
+    monkeypatch.setattr(sys, "argv", ["buckettrees", *argv])
+    disposition = signal.getsignal(signal.SIGPIPE)
+    try:
+        with pytest.raises(SystemExit) as exit_info:
+            start()
+        assert signal.getsignal(signal.SIGPIPE) == signal.SIG_DFL
+    finally:
+        signal.signal(signal.SIGPIPE, disposition)
+    assert exit_info.value.code == code
+    capsys.readouterr()
 
 
 def test_public_names_resolve():
@@ -743,6 +775,13 @@ def test_int_digit_cap_is_restored_after_an_error(capsys):
     rc, _, err = run(capsys, "enumerate", "--phi", "1,0,x", "--n", "4")
     assert rc == 2 and err.startswith("error:")
     assert sys.get_int_max_str_digits() == cap
+    # A parse error and --help leave main through argparse's SystemExit.
+    for argv, code in [(["enumerate", "--phi", "1", "--n", "x"], 2), (["enumerate", "--help"], 0)]:
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == code
+        assert sys.get_int_max_str_digits() == cap
+    capsys.readouterr()
 
 
 def test_descend_sampled_modes_agree_on_support(capsys):
@@ -905,6 +944,7 @@ def test_second_order_point_mass_exits_2_in_one_line(capsys):
                                      "floating-point resolution of a point mass\n")
 
 
+BDARY = ["--family", "bdary", "--b", "2", "--d", "2"]
 GROWN = {
     "sample": ["sample", "--family", "bdary", "--b", "2", "--d", "2"],
     "descend-direct": ["descend", "--family", "bdary", "--b", "2", "--d", "2", "--j", "3",
@@ -944,46 +984,124 @@ def test_descend_past_the_ceiling_without_growing_a_tree(capsys, n, mode, header
     assert out == f"descendants,{header}\n{n - 1},{weight}\n"
 
 
-@pytest.mark.parametrize("value, reason", [
-    ("9" * 5000, "too large: '999999999999999999999999'... (5000 characters)"),
-    ("-" + "9" * 5000, "must be at least 1, got '-99999999999999999999999'... (5001 characters)"),
-    ("x" * 5000, "not an integer: 'xxxxxxxxxxxxxxxxxxxxxxxx'... (5000 characters)"),
-    ("-" + "9" * 30, "must be at least 1, got '-99999999999999999999999'... (31 characters)"),
-])
-def test_overlong_sizes_are_refused_in_one_short_line(capsys, value, reason):
-    with pytest.raises(SystemExit) as exit_info:
-        main([*GROWN["sample"], "--n", value])
-    assert exit_info.value.code == 2
-    captured = capsys.readouterr()
-    errors = [line for line in captured.err.splitlines() if "error:" in line]
-    assert captured.out == "" and len(errors) == 1, captured.err
-    assert errors[0].endswith(f"argument --n: {reason}")
-    assert len(errors[0].encode()) < 200
+LENGTHS = re.compile(r"\(\d+ characters\)")   # the length a quoted value names
 
 
-@pytest.mark.parametrize("argv, option, reason", [
-    (["descend", "--family", "bdary", "--b", "2", "--d", "2", "--n", "5", "--j", "9" * 5000],
-     "--j", "too many digits: '999999999999999999999999'... (5000 characters)"),
-    (["descend", "--family", "bdary", "--b", "2", "--d", "2", "--n", "5", "--j", "-" + "9" * 5000],
-     "--j", "too many digits: '-99999999999999999999999'... (5001 characters)"),
-    (["descend", "--family", "bdary", "--b", "2", "--d", "2", "--n", "5", "--j", "x" * 5000],
-     "--j", "not an integer: 'xxxxxxxxxxxxxxxxxxxxxxxx'... (5000 characters)"),
-    (["sample", "--family", "bdary", "--b", "9" * 5000, "--d", "2", "--n", "5"],
-     "--b", "too large: '999999999999999999999999'... (5000 characters)"),
-    (["enumerate", "--phi", "1", "--b", "x" * 5000, "--n", "3"],
-     "--b", "not an integer: 'xxxxxxxxxxxxxxxxxxxxxxxx'... (5000 characters)"),
-    (["stats", "--check", "gof", "--family", "bdary", "--b", "0", "--d", "2"],
-     "--b", "must be at least 1, got 0"),
-])
-def test_overlong_b_and_j_are_refused_in_one_short_line(capsys, argv, option, reason):
-    with pytest.raises(SystemExit) as exit_info:
-        main(argv)
-    assert exit_info.value.code == 2
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), a parse error's exit included."""
+    try:
+        code = main(argv)
+    except SystemExit as exit_info:
+        code = exit_info.code
     captured = capsys.readouterr()
-    errors = [line for line in captured.err.splitlines() if "error:" in line]
-    assert captured.out == "" and len(errors) == 1, captured.err
-    assert errors[0].endswith(f"argument {option}: {reason}")
-    assert len(errors[0].encode()) < 200
+    return code, captured.out, captured.err
+
+
+def at_both_lengths(capsys, argv, option, value_of):
+    """Run argv with option given value_of(4000) and then value_of(5000):
+    main lifts the digit cap before parsing, so both get the same exit code
+    and stderr, but for the lengths that quoted values name.  Returns the
+    second run's exit code, stdout and lines naming an error, after checking
+    that there is at most one and that it is short."""
+    runs = [outcome(capsys, [*argv, option, value_of(digits)]) for digits in (4000, 5000)]
+    (code, _, err), (code_5, out_5, err_5) = runs
+    assert (code, LENGTHS.sub("", err)) == (code_5, LENGTHS.sub("", err_5))
+    errors = [line for line in err_5.splitlines() if "error:" in line]
+    assert len(errors) <= 1 and all(len(line.encode()) < 200 for line in errors), err_5
+    return code_5, out_5, errors
+
+
+# A parse error exits through argparse, naming the option; any other
+# refusal is the one line of the check that owns the value's range.
+@pytest.mark.parametrize("value_of, reason", [
+    (lambda k: "9" * k, "error: refusing to grow a tree of more than 1000000 labels "
+                        "(about 760 bytes of memory per label)"),
+    (lambda k: "-" + "9" * k,
+     "argument --n: must be at least 1, got '-99999999999999999999999'... (5001 characters)"),
+    (lambda k: "x" * k,
+     "argument --n: not an integer: 'xxxxxxxxxxxxxxxxxxxxxxxx'... (5000 characters)"),
+    (lambda k: "-" + "9" * 30,
+     "argument --n: must be at least 1, got '-99999999999999999999999'... (31 characters)"),
+], ids=["digits", "negative", "letters", "negative-31"])
+def test_overlong_sizes_are_refused_in_one_short_line(capsys, value_of, reason):
+    code, out, errors = at_both_lengths(capsys, GROWN["sample"], "--n", value_of)
+    assert (code, out) == (2, "") and len(errors) == 1
+    assert errors[0].endswith(reason)
+
+
+DESCEND_5 = ["descend", *BDARY, "--n", "5"]
+
+
+@pytest.mark.parametrize("argv, option, value_of, reason", [
+    (DESCEND_5, "--j", lambda k: "9" * k,
+     "error: need 1 <= j <= n, got j='999999999999999999999999'... (5000 characters), n=5"),
+    (DESCEND_5, "--j", lambda k: "-" + "9" * k,
+     "error: need 1 <= j <= n, got j='-99999999999999999999999'... (5001 characters), n=5"),
+    (DESCEND_5, "--j", lambda k: "x" * k,
+     "argument --j: not an integer: 'xxxxxxxxxxxxxxxxxxxxxxxx'... (5000 characters)"),
+    (["enumerate", "--family", "bucket-recursive", "--n", "3"], "--b", lambda k: "9" * k,
+     "error: b = '999999999999999999999999'... (5000 characters) is above 1000, "
+     "the largest capacity whose weights are built"),
+    (["enumerate", "--phi", "1", "--n", "3"], "--b", lambda k: "x" * k,
+     "argument --b: not an integer: 'xxxxxxxxxxxxxxxxxxxxxxxx'... (5000 characters)"),
+    (["stats", "--check", "gof", "--family", "bdary", "--d", "2"], "--b", lambda k: "0",
+     "argument --b: must be at least 1, got 0"),
+], ids=["j-digits", "j-negative", "j-letters", "b-digits", "b-letters", "b-zero"])
+def test_overlong_b_and_j_are_refused_in_one_short_line(capsys, argv, option, value_of, reason):
+    code, out, errors = at_both_lengths(capsys, argv, option, value_of)
+    assert (code, out) == (2, "") and len(errors) == 1
+    assert errors[0].endswith(reason)
+
+
+# No capacity is too large to grow a tree smaller than a bucket.
+def test_overlong_b_grows_a_tree(capsys):
+    code, out, errors = at_both_lengths(capsys, ["sample", "--family", "bdary", "--d", "2",
+                                                 "--n", "5", "--seed", "3"],
+                                        "--b", lambda k: "9" * k)
+    assert (code, out, errors) == (0, '{"children":[],"labels":[1,2,3,4,5]}\n', [])
+
+
+# Every integer option of every command, with a value of 4,000 and of 5,000
+# digits, either sign: exit code and stderr agree, with at most one short
+# error line.  Left out: --count, since a count of any size is taken and the run
+# lasts as long as it asks, and stats --check gof --b, whose exact law
+# builds a table with one entry per bucket load up to b.
+INTEGER_OPTIONS = [
+    (["enumerate", "--phi", "1,0,1", "--n", "3"], "--b"),
+    (["enumerate", "--phi", "1,0,1"], "--n"),
+    (["enumerate", "--phi", "1,0,1", "--n", "3"], "--limit"),
+    (["verify", "--family", "bdary", "--d", "2", "--n", "3"], "--b"),
+    (["verify", *BDARY], "--n"),
+    (["verify", "--phi", "1,0,1", "--n", "3"], "--limit"),
+    (["sample", *BDARY, "--n", "3"], "--seed"),
+    (["descend", "--family", "bdary", "--d", "2", "--j", "3", "--n", "5"], "--b"),
+    (["descend", *BDARY, "--j", "3"], "--n"),
+    (["descend", *BDARY, "--n", "5", "--mode", "exact"], "--j"),
+    (["descend", *BDARY, "--n", "5", "--j", "3"], "--seed"),
+    (["stats", "--check", "gof", *BDARY], "--n"),
+    (["stats", "--check", "gof", *BDARY, "--n", "3"], "--samples"),
+    (["stats", "--check", "gof", *BDARY, "--n", "3", "--samples", "20"], "--limit"),
+    (["stats", "--check", "gof", *BDARY, "--n", "3", "--samples", "20"], "--seed"),
+    (["stats", "--check", "beta", "--family", "bdary", "--d", "2", "--j", "4", "--load", "2",
+      "--n-grid", "100"], "--b"),
+    (["stats", "--check", "beta", *BDARY, "--load", "2", "--n-grid", "100"], "--j"),
+    (["stats", "--check", "beta", *BDARY, "--j", "4", "--n-grid", "100"], "--load"),
+    (["stats", "--check", "beta", *BDARY, "--j", "4", "--load", "2"], "--n-grid"),
+    (["stats", "--check", "second-order", *BDARY, "--j", "4", "--load", "2",
+      "--horizon", "100"], "--n"),
+    (["stats", "--check", "second-order", *BDARY, "--j", "4", "--load", "2", "--n", "10"],
+     "--horizon"),
+    (["stats", "--check", "second-order", *BDARY, "--j", "4", "--load", "2", "--n", "10",
+      "--horizon", "100"], "--trajectories"),
+]
+
+
+@pytest.mark.parametrize("argv, option", INTEGER_OPTIONS,
+                         ids=[" ".join([*argv[:1 + 2 * (argv[0] == "stats")], option])
+                              for argv, option in INTEGER_OPTIONS])
+@pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+def test_every_integer_option_reads_any_length_alike(capsys, argv, option, sign):
+    at_both_lengths(capsys, argv, option, lambda k: sign + "9" * k)
 
 
 LONG_NINES, LONG_XS = "9" * 5000, "x" * 5000
@@ -1028,7 +1146,6 @@ def test_overlong_rationals_are_refused_in_one_short_line(capsys, argv, reason):
     assert len(err.encode()) < 200
 
 
-BDARY = ["--family", "bdary", "--b", "2", "--d", "2"]
 NINES = "9" * 4000
 NINES_HEAD = "'999999999999999999999999'... (4000 characters)"
 HUGE = 10**5000   # past the interpreter's default 4,300-digit cap of str()
@@ -1105,6 +1222,25 @@ def _digit_limit(digits: str) -> str:
      "labels within a bucket must increase: a tuple holding a number too long for str()"),
     (lambda: buckettrees.decode_tree(b'{"capacity":%s,"children":[]}' % (b"9" * 5000), 2),
      f"not a canonical encoding: {_digit_limit('9' * 5000)}"),
+    (["enumerate", "--family", "bucket-recursive", "--b", NINES, "--n", "3"],
+     f"b = {NINES_HEAD} is above 1000, the largest capacity whose weights are built"),
+    (["verify", "--family", "bdary", "--b", NINES, "--d", "2"],
+     f"b = {NINES_HEAD} is above 1000, the largest capacity whose weights are built"),
+    (lambda: buckettrees.weights_of(BucketRecursive(HUGE)),
+     f"b = {HUGE_BITS} is above 1000, the largest capacity whose weights are built"),
+    (lambda: buckettrees.WeightModel(HUGE, (), buckettrees.ExplicitDegreeWeights((1, 0, 1))),
+     f"expected {HUGE_BITS} bucket weights for b={HUGE_BITS}, got 0"),
+    (lambda: buckettrees.growth_options(BucketTree(bucket((1,)), HUGE), BucketRecursive(2)),
+     f"tree has b={HUGE_BITS}, family has b=2"),
+    (lambda: buckettrees.growth_options(BucketTree(bucket((1,)), 2), BucketRecursive(HUGE)),
+     f"tree has b=2, family has b={HUGE_BITS}"),
+    (lambda: trees.weigh_parts(BucketTree(bucket((1,)), HUGE), (2, [1], [1])),
+     f"tree built for b={HUGE_BITS} but model has b=2"),
+    (lambda: trees.weigh_parts(BucketTree(bucket((1,)), 2), (HUGE, [1], [1])),
+     f"tree built for b=2 but model has b={HUGE_BITS}"),
+    (lambda: enumeration.check_limit(HUGE, 5),
+     f"size {HUGE_BITS} exceeds the enumeration limit 5; "
+     f"a limit of {HUGE_BITS} (--limit {HUGE_BITS} on the command line) allows it"),
 ])
 def test_refused_integers_are_quoted_in_one_short_line(capsys, call, reason):
     if isinstance(call, list):
@@ -1497,15 +1633,21 @@ def _seed_refusal(capsys, monkeypatch, argv, source, value):
 
 
 @pytest.mark.parametrize("command", sorted(SEEDED_COMMANDS))
-@pytest.mark.parametrize("value", ["9" * 5000, "-" + "9" * 5000, "1" + "_0" * 3000, "x" * 5000],
+@pytest.mark.parametrize("value_of", [lambda k: "9" * k, lambda k: "-" + "9" * k,
+                                      lambda k: "1" + "_0" * k, lambda k: "x" * k],
                          ids=["digits", "negative", "underscored", "letters"])
 @pytest.mark.parametrize("source", ["--seed", "BUCKETTREES_SEED"])
-def test_overlong_seed_is_refused_in_one_short_line(capsys, monkeypatch, command, value, source):
-    errors, err = _seed_refusal(capsys, monkeypatch, SEEDED_COMMANDS[command], source, value)
-    assert len(errors) == 1 and source in errors[0], err
-    reason = "not an integer" if value.startswith("x") else "must lie in [0, 2**64)"
+def test_overlong_seed_is_refused_in_one_short_line(capsys, monkeypatch, command, value_of,
+                                                    source):
+    # 4,000 and 5,000 digits: the same refusal, but for the length it names.
+    (_, err), (errors, err_5) = [
+        _seed_refusal(capsys, monkeypatch, SEEDED_COMMANDS[command], source, value_of(digits))
+        for digits in (4000, 5000)]
+    assert LENGTHS.sub("", err) == LENGTHS.sub("", err_5)
+    assert len(errors) == 1 and source in errors[0], err_5
+    reason = "not an integer" if value_of(1) == "x" else "must lie in [0, 2**64)"
     assert reason in errors[0]
-    assert all(len(line) < 200 for line in err.splitlines()), err
+    assert all(len(line) < 200 for line in err_5.splitlines()), err_5
 
 
 @pytest.mark.parametrize("command", ["descend-exact", "stats-beta"])
