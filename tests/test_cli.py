@@ -1621,15 +1621,10 @@ def _seed_refusal(capsys, monkeypatch, argv, source, value):
         argv = [*argv, "--seed", value]
     else:
         monkeypatch.setenv(source, value)
-    try:
-        rc = main(argv)
-    except SystemExit as exit_info:
-        rc = exit_info.code
-    assert rc == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "Traceback" not in captured.err
-    return [line for line in captured.err.splitlines() if "error:" in line], captured.err
+    code, out, err = outcome(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    return [line for line in err.splitlines() if "error:" in line], err
 
 
 @pytest.mark.parametrize("command", sorted(SEEDED_COMMANDS))
